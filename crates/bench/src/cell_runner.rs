@@ -1,7 +1,8 @@
 //! Cell-runner layer of the grid engine: everything about executing
 //! *one* resolved grid cell, shared by the classic run-to-completion
 //! path ([`run_classic`]) and the round-streamed adaptive scheduler
-//! ([`crate::scheduler`]).
+//! ([`crate::scheduler`]). Both drive the session `stream_repeat`
+//! builds.
 //!
 //! [`crate::executor::GridExecutor`] resolves a spec into a [`GridCtx`]
 //! — built datasets, trained LHS selectors, flattened cells — and then
@@ -25,7 +26,7 @@ use histal_obs::trace::Level;
 use crate::executor::{cell_hash, seed_for};
 use crate::journal::{try_run_cell_opt, JournalCtx};
 use crate::spec::ExperimentSpec;
-use crate::tasks::{NerTask, Scale, StreamRun, TextModel, TextTask};
+use crate::tasks::{with_extras, NerTask, Scale, StreamRun, TextModel, TextTask};
 
 /// One resolved dataset of a grid: the built task plus its pool config.
 pub(crate) enum TaskInstance {
@@ -149,42 +150,9 @@ impl GridCtx<'_> {
     }
 }
 
-/// Run one repeat of one cell to completion — the classic driver path.
-fn run_repeat(
-    ctx: &GridCtx<'_>,
-    cell: &Cell,
-    seed: u64,
-    journal: Option<RunJournal>,
-) -> Result<RunResult, Error> {
-    match &ctx.instances[cell.task] {
-        TaskInstance::Text { task, config, .. } => {
-            if ctx.representations {
-                task.try_run_with_representations_journaled(
-                    cell.strategy.clone(),
-                    config,
-                    seed,
-                    journal,
-                )
-            } else {
-                task.try_run_model(
-                    ctx.model,
-                    cell.strategy.clone(),
-                    cell.lhs.map(|i| ctx.selectors[i].clone()),
-                    config,
-                    seed,
-                    journal,
-                )
-            }
-        }
-        TaskInstance::Ner { task, config } => {
-            task.try_run_journaled(cell.strategy.clone(), config, seed, journal)
-        }
-    }
-}
-
-/// Build the round-streamed session for one repeat of one cell — the
-/// same builder chain as [`run_repeat`], terminated with
-/// `build_session()` so the scheduler drives the rounds.
+/// Build the session for one repeat of one cell. The classic path
+/// drives it to the end ([`run_classic`]); the scheduler advances it
+/// round by round.
 pub(crate) fn stream_repeat(
     ctx: &GridCtx<'_>,
     c: usize,
@@ -192,31 +160,36 @@ pub(crate) fn stream_repeat(
     journal: Option<RunJournal>,
 ) -> StreamRun {
     let cell = &ctx.cells[c];
+    let strategy = cell.strategy.clone();
     match &ctx.instances[cell.task] {
         TaskInstance::Text { task, config, .. } => {
-            if ctx.representations {
-                task.stream_with_representations(cell.strategy.clone(), config, seed, journal)
-            } else {
-                task.stream_model(
-                    ctx.model,
-                    cell.strategy.clone(),
-                    cell.lhs.map(|i| ctx.selectors[i].clone()),
-                    config,
-                    seed,
-                    journal,
-                )
+            // Specs reject learned selectors alongside representations.
+            let lhs = cell.lhs.map(|i| ctx.selectors[i].clone());
+            match ctx.model {
+                // Representation grids always train the logistic model.
+                TextModel::NaiveBayes if !ctx.representations => {
+                    let builder = task.builder(task.naive_bayes(), strategy, config, seed);
+                    StreamRun::Nb(with_extras(builder, lhs, journal).build_session())
+                }
+                _ => {
+                    let mut builder = task.builder(task.model(0), strategy, config, seed);
+                    if ctx.representations {
+                        builder = builder.representations(task.representations());
+                    }
+                    StreamRun::Text(with_extras(builder, lhs, journal).build_session())
+                }
             }
         }
         TaskInstance::Ner { task, config } => {
-            task.stream(cell.strategy.clone(), config, seed, journal)
+            let builder = task.builder(task.model(), strategy, config, seed);
+            StreamRun::Ner(with_extras(builder, None, journal).build_session())
         }
     }
 }
 
 /// Execute cell `c` run-to-completion: fan the repeats out, journal
-/// each, average the curves. This is the pre-split executor's `run_one`
-/// closure verbatim — specs without a prune policy must keep producing
-/// byte-identical output through it.
+/// each, average the curves. Specs without a prune policy take this
+/// path.
 pub(crate) fn run_classic(ctx: &GridCtx<'_>, c: usize) -> Result<CellOutcome, Error> {
     let cell = &ctx.cells[c];
     let start = Instant::now();
@@ -231,7 +204,7 @@ pub(crate) fn run_classic(ctx: &GridCtx<'_>, c: usize) -> Result<CellOutcome, Er
             seed = seed
         );
         try_run_cell_opt(ctx.journal, &key, hash, seed, |j| {
-            run_repeat(ctx, cell, seed, j)
+            stream_repeat(ctx, c, seed, j).run_to_end()
         })
         .map_err(|e| e.in_cell(&key))
     });

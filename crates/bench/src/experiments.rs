@@ -1070,7 +1070,6 @@ fn obs_overhead_gate(scale: &Scale, cells: &[BenchCell]) {
 /// diagnostics. A missing counter or a failed run surfaces as a
 /// structured [`Error`] (span context attached) instead of a panic.
 fn sharded_metrics_gate(scale: &Scale) -> Result<(), Error> {
-    use histal_core::driver::ActiveLearner;
     use histal_obs::{MetricValue, MetricsRegistry};
     use std::sync::Arc;
 
@@ -1082,15 +1081,11 @@ fn sharded_metrics_gate(scale: &Scale) -> Result<(), Error> {
         .map(|_| Arc::new(MetricsRegistry::new()))
         .collect();
     let runs: Vec<Result<RunResult, Error>> = rayon::run_indexed(scale.repeats, |r| {
-        let mut learner = ActiveLearner::builder(task.model(0))
-            .pool(task.pool_docs.clone(), task.pool_labels.clone())
-            .test(task.test_docs.clone(), task.test_labels.clone())
-            .strategy(strategy.clone())
-            .config(config.clone())
-            .seed(seed_for("bench", &task.name, &name, r))
+        let seed = seed_for("bench", &task.name, &name, r);
+        task.builder(task.model(0), strategy.clone(), &config, seed)
             .metrics(shards[r].clone())
-            .build();
-        learner.run()
+            .build()
+            .run()
     });
     let runs: Vec<RunResult> = runs.into_iter().collect::<Result<_, _>>()?;
     let merged = MetricsRegistry::new();
@@ -1529,7 +1524,7 @@ fn pool_scaling_gate() -> Result<(), Error> {
 ///
 /// [`Session`]: histal_core::live::Session
 fn sessions_throughput_gate() -> Result<(), Error> {
-    use histal_core::driver::{ActiveLearner, PoolConfig};
+    use histal_core::driver::PoolConfig;
 
     const FLEET: usize = 32;
     const DISTINCT_SEEDS: usize = 4;
@@ -1548,14 +1543,15 @@ fn sessions_throughput_gate() -> Result<(), Error> {
     };
     let start = std::time::Instant::now();
     let results: Vec<Result<RunResult, Error>> = rayon::run_indexed(FLEET, |i| {
-        let mut session = ActiveLearner::builder(task.model(0))
-            .pool(task.pool_docs.clone(), task.pool_labels.clone())
-            .test(task.test_docs.clone(), task.test_labels.clone())
-            .strategy(Strategy::new(BaseStrategy::Entropy))
-            .config(config.clone())
-            .seed((i % DISTINCT_SEEDS) as u64)
-            .build_session();
-        session.run_hidden()
+        let strategy = Strategy::new(BaseStrategy::Entropy);
+        task.builder(
+            task.model(0),
+            strategy,
+            &config,
+            (i % DISTINCT_SEEDS) as u64,
+        )
+        .build_session()
+        .run_hidden()
     });
     let elapsed = start.elapsed().as_secs_f64().max(1e-9);
     let results: Vec<RunResult> = results.into_iter().collect::<Result<_, _>>()?;

@@ -1,18 +1,20 @@
 //! Featurized experiment tasks built from the synthetic corpora.
 
-use histal_core::driver::{ActiveLearner, CurvePoint, PoolConfig, RunResult};
+use histal_core::driver::{CurvePoint, PoolConfig, RunResult};
 use histal_core::error::Error;
 use histal_core::lhs::LhsSelector;
 use histal_core::live::{Session, SessionStep};
-use histal_core::session::RunJournal;
+use histal_core::model::Model;
+use histal_core::session::{Ready, RunJournal, SessionBuilder};
 use histal_core::stopping::StopReason;
 use histal_core::strategy::Strategy;
+use histal_core::ActiveLearner;
 use histal_data::{train_test_split, NerDataset, NerSpec, TextDataset, TextSpec};
 use histal_models::{
     CrfConfig, CrfTagger, Document, NaiveBayes, NaiveBayesConfig, Sentence, TextClassifier,
     TextClassifierConfig,
 };
-use histal_text::FeatureHasher;
+use histal_text::{FeatureHasher, SparseVec};
 
 /// Global experiment scale. `1.0` reproduces the paper's dataset sizes
 /// and budgets; smaller factors shrink pools, batches and budgets
@@ -114,7 +116,41 @@ impl TextTask {
         })
     }
 
-    /// Run one active-learning loop.
+    /// A fresh naive-bayes classifier configured for this task.
+    pub(crate) fn naive_bayes(&self) -> NaiveBayes {
+        NaiveBayes::new(NaiveBayesConfig {
+            n_classes: self.n_classes,
+            n_features: TEXT_FEATURES,
+            ..Default::default()
+        })
+    }
+
+    /// The pool documents' sparse features, one per pool sample — the
+    /// representations the density / MMR / k-center combinators need.
+    pub fn representations(&self) -> Vec<SparseVec> {
+        self.pool_docs.iter().map(|d| d.features.clone()).collect()
+    }
+
+    /// The builder chain every text run starts from: this task's pool
+    /// and test split, `strategy`, `config` and `seed`, training
+    /// `model`. Finish it with `build()` for a batch run or
+    /// `build_session()` for a session the caller drives.
+    pub fn builder<M: Model<Sample = Document, Label = usize>>(
+        &self,
+        model: M,
+        strategy: Strategy,
+        config: &PoolConfig,
+        seed: u64,
+    ) -> SessionBuilder<M, Ready> {
+        ActiveLearner::builder(model)
+            .pool(self.pool_docs.clone(), self.pool_labels.clone())
+            .test(self.test_docs.clone(), self.test_labels.clone())
+            .strategy(strategy)
+            .config(config.clone())
+            .seed(seed)
+    }
+
+    /// Run one active-learning loop with the logistic classifier.
     pub fn run(
         &self,
         strategy: Strategy,
@@ -125,8 +161,8 @@ impl TextTask {
         self.run_journaled(strategy, lhs, config, seed, None)
     }
 
-    /// Run one active-learning loop, optionally checkpointing every round
-    /// to `journal` (see `histal_core::session::RunJournal`).
+    /// [`Self::run`], optionally checkpointing every round to `journal`
+    /// (see `histal_core::session::RunJournal`).
     pub fn run_journaled(
         &self,
         strategy: Strategy,
@@ -135,71 +171,11 @@ impl TextTask {
         seed: u64,
         journal: Option<RunJournal>,
     ) -> RunResult {
-        self.try_run_model(TextModel::LogReg, strategy, lhs, config, seed, journal)
+        let builder = self.builder(self.model(0), strategy, config, seed);
+        with_extras(builder, lhs, journal)
+            .build()
+            .run()
             .expect("strategy capabilities satisfied")
-    }
-
-    /// Fallible [`Self::run_journaled`]: capability mismatches surface as
-    /// a structured [`Error`] instead of a panic.
-    pub fn try_run_journaled(
-        &self,
-        strategy: Strategy,
-        lhs: Option<LhsSelector>,
-        config: &PoolConfig,
-        seed: u64,
-        journal: Option<RunJournal>,
-    ) -> Result<RunResult, Error> {
-        self.try_run_model(TextModel::LogReg, strategy, lhs, config, seed, journal)
-    }
-
-    /// Run one active-learning loop with the chosen classifier,
-    /// propagating strategy-capability failures as structured errors.
-    pub fn try_run_model(
-        &self,
-        model: TextModel,
-        strategy: Strategy,
-        lhs: Option<LhsSelector>,
-        config: &PoolConfig,
-        seed: u64,
-        journal: Option<RunJournal>,
-    ) -> Result<RunResult, Error> {
-        match model {
-            TextModel::LogReg => {
-                let mut builder = ActiveLearner::builder(self.model(0))
-                    .pool(self.pool_docs.clone(), self.pool_labels.clone())
-                    .test(self.test_docs.clone(), self.test_labels.clone())
-                    .strategy(strategy)
-                    .config(config.clone())
-                    .seed(seed);
-                if let Some(l) = lhs {
-                    builder = builder.lhs(l);
-                }
-                if let Some(j) = journal {
-                    builder = builder.journal(j);
-                }
-                builder.build().run()
-            }
-            TextModel::NaiveBayes => {
-                let nb = NaiveBayes::new(NaiveBayesConfig {
-                    n_classes: self.n_classes,
-                    n_features: TEXT_FEATURES,
-                    ..Default::default()
-                });
-                let mut builder = ActiveLearner::builder(nb)
-                    .pool(self.pool_docs.clone(), self.pool_labels.clone())
-                    .test(self.test_docs.clone(), self.test_labels.clone())
-                    .strategy(strategy)
-                    .config(config.clone())
-                    .seed(seed);
-                if let Some(l) = lhs {
-                    builder = builder.lhs(l);
-                }
-                if let Some(j) = journal {
-                    builder = builder.journal(j);
-                }
-                builder.build().run()
-            }
-        }
     }
 
     /// Run one active-learning loop with the pool documents' sparse
@@ -211,51 +187,35 @@ impl TextTask {
         config: &PoolConfig,
         seed: u64,
     ) -> RunResult {
-        self.run_with_representations_journaled(strategy, config, seed, None)
-    }
-
-    /// [`Self::run_with_representations`] with optional per-round
-    /// journaling.
-    pub fn run_with_representations_journaled(
-        &self,
-        strategy: Strategy,
-        config: &PoolConfig,
-        seed: u64,
-        journal: Option<RunJournal>,
-    ) -> RunResult {
-        self.try_run_with_representations_journaled(strategy, config, seed, journal)
+        self.builder(self.model(0), strategy, config, seed)
+            .representations(self.representations())
+            .build()
+            .run()
             .expect("strategy capabilities satisfied")
     }
+}
 
-    /// Fallible [`Self::run_with_representations_journaled`].
-    pub fn try_run_with_representations_journaled(
-        &self,
-        strategy: Strategy,
-        config: &PoolConfig,
-        seed: u64,
-        journal: Option<RunJournal>,
-    ) -> Result<RunResult, Error> {
-        let reps = self.pool_docs.iter().map(|d| d.features.clone()).collect();
-        let mut builder = ActiveLearner::builder(self.model(0))
-            .pool(self.pool_docs.clone(), self.pool_labels.clone())
-            .test(self.test_docs.clone(), self.test_labels.clone())
-            .strategy(strategy)
-            .config(config.clone())
-            .seed(seed)
-            .representations(reps);
-        if let Some(j) = journal {
-            builder = builder.journal(j);
-        }
-        builder.build().run()
+/// Attach an optional learned selector and an optional run journal to a
+/// builder chain.
+pub(crate) fn with_extras<M: Model>(
+    mut builder: SessionBuilder<M, Ready>,
+    lhs: Option<LhsSelector>,
+    journal: Option<RunJournal>,
+) -> SessionBuilder<M, Ready> {
+    if let Some(lhs) = lhs {
+        builder = builder.lhs(lhs);
     }
+    if let Some(journal) = journal {
+        builder = builder.journal(journal);
+    }
+    builder
 }
 
 /// One grid cell repeat as a round-streamed [`Session`], advanced one
 /// curve point at a time by the adaptive scheduler. The enum erases the
 /// model type so text (logistic / naive bayes) and NER (CRF) cells sit
-/// in one scheduling pool. Driving a `StreamRun` to completion is
-/// byte-identical to the corresponding `builder.build().run()` — the
-/// live-session contract property-tested in `histal-core`.
+/// in one scheduling pool. [`StreamRun::run_to_end`] is the classic
+/// run-to-completion path; the scheduler advances it round by round.
 pub enum StreamRun {
     /// Logistic text classifier session.
     Text(Session<TextClassifier>),
@@ -266,6 +226,15 @@ pub enum StreamRun {
 }
 
 impl StreamRun {
+    /// Drive the session to completion against the hidden labels.
+    pub fn run_to_end(&mut self) -> Result<RunResult, Error> {
+        match self {
+            StreamRun::Text(s) => s.run_hidden(),
+            StreamRun::Nb(s) => s.run_hidden(),
+            StreamRun::Ner(s) => s.run_hidden(),
+        }
+    }
+
     /// Record one more curve point (one fit/eval/score/select cycle)
     /// against the hidden labels; returns `true` once the run is done.
     pub fn advance_round(&mut self) -> Result<bool, Error> {
@@ -304,82 +273,6 @@ impl StreamRun {
                 s.result().expect("finished session has a result").clone()
             }
         }
-    }
-}
-
-impl TextTask {
-    /// Round-streamed form of [`Self::try_run_model`]: the same builder
-    /// chain, terminated with `build_session()` so the caller drives the
-    /// rounds.
-    pub fn stream_model(
-        &self,
-        model: TextModel,
-        strategy: Strategy,
-        lhs: Option<LhsSelector>,
-        config: &PoolConfig,
-        seed: u64,
-        journal: Option<RunJournal>,
-    ) -> StreamRun {
-        match model {
-            TextModel::LogReg => {
-                let mut builder = ActiveLearner::builder(self.model(0))
-                    .pool(self.pool_docs.clone(), self.pool_labels.clone())
-                    .test(self.test_docs.clone(), self.test_labels.clone())
-                    .strategy(strategy)
-                    .config(config.clone())
-                    .seed(seed);
-                if let Some(l) = lhs {
-                    builder = builder.lhs(l);
-                }
-                if let Some(j) = journal {
-                    builder = builder.journal(j);
-                }
-                StreamRun::Text(builder.build_session())
-            }
-            TextModel::NaiveBayes => {
-                let nb = NaiveBayes::new(NaiveBayesConfig {
-                    n_classes: self.n_classes,
-                    n_features: TEXT_FEATURES,
-                    ..Default::default()
-                });
-                let mut builder = ActiveLearner::builder(nb)
-                    .pool(self.pool_docs.clone(), self.pool_labels.clone())
-                    .test(self.test_docs.clone(), self.test_labels.clone())
-                    .strategy(strategy)
-                    .config(config.clone())
-                    .seed(seed);
-                if let Some(l) = lhs {
-                    builder = builder.lhs(l);
-                }
-                if let Some(j) = journal {
-                    builder = builder.journal(j);
-                }
-                StreamRun::Nb(builder.build_session())
-            }
-        }
-    }
-
-    /// Round-streamed form of
-    /// [`Self::try_run_with_representations_journaled`].
-    pub fn stream_with_representations(
-        &self,
-        strategy: Strategy,
-        config: &PoolConfig,
-        seed: u64,
-        journal: Option<RunJournal>,
-    ) -> StreamRun {
-        let reps = self.pool_docs.iter().map(|d| d.features.clone()).collect();
-        let mut builder = ActiveLearner::builder(self.model(0))
-            .pool(self.pool_docs.clone(), self.pool_labels.clone())
-            .test(self.test_docs.clone(), self.test_labels.clone())
-            .strategy(strategy)
-            .config(config.clone())
-            .seed(seed)
-            .representations(reps);
-        if let Some(j) = journal {
-            builder = builder.journal(j);
-        }
-        StreamRun::Text(builder.build_session())
     }
 }
 
@@ -436,61 +329,29 @@ impl NerTask {
         })
     }
 
+    /// The builder chain every NER run starts from: this task's pool and
+    /// test split, `strategy`, `config` and `seed`, training `model`.
+    pub fn builder<M: Model<Sample = Sentence, Label = Vec<u16>>>(
+        &self,
+        model: M,
+        strategy: Strategy,
+        config: &PoolConfig,
+        seed: u64,
+    ) -> SessionBuilder<M, Ready> {
+        ActiveLearner::builder(model)
+            .pool(self.pool.clone(), self.pool_tags.clone())
+            .test(self.test.clone(), self.test_tags.clone())
+            .strategy(strategy)
+            .config(config.clone())
+            .seed(seed)
+    }
+
     /// Run one active-learning loop.
     pub fn run(&self, strategy: Strategy, config: &PoolConfig, seed: u64) -> RunResult {
-        self.run_journaled(strategy, config, seed, None)
-    }
-
-    /// [`Self::run`] with optional per-round journaling.
-    pub fn run_journaled(
-        &self,
-        strategy: Strategy,
-        config: &PoolConfig,
-        seed: u64,
-        journal: Option<RunJournal>,
-    ) -> RunResult {
-        self.try_run_journaled(strategy, config, seed, journal)
+        self.builder(self.model(), strategy, config, seed)
+            .build()
+            .run()
             .expect("strategy capabilities satisfied")
-    }
-
-    /// Fallible [`Self::run_journaled`].
-    pub fn try_run_journaled(
-        &self,
-        strategy: Strategy,
-        config: &PoolConfig,
-        seed: u64,
-        journal: Option<RunJournal>,
-    ) -> Result<RunResult, Error> {
-        let mut builder = ActiveLearner::builder(self.model())
-            .pool(self.pool.clone(), self.pool_tags.clone())
-            .test(self.test.clone(), self.test_tags.clone())
-            .strategy(strategy)
-            .config(config.clone())
-            .seed(seed);
-        if let Some(j) = journal {
-            builder = builder.journal(j);
-        }
-        builder.build().run()
-    }
-
-    /// Round-streamed form of [`Self::try_run_journaled`].
-    pub fn stream(
-        &self,
-        strategy: Strategy,
-        config: &PoolConfig,
-        seed: u64,
-        journal: Option<RunJournal>,
-    ) -> StreamRun {
-        let mut builder = ActiveLearner::builder(self.model())
-            .pool(self.pool.clone(), self.pool_tags.clone())
-            .test(self.test.clone(), self.test_tags.clone())
-            .strategy(strategy)
-            .config(config.clone())
-            .seed(seed);
-        if let Some(j) = journal {
-            builder = builder.journal(j);
-        }
-        StreamRun::Ner(builder.build_session())
     }
 }
 

@@ -38,7 +38,7 @@ use crate::journal::JournalCtx;
 use crate::registry;
 use crate::report::{print_curves, print_table, write_json};
 use crate::spec::{DatasetEntry, ExperimentSpec, GroupSpec, ScaleSpec, StrategyEntry};
-use crate::tasks::{Scale, TextModel, TextTask};
+use crate::tasks::{Scale, TextTask};
 
 /// The `kind` discriminator of transfer spec files.
 pub const TRANSFER_KIND: &str = "transfer";
@@ -407,14 +407,11 @@ pub fn selector_apply(artifact_path: &str, dataset: &str, scale: &Scale) -> Resu
     let task = TextTask::build(&tspec, scale, 0);
     let config = text_pool_config(false, scale);
     let seed = seed_for("selector-apply", &task.name, &strategy.name(), 0);
-    let mut result = task.try_run_model(
-        TextModel::LogReg,
-        strategy,
-        Some(selector),
-        &config,
-        seed,
-        None,
-    )?;
+    let mut result = task
+        .builder(task.model(0), strategy, &config, seed)
+        .lhs(selector)
+        .build()
+        .run()?;
     result.strategy_name = format!(
         "{}({})@{}",
         if provenance.target == "pointwise" {

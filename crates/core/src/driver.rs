@@ -1,38 +1,24 @@
 //! The pool-based active learning driver.
 //!
-//! [`ActiveLearner`] owns the samples, the test split, the underlying
-//! model and a [`Strategy`], and composes the staged round pipeline of
-//! [`crate::pipeline`] over a first-class [`Pool`]: fit → eval → score →
-//! fold history → select → annotate, repeated until the rounds are
-//! exhausted or a [`StoppingRule`] fires. It is generic over [`Model`],
-//! so the same driver executes both the text-classification and NER
-//! experiments (and user-provided models).
+//! [`ActiveLearner`] runs the round pipeline of [`crate::live::Session`]
+//! (fit → eval → score → fold history → select → annotate) against the
+//! pool's hidden labels, repeated until the rounds are exhausted or a
+//! [`StoppingRule`] fires. It is generic over [`Model`], so the same
+//! driver executes both the text-classification and NER experiments
+//! (and user-provided models). This module also holds the run's result
+//! types and the selection helpers the pipeline shares.
 
-use std::sync::Arc;
-
-use rand::prelude::SliceRandom;
-use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use histal_text::{AnnConfig, LshIndex, NeighborIndex, PoolGeometry, SparseVec};
+use histal_text::AnnConfig;
 use histal_tseries::{exp_weighted_sum, window_variance};
-
-use histal_obs::session_span;
-use histal_obs::trace::Level;
 
 use crate::error::Error;
 use crate::history::HistoryStore;
-use crate::lhs::LhsSelector;
+use crate::live::Session;
 use crate::model::Model;
-use crate::pipeline::{
-    Annotate, BaseScore, EvalPool, Fit, FoldHistory, HkldFold, KCenterSelect, LhsSelect, MmrSelect,
-    ParallelEval, PolicyFold, RetrainFit, RoundCtx, ScoreBase, Select, SelectCtx, TopKSelect,
-};
-use crate::pool::{Pool, SampleId};
-use crate::session::{NeedsPool, SessionBuilder, SessionObs};
+use crate::session::{NeedsPool, SessionBuilder};
 use crate::stopping::{StopReason, StoppingRule};
-use crate::strategy::combinators::apply_density;
-use crate::strategy::Strategy;
 
 /// Static configuration of an active-learning run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -51,8 +37,8 @@ pub struct PoolConfig {
     /// Approximate-neighbor settings for the similarity combinators.
     /// `None` (the default) keeps the exhaustive exact sweeps —
     /// byte-identical results to every pre-ANN release; `Some` builds one
-    /// seeded [`LshIndex`] per run and routes density/MMR/k-center
-    /// neighbor queries through it.
+    /// seeded [`LshIndex`](histal_text::LshIndex) per run and routes
+    /// density/MMR/k-center neighbor queries through it.
     #[serde(default)]
     pub ann: Option<AnnConfig>,
 }
@@ -136,32 +122,15 @@ impl RunResult {
 /// Diagnostic window used for the Table 6 statistics.
 const DIAG_WINDOW: usize = 3;
 
-/// A pool-based active learner (problem setting of §2, Figure 1).
+/// A pool-based active learner (problem setting of §2, Figure 1): a
+/// [`Session`] answered from the pool's hidden gold labels.
 ///
-/// Construction goes through [`ActiveLearner::builder`]; the loop itself
-/// is the stage composition in [`ActiveLearner::run_until`].
-pub struct ActiveLearner<M: Model> {
-    model: M,
-    samples: Vec<M::Sample>,
-    /// Labels revealed by the [`Annotate`] stage, indexed by sample id.
-    /// `Some` exactly for ids on the pool's labeled side.
-    revealed: Vec<Option<M::Label>>,
-    test_samples: Vec<M::Sample>,
-    test_labels: Vec<M::Label>,
-    strategy: Strategy,
-    /// Shared trained selector: the `Select` stage borrows this via
-    /// [`Arc`] each run instead of deep-cloning the trained ensemble.
-    lhs: Option<Arc<LhsSelector>>,
-    config: PoolConfig,
-    /// Optional sparse representations for density/MMR combinators.
-    representations: Option<Vec<SparseVec>>,
-    rng: ChaCha8Rng,
-    seed: u64,
-    obs: SessionObs,
-    fit_stage: Box<dyn Fit<M>>,
-    eval_stage: Box<dyn EvalPool<M>>,
-    annotate_stage: Box<dyn Annotate<M>>,
-}
+/// Construction goes through [`ActiveLearner::builder`]; [`run_until`]
+/// loops the session's `step → answer_from_hidden → submit`, so a batch
+/// run and an interactive session execute the same round body.
+///
+/// [`run_until`]: ActiveLearner::run_until
+pub struct ActiveLearner<M: Model>(pub(crate) Session<M>);
 
 impl<M: Model> ActiveLearner<M> {
     /// Start building a session: `ActiveLearner::builder(model)
@@ -172,338 +141,32 @@ impl<M: Model> ActiveLearner<M> {
         SessionBuilder::start(model)
     }
 
-    /// All-fields constructor the builder lowers into; keeps the struct's
-    /// fields private to this crate.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        model: M,
-        samples: Vec<M::Sample>,
-        annotate_stage: Box<dyn Annotate<M>>,
-        test_samples: Vec<M::Sample>,
-        test_labels: Vec<M::Label>,
-        strategy: Strategy,
-        lhs: Option<LhsSelector>,
-        config: PoolConfig,
-        representations: Option<Vec<SparseVec>>,
-        rng: ChaCha8Rng,
-        seed: u64,
-        obs: SessionObs,
-    ) -> Self {
-        let revealed = (0..samples.len()).map(|_| None).collect();
-        Self {
-            model,
-            samples,
-            revealed,
-            test_samples,
-            test_labels,
-            strategy,
-            lhs: lhs.map(Arc::new),
-            config,
-            representations,
-            rng,
-            seed,
-            obs,
-            fit_stage: Box::new(RetrainFit),
-            eval_stage: Box::new(ParallelEval),
-            annotate_stage,
-        }
-    }
-
     /// Run the full loop. Returns an error if the strategy requires a
     /// capability the model does not provide, or if the run journal
-    /// cannot be written.
+    /// cannot be written. Once the run is complete, further calls
+    /// return the same result.
     pub fn run(&mut self) -> Result<RunResult, Error> {
         self.run_until(&StoppingRule::none())
             .map(|(result, _)| result)
     }
 
     /// Run until the configured rounds complete or `rule` fires, whichever
-    /// comes first. Returns the run and why it stopped.
-    ///
-    /// This is a thin composition of the [`crate::pipeline`] stages: each
-    /// round runs fit → eval → score/fold → select → annotate, with the
-    /// per-stage wall-clock captured in [`RoundCtx`] and copied onto the
-    /// round's [`RoundRecord`].
+    /// comes first. Returns the run and why it stopped. The rule is
+    /// checked after every fit; the round whose fit fires it runs no
+    /// eval, score or select.
     pub fn run_until(&mut self, rule: &StoppingRule) -> Result<(RunResult, StopReason), Error> {
-        let n = self.samples.len();
-        let _run_span = session_span!(
-            self.obs.subscriber(),
-            Level::Info,
-            "al.run",
-            strategy = self.strategy.name(),
-            pool = n,
-            rounds = self.config.rounds,
-            batch = self.config.batch_size,
-            seed = self.seed,
-        );
-        let mut history = match self.config.history_max_len {
-            Some(cap) => HistoryStore::with_max_len(n, cap),
-            None => HistoryStore::new(n),
-        };
-        // Rolling trackers make the per-round history fold O(1) per
-        // sample. HKLD replaces the scalar fold entirely, and a
-        // degenerate zero window (e.g. HUS with k = 0) falls back to the
-        // borrowed-segment slice path.
-        if self.strategy.hkld.is_none() {
-            let window = self.strategy.history.window();
-            if window > 0 {
-                history = history.with_rolling(window);
-            }
-        }
-        // Pre-normalized pool geometry for the similarity combinators:
-        // cached norms and CSR storage, built once per run instead of
-        // recomputing norms inside every cosine.
-        let geometry: Option<PoolGeometry> = self.representations.as_ref().and_then(|reps| {
-            let needed = self.strategy.density.is_some()
-                || self.strategy.mmr.is_some()
-                || self.strategy.kcenter;
-            needed.then(|| PoolGeometry::build(reps))
-        });
-        // ANN index over the same rows, built once per run from its own
-        // seed stream. `ann: None` skips this entirely and every
-        // combinator below runs its exact path.
-        let ann_index: Option<LshIndex> = match (&self.config.ann, &geometry) {
-            (Some(cfg), Some(geom)) => {
-                Some(LshIndex::build(geom, cfg, mix_seed(self.seed, 0xA11, 0)))
-            }
-            _ => None,
-        };
-        let neighbor_index: Option<&dyn NeighborIndex> =
-            ann_index.as_ref().map(|i| i as &dyn NeighborIndex);
-        let mut ctx = RoundCtx::new();
-
-        // Assemble the per-run stages. Fit/eval/annotate live on the
-        // learner (they persist oracle state across runs); scoring,
-        // folding and selection are chosen here from the strategy.
-        let mut score_stage = BaseScore {
-            base: self.strategy.base,
-        };
-        let mut fold_stage: Box<dyn FoldHistory> = match self.strategy.hkld {
-            Some(k) => Box::new(HkldFold::new(k, n, self.config.history_max_len)),
-            None => Box::new(PolicyFold::new(self.strategy.history)),
-        };
-        let mut select_stage: Box<dyn Select> = if let Some(lhs) = &self.lhs {
-            Box::new(LhsSelect(Arc::clone(lhs)))
-        } else if let (Some(cfg), true) = (self.strategy.mmr, geometry.is_some()) {
-            Box::new(MmrSelect(cfg))
-        } else if self.strategy.kcenter && geometry.is_some() {
-            Box::new(KCenterSelect)
-        } else {
-            Box::new(TopKSelect)
-        };
-
-        // Initial random labeled set s₀, annotated through the oracle.
-        let mut pool = Pool::new(n);
-        let mut order: Vec<SampleId> = (0..n).collect();
-        order.shuffle(&mut self.rng);
-        let init = self.config.init_labeled.min(n);
-        self.annotate_stage
-            .annotate(&order[..init], &self.samples, &mut pool, &mut self.revealed);
-
-        let mut curve = Vec::with_capacity(self.config.rounds + 1);
-        let mut rounds = Vec::with_capacity(self.config.rounds);
-        // The base strategy declares its own needs; side-channel consumers
-        // (HKLD reads posteriors, LHS features read entropy and optionally
-        // posteriors) widen the request so the model computes exactly what
-        // this run's stages will observe — and nothing more.
-        let mut caps = self.strategy.base.caps();
-        if self.strategy.hkld.is_some() {
-            caps.probs = true;
-        }
-        if let Some(lhs) = &self.lhs {
-            caps.entropy = true;
-            caps.probs = caps.probs || lhs.needs_probs();
-        }
-
-        let mut stop_reason = StopReason::RoundsExhausted;
-        // When the pool empties we have already recorded the metric for
-        // the full labeled set this round; the post-loop record would
-        // duplicate that curve point.
-        let mut recorded_final = false;
-        for round in 0..self.config.rounds {
-            ctx.begin(round);
-            let _round_span = session_span!(
-                self.obs.subscriber(),
-                Level::Debug,
-                "al.round",
-                round = round,
-                n_labeled = pool.n_labeled(),
-            );
-            let fit_start = std::time::Instant::now();
-            self.fit_and_record(&pool, &mut curve);
-            ctx.timers.fit_ms = fit_start.elapsed().as_secs_f64() * 1e3;
-            if let Some(reason) = rule.should_stop(&curve) {
-                stop_reason = reason;
-                return Ok((self.finish(curve, rounds, history), stop_reason));
-            }
-            if pool.n_unlabeled() == 0 {
-                stop_reason = StopReason::PoolExhausted;
-                recorded_final = true;
-                break;
-            }
-            // Evaluate the pool in parallel with per-sample deterministic
-            // seeds.
-            let eval_start = std::time::Instant::now();
-            let eval_span = session_span!(
-                self.obs.subscriber(),
-                Level::Debug,
-                "al.eval",
-                n_unlabeled = pool.n_unlabeled(),
-            );
-            self.eval_stage.eval(
-                &self.model,
-                &self.samples,
-                pool.unlabeled(),
-                &caps,
-                self.seed,
-                round,
-                &mut ctx.evals,
-            );
-            drop(eval_span);
-            ctx.timers.eval_ms = eval_start.elapsed().as_secs_f64() * 1e3;
-
-            // Base scores, history recording + folding, and density
-            // weighting — together they are the "score" phase of the
-            // Table 2 breakdown.
-            let score_start = std::time::Instant::now();
-            let score_span = session_span!(self.obs.subscriber(), Level::Debug, "al.score");
-            score_stage.score(&ctx.evals, &mut self.rng, &mut ctx.base_scores)?;
-            fold_stage.record(pool.unlabeled(), &ctx.base_scores, &ctx.evals, &mut history);
-            fold_stage.fold(pool.unlabeled(), &history, &mut ctx.final_scores);
-            if let (Some(cfg), Some(geom)) = (&self.strategy.density, &geometry) {
-                apply_density(
-                    &mut ctx.final_scores,
-                    pool.unlabeled(),
-                    geom,
-                    neighbor_index,
-                    cfg,
-                    &mut self.rng,
-                    &mut ctx.sim,
-                );
-            }
-            drop(score_span);
-            ctx.timers.score_ms = score_start.elapsed().as_secs_f64() * 1e3;
-
-            let pick_start = std::time::Instant::now();
-            let select_span = session_span!(self.obs.subscriber(), Level::Debug, "al.select");
-            let batch = self.config.batch_size.min(pool.n_unlabeled());
-            let picked_positions = select_stage.select(SelectCtx {
-                scores: &ctx.final_scores,
-                unlabeled: pool.unlabeled(),
-                evals: &ctx.evals,
-                history: &history,
-                geometry: geometry.as_ref(),
-                index: neighbor_index,
-                batch,
-                round,
-                n_labeled: pool.n_labeled(),
-                scratch: &mut ctx.sim,
-                seq_buf: &mut ctx.seq_buf,
-            });
-            drop(select_span);
-            ctx.timers.select_ms = pick_start.elapsed().as_secs_f64() * 1e3;
-
-            let selected: Vec<SampleId> = picked_positions
-                .iter()
-                .map(|&p| pool.unlabeled()[p])
-                .collect();
-            let (mean_wshs, mean_fluct) =
-                selection_diagnostics(&selected, &history, &mut ctx.seq_buf);
-            self.annotate_stage
-                .annotate(&selected, &self.samples, &mut pool, &mut self.revealed);
-            let record = RoundRecord {
-                round,
-                selected,
-                mean_wshs_of_selected: mean_wshs,
-                mean_fluct_of_selected: mean_fluct,
-                fit_ms: ctx.timers.fit_ms,
-                eval_ms: ctx.timers.eval_ms,
-                score_ms: ctx.timers.score_ms,
-                select_ms: ctx.timers.select_ms,
-            };
-            self.observe_round(&record)?;
-            rounds.push(record);
-        }
-        // Metric after the final batch.
-        if !recorded_final {
-            self.fit_and_record(&pool, &mut curve);
-        }
-        if let Some(reason) = rule.should_stop(&curve) {
-            stop_reason = reason;
-        }
-        Ok((self.finish(curve, rounds, history), stop_reason))
-    }
-
-    fn finish(
-        &self,
-        curve: Vec<CurvePoint>,
-        rounds: Vec<RoundRecord>,
-        history: HistoryStore,
-    ) -> RunResult {
-        let strategy_name = if self.lhs.is_some() {
-            format!("LHS({})", self.strategy.base.name())
-        } else {
-            self.strategy.name()
-        };
-        let history = if self.config.record_history {
-            history.into_sequences()
-        } else {
-            Vec::new()
-        };
-        RunResult {
-            strategy_name,
-            curve,
-            rounds,
-            history,
-        }
-    }
-
-    /// Publish a completed round to the session's observability handles
-    /// (shared with the inverted-control [`crate::live::Session`], so
-    /// both drivers emit identical events/metrics/journal lines).
-    fn observe_round(&self, record: &RoundRecord) -> Result<(), Error> {
-        self.obs.publish_round(record)
-    }
-
-    /// Run the [`Fit`] stage on the current labeled set (labeling order)
-    /// and append the resulting curve point.
-    fn fit_and_record(&mut self, pool: &Pool, curve: &mut Vec<CurvePoint>) {
-        let _fit_span = session_span!(
-            self.obs.subscriber(),
-            Level::Debug,
-            "al.fit",
-            n_labeled = pool.n_labeled(),
-        );
-        let samples: Vec<&M::Sample> = pool.labeled().iter().map(|&i| &self.samples[i]).collect();
-        let labels: Vec<&M::Label> = pool
-            .labeled()
-            .iter()
-            .map(|&i| {
-                self.revealed[i]
-                    .as_ref()
-                    .expect("labeled sample has a revealed label")
-            })
-            .collect();
-        let test_s: Vec<&M::Sample> = self.test_samples.iter().collect();
-        let test_l: Vec<&M::Label> = self.test_labels.iter().collect();
-        let metric = self.fit_stage.fit_measure(
-            &mut self.model,
-            &samples,
-            &labels,
-            &test_s,
-            &test_l,
-            &mut self.rng,
-        );
-        curve.push(CurvePoint {
-            n_labeled: pool.n_labeled(),
-            metric,
-        });
+        let result = self.0.run_hidden_until(rule)?;
+        let reason = self
+            .0
+            .stop_reason()
+            .expect("done session has a stop reason");
+        Ok((result, reason))
     }
 
     /// Consume the learner, returning the trained model (e.g. to inspect
     /// it after a run).
     pub fn into_model(self) -> M {
-        self.model
+        self.0.into_model()
     }
 }
 

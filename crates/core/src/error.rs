@@ -264,15 +264,6 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Pre-0.2 name for [`Error`], before span context was attached. The old
-/// enum variants live on [`ErrorKind`]; match `err.kind` instead of the
-/// error itself.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `histal_core::error::Error` and match on `.kind`"
-)]
-pub type StrategyError = Error;
-
 #[cfg(test)]
 mod tests {
     use super::*;

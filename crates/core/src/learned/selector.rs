@@ -97,7 +97,7 @@ impl LearnedSelector {
     /// [`Self::select`] with a caller-owned scratch buffer for
     /// materializing each candidate's (possibly ring-wrapped) history
     /// window, so repeated rounds allocate no per-candidate sequence
-    /// copies. The driver's `LhsSelect` stage reuses one buffer across
+    /// copies. The `Select::Lhs` stage reuses one buffer across
     /// the whole run.
     pub fn select_with_scratch(
         &self,

@@ -99,8 +99,6 @@ pub mod strategy;
 pub mod tags;
 
 pub use driver::{ActiveLearner, PoolConfig, RoundRecord, RunResult};
-#[allow(deprecated)]
-pub use error::StrategyError;
 pub use error::{Error, ErrorKind};
 pub use eval::{EvalCaps, SampleEval};
 pub use history::HistoryStore;
@@ -110,8 +108,7 @@ pub use live::{
 };
 pub use model::Model;
 pub use pipeline::{
-    Annotate, EvalPool, Fit, FoldHistory, HiddenOracle, InstantOracle, LabelRequest, LabelResponse,
-    Oracle, RoundCtx, ScoreBase, Select, SelectCtx, StageTimers, SyncOracle, Ticket,
+    FoldHistory, LabelRequest, LabelResponse, RoundCtx, Select, SelectCtx, StageTimers, Ticket,
 };
 pub use pool::{Pool, SampleId};
 pub use session::{

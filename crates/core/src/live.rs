@@ -1,14 +1,10 @@
 //! Long-lived interactive sessions: the AL loop with the annotate
 //! boundary turned inside out.
 //!
-//! [`ActiveLearner::run_until`](crate::driver::ActiveLearner::run_until)
-//! drives the round pipeline to completion, consulting an
-//! [`Oracle`](crate::pipeline::Oracle) that must answer inside the round
-//! — the paper's simulated-annotator protocol. A deployment with human
-//! annotators inverts that control flow: labels arrive late, out of
-//! order, and in pieces. [`Session`] is the same pipeline (stage for
-//! stage, RNG draw for RNG draw — equivalence is property-tested against
-//! the driver) restructured as a state machine the *caller* advances:
+//! [`Session`] is the one implementation of the round pipeline
+//! (fit → eval → score → fold history → select → annotate). It is a
+//! state machine the *caller* advances, because a deployment with human
+//! annotators gets labels late, out of order, and in pieces:
 //!
 //! ```text
 //!   step()    → AwaitingLabels(LabelRequest { ticket, indices })
@@ -18,16 +14,23 @@
 //!   step()    → Done            → result()
 //! ```
 //!
+//! The paper's simulated-annotator protocol is the same machine answered
+//! from the pool's own gold labels: [`Session::run_hidden`] loops
+//! `step → answer_from_hidden → submit`, and the batch
+//! [`ActiveLearner`](crate::driver::ActiveLearner) is a thin handle over
+//! exactly that loop.
+//!
 //! [`Session::step`] runs every compute stage (fit/eval/score/select)
 //! until the loop cannot continue without labels, then parks on a
 //! ticketed [`LabelRequest`]. [`Session::submit`] accepts label
 //! responses with *at-least-once* delivery semantics: chunks may arrive
 //! out of order and duplicated; a duplicate that agrees with the
 //! established label is acknowledged idempotently, one that disagrees is
-//! an [`ErrorKind::Conflict`]. When the last label of a ticket lands,
-//! the batch is applied to the pool **in request order** — so the pool
-//! state after a ticket is a pure function of the label *values*, never
-//! of their arrival order (property-tested in `tests/live_props.rs`).
+//! an [`ErrorKind::Conflict`]. A rejected chunk changes nothing. When
+//! the last label of a ticket lands, the batch is applied to the pool
+//! **in request order** — so the pool state after a ticket is a pure
+//! function of the label *values*, never of their arrival order
+//! (property-tested in `tests/live_props.rs`).
 //!
 //! ## Snapshot / restore
 //!
@@ -43,6 +46,8 @@
 //! label events it is derived from) belongs to the caller — the server
 //! journals label events through `histal-obs` and rebuilds snapshots on
 //! boot.
+//!
+//! [`ErrorKind::Conflict`]: crate::error::ErrorKind::Conflict
 
 use std::sync::Arc;
 
@@ -63,13 +68,12 @@ use crate::history::HistoryStore;
 use crate::lhs::LhsSelector;
 use crate::model::Model;
 use crate::pipeline::{
-    apply_response, BaseScore, EvalPool, Fit, FoldHistory, HkldFold, KCenterSelect, LabelRequest,
-    LabelResponse, LhsSelect, MmrSelect, PolicyFold, RoundCtx, ScoreBase, Select, SelectCtx,
-    Ticket, TopKSelect,
+    apply_response, eval_pool, fit_measure, score_base, FoldHistory, LabelRequest, LabelResponse,
+    RoundCtx, Select, SelectCtx, Ticket,
 };
 use crate::pool::{Pool, SampleId};
 use crate::session::{fingerprint, SessionObs};
-use crate::stopping::StopReason;
+use crate::stopping::{StopReason, StoppingRule};
 use crate::strategy::combinators::apply_density;
 use crate::strategy::Strategy;
 
@@ -213,25 +217,18 @@ pub struct Session<M: Model> {
     model: M,
     samples: Vec<M::Sample>,
     revealed: Vec<Option<M::Label>>,
-    /// Hidden gold labels, retained when the session was built via
-    /// `pool()` — lets simulated deployments answer their own tickets
-    /// ([`Session::answer_from_hidden`]).
-    hidden: Option<Vec<M::Label>>,
+    /// Hidden gold labels given to `pool()` — lets simulated runs answer
+    /// their own tickets ([`Session::answer_from_hidden`]).
+    hidden: Vec<M::Label>,
     test_samples: Vec<M::Sample>,
     test_labels: Vec<M::Label>,
     strategy: Strategy,
-    /// Shared trained selector (see [`LhsSelect`]); kept for caps and
-    /// naming, shared with the select stage via [`Arc`].
-    lhs: Option<Arc<LhsSelector>>,
     config: PoolConfig,
     rng: ChaCha8Rng,
     seed: u64,
     obs: SessionObs,
-    fit_stage: Box<dyn Fit<M> + Send>,
-    eval_stage: Box<dyn EvalPool<M> + Send>,
-    score_stage: BaseScore,
-    fold_stage: Box<dyn FoldHistory + Send>,
-    select_stage: Box<dyn Select + Send>,
+    fold: FoldHistory,
+    select: Select,
     caps: EvalCaps,
     pool: Pool,
     history: HistoryStore,
@@ -255,14 +252,14 @@ pub struct Session<M: Model> {
 
 impl<M: Model> Session<M> {
     /// Lowering target of
-    /// [`SessionBuilder::build_session`](crate::session::SessionBuilder::build_session);
-    /// mirrors the construction order of `ActiveLearner::run_until` so
-    /// the two byte-match.
+    /// [`SessionBuilder::build_session`](crate::session::SessionBuilder::build_session):
+    /// builds the history store, the pool geometry and ANN index, and
+    /// picks the [`FoldHistory`] and [`Select`] variants once.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         model: M,
         samples: Vec<M::Sample>,
-        hidden: Option<Vec<M::Label>>,
+        hidden: Vec<M::Label>,
         test_samples: Vec<M::Sample>,
         test_labels: Vec<M::Label>,
         strategy: Strategy,
@@ -278,37 +275,37 @@ impl<M: Model> Session<M> {
             Some(cap) => HistoryStore::with_max_len(n, cap),
             None => HistoryStore::new(n),
         };
+        // Rolling trackers make the per-round history fold O(1) per
+        // sample. HKLD replaces the scalar fold entirely, and a
+        // degenerate zero window (e.g. HUS with k = 0) falls back to the
+        // borrowed-segment slice path.
         if strategy.hkld.is_none() {
             let window = strategy.history.window();
             if window > 0 {
                 history = history.with_rolling(window);
             }
         }
+        // Pre-normalized pool geometry for the similarity combinators:
+        // cached norms and CSR storage, built once per run instead of
+        // recomputing norms inside every cosine.
         let geometry: Option<PoolGeometry> = representations.as_ref().and_then(|reps| {
             let needed = strategy.density.is_some() || strategy.mmr.is_some() || strategy.kcenter;
             needed.then(|| PoolGeometry::build(reps))
         });
+        // ANN index over the same rows, from its own seed stream. `ann:
+        // None` skips it and every combinator runs its exact path.
         let ann_index: Option<LshIndex> = match (&config.ann, &geometry) {
             (Some(cfg), Some(geom)) => Some(LshIndex::build(geom, cfg, mix_seed(seed, 0xA11, 0))),
             _ => None,
         };
-        let score_stage = BaseScore {
-            base: strategy.base,
+        let fold = match strategy.hkld {
+            Some(k) => FoldHistory::hkld(k, n, config.history_max_len),
+            None => FoldHistory::Policy(strategy.history),
         };
-        let fold_stage: Box<dyn FoldHistory + Send> = match strategy.hkld {
-            Some(k) => Box::new(HkldFold::new(k, n, config.history_max_len)),
-            None => Box::new(PolicyFold::new(strategy.history)),
-        };
-        let lhs = lhs.map(Arc::new);
-        let select_stage: Box<dyn Select + Send> = if let Some(lhs) = &lhs {
-            Box::new(LhsSelect(Arc::clone(lhs)))
-        } else if let (Some(cfg), true) = (strategy.mmr, geometry.is_some()) {
-            Box::new(MmrSelect(cfg))
-        } else if strategy.kcenter && geometry.is_some() {
-            Box::new(KCenterSelect)
-        } else {
-            Box::new(TopKSelect)
-        };
+        // The base strategy declares its own needs; side-channel
+        // consumers (HKLD reads posteriors, LHS features read entropy and
+        // optionally posteriors) widen the request so the model computes
+        // exactly what this run's stages will observe — and nothing more.
         let mut caps = strategy.base.caps();
         if strategy.hkld.is_some() {
             caps.probs = true;
@@ -318,6 +315,15 @@ impl<M: Model> Session<M> {
             caps.probs = caps.probs || lhs.needs_probs();
         }
         let config_hash = session_config_hash(&strategy, lhs.is_some(), &config, seed);
+        let select = if let Some(lhs) = lhs {
+            Select::Lhs(Arc::new(lhs))
+        } else if let (Some(cfg), true) = (strategy.mmr, geometry.is_some()) {
+            Select::Mmr(cfg)
+        } else if strategy.kcenter && geometry.is_some() {
+            Select::KCenter
+        } else {
+            Select::TopK
+        };
         Self {
             model,
             revealed: (0..n).map(|_| None).collect(),
@@ -326,15 +332,11 @@ impl<M: Model> Session<M> {
             test_samples,
             test_labels,
             strategy,
-            lhs,
             rng: ChaCha8Rng::seed_from_u64(seed),
             seed,
             obs,
-            fit_stage: Box::new(crate::pipeline::RetrainFit),
-            eval_stage: Box::new(crate::pipeline::ParallelEval),
-            score_stage,
-            fold_stage,
-            select_stage,
+            fold,
+            select,
             caps,
             pool: Pool::new(n),
             history,
@@ -380,13 +382,18 @@ impl<M: Model> Session<M> {
     /// finishes. Idempotent while waiting: stepping an awaiting session
     /// returns [`SessionStep::AwaitingLabels`] again without computing.
     pub fn step(&mut self) -> Result<SessionStep, Error> {
+        self.step_until(&StoppingRule::none())
+    }
+
+    /// [`Session::step`] that also finishes the run as soon as `rule`
+    /// fires on a freshly recorded curve point.
+    fn step_until(&mut self, rule: &StoppingRule) -> Result<SessionStep, Error> {
         loop {
             match self.phase {
                 Phase::AwaitingLabels => return Ok(SessionStep::AwaitingLabels),
                 Phase::Done => return Ok(SessionStep::Done),
                 Phase::Created => {
-                    // Initial random labeled set s₀: same shuffle, same
-                    // RNG stream position as the batch driver.
+                    // Initial random labeled set s₀.
                     let n = self.samples.len();
                     let mut order: Vec<SampleId> = (0..n).collect();
                     order.shuffle(&mut self.rng);
@@ -397,9 +404,10 @@ impl<M: Model> Session<M> {
                     if self.round >= self.config.rounds {
                         // Metric after the final batch, then done.
                         self.fit_and_record();
-                        self.finish(StopReason::RoundsExhausted);
+                        let reason = rule.should_stop(&self.curve);
+                        self.finish(reason.unwrap_or(StopReason::RoundsExhausted));
                     } else {
-                        self.compute_round()?;
+                        self.compute_round(rule)?;
                     }
                 }
             }
@@ -407,9 +415,10 @@ impl<M: Model> Session<M> {
     }
 
     /// Compute one round up to (and including) batch selection, then
-    /// park on the round's ticket. Stage order, RNG consumption and
-    /// tie-breaks replicate `ActiveLearner::run_until` exactly.
-    fn compute_round(&mut self) -> Result<(), Error> {
+    /// park on the round's ticket — the AL round body. A round whose fit
+    /// makes `rule` fire finishes the run before any eval, score or
+    /// select.
+    fn compute_round(&mut self, rule: &StoppingRule) -> Result<(), Error> {
         let round = self.round;
         self.ctx.begin(round);
         let _round_span = session_span!(
@@ -422,9 +431,13 @@ impl<M: Model> Session<M> {
         let fit_start = std::time::Instant::now();
         self.fit_and_record();
         self.ctx.timers.fit_ms = fit_start.elapsed().as_secs_f64() * 1e3;
+        if let Some(reason) = rule.should_stop(&self.curve) {
+            self.finish(reason);
+            return Ok(());
+        }
         if self.pool.n_unlabeled() == 0 {
-            // The metric for the fully-labeled pool was just recorded;
-            // finishing here matches the driver's `recorded_final` path.
+            // The metric for the fully-labeled pool was just recorded, so
+            // there is no final fit to run.
             self.finish(StopReason::PoolExhausted);
             return Ok(());
         }
@@ -436,7 +449,7 @@ impl<M: Model> Session<M> {
             "al.eval",
             n_unlabeled = self.pool.n_unlabeled(),
         );
-        self.eval_stage.eval(
+        eval_pool(
             &self.model,
             &self.samples,
             self.pool.unlabeled(),
@@ -450,15 +463,19 @@ impl<M: Model> Session<M> {
 
         let score_start = std::time::Instant::now();
         let score_span = session_span!(self.obs.subscriber(), Level::Debug, "al.score");
-        self.score_stage
-            .score(&self.ctx.evals, &mut self.rng, &mut self.ctx.base_scores)?;
-        self.fold_stage.record(
+        score_base(
+            self.strategy.base,
+            &self.ctx.evals,
+            &mut self.rng,
+            &mut self.ctx.base_scores,
+        )?;
+        self.fold.record(
             self.pool.unlabeled(),
             &self.ctx.base_scores,
             &self.ctx.evals,
             &mut self.history,
         );
-        self.fold_stage.fold(
+        self.fold.fold(
             self.pool.unlabeled(),
             &self.history,
             &mut self.ctx.final_scores,
@@ -480,7 +497,7 @@ impl<M: Model> Session<M> {
         let pick_start = std::time::Instant::now();
         let select_span = session_span!(self.obs.subscriber(), Level::Debug, "al.select");
         let batch = self.config.batch_size.min(self.pool.n_unlabeled());
-        let picked_positions = self.select_stage.select(SelectCtx {
+        let picked_positions = self.select.select(SelectCtx {
             scores: &self.ctx.final_scores,
             unlabeled: self.pool.unlabeled(),
             evals: &self.ctx.evals,
@@ -539,11 +556,10 @@ impl<M: Model> Session<M> {
 
     /// Answer the outstanding request from the hidden gold labels the
     /// session was built with (`pool()` construction) — the simulated
-    /// annotator. `None` when nothing is pending or no hidden labels
-    /// were retained.
+    /// annotator. `None` when nothing is pending.
     pub fn answer_from_hidden(&self) -> Option<LabelResponse<M::Label>> {
         let pending = self.pending.as_ref()?;
-        let hidden = self.hidden.as_ref()?;
+        let hidden = &self.hidden;
         Some(LabelResponse {
             ticket: pending.request.ticket,
             labels: pending
@@ -615,7 +631,7 @@ impl<M: Model> Session<M> {
             .collect();
         let test_s: Vec<&M::Sample> = self.test_samples.iter().collect();
         let test_l: Vec<&M::Label> = self.test_labels.iter().collect();
-        let metric = self.fit_stage.fit_measure(
+        let metric = fit_measure(
             &mut self.model,
             &samples,
             &labels,
@@ -645,7 +661,7 @@ impl<M: Model> Session<M> {
     }
 
     fn finish(&mut self, reason: StopReason) {
-        let strategy_name = if self.lhs.is_some() {
+        let strategy_name = if matches!(self.select, Select::Lhs(_)) {
             format!("LHS({})", self.strategy.base.name())
         } else {
             self.strategy.name()
@@ -664,12 +680,12 @@ impl<M: Model> Session<M> {
         self.stop_reason = Some(reason);
         self.phase = Phase::Done;
     }
-}
 
-impl<M: Model> Session<M>
-where
-    M::Label: PartialEq,
-{
+    /// Consume the session, returning the model as last trained.
+    pub(crate) fn into_model(self) -> M {
+        self.model
+    }
+
     /// Deliver labels for the outstanding ticket. At-least-once
     /// semantics: any subset of the requested ids, in any order, any
     /// number of times —
@@ -694,6 +710,15 @@ where
         if response.ticket >= self.next_ticket {
             return Err(Error::not_found("ticket", response.ticket.to_string()));
         }
+        // Validate the whole chunk before touching any state, so a
+        // rejected chunk leaves the session (and the caller's journal of
+        // accepted labels) exactly as it was. `staged[pos]` holds the
+        // labels this chunk fills, so conflicts inside the chunk are
+        // caught too.
+        let mut staged: Vec<Option<&M::Label>> = match &self.pending {
+            Some(p) => vec![None; p.got.len()],
+            None => Vec::new(),
+        };
         let mut accepted = 0;
         let mut duplicates = 0;
         for (id, label) in &response.labels {
@@ -715,7 +740,7 @@ where
             }
             let pending = self
                 .pending
-                .as_mut()
+                .as_ref()
                 .ok_or_else(|| Error::not_found("sample awaiting labels", id.to_string()))?;
             if response.ticket != pending.request.ticket {
                 return Err(Error::conflict(format!(
@@ -729,7 +754,7 @@ where
                 .iter()
                 .position(|&i| i == id)
                 .ok_or_else(|| Error::not_found("sample awaiting labels", id.to_string()))?;
-            match &pending.got[pos] {
+            match pending.got[pos].as_ref().or(staged[pos]) {
                 Some(existing) if existing == label => duplicates += 1,
                 Some(_) => {
                     return Err(Error::conflict(format!(
@@ -739,9 +764,16 @@ where
                     )))
                 }
                 None => {
-                    pending.got[pos] = Some(label.clone());
-                    pending.remaining -= 1;
+                    staged[pos] = Some(label);
                     accepted += 1;
+                }
+            }
+        }
+        if let Some(pending) = &mut self.pending {
+            for (slot, label) in pending.got.iter_mut().zip(staged) {
+                if let Some(label) = label {
+                    *slot = Some(label.clone());
+                    pending.remaining -= 1;
                 }
             }
         }
@@ -835,47 +867,49 @@ where
     /// the prefix of an uninterrupted [`Session::run_hidden`].
     ///
     /// Returns [`SessionStep::Done`] once the final fit has run (the
-    /// result is then available); errors if the session was built
-    /// without hidden labels.
+    /// result is then available).
     pub fn run_round_hidden(&mut self) -> Result<SessionStep, Error> {
         let target = self.curve.len() + 1;
         loop {
-            match self.step()? {
-                SessionStep::Done => return Ok(SessionStep::Done),
-                SessionStep::AwaitingLabels => {
-                    if self.curve.len() >= target {
-                        return Ok(SessionStep::AwaitingLabels);
-                    }
-                    let response = self.answer_from_hidden().ok_or_else(|| {
-                        Error::invariant(
-                            "run_round_hidden needs a session built with pool() hidden labels",
-                        )
-                    })?;
-                    self.submit(&response)?;
-                }
+            let step = self.step()?;
+            if step == SessionStep::Done || self.curve.len() >= target {
+                return Ok(step);
             }
+            self.answer_pending()?;
         }
     }
 
     /// Drive the session to completion against its own hidden labels —
-    /// the simulated annotator as a one-call loop. Errors if the session
-    /// was built without hidden labels.
+    /// the simulated annotator as a one-call loop.
     pub fn run_hidden(&mut self) -> Result<RunResult, Error> {
-        loop {
-            match self.step()? {
-                SessionStep::Done => {
-                    return Ok(self.result().expect("done session has a result").clone())
-                }
-                SessionStep::AwaitingLabels => {
-                    let response = self.answer_from_hidden().ok_or_else(|| {
-                        Error::invariant(
-                            "run_hidden needs a session built with pool() hidden labels",
-                        )
-                    })?;
-                    self.submit(&response)?;
-                }
-            }
+        self.run_hidden_until(&StoppingRule::none())
+    }
+
+    /// [`Session::run_hidden`] that stops early once `rule` fires — the
+    /// loop behind [`ActiveLearner::run_until`](crate::driver::ActiveLearner::run_until).
+    pub(crate) fn run_hidden_until(&mut self, rule: &StoppingRule) -> Result<RunResult, Error> {
+        let _run_span = session_span!(
+            self.obs.subscriber(),
+            Level::Info,
+            "al.run",
+            strategy = self.strategy.name(),
+            pool = self.samples.len(),
+            rounds = self.config.rounds,
+            batch = self.config.batch_size,
+            seed = self.seed,
+        );
+        while self.step_until(rule)? == SessionStep::AwaitingLabels {
+            self.answer_pending()?;
         }
+        Ok(self.result().expect("done session has a result").clone())
+    }
+
+    /// Submit the hidden gold labels for the pending ticket.
+    fn answer_pending(&mut self) -> Result<(), Error> {
+        let response = self
+            .answer_from_hidden()
+            .expect("awaiting session has a pending request");
+        self.submit(&response).map(|_| ())
     }
 }
 

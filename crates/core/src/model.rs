@@ -26,8 +26,10 @@ use crate::eval::{EvalCaps, SampleEval};
 pub trait Model: Send + Sync + 'static {
     /// Pool / test sample type (a featurized document or sentence).
     type Sample: Send + Sync + 'static;
-    /// Gold label type (class index or tag sequence).
-    type Label: Send + Sync + Clone + 'static;
+    /// Gold label type (class index or tag sequence). `PartialEq` lets a
+    /// session tell an idempotent label re-delivery from a conflicting
+    /// one.
+    type Label: Send + Sync + Clone + PartialEq + 'static;
 
     /// Train on the labeled set. `rng` drives shuffling and any
     /// stochastic regularization.

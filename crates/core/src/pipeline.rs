@@ -1,36 +1,33 @@
-//! The staged round pipeline behind [`ActiveLearner::run_until`].
+//! The stages of one active-learning round, run by
+//! [`Session`](crate::live::Session).
 //!
 //! The paper's loop (§2: train → score pool → fold history → annotate
-//! batch → repeat) is decomposed into replaceable stages, one trait per
-//! arrow:
+//! batch → repeat) is decomposed into the stages below. Each arrow with
+//! one implementation is a plain function; the two with several
+//! variants are closed enums whose variant the session picks once, when
+//! it is built:
 //!
 //! ```text
-//!   Fit          train the model on L, measure the test metric
-//!   EvalPool     evaluate every sample in U (parallel, seeded)
-//!   ScoreBase    φ_t(x) per evaluation (one RNG draw per sample)
-//!   FoldHistory  append to H_t(x), fold H_t(x) → selection score
-//!   Select       pick the batch (top-k / MMR / k-center / LHS)
-//!   Annotate     reveal labels via an Oracle, update the Pool
+//!   fit_measure   train the model on L, measure the test metric
+//!   eval_pool     evaluate every sample in U (parallel, seeded)
+//!   score_base    φ_t(x) per evaluation (one RNG draw per sample)
+//!   FoldHistory   append to H_t(x), fold H_t(x) → selection score
+//!                 (Policy: WSHS/FHS/HUS/current; Hkld)
+//!   Select        pick the batch (TopK / Mmr / KCenter / Lhs)
+//!   annotate      a ticketed LabelRequest the caller answers
 //! ```
 //!
-//! [`ActiveLearner::run_until`] is a thin composition of these stages
-//! over a [`Pool`] and a [`RoundCtx`] (the reusable per-round buffers
-//! and per-stage timers). Each stage has exactly one default
-//! implementation reproducing the historical monolithic loop — byte for
-//! byte, including RNG draw order and tie-breaks — so swapping a stage
-//! (warm-start fit, a streaming pool, sharded selection) is a local
-//! change that cannot disturb the others.
+//! [`Session::compute_round`](crate::live::Session) is the only round
+//! body; a [`RoundCtx`] carries its reusable per-round buffers and
+//! per-stage timers.
 //!
 //! ## Ordering contract
 //!
 //! Stages that iterate the unlabeled pool do so in [`Pool::unlabeled`]
 //! order (ascending by id). Three things observe that order and pin it:
-//! the per-sample RNG draws in [`ScoreBase`], the density reference
+//! the per-sample RNG draws in `score_base`, the density reference
 //! subsample drawn inside the score stage, and [`top_k`]'s
 //! lower-index-wins tie-break. See the `pool` module docs.
-//!
-//! [`ActiveLearner::run_until`]: crate::driver::ActiveLearner::run_until
-//! [`ActiveLearner`]: crate::driver::ActiveLearner
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -60,12 +57,12 @@ use crate::strategy::{BaseStrategy, HistoryPolicy, MmrConfig};
 /// (the Table 2 efficiency breakdown).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageTimers {
-    /// Model training ([`Fit`]).
+    /// Model training (`fit_measure`).
     pub fit_ms: f64,
-    /// Pool evaluation ([`EvalPool`]).
+    /// Pool evaluation (`eval_pool`).
     pub eval_ms: f64,
     /// Scoring: base scores, history folding and density weighting
-    /// ([`ScoreBase`] + [`FoldHistory`]).
+    /// (`score_base` + [`FoldHistory`]).
     pub score_ms: f64,
     /// Batch selection ([`Select`]).
     pub select_ms: f64,
@@ -110,223 +107,111 @@ impl RoundCtx {
 }
 
 // ---------------------------------------------------------------------------
-// Fit
+// Fit, eval, base score
 // ---------------------------------------------------------------------------
 
-/// Stage 1: train the model on the labeled set and measure the test
-/// metric. The labeled slices arrive in labeling order (see
-/// [`Pool::labeled`]) — implementations must preserve it when handing
-/// samples to the model, since training is order-sensitive.
-pub trait Fit<M: Model> {
-    /// Train `model` and return the test metric.
-    fn fit_measure(
-        &mut self,
-        model: &mut M,
-        samples: &[&M::Sample],
-        labels: &[&M::Label],
-        test_samples: &[&M::Sample],
-        test_labels: &[&M::Label],
-        rng: &mut ChaCha8Rng,
-    ) -> f64;
+/// Train `model` from scratch on the full labeled set (the paper's
+/// protocol) and return its test metric. The labeled slices arrive in
+/// labeling order (see [`Pool::labeled`]); training is order-sensitive.
+pub(crate) fn fit_measure<M: Model>(
+    model: &mut M,
+    samples: &[&M::Sample],
+    labels: &[&M::Label],
+    test_samples: &[&M::Sample],
+    test_labels: &[&M::Label],
+    rng: &mut ChaCha8Rng,
+) -> f64 {
+    model.fit(samples, labels, rng);
+    model.metric(test_samples, test_labels)
 }
 
-/// Default [`Fit`]: retrain from scratch on the full labeled set every
-/// round (the paper's protocol). A warm-start implementation would keep
-/// optimizer state here between rounds.
-pub struct RetrainFit;
-
-impl<M: Model> Fit<M> for RetrainFit {
-    fn fit_measure(
-        &mut self,
-        model: &mut M,
-        samples: &[&M::Sample],
-        labels: &[&M::Label],
-        test_samples: &[&M::Sample],
-        test_labels: &[&M::Label],
-        rng: &mut ChaCha8Rng,
-    ) -> f64 {
-        model.fit(samples, labels, rng);
-        model.metric(test_samples, test_labels)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// EvalPool
-// ---------------------------------------------------------------------------
-
-/// Stage 2: evaluate every unlabeled sample. Must fill `out` in
-/// `unlabeled` order, one [`SampleEval`] per id.
-pub trait EvalPool<M: Model> {
-    /// Evaluate `samples[id]` for every `id` in `unlabeled` into `out`.
-    #[allow(clippy::too_many_arguments)]
-    fn eval(
-        &mut self,
-        model: &M,
-        samples: &[M::Sample],
-        unlabeled: &[SampleId],
-        caps: &EvalCaps,
-        seed: u64,
-        round: usize,
-        out: &mut Vec<SampleEval>,
-    );
-}
-
-/// Default [`EvalPool`]: deterministic data-parallel evaluation. Each
-/// sample's stochastic estimates (MC dropout, committees) derive from
+/// Evaluate `samples[id]` for every `id` in `unlabeled` into `out`, in
+/// `unlabeled` order. Data-parallel and deterministic: each sample's
+/// stochastic estimates (MC dropout, committees) derive from
 /// [`mix_seed`]`(seed, round, id)` alone, so the result is independent
 /// of the worker count and of which thread evaluates which sample.
-pub struct ParallelEval;
-
-impl<M: Model> EvalPool<M> for ParallelEval {
-    fn eval(
-        &mut self,
-        model: &M,
-        samples: &[M::Sample],
-        unlabeled: &[SampleId],
-        caps: &EvalCaps,
-        seed: u64,
-        round: usize,
-        out: &mut Vec<SampleEval>,
-    ) {
-        *out = unlabeled
-            .par_iter()
-            .map(|&id| {
-                let s = mix_seed(seed, round as u64, id as u64);
-                model.eval_sample(&samples[id], caps, s)
-            })
-            .collect();
-    }
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn eval_pool<M: Model>(
+    model: &M,
+    samples: &[M::Sample],
+    unlabeled: &[SampleId],
+    caps: &EvalCaps,
+    seed: u64,
+    round: usize,
+    out: &mut Vec<SampleEval>,
+) {
+    *out = unlabeled
+        .par_iter()
+        .map(|&id| {
+            let s = mix_seed(seed, round as u64, id as u64);
+            model.eval_sample(&samples[id], caps, s)
+        })
+        .collect();
 }
 
-// ---------------------------------------------------------------------------
-// ScoreBase
-// ---------------------------------------------------------------------------
-
-/// Stage 3: the per-iteration informative score `φ_t(x)`.
+/// Fill `out` with the per-iteration informative score `φ_t(x)` of
+/// every evaluation under `base`.
 ///
-/// Implementations must consume exactly one RNG draw per evaluation, in
-/// `evals` order, whether or not the draw is used — the draw sequence is
-/// part of the byte-identical contract (the `Random` baseline and the
-/// density subsample read the same stream).
-pub trait ScoreBase {
-    /// Fill `out` with one base score per evaluation.
-    fn score(
-        &mut self,
-        evals: &[SampleEval],
-        rng: &mut ChaCha8Rng,
-        out: &mut Vec<f64>,
-    ) -> Result<(), Error>;
-}
-
-/// Default [`ScoreBase`]: delegate to a [`BaseStrategy`] (entropy, LC,
-/// margin, EGL, BALD, …), passing each sample's RNG draw through for the
-/// `Random` baseline.
-pub struct BaseScore {
-    /// The base strategy evaluated per sample.
-    pub base: BaseStrategy,
-}
-
-impl ScoreBase for BaseScore {
-    fn score(
-        &mut self,
-        evals: &[SampleEval],
-        rng: &mut ChaCha8Rng,
-        out: &mut Vec<f64>,
-    ) -> Result<(), Error> {
-        out.clear();
-        for eval in evals {
-            let r: f64 = rng.gen();
-            out.push(self.base.base_score(eval, r)?);
-        }
-        Ok(())
+/// Consumes exactly one RNG draw per evaluation, in `evals` order,
+/// whether or not the draw is used — the draw sequence is part of the
+/// byte-identical contract (the `Random` baseline and the density
+/// subsample read the same stream).
+pub(crate) fn score_base(
+    base: BaseStrategy,
+    evals: &[SampleEval],
+    rng: &mut ChaCha8Rng,
+    out: &mut Vec<f64>,
+) -> Result<(), Error> {
+    out.clear();
+    for eval in evals {
+        let r: f64 = rng.gen();
+        out.push(base.base_score(eval, r)?);
     }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
 // FoldHistory
 // ---------------------------------------------------------------------------
 
-/// Stage 4: maintain the historical state and fold it into selection
-/// scores. Split into two calls because recording mutates the store the
-/// driver owns, while folding only reads it.
-pub trait FoldHistory {
-    /// Append this round's base scores (and any richer per-sample state
-    /// the policy needs, e.g. full posteriors) to the history.
-    fn record(
-        &mut self,
-        unlabeled: &[SampleId],
-        base_scores: &[f64],
-        evals: &[SampleEval],
-        history: &mut HistoryStore,
-    );
-
-    /// Fold each unlabeled sample's history into its selection score,
-    /// filling `out` in `unlabeled` order.
-    fn fold(&mut self, unlabeled: &[SampleId], history: &HistoryStore, out: &mut Vec<f64>);
+/// Maintain the historical state and fold it into selection scores.
+/// Split into two calls because recording mutates the store the session
+/// owns, while folding only reads it.
+pub enum FoldHistory {
+    /// Scalar folding via a [`HistoryPolicy`] (current-only, HUS, WSHS,
+    /// FHS). Uses the store's O(1) rolling statistics when enabled,
+    /// falling back to an allocation-free fold over the borrowed ring
+    /// segments otherwise.
+    Policy(HistoryPolicy),
+    /// The HKLD baseline (Davy & Luz 2007): the committee is the
+    /// posteriors of the last `k` iterations; the score is the mean KL
+    /// divergence of each member from the committee mean. Owns the
+    /// per-sample posterior ring buffers (the scalar history still
+    /// receives the base scores, which the Table 6 diagnostics read).
+    Hkld {
+        /// Committee size.
+        k: usize,
+        /// Posteriors retained per sample (the scalar history's cap).
+        cap: Option<usize>,
+        /// Per-sample posterior history, oldest first.
+        prob_history: Vec<VecDeque<Vec<f64>>>,
+    },
 }
 
-/// Default [`FoldHistory`]: scalar folding via a [`HistoryPolicy`]
-/// (current-only, HUS, WSHS, FHS). Uses the store's O(1) rolling
-/// statistics when enabled, falling back to an allocation-free fold over
-/// the borrowed ring segments otherwise.
-pub struct PolicyFold {
-    policy: HistoryPolicy,
-}
-
-impl PolicyFold {
-    /// Fold with `policy`.
-    pub fn new(policy: HistoryPolicy) -> Self {
-        Self { policy }
-    }
-}
-
-impl FoldHistory for PolicyFold {
-    fn record(
-        &mut self,
-        unlabeled: &[SampleId],
-        base_scores: &[f64],
-        _evals: &[SampleEval],
-        history: &mut HistoryStore,
-    ) {
-        for (&id, &score) in unlabeled.iter().zip(base_scores) {
-            history.append(id, score);
-        }
-    }
-
-    fn fold(&mut self, unlabeled: &[SampleId], history: &HistoryStore, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(unlabeled.iter().map(|&id| match history.rolling(id) {
-            Some(stats) => self.policy.rolling_score(stats),
-            None => self.policy.final_score_seq(&history.seq(id)),
-        }));
-    }
-}
-
-/// [`FoldHistory`] for the HKLD baseline (Davy & Luz 2007): the
-/// committee is the posteriors of the last `k` iterations; the score is
-/// the mean KL divergence of each member from the committee mean. Owns
-/// the per-sample posterior ring buffers (the scalar history still
-/// receives the base scores, which the Table 6 diagnostics read).
-pub struct HkldFold {
-    k: usize,
-    cap: Option<usize>,
-    prob_history: Vec<VecDeque<Vec<f64>>>,
-}
-
-impl HkldFold {
-    /// Committee over the last `k` posteriors of `n` samples, retaining
-    /// at most `cap` per sample (mirrors the scalar history retention).
-    pub fn new(k: usize, n: usize, cap: Option<usize>) -> Self {
-        Self {
+impl FoldHistory {
+    /// HKLD committee over the last `k` posteriors of `n` samples,
+    /// retaining at most `cap` per sample.
+    pub fn hkld(k: usize, n: usize, cap: Option<usize>) -> Self {
+        Self::Hkld {
             k,
             cap,
             prob_history: vec![VecDeque::new(); n],
         }
     }
-}
 
-impl FoldHistory for HkldFold {
-    fn record(
+    /// Append this round's base scores (and, for HKLD, the full
+    /// posteriors) to the history.
+    pub fn record(
         &mut self,
         unlabeled: &[SampleId],
         base_scores: &[f64],
@@ -336,24 +221,41 @@ impl FoldHistory for HkldFold {
         for (&id, &score) in unlabeled.iter().zip(base_scores) {
             history.append(id, score);
         }
-        for (&id, eval) in unlabeled.iter().zip(evals) {
-            let seq = &mut self.prob_history[id];
-            seq.push_back(eval.probs.clone());
-            if let Some(cap) = self.cap {
-                if seq.len() > cap {
-                    seq.pop_front();
+        if let Self::Hkld {
+            cap, prob_history, ..
+        } = self
+        {
+            for (&id, eval) in unlabeled.iter().zip(evals) {
+                let seq = &mut prob_history[id];
+                seq.push_back(eval.probs.clone());
+                if let Some(cap) = *cap {
+                    if seq.len() > cap {
+                        seq.pop_front();
+                    }
                 }
             }
         }
     }
 
-    fn fold(&mut self, unlabeled: &[SampleId], _history: &HistoryStore, out: &mut Vec<f64>) {
+    /// Fold each unlabeled sample's history into its selection score,
+    /// filling `out` in `unlabeled` order.
+    pub fn fold(&self, unlabeled: &[SampleId], history: &HistoryStore, out: &mut Vec<f64>) {
         out.clear();
-        out.extend(unlabeled.iter().map(|&id| {
-            let seq = &self.prob_history[id];
-            let start = seq.len().saturating_sub(self.k);
-            hkld_score_members(seq.iter().skip(start).map(|p| p.as_slice()))
-        }));
+        match self {
+            Self::Policy(policy) => {
+                out.extend(unlabeled.iter().map(|&id| match history.rolling(id) {
+                    Some(stats) => policy.rolling_score(stats),
+                    None => policy.final_score_seq(&history.seq(id)),
+                }))
+            }
+            Self::Hkld {
+                k, prob_history, ..
+            } => out.extend(unlabeled.iter().map(|&id| {
+                let seq = &prob_history[id];
+                let start = seq.len().saturating_sub(*k);
+                hkld_score_members(seq.iter().skip(start).map(|p| p.as_slice()))
+            })),
+        }
     }
 }
 
@@ -389,93 +291,72 @@ pub struct SelectCtx<'a> {
     pub seq_buf: &'a mut Vec<f64>,
 }
 
-/// Stage 5: pick the batch. Returns up to `ctx.batch` *positions into
-/// `ctx.unlabeled`*, best first. A trait object replaces the historical
-/// if-else dispatch chain, so new selectors (sharded, streaming) plug in
-/// without touching the loop.
-pub trait Select {
-    /// Select the round's batch.
-    fn select(&mut self, ctx: SelectCtx<'_>) -> Vec<usize>;
+/// How a round picks its batch.
+pub enum Select {
+    /// The `k` best scores, ties toward the lower position (= lower id,
+    /// given ascending `unlabeled`). See [`top_k`].
+    TopK,
+    /// Greedy MMR batch diversity (Eq. 8). Requires pool geometry.
+    Mmr(MmrConfig),
+    /// Greedy k-center (core-set) batch selection. Requires pool
+    /// geometry.
+    KCenter,
+    /// The learned selector (LHS/LAL): ranks a candidate set (union of
+    /// top-entropy and top-LC) with the trained ranker instead of
+    /// sorting by the folded scores. The trained ranker and predictor
+    /// are immutable at selection time, so one instance is shared
+    /// through the [`Arc`] instead of deep-cloning the ensemble per run.
+    Lhs(Arc<LearnedSelector>),
 }
 
-/// Default [`Select`]: the `k` best scores, ties toward the lower
-/// position (= lower id, given ascending `unlabeled`). See [`top_k`].
-pub struct TopKSelect;
-
-impl Select for TopKSelect {
-    fn select(&mut self, ctx: SelectCtx<'_>) -> Vec<usize> {
-        top_k(ctx.scores, ctx.batch)
-    }
-}
-
-/// Greedy MMR batch diversity (Eq. 8). Requires pool geometry.
-pub struct MmrSelect(pub MmrConfig);
-
-impl Select for MmrSelect {
-    fn select(&mut self, ctx: SelectCtx<'_>) -> Vec<usize> {
-        let geom = ctx.geometry.expect("MMR selection requires pool geometry");
-        mmr_select(
-            ctx.scores,
-            ctx.unlabeled,
-            geom,
-            ctx.index,
-            ctx.batch,
-            &self.0,
-            ctx.scratch,
-        )
-    }
-}
-
-/// Greedy k-center (core-set) batch selection. Requires pool geometry.
-pub struct KCenterSelect;
-
-impl Select for KCenterSelect {
-    fn select(&mut self, ctx: SelectCtx<'_>) -> Vec<usize> {
-        let geom = ctx
-            .geometry
-            .expect("k-center selection requires pool geometry");
-        kcenter_select(
-            ctx.scores,
-            ctx.unlabeled,
-            geom,
-            ctx.index,
-            ctx.batch,
-            ctx.scratch,
-        )
-    }
-}
-
-/// The learned selector stage (LHS/LAL): ranks a candidate set (union of
-/// top-entropy and top-LC) with the trained ranker instead of sorting by
-/// the folded scores. Holds the selector behind an [`Arc`] — the trained
-/// ranker and predictor are immutable at selection time, so the stage
-/// shares one trained instance with the driver instead of deep-cloning
-/// the model ensemble per run.
-pub struct LhsSelect(pub Arc<LearnedSelector>);
-
-impl Select for LhsSelect {
-    fn select(&mut self, ctx: SelectCtx<'_>) -> Vec<usize> {
-        let meta = self.0.uses_meta().then(|| {
-            PoolMetaFeatures::from_evals(
-                ctx.evals,
-                ctx.n_labeled,
-                ctx.n_labeled + ctx.unlabeled.len(),
-                ctx.round,
-            )
-        });
-        self.0.select_with_meta(
-            ctx.unlabeled,
-            ctx.evals,
-            ctx.history,
-            ctx.batch,
-            ctx.seq_buf,
-            meta.as_ref(),
-        )
+impl Select {
+    /// Select the round's batch: up to `ctx.batch` *positions into
+    /// `ctx.unlabeled`*, best first.
+    pub fn select(&self, ctx: SelectCtx<'_>) -> Vec<usize> {
+        match self {
+            Self::TopK => top_k(ctx.scores, ctx.batch),
+            Self::Mmr(cfg) => mmr_select(
+                ctx.scores,
+                ctx.unlabeled,
+                ctx.geometry.expect("MMR selection requires pool geometry"),
+                ctx.index,
+                ctx.batch,
+                cfg,
+                ctx.scratch,
+            ),
+            Self::KCenter => kcenter_select(
+                ctx.scores,
+                ctx.unlabeled,
+                ctx.geometry
+                    .expect("k-center selection requires pool geometry"),
+                ctx.index,
+                ctx.batch,
+                ctx.scratch,
+            ),
+            Self::Lhs(selector) => {
+                let meta = selector.uses_meta().then(|| {
+                    PoolMetaFeatures::from_evals(
+                        ctx.evals,
+                        ctx.n_labeled,
+                        ctx.n_labeled + ctx.unlabeled.len(),
+                        ctx.round,
+                    )
+                });
+                selector.select_with_meta(
+                    ctx.unlabeled,
+                    ctx.evals,
+                    ctx.history,
+                    ctx.batch,
+                    ctx.seq_buf,
+                    meta.as_ref(),
+                )
+            }
+        }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Annotate + Oracle
+// Annotate
 // ---------------------------------------------------------------------------
 
 /// Monotonic identifier of one labeling request within a session. Tickets
@@ -486,8 +367,8 @@ pub type Ticket = u64;
 
 /// A batch labeling request: the annotate boundary of the loop, made
 /// explicit so labels can be produced *outside* the round (by a human
-/// annotator, over the network, out of order). Issued by the driver's
-/// [`OracleAnnotate`] stage and by [`Session`](crate::live::Session).
+/// annotator, over the network, out of order). Issued by
+/// [`Session`](crate::live::Session).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LabelRequest {
     /// Request identifier, unique within the session.
@@ -509,93 +390,6 @@ pub struct LabelResponse<L> {
     pub ticket: Ticket,
     /// `(pool id, revealed label)` pairs.
     pub labels: Vec<(SampleId, L)>,
-}
-
-/// The labeling authority, split into request/fulfill halves so
-/// annotation is not forced to complete inside the round. A simulated
-/// oracle answers a ticket immediately ([`SyncOracle`]); a deployment
-/// with human annotators parks the request and fulfills the ticket when
-/// labels arrive (possibly much later, possibly out of order).
-///
-/// The driver's [`OracleAnnotate`] stage requires fulfilment in the same
-/// call — wrap per-sample oracles in [`SyncOracle`]. For genuinely
-/// asynchronous labels, drive a [`Session`](crate::live::Session), which
-/// surfaces the pending [`LabelRequest`] to the caller instead of
-/// consulting an `Oracle` at all.
-pub trait Oracle<M: Model> {
-    /// Submit a labeling request. Must not block on the labels.
-    fn request(&mut self, request: &LabelRequest, samples: &[M::Sample]);
-
-    /// Poll for the complete response to `ticket`. Returns `None` while
-    /// labels are still outstanding; once returned, the oracle may forget
-    /// the ticket.
-    fn fulfill(&mut self, ticket: Ticket) -> Option<LabelResponse<M::Label>>;
-}
-
-/// The pre-split oracle shape: one call, one label, synchronously. The
-/// experimental protocol (labels known up front) fits this; adapt it to
-/// the ticketed [`Oracle`] protocol with [`SyncOracle`].
-pub trait InstantOracle<M: Model> {
-    /// Reveal the label of pool sample `id`.
-    fn annotate(&mut self, id: SampleId, sample: &M::Sample) -> M::Label;
-}
-
-/// Adapter: an [`InstantOracle`] driven through the request/fulfill
-/// protocol. `request` annotates every index immediately (in request
-/// order — the historical per-sample query order, so migrated call sites
-/// stay byte-identical) and `fulfill` hands the buffered response back.
-pub struct SyncOracle<M: Model, O> {
-    inner: O,
-    ready: Vec<LabelResponse<M::Label>>,
-}
-
-impl<M: Model, O: InstantOracle<M>> SyncOracle<M, O> {
-    /// Wrap `inner` so every ticket is fulfilled within `request`.
-    pub fn new(inner: O) -> Self {
-        Self {
-            inner,
-            ready: Vec::new(),
-        }
-    }
-}
-
-impl<M: Model, O: InstantOracle<M>> Oracle<M> for SyncOracle<M, O> {
-    fn request(&mut self, request: &LabelRequest, samples: &[M::Sample]) {
-        let labels = request
-            .indices
-            .iter()
-            .map(|&id| (id, self.inner.annotate(id, &samples[id])))
-            .collect();
-        self.ready.push(LabelResponse {
-            ticket: request.ticket,
-            labels,
-        });
-    }
-
-    fn fulfill(&mut self, ticket: Ticket) -> Option<LabelResponse<M::Label>> {
-        let pos = self.ready.iter().position(|r| r.ticket == ticket)?;
-        Some(self.ready.swap_remove(pos))
-    }
-}
-
-/// The standard experimental oracle: every pool label is known up front
-/// and "annotation" just reveals it.
-pub struct HiddenOracle<L> {
-    labels: Vec<L>,
-}
-
-impl<L> HiddenOracle<L> {
-    /// Wrap the hidden gold labels; `labels[id]` belongs to pool sample
-    /// `id`.
-    pub fn new(labels: Vec<L>) -> Self {
-        Self { labels }
-    }
-}
-
-impl<M: Model> InstantOracle<M> for HiddenOracle<M::Label> {
-    fn annotate(&mut self, id: SampleId, _sample: &M::Sample) -> M::Label {
-        self.labels[id].clone()
-    }
 }
 
 /// Apply a fully-fulfilled response: reveal each label, then move the
@@ -622,77 +416,6 @@ pub(crate) fn apply_response<L: Clone>(
     pool.label_batch(&request.indices);
 }
 
-/// Stage 6: move the selected batch to the labeled side, revealing
-/// labels into the driver's label table.
-pub trait Annotate<M: Model> {
-    /// Annotate `selected` (in selection order): store each revealed
-    /// label at `revealed[id]` and update `pool`.
-    fn annotate(
-        &mut self,
-        selected: &[SampleId],
-        samples: &[M::Sample],
-        pool: &mut Pool,
-        revealed: &mut [Option<M::Label>],
-    );
-}
-
-/// Default [`Annotate`]: issue one ticketed [`LabelRequest`] per batch
-/// and require the [`Oracle`] to fulfill it within the call — the
-/// synchronous experimental protocol. Oracles that cannot answer
-/// immediately do not belong in the batch driver; drive a
-/// [`Session`](crate::live::Session) instead.
-pub struct OracleAnnotate<M: Model> {
-    oracle: Box<dyn Oracle<M>>,
-    next_ticket: Ticket,
-}
-
-impl<M: Model> OracleAnnotate<M> {
-    /// Annotate by querying `oracle`.
-    pub fn new(oracle: Box<dyn Oracle<M>>) -> Self {
-        Self {
-            oracle,
-            next_ticket: 0,
-        }
-    }
-
-    /// Annotate through a per-sample [`InstantOracle`], adapted via
-    /// [`SyncOracle`].
-    pub fn sync(oracle: impl InstantOracle<M> + 'static) -> Self {
-        Self::new(Box::new(SyncOracle::new(oracle)))
-    }
-
-    /// The standard setup: a [`HiddenOracle`] over labels known up front.
-    pub fn hidden(labels: Vec<M::Label>) -> Self {
-        Self::sync(HiddenOracle::new(labels))
-    }
-}
-
-impl<M: Model> Annotate<M> for OracleAnnotate<M> {
-    fn annotate(
-        &mut self,
-        selected: &[SampleId],
-        samples: &[M::Sample],
-        pool: &mut Pool,
-        revealed: &mut [Option<M::Label>],
-    ) {
-        let request = LabelRequest {
-            ticket: self.next_ticket,
-            indices: selected.to_vec(),
-        };
-        self.next_ticket += 1;
-        self.oracle.request(&request, samples);
-        let response = self.oracle.fulfill(request.ticket).unwrap_or_else(|| {
-            panic!(
-                "the batch driver needs a synchronous oracle but ticket {} \
-                 was not fulfilled within the round; wrap the oracle in \
-                 SyncOracle or drive a live Session instead",
-                request.ticket
-            )
-        });
-        apply_response(&request, &response, pool, revealed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -701,12 +424,9 @@ mod tests {
     fn base_score_draws_once_per_eval() {
         use rand::SeedableRng;
         let evals = vec![SampleEval::from_probs(vec![0.5, 0.5]); 3];
-        let mut stage = BaseScore {
-            base: BaseStrategy::Random,
-        };
         let mut rng_a = ChaCha8Rng::seed_from_u64(7);
         let mut out = Vec::new();
-        stage.score(&evals, &mut rng_a, &mut out).unwrap();
+        score_base(BaseStrategy::Random, &evals, &mut rng_a, &mut out).unwrap();
         // The same seed replayed by hand gives the same three draws.
         let mut rng_b = ChaCha8Rng::seed_from_u64(7);
         let expect: Vec<f64> = (0..3).map(|_| rng_b.gen()).collect();
@@ -721,7 +441,7 @@ mod tests {
             history.append(1, 1.0 - v);
         }
         let policy = HistoryPolicy::Wshs { l: 3 };
-        let mut fold = PolicyFold::new(policy);
+        let fold = FoldHistory::Policy(policy);
         let mut out = Vec::new();
         fold.fold(&[0, 1], &history, &mut out);
         for (pos, &id) in [0usize, 1].iter().enumerate() {
@@ -733,40 +453,18 @@ mod tests {
     #[test]
     fn hkld_fold_caps_posterior_retention() {
         let mut history = HistoryStore::new(1);
-        let mut fold = HkldFold::new(2, 1, Some(2));
+        let mut fold = FoldHistory::hkld(2, 1, Some(2));
         for p in [0.9, 0.1, 0.5] {
             let evals = vec![SampleEval::from_probs(vec![p, 1.0 - p])];
             fold.record(&[0], &[0.0], &evals, &mut history);
         }
-        assert_eq!(fold.prob_history[0].len(), 2);
+        let FoldHistory::Hkld { prob_history, .. } = &fold else {
+            unreachable!("built as HKLD")
+        };
+        assert_eq!(prob_history[0].len(), 2);
         let mut out = Vec::new();
         fold.fold(&[0], &history, &mut out);
         let expect = crate::driver::hkld_score(&[vec![0.1, 0.9], vec![0.5, 0.5]], 2);
         assert_eq!(out, vec![expect]);
-    }
-
-    #[test]
-    fn hidden_oracle_reveals_and_labels() {
-        #[derive(Clone)]
-        struct Dummy;
-        impl Model for Dummy {
-            type Sample = u8;
-            type Label = u8;
-            fn fit(&mut self, _: &[&u8], _: &[&u8], _: &mut ChaCha8Rng) {}
-            fn eval_sample(&self, _: &u8, _: &EvalCaps, _: u64) -> SampleEval {
-                SampleEval::default()
-            }
-            fn metric(&self, _: &[&u8], _: &[&u8]) -> f64 {
-                0.0
-            }
-        }
-        let samples: Vec<u8> = vec![10, 11, 12];
-        let mut stage: OracleAnnotate<Dummy> = OracleAnnotate::hidden(vec![5, 6, 7]);
-        let mut pool = Pool::new(3);
-        let mut revealed: Vec<Option<u8>> = vec![None; 3];
-        stage.annotate(&[2, 0], &samples, &mut pool, &mut revealed);
-        assert_eq!(pool.labeled(), &[2, 0]);
-        assert_eq!(pool.unlabeled(), &[1]);
-        assert_eq!(revealed, vec![Some(5), None, Some(7)]);
     }
 }

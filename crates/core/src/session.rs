@@ -1,6 +1,7 @@
-//! The typed session builder behind [`ActiveLearner`].
+//! The typed session builder behind [`ActiveLearner`] and [`Session`].
 //!
-//! [`SessionBuilder`] is the only way to construct an [`ActiveLearner`]:
+//! [`SessionBuilder`] is the only way to construct an [`ActiveLearner`]
+//! or a [`Session`]:
 //! a typestate chain that makes the required inputs unforgettable and
 //! the optional ones named (the old eight-argument positional
 //! constructor, with its four pairwise-swappable `Vec`s, is gone):
@@ -16,6 +17,7 @@
 //!     .metrics(registry)
 //!     .journal(run_journal)
 //!     .build()                    ActiveLearner<M>
+//!  or .build_session()            Session<M>
 //! ```
 //!
 //! Skipping a required stage is a *compile* error, not a panic: each
@@ -33,21 +35,19 @@
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use histal_obs::metrics::MetricsRegistry;
 use histal_obs::trace::Subscriber;
 use histal_obs::Journal;
 use histal_text::SparseVec;
-use rand::SeedableRng;
 
 use crate::driver::{ActiveLearner, PoolConfig, RoundRecord};
 use crate::error::Error;
 use crate::lhs::LhsSelector;
 use crate::live::{Session, SessionSnapshot, SessionStep, SNAPSHOT_VERSION};
 use crate::model::Model;
-use crate::pipeline::{LabelResponse, Oracle, OracleAnnotate};
+use crate::pipeline::LabelResponse;
 use crate::strategy::Strategy;
 
 // ---------------------------------------------------------------------------
@@ -86,10 +86,8 @@ impl SessionObs {
     /// Publish a completed round to every attached handle: a debug
     /// event, the phase-timing histograms (microsecond units so the
     /// log-bucket resolution is useful at sub-millisecond phases), and
-    /// the crash-safe journal checkpoint. Both drivers — the batch
-    /// [`ActiveLearner`] and the interactive [`crate::live::Session`] —
-    /// route through here, so a round looks identical downstream
-    /// regardless of which loop produced it.
+    /// the crash-safe journal checkpoint. Called once per completed
+    /// round, when the round's ticket is fulfilled.
     pub(crate) fn publish_round(&self, record: &RoundRecord) -> Result<(), Error> {
         histal_obs::session_event!(
             self.subscriber(),
@@ -249,7 +247,6 @@ pub struct SessionBuilder<M: Model, Stage = NeedsPool> {
     oracle_labels: Vec<M::Label>,
     test_samples: Vec<M::Sample>,
     test_labels: Vec<M::Label>,
-    oracle: Option<Box<dyn Oracle<M>>>,
     strategy: Option<Strategy>,
     config: PoolConfig,
     seed: u64,
@@ -267,7 +264,6 @@ impl<M: Model, Stage> SessionBuilder<M, Stage> {
             oracle_labels: self.oracle_labels,
             test_samples: self.test_samples,
             test_labels: self.test_labels,
-            oracle: self.oracle,
             strategy: self.strategy,
             config: self.config,
             seed: self.seed,
@@ -287,7 +283,6 @@ impl<M: Model> SessionBuilder<M, NeedsPool> {
             oracle_labels: Vec::new(),
             test_samples: Vec::new(),
             test_labels: Vec::new(),
-            oracle: None,
             strategy: None,
             config: PoolConfig::default(),
             seed: 0,
@@ -312,19 +307,6 @@ impl<M: Model> SessionBuilder<M, NeedsPool> {
         );
         self.samples = samples;
         self.oracle_labels = oracle_labels;
-        self.advance()
-    }
-
-    /// The unlabeled pool with a custom labeling [`Oracle`] instead of
-    /// up-front hidden labels: `oracle.annotate(id, sample)` is queried
-    /// when sample `id` is selected (and for the initial random set).
-    pub fn pool_with_oracle(
-        mut self,
-        samples: Vec<M::Sample>,
-        oracle: Box<dyn Oracle<M>>,
-    ) -> SessionBuilder<M, NeedsTest> {
-        self.samples = samples;
-        self.oracle = Some(oracle);
         self.advance()
     }
 }
@@ -411,26 +393,16 @@ impl<M: Model> SessionBuilder<M, Ready> {
         self
     }
 
-    /// Construct an interactive [`Session`] instead of a batch
-    /// [`ActiveLearner`]: the same pipeline, but the caller drives the
+    /// Construct an interactive [`Session`]: the caller drives the
     /// annotate boundary through `step`/`submit` tickets (see
-    /// [`crate::live`]). A session built with [`pool`] hidden labels can
-    /// answer its own tickets ([`Session::answer_from_hidden`]); one
-    /// built with [`pool_with_oracle`] ignores the oracle — the whole
-    /// point of the interactive form is that labels arrive from outside.
-    ///
-    /// [`pool`]: SessionBuilder::pool
-    /// [`pool_with_oracle`]: SessionBuilder::pool_with_oracle
+    /// [`crate::live`]), or lets the session answer its own tickets from
+    /// the [`pool`](SessionBuilder::pool) labels
+    /// ([`Session::answer_from_hidden`]).
     pub fn build_session(self) -> Session<M> {
-        let hidden = if self.oracle.is_none() {
-            Some(self.oracle_labels)
-        } else {
-            None
-        };
         Session::from_parts(
             self.model,
             self.samples,
-            hidden,
+            self.oracle_labels,
             self.test_samples,
             self.test_labels,
             self.strategy.expect("strategy set by typestate"),
@@ -451,10 +423,7 @@ impl<M: Model> SessionBuilder<M, Ready> {
     /// with the same partially-received labels.
     ///
     /// [`ErrorKind::Conflict`]: crate::error::ErrorKind::Conflict
-    pub fn restore(self, snapshot: &SessionSnapshot<M::Label>) -> Result<Session<M>, Error>
-    where
-        M::Label: PartialEq,
-    {
+    pub fn restore(self, snapshot: &SessionSnapshot<M::Label>) -> Result<Session<M>, Error> {
         if snapshot.version != SNAPSHOT_VERSION {
             return Err(Error::conflict(format!(
                 "snapshot version {} is not the supported version {SNAPSHOT_VERSION}",
@@ -512,26 +481,10 @@ impl<M: Model> SessionBuilder<M, Ready> {
         Ok(session)
     }
 
-    /// Construct the learner.
+    /// Construct the batch learner: a [`Session`] the learner answers
+    /// from the pool labels.
     pub fn build(self) -> ActiveLearner<M> {
-        let annotate = match self.oracle {
-            Some(oracle) => OracleAnnotate::new(oracle),
-            None => OracleAnnotate::hidden(self.oracle_labels),
-        };
-        ActiveLearner::from_parts(
-            self.model,
-            self.samples,
-            Box::new(annotate),
-            self.test_samples,
-            self.test_labels,
-            self.strategy.expect("strategy set by typestate"),
-            self.lhs,
-            self.config,
-            self.representations,
-            ChaCha8Rng::seed_from_u64(self.seed),
-            self.seed,
-            self.obs,
-        )
+        ActiveLearner(self.build_session())
     }
 }
 

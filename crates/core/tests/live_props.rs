@@ -1,17 +1,19 @@
-//! Property tests of the interactive [`Session`] against the batch
-//! driver: same pipeline, same bytes.
+//! Property tests of the interactive [`Session`], the one
+//! implementation of the AL round.
 //!
-//! Three contracts are pinned here:
+//! The contracts pinned here:
 //!
-//! 1. **Driver equivalence** — a `Session` answering its own tickets
-//!    from the hidden labels produces the *identical* `RunResult` (modulo
-//!    wall-clock timings) as `ActiveLearner::run` on the same inputs.
+//! 1. **Stop rules cut a prefix** — `ActiveLearner::run_until(rule)`
+//!    returns an exact prefix of the unstopped run, and the round whose
+//!    fit fires the rule evaluates nothing.
 //! 2. **Arrival-order independence** — chunked, shuffled, duplicated
 //!    `submit` deliveries converge to the same state as one in-order
-//!    delivery per ticket.
+//!    delivery per ticket; a rejected chunk changes nothing.
 //! 3. **Snapshot/restore byte-identity** — restoring a mid-run snapshot
 //!    onto a fresh builder reproduces the original session exactly:
 //!    finishing both yields equal results.
+//! 4. **Round streaming** — driving one round at a time yields a prefix
+//!    of the uninterrupted run.
 
 use proptest::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -66,8 +68,19 @@ fn builder(
     rounds: usize,
     seed: u64,
 ) -> SessionBuilder<FixedModel, histal_core::session::Ready> {
+    builder_for(FixedModel { fitted: 0 }, n, policy, batch, rounds, seed)
+}
+
+fn builder_for<M: Model<Sample = f64, Label = usize>>(
+    model: M,
+    n: usize,
+    policy: HistoryPolicy,
+    batch: usize,
+    rounds: usize,
+    seed: u64,
+) -> SessionBuilder<M, histal_core::session::Ready> {
     let (samples, labels) = pool_data(n);
-    ActiveLearner::builder(FixedModel { fitted: 0 })
+    ActiveLearner::builder(model)
         .pool(samples, labels)
         .test(vec![0.1, 0.9], vec![0, 1])
         .strategy(AlStrategy::new(BaseStrategy::Entropy).with_history(policy))
@@ -110,25 +123,85 @@ fn policies() -> impl Strategy<Value = HistoryPolicy> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Contract 1: the interactive session answering its own tickets is
-    /// the batch driver, byte for byte.
+    /// Contract 1: a budget or target rule cuts the run to an exact
+    /// prefix of the unstopped run — same curve points, same round
+    /// records — and the model sees no `eval_sample` call after the fit
+    /// where the rule fired.
     #[test]
-    fn session_matches_driver(
+    fn run_until_is_a_prefix_of_run(
         n in 8usize..40,
         batch in 1usize..4,
         rounds in 1usize..6,
         seed in 0u64..1000,
+        budget in prop_oneof![Just(None), (1usize..20).prop_map(Some)],
+        target in prop_oneof![Just(None), (1.0f64..20.0).prop_map(Some)],
         policy in policies(),
     ) {
-        let batch_result = builder(n, policy, batch, rounds, seed)
+        use std::sync::{Arc, Mutex};
+
+        use histal_core::stopping::{StopReason, StoppingRule};
+
+        /// [`FixedModel`] that logs its calls: `'f'` per fit, `'e'` per
+        /// sample evaluation.
+        #[derive(Clone)]
+        struct Counting {
+            inner: FixedModel,
+            log: Arc<Mutex<Vec<char>>>,
+        }
+        impl Model for Counting {
+            type Sample = f64;
+            type Label = usize;
+            fn fit(&mut self, s: &[&f64], l: &[&usize], rng: &mut ChaCha8Rng) {
+                self.log.lock().expect("log lock").push('f');
+                self.inner.fit(s, l, rng);
+            }
+            fn eval_sample(&self, sample: &f64, caps: &EvalCaps, seed: u64) -> SampleEval {
+                self.log.lock().expect("log lock").push('e');
+                self.inner.eval_sample(sample, caps, seed)
+            }
+            fn metric(&self, s: &[&f64], l: &[&usize]) -> f64 {
+                self.inner.metric(s, l)
+            }
+        }
+
+        let full = builder(n, policy, batch, rounds, seed)
             .build()
             .run()
             .expect("entropy needs no extra capabilities");
-        let live_result = builder(n, policy, batch, rounds, seed)
-            .build_session()
-            .run_hidden()
-            .expect("hidden labels present");
-        prop_assert_eq!(canonical(batch_result), canonical(live_result));
+
+        let mut rule = StoppingRule::none();
+        rule.max_labeled = budget;
+        rule.target_metric = target;
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let model = Counting { inner: FixedModel { fitted: 0 }, log: log.clone() };
+        let (cut, reason) = builder_for(model, n, policy, batch, rounds, seed)
+            .build()
+            .run_until(&rule)
+            .expect("entropy needs no extra capabilities");
+
+        let curve_json = |c: &[histal_core::driver::CurvePoint]| {
+            serde_json::to_string(c).expect("curve serializes")
+        };
+        prop_assert_eq!(curve_json(&cut.curve), curve_json(&full.curve[..cut.curve.len()]));
+        // Round records: the cut run's are the first `k` of the full
+        // run's (histories differ in length, so compare without them).
+        let rounds_only = |r: &RunResult, k: usize| {
+            let mut r = r.clone();
+            r.rounds.truncate(k);
+            r.curve.clear();
+            r.history.clear();
+            canonical(r)
+        };
+        let k = cut.rounds.len();
+        prop_assert_eq!(rounds_only(&cut, k), rounds_only(&full, k));
+
+        if matches!(reason, StopReason::BudgetReached | StopReason::TargetReached) {
+            prop_assert_eq!(Some(reason), rule.should_stop(&cut.curve));
+            let last = log.lock().expect("log lock").last().copied();
+            prop_assert_eq!(last, Some('f'));
+        } else {
+            prop_assert_eq!(canonical(cut), canonical(full));
+        }
     }
 
     /// Contract 2: chunked / shuffled / partially duplicated deliveries
@@ -394,6 +467,43 @@ fn submit_rejects_conflicts_and_unknowns() {
         .unwrap();
     assert_eq!(again.duplicates, 1);
     assert_eq!(again.accepted, 0);
+}
+
+/// A chunk rejected part-way — an out-of-range id, an id the ticket
+/// never asked for, or two different labels for one id inside the
+/// chunk — records none of its labels, not even the valid ones before
+/// the failure: re-sending the valid label alone is then accepted.
+#[test]
+fn rejected_chunk_changes_nothing() {
+    let mut session = builder(12, HistoryPolicy::CurrentOnly, 3, 3, 7).build_session();
+    session.step().unwrap();
+    let full = session.answer_from_hidden().unwrap();
+    let (id, label) = full.labels[0];
+    let (other, other_label) = full.labels[1];
+    let not_asked = (0..12).find(|i| !full.indices_contains(*i)).unwrap();
+    let before = (session.snapshot(), session.status());
+    let bad_chunks = [
+        vec![(id, label), (12, 0)],
+        vec![(id, label), (not_asked, 0)],
+        vec![(id, label), (other, other_label), (other, 1 - other_label)],
+    ];
+    for labels in bad_chunks {
+        let response = LabelResponse {
+            ticket: full.ticket,
+            labels,
+        };
+        assert!(session.submit(&response).is_err(), "{response:?}");
+        assert_eq!(session.snapshot(), before.0);
+        assert_eq!(session.status(), before.1);
+    }
+    let outcome = session
+        .submit(&LabelResponse {
+            ticket: full.ticket,
+            labels: vec![(id, label)],
+        })
+        .unwrap();
+    assert_eq!(outcome.accepted, 1);
+    assert_eq!(outcome.duplicates, 0);
 }
 
 /// Convenience used by the unknown-sample test.

@@ -6,15 +6,13 @@
 //! `Vec<bool>` mask filtered per query, exactly the representation the
 //! pipeline refactor replaced — across random label/unlabel sequences.
 
-use std::sync::{Arc, Mutex};
-
 use proptest::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
 use histal_core::driver::{ActiveLearner, PoolConfig};
 use histal_core::eval::{EvalCaps, SampleEval};
+use histal_core::live::SessionStep;
 use histal_core::model::Model;
-use histal_core::pipeline::{InstantOracle, SyncOracle};
 use histal_core::pool::{Pool, SampleId};
 use histal_core::strategy::{BaseStrategy, HistoryPolicy, Strategy as AlStrategy};
 
@@ -134,27 +132,14 @@ impl Model for FixedModel {
     }
 }
 
-/// Oracle that records every annotation request it receives.
-struct RecordingOracle {
-    labels: Vec<usize>,
-    calls: Arc<Mutex<Vec<SampleId>>>,
-}
-
-impl InstantOracle<FixedModel> for RecordingOracle {
-    fn annotate(&mut self, id: SampleId, _sample: &f64) -> usize {
-        self.calls.lock().unwrap().push(id);
-        self.labels[id]
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Every id the driver annotates — the initial set and each round's
-    /// `RoundRecord::selected` — was on the unlabeled side at annotation
-    /// time: replaying the oracle's call log against a fresh `Pool`
-    /// never labels a sample twice, and the per-round records match the
-    /// oracle's log exactly.
+    /// Every id a session asks to annotate — the initial set and each
+    /// round's `RoundRecord::selected` — was on the unlabeled side at
+    /// request time: replaying the log of requested ids against a fresh
+    /// `Pool` never labels a sample twice, and the per-round records
+    /// match the post-init request log exactly.
     #[test]
     fn selected_always_from_unlabeled_side(
         n in 8usize..40,
@@ -164,11 +149,9 @@ proptest! {
     ) {
         let pool_samples: Vec<f64> = (0..n).map(|i| i as f64 / n as f64).collect();
         let labels: Vec<usize> = pool_samples.iter().map(|&x| usize::from(x >= 0.5)).collect();
-        let calls = Arc::new(Mutex::new(Vec::new()));
-        let oracle = RecordingOracle { labels, calls: Arc::clone(&calls) };
 
-        let mut learner = ActiveLearner::builder(FixedModel)
-            .pool_with_oracle(pool_samples, Box::new(SyncOracle::new(oracle)))
+        let mut session = ActiveLearner::builder(FixedModel)
+            .pool(pool_samples, labels)
             .test(vec![0.1, 0.9], vec![0, 1])
             .strategy(AlStrategy::new(BaseStrategy::Entropy).with_history(HistoryPolicy::Wshs { l: 3 }))
             .config(PoolConfig {
@@ -180,10 +163,15 @@ proptest! {
                 ann: None,
             })
             .seed(seed)
-            .build();
-        let result = learner.run().expect("entropy needs no extra capabilities");
-
-        let calls = calls.lock().unwrap();
+            .build_session();
+        // Answer every ticket, logging the ids each request asked for.
+        let mut calls: Vec<SampleId> = Vec::new();
+        while session.step().expect("entropy needs no extra capabilities") == SessionStep::AwaitingLabels {
+            calls.extend(&session.pending().expect("awaiting session has a request").indices);
+            let response = session.answer_from_hidden().expect("pending request");
+            session.submit(&response).expect("gold labels are accepted");
+        }
+        let result = session.result().expect("done session has a result");
         let init = batch.min(n);
 
         // Replaying the full annotation log against a fresh Pool panics

@@ -18,7 +18,7 @@ use histal_bench::registry::{parse_dataset, parse_strategy, DatasetDef};
 use histal_bench::tasks::{NerTask, Scale, TextTask};
 use histal_core::error::Error;
 use histal_core::strategy::BaseStrategy;
-use histal_core::{ActiveLearner, PoolConfig};
+use histal_core::PoolConfig;
 use histal_obs::MetricsRegistry;
 
 use crate::session::AnySession;
@@ -185,16 +185,11 @@ impl SessionConfig {
                     0
                 };
                 let task = tasks.text(&spec, self.scale, self.seed);
-                let mut builder = ActiveLearner::builder(task.model(committee))
-                    .pool(task.pool_docs.clone(), task.pool_labels.clone())
-                    .test(task.test_docs.clone(), task.test_labels.clone())
-                    .strategy(strategy)
-                    .config(config)
-                    .seed(self.seed)
+                let mut builder = task
+                    .builder(task.model(committee), strategy, &config, self.seed)
                     .metrics(metrics);
                 if wants_representations {
-                    let reps = task.pool_docs.iter().map(|d| d.features.clone()).collect();
-                    builder = builder.representations(reps);
+                    builder = builder.representations(task.representations());
                 }
                 Ok(AnySession::Text(builder.build_session()))
             }
@@ -206,12 +201,8 @@ impl SessionConfig {
                     ));
                 }
                 let task = tasks.ner(&spec, self.scale, self.seed);
-                let builder = ActiveLearner::builder(task.model())
-                    .pool(task.pool.clone(), task.pool_tags.clone())
-                    .test(task.test.clone(), task.test_tags.clone())
-                    .strategy(strategy)
-                    .config(config)
-                    .seed(self.seed)
+                let builder = task
+                    .builder(task.model(), strategy, &config, self.seed)
                     .metrics(metrics);
                 Ok(AnySession::Ner(builder.build_session()))
             }

@@ -23,6 +23,13 @@ cargo test --workspace -q
 echo "==> model tests under HISTAL_KERNELS=scalar (reference-kernel dispatch tier)"
 HISTAL_KERNELS=scalar cargo test -p histal-models -q
 
+echo "==> benchmark package: builds, unit tests, flat fan-out matches GridExecutor"
+echo "    (the out-of-workspace benchmark/ package drives the public core API,"
+echo "     so an API change that breaks it or moves its curves fails here)"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- verify
+
 echo "==> cargo bench --no-run (criterion benches compile)"
 cargo bench -p histal-bench --no-run
 
