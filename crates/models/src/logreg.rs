@@ -170,24 +170,26 @@ impl Linear {
         softmax_inplace(out);
     }
 
-    /// Minibatch size for the parallel SGD kernel. Gradients within a
-    /// minibatch are taken at the batch-start weights and applied as a
-    /// sum, so the value is part of the training semantics — it must not
-    /// depend on the thread count.
+    /// Minibatch size for the SGD kernel. Gradients within a minibatch
+    /// are taken at the batch-start weights and applied as a sum, so the
+    /// value is part of the training semantics.
     const MINIBATCH: usize = 8;
-    /// Items per parallel accumulation chunk (see
-    /// [`crate::parallel::chunked_grads`]); fixed for determinism.
+    /// Items per bias-gradient accumulation chunk (see
+    /// [`crate::parallel::chunked_grads_serial`]). Part of the training
+    /// semantics too: the chunk partials are summed in chunk order, so
+    /// changing it moves the low bits of every trained weight.
     const GRAD_CHUNK: usize = 2;
 
     /// Minibatch SGD with inverted feature dropout.
     ///
-    /// Per-sample gradients inside one minibatch are computed in
-    /// parallel at the batch-start weights; bias gradients reduce
-    /// through fixed-order chunk accumulators and sparse weight
-    /// gradients apply serially in sample order, so the result is
-    /// bit-identical however many threads run. Dropout masks come from
-    /// per-sample RNGs derived from one `epoch_seed` drawn serially from
-    /// the driver stream — worker threads never touch `rng`.
+    /// Runs on the calling thread. Per-sample gradients inside one
+    /// minibatch are computed at the batch-start weights; bias gradients
+    /// reduce through fixed-order chunk accumulators and sparse weight
+    /// gradients apply in sample order. A minibatch is 8 sparse
+    /// documents, about a microsecond of work per chunk, far less than a
+    /// pool round-trip, so it does not fan out; pool evaluation and the
+    /// harness parallelise above it. Dropout masks come from per-sample
+    /// RNGs derived from one `epoch_seed` drawn from the driver stream.
     #[allow(clippy::too_many_arguments)]
     fn train(
         &mut self,
@@ -225,7 +227,7 @@ impl Linear {
             for (batch_no, batch) in order.chunks(Self::MINIBATCH).enumerate() {
                 let base = batch_no * Self::MINIBATCH;
                 let (w, b) = (&self.w, &self.b);
-                let (per_item, bias_grad) = crate::parallel::chunked_grads(
+                let (per_item, bias_grad) = crate::parallel::chunked_grads_serial(
                     batch.len(),
                     Self::GRAD_CHUNK,
                     k,
@@ -368,12 +370,13 @@ impl TextClassifier {
         if self.committee.is_empty() {
             return None;
         }
-        // Members score independently; evaluation order is immaterial
-        // and the collect preserves member order, so this is safe to
-        // fan out.
-        let dists: Vec<Vec<f64>> = crate::parallel::map_items(self.committee.len(), |m| {
-            self.committee[m].probs(&doc.features)
-        });
+        // A member's posterior is ~100 ns of work and this runs once per
+        // pool sample inside the evaluation fan-out, so it stays serial.
+        let dists: Vec<Vec<f64>> = self
+            .committee
+            .iter()
+            .map(|member| member.probs(&doc.features))
+            .collect();
         let k = self.config.n_classes;
         let mut avg = vec![0.0; k];
         for d in &dists {
@@ -707,6 +710,29 @@ mod tests {
         assert_eq!(m.predict(&doc(&["alpha", "one"])), 0);
         assert_eq!(m.predict(&doc(&["beta", "two"])), 1);
         assert_eq!(m.predict(&doc(&["gamma", "three"])), 2);
+    }
+
+    #[test]
+    fn training_bits_are_pinned() {
+        // FNV-1a over the bits of `main.w` then `main.b` after a fixed
+        // 3-epoch fit with training dropout on. Pins the minibatch
+        // gradient's chunk association (`GRAD_CHUNK`): summing the bias
+        // gradient in any other order moves the low bits.
+        let (docs, labels) = toy_data();
+        let mut m = TextClassifier::new(TextClassifierConfig {
+            epochs: 3,
+            ..small_config()
+        });
+        assert!(m.config.train_dropout > 0.0);
+        fit(&mut m, &docs, &labels, 21);
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for v in m.main.w.iter().chain(&m.main.b) {
+            for byte in v.to_bits().to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(h, 0xf02c_d799_23c7_dd7c, "pinned hash {h:#018x}");
     }
 
     #[test]

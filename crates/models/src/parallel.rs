@@ -45,6 +45,11 @@ where
 /// parallel. Returns the per-item results in item order plus the dense
 /// accumulators summed **in chunk order**, so the floating-point sum
 /// association depends only on `chunk_size`, never on the thread count.
+///
+/// Worth it only when a chunk outweighs a pool round-trip (tens of
+/// microseconds): the CRF, whose chunk is a sentence's forward–backward
+/// pass, uses it; logistic regression's sparse minibatches use
+/// [`chunked_grads_serial`].
 pub fn chunked_grads<T, F>(
     n_items: usize,
     chunk_size: usize,
@@ -67,8 +72,10 @@ where
     combine_chunks(per_chunk, n_items, dense_dim)
 }
 
-/// Serial reference for [`chunked_grads`] with the *same* chunk
-/// association: the property tests assert the two agree to 0 ULP.
+/// [`chunked_grads`] on the calling thread, with the *same* chunk
+/// association, so the two agree to 0 ULP (property-tested). The
+/// production path for work too small to pay for a pool call: the
+/// logistic-regression SGD minibatch.
 pub fn chunked_grads_serial<T, F>(
     n_items: usize,
     chunk_size: usize,

@@ -20,6 +20,10 @@ cargo build --workspace --examples
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
+echo "==> pool protocol tests in release (narrower timing windows for the"
+echo "    close/running handshake of rayon::run_indexed)"
+cargo test --release -p rayon -q
+
 echo "==> model tests under HISTAL_KERNELS=scalar (reference-kernel dispatch tier)"
 HISTAL_KERNELS=scalar cargo test -p histal-models -q
 
