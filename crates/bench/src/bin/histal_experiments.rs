@@ -59,12 +59,10 @@ use std::sync::Arc;
 use histal_bench::executor::run_spec;
 use histal_bench::experiments::{self, Table7Variant};
 use histal_bench::journal::JournalCtx;
-use histal_bench::scaling::{is_pool_scaling_json, PoolScalingSpec};
-use histal_bench::spec::ExperimentSpec;
+use histal_bench::scaling::PoolScalingSpec;
+use histal_bench::spec::{ExperimentSpec, SpecKind};
 use histal_bench::tasks::Scale;
-use histal_bench::transfer::{
-    is_transfer_json, run_transfer, selector_apply, selector_train, TransferSpec,
-};
+use histal_bench::transfer::{run_transfer, selector_apply, selector_train, TransferSpec};
 use histal_core::error::Error;
 use histal_obs::trace::{set_subscriber, Level, StderrSubscriber};
 
@@ -269,10 +267,7 @@ fn main() {
             }
             experiments::compare(&scale, &positional[0], &positional[1])
         }
-        "significance" => {
-            experiments::significance(&scale);
-            Ok(())
-        }
+        "significance" => experiments::significance(&scale),
         "bench" => {
             if check {
                 experiments::bench_check(&scale)
@@ -306,19 +301,27 @@ fn main() {
 }
 
 /// Execute one spec file, routing on its `kind`: transfer specs run as
-/// train×apply matrices, everything else as an ordinary experiment grid.
+/// train×apply matrices, experiment specs as ordinary grids. Pool-scaling
+/// grids only run inside `bench`.
 fn run_spec_file(path: &str, scale: &Scale, journal: Option<&JournalCtx>) -> Result<(), Error> {
     let body = std::fs::read_to_string(path)
         .map_err(|e| Error::spec(format!("cannot read spec {path}: {e}")))?;
-    if is_transfer_json(&body) {
-        let spec =
-            TransferSpec::from_json(&body).map_err(|e| Error::spec(format!("{path}: {e}")))?;
-        run_transfer(&spec, scale, journal).map(|_| ())
-    } else {
-        let spec =
-            ExperimentSpec::from_json(&body).map_err(|e| Error::spec(format!("{path}: {e}")))?;
-        spec.validate()?;
-        run_spec(&spec, scale, journal).map(|_| ())
+    match SpecKind::of_json(&body) {
+        SpecKind::PoolScaling => Err(Error::spec(format!(
+            "{path}: pool-scaling specs are not experiment grids — they run inside \
+             `histal-experiments bench`"
+        ))),
+        SpecKind::Transfer => {
+            let spec =
+                TransferSpec::from_json(&body).map_err(|e| Error::spec(format!("{path}: {e}")))?;
+            run_transfer(&spec, scale, journal).map(|_| ())
+        }
+        SpecKind::Experiment => {
+            let spec = ExperimentSpec::from_json(&body)
+                .map_err(|e| Error::spec(format!("{path}: {e}")))?;
+            spec.validate()?;
+            run_spec(&spec, scale, journal).map(|_| ())
+        }
     }
 }
 
@@ -346,17 +349,13 @@ fn spec_check(dir: &str) {
         // experiment grid.
         let parsed = std::fs::read_to_string(path)
             .map_err(|e| Error::spec(format!("cannot read: {e}")))
-            .and_then(|body| {
-                if is_pool_scaling_json(&body) {
-                    PoolScalingSpec::from_json(&body)
-                        .and_then(|spec| spec.validate().map(|()| spec.name))
-                } else if is_transfer_json(&body) {
-                    TransferSpec::from_json(&body)
-                        .and_then(|spec| spec.validate().map(|()| spec.name))
-                } else {
-                    ExperimentSpec::from_json(&body)
-                        .and_then(|spec| spec.validate().map(|()| spec.name))
-                }
+            .and_then(|body| match SpecKind::of_json(&body) {
+                SpecKind::PoolScaling => PoolScalingSpec::from_json(&body)
+                    .and_then(|spec| spec.validate().map(|()| spec.name)),
+                SpecKind::Transfer => TransferSpec::from_json(&body)
+                    .and_then(|spec| spec.validate().map(|()| spec.name)),
+                SpecKind::Experiment => ExperimentSpec::from_json(&body)
+                    .and_then(|spec| spec.validate().map(|()| spec.name)),
             });
         match parsed {
             Ok(name) => println!("ok  {shown} ({name})"),

@@ -3,18 +3,14 @@
 //! [`GridExecutor`] turns an [`ExperimentSpec`] into results: it
 //! resolves datasets/strategies through [`crate::registry`], trains any
 //! LHS selectors the spec needs (deduplicated by training plan), flattens
-//! the `(dataset × group × strategy)` grid into a [`crate::cell_runner::GridCtx`],
-//! and dispatches it to one of two execution paths:
+//! the `(dataset × group × strategy)` grid into a [`crate::scheduler::GridCtx`],
+//! and runs it through the one epoch-stepped slot loop,
+//! [`crate::scheduler::execute`]: cells fan out across the rayon pool,
+//! each cell fans its repeats out, and a spec with a `prune` policy
+//! stops at decision epochs where the successive-halving rule cuts
+//! dominated cells short.
 //!
-//! * **classic** (no `prune` policy): cells fan out across the rayon
-//!   pool run-to-completion, each cell fanning its repeats out in turn
-//!   ([`crate::cell_runner::run_classic`]) — byte-identical to the
-//!   pre-split executor;
-//! * **adaptive** (`prune` set): every `(cell, repeat)` streams round
-//!   by round under the successive-halving scheduler
-//!   ([`crate::scheduler`]), which cuts dominated cells short.
-//!
-//! Outcomes are grouped back into report blocks either way.
+//! Outcomes are grouped back into report blocks in spec order.
 //! [`render_spec`] then prints the blocks according to the spec's
 //! [`ReportKind`] and produces the JSON payload [`write_rendered`]
 //! persists.
@@ -47,14 +43,14 @@ use histal_data::TextSpec;
 use histal_obs::span;
 use histal_obs::trace::Level;
 
-pub use crate::cell_runner::CellOutcome;
-use crate::cell_runner::{run_classic, Cell, GridCtx, TaskInstance};
 use crate::journal::JournalCtx;
 use crate::registry::{self, DatasetDef, LhsPlan, Metric};
 use crate::report::{print_curves, print_table, write_json};
-use crate::scheduler::{execute_adaptive, AdaptiveSummary};
+pub use crate::scheduler::CellOutcome;
+use crate::scheduler::{self, AdaptiveSummary, Cell, GridCtx, TaskInstance};
 use crate::spec::{
-    render_template, BudgetSpec, ExperimentSpec, PruneSpec, ReportKind, SignificanceSpec,
+    check_repeats, render_template, BudgetSpec, ExperimentSpec, PruneSpec, ReportKind,
+    SignificanceSpec,
 };
 use crate::tasks::{NerTask, Scale, TextModel, TextTask};
 
@@ -271,8 +267,7 @@ impl Block {
 pub struct GridOutcome {
     /// One block per `(dataset × group)` pair that produced cells.
     pub blocks: Vec<Block>,
-    /// Pruning summary when the spec ran under the adaptive scheduler;
-    /// `None` on the classic run-to-completion path.
+    /// Pruning summary, `Some` exactly when the spec sets `prune`.
     pub adaptive: Option<AdaptiveSummary>,
     /// Wall clock of each *fresh* selector training this grid performed,
     /// as `(plan label, ms)` in training order. Deduplicated plans
@@ -369,6 +364,9 @@ impl<'a> GridExecutor<'a> {
     pub fn execute(&self) -> Result<GridOutcome, Error> {
         let spec = self.spec;
         spec.validate()?;
+        // `--repeats` reaches the merged scale without passing through
+        // `validate`, so the bound is checked again here.
+        check_repeats("repeats", self.scale.repeats)?;
         let _span = span!(Level::Info, "harness.experiment", name = spec.name.clone());
 
         let model = match spec.model.as_deref() {
@@ -493,30 +491,13 @@ impl<'a> GridExecutor<'a> {
             cells,
         };
 
-        // Dispatch: specs with a prune policy stream rounds under the
-        // adaptive scheduler; everything else takes the classic
-        // run-to-completion fan-out (byte-identical to the pre-split
-        // executor).
-        let (outcomes, adaptive) = if spec.prune.is_some() {
-            let (outcomes, summary) = execute_adaptive(&ctx)?;
-            let outcomes: Vec<Result<CellOutcome, Error>> = outcomes.into_iter().map(Ok).collect();
-            (outcomes, Some(summary))
-        } else {
-            let run_one = |c: usize| run_classic(&ctx, c);
-            let outcomes: Vec<Result<CellOutcome, Error>> = if self.serial {
-                (0..ctx.cells.len()).map(run_one).collect()
-            } else {
-                rayon::run_indexed(ctx.cells.len(), run_one)
-            };
-            (outcomes, None)
-        };
+        let (outcomes, adaptive) = scheduler::execute(&ctx, self.serial)?;
 
         // Regroup consecutive cells per (dataset, group) into blocks —
         // output order matches the historical serial nested loops.
         let mut blocks: Vec<Block> = Vec::new();
         let mut last_key = None;
         for (cell, outcome) in ctx.cells.iter().zip(outcomes) {
-            let outcome = outcome?;
             let key = (cell.task, cell.group);
             if last_key != Some(key) {
                 last_key = Some(key);
@@ -942,6 +923,37 @@ mod tests {
         let exec = GridExecutor::new(&spec, &cli);
         assert_eq!(exec.scale().repeats, 1);
         assert_eq!(exec.scale().factor, 0.5);
+    }
+
+    /// Zero repeats used to pass validation and panic while averaging;
+    /// 257 would reuse repeat 0's seed. Both must come back as spec
+    /// errors, whether the count comes from `--repeats` or the spec.
+    #[test]
+    fn unusable_repeat_counts_are_spec_errors() {
+        let mut spec = ExperimentSpec::from_json(
+            r#"{"name":"x","datasets":["mr"],"groups":[{"strategies":["entropy"]}]}"#,
+        )
+        .unwrap();
+        let cli = |repeats| Scale {
+            factor: 0.02,
+            repeats,
+        };
+        for repeats in [0, 257] {
+            spec.scale = None;
+            let from_cli = GridExecutor::new(&spec, &cli(repeats)).execute().err();
+            spec.scale = Some(crate::spec::ScaleSpec {
+                factor: None,
+                repeats: Some(repeats),
+            });
+            let from_spec = GridExecutor::new(&spec, &cli(1)).execute().err();
+            for err in [from_cli, from_spec] {
+                let err = err.expect("repeats outside 1..=256 must be rejected");
+                let spec_error = matches!(err.kind, histal_core::error::ErrorKind::Spec { .. });
+                assert!(spec_error && err.to_string().contains("1..=256"), "{err}");
+            }
+        }
+        spec.scale.as_mut().unwrap().repeats = Some(256);
+        assert!(spec.validate().is_ok());
     }
 
     #[test]

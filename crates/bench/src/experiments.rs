@@ -18,14 +18,15 @@
 //! [`crate::executor::GridExecutor`]; the checked-in JSON files under
 //! `specs/` are embedded at compile time (and validated by CI), so
 //! `histal-experiments fig5` and `histal-experiments run --spec
-//! specs/fig5.json` are the same code path. Only the dataset-statistics
-//! tables, the diagnostic commands (`ceiling`, `significance`,
-//! `compare`) and the BENCH gates remain hand-coded.
+//! specs/fig5.json` are the same code path. `compare` and
+//! `significance` run in-code specs through the same executor and keep
+//! their own verdict tables; only the dataset-statistics tables,
+//! `ceiling` and the BENCH gates remain hand-coded.
 
-use histal_core::analysis::{area_under_curve, average_curves};
+use histal_core::analysis::area_under_curve;
 use histal_core::driver::RunResult;
 use histal_core::error::Error;
-use histal_core::strategy::{BaseStrategy, HistoryPolicy, Strategy};
+use histal_core::strategy::{BaseStrategy, Strategy};
 use histal_data::{NerDataset, NerSpec, TextDataset, TextSpec};
 
 use crate::executor::{
@@ -33,27 +34,13 @@ use crate::executor::{
     GridExecutor, GridOutcome, Rendered,
 };
 use crate::journal::JournalCtx;
-use crate::registry::{self, ResolvedStrategy, FHS_WF, FHS_WS, WINDOW};
+use crate::registry;
 use crate::report::{print_curves, print_table, write_json};
-use crate::spec::{DatasetEntry, ExperimentSpec, GroupSpec, PoolSpec, ReportKind, StrategyEntry};
+use crate::spec::{
+    DatasetEntry, ExperimentSpec, GroupSpec, PoolSpec, ReportKind, ScaleSpec, StrategyEntry,
+};
 use crate::tasks::{Scale, TextTask};
 use crate::transfer::{execute_transfer, inject_train, TransferSpec};
-
-fn hus(base: BaseStrategy) -> Strategy {
-    Strategy::new(base).with_history(HistoryPolicy::Hus { k: WINDOW })
-}
-
-fn wshs(base: BaseStrategy) -> Strategy {
-    Strategy::new(base).with_history(HistoryPolicy::Wshs { l: WINDOW })
-}
-
-fn fhs(base: BaseStrategy) -> Strategy {
-    Strategy::new(base).with_history(HistoryPolicy::Fhs {
-        l: WINDOW,
-        w_score: FHS_WS,
-        w_fluct: FHS_WF,
-    })
-}
 
 /// Format an optional final metric for a table cell.
 fn fmt_metric(m: Option<f64>) -> String {
@@ -145,72 +132,81 @@ pub fn noise(scale: &Scale) -> Result<(), Error> {
 /// averaged curves, ALC, and a Wilcoxon significance verdict — the
 /// harness's user-facing utility command. Tokens go through the full
 /// registry grammar, so wrapper parameters, `LHS(...)` (trained on the
-/// fly) and diversity suffixes all work here.
+/// fly) and diversity suffixes all work here: the grid attaches
+/// representations when either token needs them.
 pub fn compare(scale: &Scale, token_a: &str, token_b: &str) -> Result<(), Error> {
     use histal_core::stats::wilcoxon_signed_rank;
 
-    let a = registry::parse_strategy(token_a)?;
-    let b = registry::parse_strategy(token_b)?;
-    let task = TextTask::build(&TextSpec::mr(), scale, 0xC0);
-    let config = text_pool_config(false, scale);
-    let collect = |r: &ResolvedStrategy| -> Result<(RunResult, Vec<f64>), Error> {
-        let selector = match &r.lhs {
-            Some(plan) => Some(train_lhs_plan(plan, scale)?),
-            None => None,
-        };
-        let runs: Vec<RunResult> = (0..scale.repeats.max(3))
-            .map(|rep| {
-                task.run(
-                    r.strategy.clone(),
-                    selector.clone(),
-                    &config,
-                    seed_for("cmp", &task.name, &r.strategy.name(), rep),
-                )
-            })
-            .collect();
-        let points = runs
-            .iter()
-            .flat_map(|run| run.curve.iter().map(|p| p.metric))
-            .collect();
-        let mut avg = average_curves(&runs);
-        avg.strategy_name = r.display_name();
-        Ok((avg, points))
+    let mut representations = false;
+    for token in [token_a, token_b] {
+        representations |= registry::parse_strategy(token)?
+            .strategy
+            .needs_representations();
+    }
+    let spec = ExperimentSpec {
+        name: "compare".into(),
+        experiment: "cmp".into(),
+        split_seed: 0xC0,
+        datasets: vec![DatasetEntry::new("mr")],
+        groups: vec![group(&[token_a, token_b])],
+        scale: Some(repeats_at_least_3(scale)),
+        pool: representations.then(|| PoolSpec {
+            representations: true,
+            ..Default::default()
+        }),
+        ..Default::default()
     };
-    let (run_a, pts_a) = collect(&a)?;
-    let (run_b, pts_b) = collect(&b)?;
+    let outcome = GridExecutor::new(&spec, scale).execute()?;
+    let [a, b] = &outcome.blocks[0].cells[..] else {
+        unreachable!("a one-dataset, two-strategy grid has two cells");
+    };
     print_curves(
-        &format!(
-            "Compare — {} vs {}",
-            run_a.strategy_name, run_b.strategy_name
-        ),
-        &[run_a.clone(), run_b.clone()],
+        &format!("Compare — {} vs {}", a.name, b.name),
+        &[a.avg.clone(), b.avg.clone()],
     );
-    let t = wilcoxon_signed_rank(&pts_a, &pts_b);
-    let mut rows = vec![
-        vec![
-            run_a.strategy_name.clone(),
-            format!("{:.4}", area_under_curve(&run_a)),
-            fmt_metric(run_a.final_metric()),
-        ],
-        vec![
-            run_b.strategy_name.clone(),
-            format!("{:.4}", area_under_curve(&run_b)),
-            fmt_metric(run_b.final_metric()),
-        ],
-    ];
+    let t = wilcoxon_signed_rank(&curve_points(a), &curve_points(b));
+    let mut rows: Vec<Vec<String>> = [&a.avg, &b.avg]
+        .iter()
+        .map(|run| {
+            vec![
+                run.strategy_name.clone(),
+                format!("{:.4}", area_under_curve(run)),
+                fmt_metric(run.final_metric()),
+            ]
+        })
+        .collect();
     rows.push(vec![
         "Wilcoxon".to_string(),
         format!("p = {:.4}", t.p_value),
         if t.significantly_better(0.05) {
-            format!("{} significantly better", run_a.strategy_name)
+            format!("{} significantly better", a.name)
         } else if t.p_value < 0.05 {
-            format!("{} significantly better", run_b.strategy_name)
+            format!("{} significantly better", b.name)
         } else {
             "no significant difference".to_string()
         },
     ]);
     print_table("Verdict", &["Strategy", "ALC", "Final accuracy"], &rows);
     Ok(())
+}
+
+/// The scale override of the paired diagnostics (`compare`,
+/// `significance`): at least three repeats, whatever the command line
+/// asks for.
+fn repeats_at_least_3(scale: &Scale) -> ScaleSpec {
+    ScaleSpec {
+        factor: None,
+        repeats: Some(scale.repeats.max(3)),
+    }
+}
+
+/// Every repeat's curve metrics, concatenated in repeat order — the
+/// paired samples of `compare` and `significance`.
+fn curve_points(cell: &CellOutcome) -> Vec<f64> {
+    cell.runs
+        .iter()
+        .flat_map(|run| run.curve.iter().map(|p| p.metric))
+        .collect()
 }
 
 /// Extension experiment: batch-size sensitivity. The paper fixes batch
@@ -292,36 +288,36 @@ pub fn imbalance(scale: &Scale) -> Result<(), Error> {
 /// improvements. Pools paired per-point curve metrics across repeats and
 /// runs Wilcoxon signed-rank + paired bootstrap against the base
 /// strategy (the paper claims its improvements are significant).
-pub fn significance(scale: &Scale) {
+pub fn significance(scale: &Scale) -> Result<(), Error> {
     use histal_core::stats::{paired_bootstrap, wilcoxon_signed_rank};
 
-    let task = TextTask::build(&TextSpec::mr(), scale, 0x51);
-    let config = text_pool_config(false, scale);
-    let base = BaseStrategy::Entropy;
-    let collect = |strategy: Strategy| -> Vec<f64> {
-        (0..scale.repeats.max(3))
-            .flat_map(|r| {
-                task.run(
-                    strategy.clone(),
-                    None,
-                    &config,
-                    seed_for("sig", &task.name, &strategy.name(), r),
-                )
-                .curve
-                .into_iter()
-                .map(|p| p.metric)
-            })
-            .collect()
+    let spec = ExperimentSpec {
+        name: "significance".into(),
+        experiment: "sig".into(),
+        split_seed: 0x51,
+        datasets: vec![DatasetEntry::new("mr")],
+        groups: vec![group(&[
+            "entropy",
+            "HUS(entropy)",
+            "WSHS(entropy)",
+            "FHS(entropy)",
+        ])],
+        scale: Some(repeats_at_least_3(scale)),
+        ..Default::default()
     };
-    let baseline = collect(Strategy::new(base));
+    let outcome = GridExecutor::new(&spec, scale).execute()?;
+    let (base, variants) = outcome.blocks[0]
+        .cells
+        .split_first()
+        .expect("the grid has four cells");
+    let baseline = curve_points(base);
     let mut rows = Vec::new();
-    for strategy in [hus(base), wshs(base), fhs(base)] {
-        let name = strategy.name();
-        let variant = collect(strategy);
+    for cell in variants {
+        let variant = curve_points(cell);
         let w = wilcoxon_signed_rank(&variant, &baseline);
         let b = paired_bootstrap(&variant, &baseline, 5_000, 0x51);
         rows.push(vec![
-            name,
+            cell.name.clone(),
             format!("{:+.4}", w.mean_diff),
             format!("{:.4}", w.p_value),
             format!("{:.4}", b.p_value),
@@ -344,6 +340,7 @@ pub fn significance(scale: &Scale) {
         &rows,
     );
     write_json("significance", &rows);
+    Ok(())
 }
 
 /// Figure 2: the four characteristic shapes of historical evaluation

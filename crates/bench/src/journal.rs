@@ -124,12 +124,6 @@ impl JournalCtx {
         self.journal.append(&record).map_err(Error::journal)
     }
 
-    /// Append the cell-complete record, panicking on append failure.
-    pub fn complete(&self, cell: &str, config_hash: u64, seed: u64, result: &RunResult) {
-        self.try_complete(cell, config_hash, seed, result)
-            .expect("journal cell record write failed");
-    }
-
     /// Fallible [`Self::run_cell`]: replay `cell` if a previous run
     /// completed it, otherwise execute `run` with a per-round journal
     /// handle and checkpoint the result. Errors from `run` propagate
@@ -163,37 +157,6 @@ impl JournalCtx {
     ) -> RunResult {
         self.try_run_cell(cell, config_hash, seed, |j| Ok(run(j)))
             .expect("journal cell record write failed")
-    }
-}
-
-/// Optional fallible journaling: `None` runs the closure bare; `Some`
-/// routes it through [`JournalCtx::try_run_cell`].
-pub fn try_run_cell_opt(
-    ctx: Option<&JournalCtx>,
-    cell: &str,
-    config_hash: u64,
-    seed: u64,
-    run: impl FnOnce(Option<RunJournal>) -> Result<RunResult, Error>,
-) -> Result<RunResult, Error> {
-    match ctx {
-        Some(ctx) => ctx.try_run_cell(cell, config_hash, seed, run),
-        None => run(None),
-    }
-}
-
-/// Optional journaling: `None` runs the closure bare; `Some` routes it
-/// through [`JournalCtx::run_cell`]. Keeps call sites in the grid code
-/// to one line.
-pub fn run_cell_opt(
-    ctx: Option<&JournalCtx>,
-    cell: &str,
-    config_hash: u64,
-    seed: u64,
-    run: impl FnOnce(Option<RunJournal>) -> RunResult,
-) -> RunResult {
-    match ctx {
-        Some(ctx) => ctx.run_cell(cell, config_hash, seed, run),
-        None => run(None),
     }
 }
 
@@ -253,7 +216,7 @@ mod tests {
             serde::Value::Str("round".to_string()),
         )]))
         .unwrap();
-        ctx.complete("grid/b/r0", 1, 2, &result(0.25));
+        ctx.try_complete("grid/b/r0", 1, 2, &result(0.25)).unwrap();
         drop(ctx);
         let ctx = JournalCtx::resume(&path).unwrap();
         assert_eq!(ctx.resumed, 1);

@@ -5,7 +5,6 @@
 //! `DESIGN.md` maps experiment ids (E1–E10) to these modules; see
 //! `EXPERIMENTS.md` for recorded paper-vs-measured outcomes.
 
-pub mod cell_runner;
 pub mod executor;
 pub mod experiments;
 pub mod journal;

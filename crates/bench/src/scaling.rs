@@ -39,21 +39,6 @@ use crate::spec::AnnSpec;
 /// Discriminator value that marks a spec file as a pool-scaling grid.
 pub const POOL_SCALING_KIND: &str = "pool-scaling";
 
-/// Does this JSON body declare `"kind": "pool-scaling"`? Peeks the field
-/// without committing to either schema, so `spec-check` and the
-/// round-trip tests can route each `specs/*.json` to the right parser.
-pub fn is_pool_scaling_json(body: &str) -> bool {
-    #[derive(Deserialize)]
-    struct KindProbe {
-        #[serde(default)]
-        kind: Option<String>,
-    }
-    serde_json::from_str::<KindProbe>(body)
-        .ok()
-        .and_then(|p| p.kind)
-        .is_some_and(|k| k == POOL_SCALING_KIND)
-}
-
 /// Declarative description of one pool-scaling grid: the cross product
 /// `sizes × modes × strategies`, minus exact cells above
 /// [`Self::exact_ceiling`].
@@ -158,23 +143,7 @@ impl PoolScalingSpec {
         if self.clusters() == 0 || self.nnz_per_row() == 0 || self.batch_size() == 0 {
             return fail("clusters, nnz_per_row and batch_size must be positive".into());
         }
-        // Reuse the ExperimentSpec bounds for the LSH knobs.
-        if let Some(t) = self.ann.tables {
-            if t == 0 || t > 64 {
-                return fail(format!("ann.tables must be in 1..=64, got {t}"));
-            }
-        }
-        if let Some(b) = self.ann.bits {
-            if b > 20 {
-                return fail(format!("ann.bits must be ≤ 20, got {b}"));
-            }
-        }
-        if let Some(p) = self.ann.probes {
-            if p > 20 {
-                return fail(format!("ann.probes must be ≤ 20, got {p}"));
-            }
-        }
-        Ok(())
+        self.ann.validate()
     }
 }
 
@@ -419,12 +388,13 @@ pub fn run_pool_scaling(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::SpecKind;
 
     const EMBEDDED: &str = include_str!("../../../specs/bench-pool-scaling.json");
 
     #[test]
     fn embedded_scaling_spec_parses_validates_and_round_trips() {
-        assert!(is_pool_scaling_json(EMBEDDED));
+        assert_eq!(SpecKind::of_json(EMBEDDED), SpecKind::PoolScaling);
         let spec = PoolScalingSpec::from_json(EMBEDDED).expect("embedded scaling spec parses");
         spec.validate().expect("embedded scaling spec validates");
         let json = spec.to_json_pretty();
@@ -434,9 +404,10 @@ mod tests {
 
     #[test]
     fn experiment_specs_are_not_pool_scaling() {
-        assert!(!is_pool_scaling_json(include_str!(
-            "../../../specs/fig5.json"
-        )));
+        assert_eq!(
+            SpecKind::of_json(include_str!("../../../specs/fig5.json")),
+            SpecKind::Experiment
+        );
     }
 
     #[test]
@@ -447,6 +418,17 @@ mod tests {
         let mut spec = PoolScalingSpec::from_json(EMBEDDED).unwrap();
         spec.sizes = vec![100, 100];
         assert!(spec.validate().is_err(), "non-ascending sizes must fail");
+        // The LSH bounds are `AnnSpec::validate`, shared with experiment specs.
+        for field in ["tables", "bits", "probes"] {
+            let mut spec = PoolScalingSpec::from_json(EMBEDDED).unwrap();
+            match field {
+                "tables" => spec.ann.tables = Some(65),
+                "bits" => spec.ann.bits = Some(21),
+                _ => spec.ann.probes = Some(21),
+            }
+            let msg = spec.validate().unwrap_err().to_string();
+            assert!(msg.contains(&format!("`ann.{field}`")), "{msg}");
+        }
     }
 
     #[test]

@@ -1,47 +1,166 @@
-//! Adaptive scheduling layer: round-streamed successive halving over a
-//! resolved grid.
+//! Grid cell execution: one epoch-stepped slot loop runs every grid.
 //!
-//! When a spec carries a [`crate::spec::PruneSpec`], the executor hands
-//! its [`GridCtx`] here instead of fanning run-to-completion cells out.
-//! Every `(cell, repeat)` becomes a *slot* holding a live
-//! [`StreamRun`]; the scheduler advances all slots in lockstep to each
-//! decision epoch (every `checkpoint` rounds), compares cells of the
-//! same dataset on their completed-round metrics, and cuts dominated
-//! cells short with [`StopReason::Pruned`].
+//! [`crate::executor::GridExecutor`] resolves a spec into a [`GridCtx`]
+//! — built datasets, trained LHS selectors, flattened cells — and hands
+//! it to [`execute`]. Every `(cell, repeat)` is a *slot*. The loop
+//! advances the slots of every surviving cell to an epoch *horizon*
+//! (a number of completed curve points), waits for all of them, and —
+//! when the spec carries a [`crate::spec::PruneSpec`] — cuts the cells a
+//! same-dataset cell dominates with [`StopReason::Pruned`]. With
+//! `prune` the horizons are the decision checkpoints `k·checkpoint + 1`
+//! and then the end of the run; without it the end of the run is the
+//! only epoch, so an unpruned grid is a pruned grid with no decisions.
+//!
+//! Within an epoch the alive cells fan out across the rayon pool (a
+//! plain loop under [`crate::executor::GridExecutor::serial`]) and each
+//! cell fans its repeats out in turn. A cell's `wall_ms` is the elapsed
+//! time of its repeat fan-out, summed over epochs. A slot builds its
+//! session on its first advance and drops it as soon as the journal
+//! holds its `cell` record, so an unpruned grid holds no more sessions
+//! than it has slots running.
 //!
 //! # Determinism rules
 //!
-//! * Decisions read **only completed-round curve points**, never
-//!   partial-round state, so they are a pure function of the curves.
+//! * Each slot's bytes depend only on its seed and configuration;
+//!   which thread advances it, and when, never reaches its RNG.
+//! * Decisions run on the calling thread after the epoch barrier and
+//!   read **only curve points completed before it**, never a round in
+//!   flight, so they are a pure function of the curves.
 //! * A cell is pruned at epoch `p` iff some same-dataset cell beats it
 //!   by ≥ `margin` on **every** repeat (strictly on at least one) at
 //!   the epoch's curve point. The rule is order-independent and, with
 //!   the strict clause, two cells can never prune each other.
-//! * Slots advance serially in flattened cell order — there is no
-//!   cross-slot parallelism, so thread scheduling can never reorder a
-//!   decision.
 //! * The prune policy joins [`crate::executor::cell_hash`], so a
 //!   journal written under one policy never replays into another.
 //!   Within a policy, a resumed run replays each completed slot's
 //!   (possibly truncated) curve verbatim; decisions recompute from the
 //!   same prefixes and land identically, byte for byte.
 
+use std::sync::Mutex;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
 use histal_core::analysis::average_curves;
-use histal_core::driver::RunResult;
+use histal_core::driver::{CurvePoint, PoolConfig, RunResult};
 use histal_core::error::Error;
+use histal_core::lhs::LhsSelector;
+use histal_core::session::RunJournal;
 use histal_core::stopping::StopReason;
-use histal_obs::event;
-use histal_obs::span;
+use histal_core::strategy::Strategy;
 use histal_obs::trace::Level;
+use histal_obs::{event, span};
 
-use crate::cell_runner::{stream_repeat, CellOutcome, GridCtx};
-use crate::tasks::StreamRun;
+use crate::executor::{cell_hash, seed_for};
+use crate::journal::JournalCtx;
+use crate::spec::ExperimentSpec;
+use crate::tasks::{with_extras, NerTask, Scale, StreamRun, TextModel, TextTask};
 
-/// What adaptive execution did to the grid, for reports and BENCH.
+/// One resolved dataset of a grid: the built task plus its pool config.
+pub(crate) enum TaskInstance {
+    Text {
+        task: TextTask,
+        config: PoolConfig,
+        /// Multiclass dataset — LHS entries are skipped (the ranker is
+        /// trained on binary Subj; §5.4 applies it to binary tasks).
+        trec_like: bool,
+    },
+    Ner {
+        task: NerTask,
+        config: PoolConfig,
+    },
+}
+
+impl TaskInstance {
+    pub(crate) fn name(&self) -> &str {
+        match self {
+            Self::Text { task, .. } => &task.name,
+            Self::Ner { task, .. } => &task.name,
+        }
+    }
+
+    pub(crate) fn config(&self) -> &PoolConfig {
+        match self {
+            Self::Text { config, .. } => config,
+            Self::Ner { config, .. } => config,
+        }
+    }
+}
+
+/// One flattened grid cell awaiting execution.
+pub(crate) struct Cell {
+    pub(crate) task: usize,
+    pub(crate) group: usize,
+    pub(crate) strategy: Strategy,
+    /// Index into the trained selector list, for LHS cells.
+    pub(crate) lhs: Option<usize>,
+    /// Non-classic selector tag (`lal`, `meta`, `train=DS`), for the
+    /// replay-guard hash; `None` keeps classic LHS hashes untouched.
+    pub(crate) lhs_variant: Option<String>,
+    /// Report label (spec rename, or the resolved display name).
+    pub(crate) display: String,
+    /// Experiment id for seeds and journal keys (entry override or the
+    /// spec's).
+    pub(crate) experiment: String,
+}
+
+/// One executed cell: the averaged curve plus the raw repeats.
+pub struct CellOutcome {
+    /// Report label of the cell.
+    pub name: String,
+    /// Curves averaged over repeats, `strategy_name` set to `name`.
+    pub avg: RunResult,
+    /// The raw per-repeat results (with round diagnostics / history).
+    pub runs: Vec<RunResult>,
+    /// Wall clock of the cell's repeat fan-outs, summed over epochs,
+    /// for BENCH.
+    pub wall_ms: f64,
+}
+
+/// Everything a cell needs to run, resolved once per grid by the
+/// executor and shared (read-only) by every slot.
+pub(crate) struct GridCtx<'a> {
+    pub(crate) spec: &'a ExperimentSpec,
+    pub(crate) scale: Scale,
+    pub(crate) journal: Option<&'a JournalCtx>,
+    pub(crate) model: TextModel,
+    pub(crate) representations: bool,
+    pub(crate) instances: Vec<TaskInstance>,
+    pub(crate) selectors: Vec<LhsSelector>,
+    pub(crate) cells: Vec<Cell>,
+}
+
+/// Build the session for one repeat of one cell.
+fn stream_repeat(ctx: &GridCtx<'_>, c: usize, seed: u64, journal: Option<RunJournal>) -> StreamRun {
+    let cell = &ctx.cells[c];
+    let strategy = cell.strategy.clone();
+    match &ctx.instances[cell.task] {
+        TaskInstance::Text { task, config, .. } => {
+            // Specs reject learned selectors alongside representations.
+            let lhs = cell.lhs.map(|i| ctx.selectors[i].clone());
+            match ctx.model {
+                // Representation grids always train the logistic model.
+                TextModel::NaiveBayes if !ctx.representations => {
+                    let builder = task.builder(task.naive_bayes(), strategy, config, seed);
+                    StreamRun::Nb(with_extras(builder, lhs, journal).build_session())
+                }
+                _ => {
+                    let mut builder = task.builder(task.model(0), strategy, config, seed);
+                    if ctx.representations {
+                        builder = builder.representations(task.representations());
+                    }
+                    StreamRun::Text(with_extras(builder, lhs, journal).build_session())
+                }
+            }
+        }
+        TaskInstance::Ner { task, config } => {
+            let builder = task.builder(task.model(), strategy, config, seed);
+            StreamRun::Ner(with_extras(builder, None, journal).build_session())
+        }
+    }
+}
+
+/// What pruning did to the grid, for reports and BENCH.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AdaptiveSummary {
     /// Cell-rounds (recorded curve points) an exhaustive run would
@@ -61,58 +180,105 @@ impl AdaptiveSummary {
     }
 }
 
-/// One `(cell, repeat)` execution slot.
-#[allow(clippy::large_enum_variant)] // a handful of slots exist at once
+/// Where one `(cell, repeat)` slot stands.
+#[allow(clippy::large_enum_variant)] // one per slot, never moved in bulk
 enum SlotState {
-    /// Replayed from the journal — the (possibly truncated) curve a
-    /// previous run recorded under the same config hash.
-    Cached(RunResult),
+    /// Not advanced yet: no session built.
+    Pending,
     /// A live round-streamed session.
     Live(StreamRun),
-    /// Finished this run (naturally or pruned), record written.
-    Finished(RunResult),
+    /// Finished (run out, pruned, or replayed from the journal); the
+    /// journal holds its record and the session is gone.
+    Done(RunResult),
 }
 
+/// One `(cell, repeat)` execution slot.
 struct Slot {
     cell: usize,
     key: String,
     seed: u64,
+    hash: u64,
     state: SlotState,
 }
 
 impl Slot {
-    /// Completed-round curve points visible so far.
-    fn points(&self) -> usize {
+    /// The curve points completed so far.
+    fn curve(&self) -> &[CurvePoint] {
         match &self.state {
-            SlotState::Cached(r) | SlotState::Finished(r) => r.curve.len(),
-            SlotState::Live(run) => run.curve().len(),
+            SlotState::Pending => &[],
+            SlotState::Live(run) => run.curve(),
+            SlotState::Done(r) => &r.curve,
         }
     }
 
-    /// Metric of completed-round point `i`, if recorded.
-    fn metric_at(&self, i: usize) -> Option<f64> {
-        let curve = match &self.state {
-            SlotState::Cached(r) | SlotState::Finished(r) => &r.curve,
-            SlotState::Live(run) => run.curve(),
+    /// Advance to `horizon` completed points or natural completion,
+    /// whichever comes first. The first advance replays the journal's
+    /// record of the slot or builds its session.
+    fn advance(&mut self, ctx: &GridCtx<'_>, horizon: usize) -> Result<(), Error> {
+        if let SlotState::Pending = self.state {
+            self.state = match ctx.journal.and_then(|j| j.cached(&self.key, self.hash)) {
+                Some(cached) => {
+                    event!(Level::Info, "journal.replay", cell = self.key.clone());
+                    SlotState::Done(cached.clone())
+                }
+                None => {
+                    let journal = ctx
+                        .journal
+                        .map(|j| j.run_journal(&self.key, self.hash, self.seed));
+                    SlotState::Live(stream_repeat(ctx, self.cell, self.seed, journal))
+                }
+            };
+        }
+        let SlotState::Live(run) = &mut self.state else {
+            return Ok(());
         };
-        curve.get(i).map(|p| p.metric)
+        if run.curve().len() >= horizon {
+            return Ok(());
+        }
+        let _span = span!(
+            Level::Debug,
+            "harness.cell",
+            cell = self.key.clone(),
+            seed = self.seed
+        );
+        let mut done = false;
+        while !done && run.curve().len() < horizon {
+            done = run.advance_round()?;
+        }
+        if done {
+            self.finish(ctx, StopReason::RoundsExhausted)?;
+        }
+        Ok(())
+    }
+
+    /// Close a live session with `reason`, write its journal record and
+    /// drop it — a pruned result is an exact prefix of the full run.
+    fn finish(&mut self, ctx: &GridCtx<'_>, reason: StopReason) -> Result<(), Error> {
+        if let SlotState::Live(run) = &mut self.state {
+            let result = run.finish(reason);
+            if let Some(j) = ctx.journal {
+                j.try_complete(&self.key, self.hash, self.seed, &result)?;
+            }
+            self.state = SlotState::Done(result);
+        }
+        Ok(())
     }
 }
 
-/// Execute the grid adaptively: stream every slot round by round,
-/// pruning dominated cells at each checkpoint epoch. Returns the cell
-/// outcomes in flattened cell order plus the pruning summary.
-pub(crate) fn execute_adaptive(
+/// A slot's lock is poisoned only when its advance panicked, and that
+/// panic has already unwound out of the epoch's fan-out.
+const POISONED: &str = "a slot's advance panicked and was re-raised";
+
+/// Run every slot of the grid through the epoch loop. Returns the cell
+/// outcomes in flattened cell order, plus the pruning summary when the
+/// spec sets `prune`. The first failing slot, in slot order, aborts the
+/// grid with an error naming its cell key.
+pub(crate) fn execute(
     ctx: &GridCtx<'_>,
-) -> Result<(Vec<CellOutcome>, AdaptiveSummary), Error> {
-    let prune = ctx
-        .spec
-        .prune
-        .as_ref()
-        .expect("adaptive path requires a prune policy");
-    let checkpoint = prune.checkpoint_rounds();
-    let margin = prune.margin_value();
+    serial: bool,
+) -> Result<(Vec<CellOutcome>, Option<AdaptiveSummary>), Error> {
     let repeats = ctx.scale.repeats;
+    let n_cells = ctx.cells.len();
 
     // Total curve points of each cell's runs (rounds + the initial
     // point). Uniform within a dataset; datasets may differ.
@@ -122,119 +288,93 @@ pub(crate) fn execute_adaptive(
         .map(|cell| ctx.instances[cell.task].config().rounds + 1)
         .collect();
 
-    // Materialise the slots, cell-major then repeat — replaying any the
-    // journal already completed under this exact policy.
-    let mut slots: Vec<Slot> = Vec::with_capacity(ctx.cells.len() * repeats);
-    for c in 0..ctx.cells.len() {
-        let hash = ctx.hash(c);
+    // Slots are cell-major, then repeat; each sits behind its own lock
+    // so a cell's repeat fan-out can advance them in place. Seeds and
+    // journal keys derive only from `(experiment, dataset, strategy,
+    // repeat)`, per the determinism contract; the replay-guard hash is
+    // everything else that determines a cell's bytes (see [`cell_hash`]).
+    let mut slots: Vec<Mutex<Slot>> = Vec::with_capacity(n_cells * repeats);
+    for (c, cell) in ctx.cells.iter().enumerate() {
+        let inst = &ctx.instances[cell.task];
+        let beam = match inst {
+            TaskInstance::Ner { task, .. } => task.score_beam,
+            TaskInstance::Text { .. } => None,
+        };
+        let hash = cell_hash(
+            &cell.experiment,
+            inst.name(),
+            &cell.strategy,
+            inst.config(),
+            &ctx.scale,
+            cell.lhs.is_some(),
+            cell.lhs_variant.as_deref(),
+            beam,
+            ctx.spec.budget.as_ref(),
+            ctx.spec.prune.as_ref(),
+        );
+        let strategy = cell.strategy.name();
         for r in 0..repeats {
-            let key = ctx.key(c, r);
-            let seed = ctx.seed(c, r);
-            let state = match ctx.journal.and_then(|j| j.cached(&key, hash)) {
-                Some(cached) => {
-                    event!(Level::Info, "journal.replay", cell = key.clone());
-                    SlotState::Cached(cached.clone())
-                }
-                None => {
-                    let journal = ctx.journal.map(|j| j.run_journal(&key, hash, seed));
-                    SlotState::Live(stream_repeat(ctx, c, seed, journal))
-                }
-            };
-            slots.push(Slot {
+            slots.push(Mutex::new(Slot {
                 cell: c,
-                key,
-                seed,
-                state,
-            });
+                key: format!("{}/{}/{strategy}/r{r}", cell.experiment, inst.name()),
+                seed: seed_for(&cell.experiment, inst.name(), &strategy, r),
+                hash,
+                state: SlotState::Pending,
+            }));
         }
     }
 
-    let mut alive: Vec<bool> = vec![true; ctx.cells.len()];
-    let mut walls: Vec<f64> = vec![0.0; ctx.cells.len()];
+    let mut alive: Vec<bool> = vec![true; n_cells];
+    let mut walls: Vec<f64> = vec![0.0; n_cells];
     let mut pruned_cells = 0usize;
 
-    // Advance one slot's live session to `target` completed points (or
-    // natural completion), journaling the result when it finishes.
-    let advance_to = |slot: &mut Slot, target: usize, walls: &mut [f64]| -> Result<(), Error> {
-        let SlotState::Live(run) = &mut slot.state else {
-            return Ok(());
-        };
-        if run.curve().len() >= target {
-            return Ok(());
+    // Decision epochs: every checkpoint short of the longest run.
+    let checkpoints: Vec<usize> = match &ctx.spec.prune {
+        Some(prune) => {
+            let max_total = totals.iter().copied().max().unwrap_or(0);
+            (1..)
+                .map(|k| k * prune.checkpoint_rounds() + 1)
+                .take_while(|&p| p < max_total)
+                .collect()
         }
-        let start = Instant::now();
-        let _span = span!(
-            Level::Debug,
-            "harness.cell",
-            cell = slot.key.clone(),
-            seed = slot.seed
-        );
-        let mut done = false;
-        while !done && run.curve().len() < target {
-            done = run.advance_round().map_err(|e| e.in_cell(&slot.key))?;
-        }
-        walls[slot.cell] += start.elapsed().as_secs_f64() * 1e3;
-        if done {
-            let result = run.finish(StopReason::RoundsExhausted);
-            if let Some(j) = ctx.journal {
-                j.try_complete(&slot.key, ctx.hash(slot.cell), slot.seed, &result)?;
-            }
-            slot.state = SlotState::Finished(result);
-        }
-        Ok(())
+        None => Vec::new(),
     };
-
-    // Cut every live slot of a pruned cell short and checkpoint the
-    // truncated result — an exact prefix of the exhaustive run.
-    let prune_cell = |slots: &mut [Slot], c: usize| -> Result<(), Error> {
-        for slot in slots.iter_mut().filter(|s| s.cell == c) {
-            if let SlotState::Live(run) = &mut slot.state {
-                let result = run.finish(StopReason::Pruned);
-                if let Some(j) = ctx.journal {
-                    j.try_complete(&slot.key, ctx.hash(c), slot.seed, &result)?;
-                }
-                slot.state = SlotState::Finished(result);
-            }
-        }
-        Ok(())
-    };
-
-    let max_total = totals.iter().copied().max().unwrap_or(0);
-    for k in 1.. {
-        let p = k * checkpoint + 1;
-        if p >= max_total {
-            break;
-        }
-        // Lockstep: bring every surviving slot to the epoch's horizon.
-        for slot in &mut slots {
-            if alive[slot.cell] {
-                advance_to(slot, p.min(totals[slot.cell]), &mut walls)?;
-            }
-        }
-        // Decide from the snapshot of survivors — the rule is
-        // order-independent, so computing the doomed set before
-        // applying it keeps resume byte-identical trivially.
-        let survivors: Vec<usize> = (0..ctx.cells.len()).filter(|&c| alive[c]).collect();
-        let metric = |c: usize, i: usize| -> Option<Vec<f64>> {
-            slots
+    let margin = ctx.spec.prune.as_ref().map_or(0.0, |p| p.margin_value());
+    for &p in &checkpoints {
+        advance_epoch(ctx, &slots, &alive, p, serial, &mut walls)?;
+        // Snapshot each slot's point `p - 1` after the barrier, then
+        // decide from it — the rule is order-independent, so computing
+        // the doomed set before applying it keeps resume byte-identical.
+        let snapshot: Vec<Option<f64>> = slots
+            .iter_mut()
+            .map(|s| {
+                s.get_mut()
+                    .expect(POISONED)
+                    .curve()
+                    .get(p - 1)
+                    .map(|pt| pt.metric)
+            })
+            .collect();
+        let metric = |c: usize| -> Option<Vec<f64>> {
+            snapshot[c * repeats..(c + 1) * repeats]
                 .iter()
-                .filter(|s| s.cell == c)
-                .map(|s| s.metric_at(i))
+                .copied()
                 .collect()
         };
+        let survivors: Vec<usize> = (0..n_cells).filter(|&c| alive[c]).collect();
         let mut doomed: Vec<usize> = Vec::new();
         for &a in &survivors {
             if totals[a] <= p {
                 continue; // already complete — nothing left to save
             }
-            let Some(ma) = metric(a, p - 1) else {
+            let Some(ma) = metric(a) else {
                 continue;
             };
             let dominated = survivors.iter().any(|&b| {
                 if b == a || ctx.cells[b].task != ctx.cells[a].task {
                     return false;
                 }
-                let Some(mb) = metric(b, p - 1) else {
+                let Some(mb) = metric(b) else {
                     return false;
                 };
                 let all = ma.iter().zip(&mb).all(|(a, b)| *b >= *a + margin);
@@ -246,35 +386,40 @@ pub(crate) fn execute_adaptive(
             }
         }
         for c in doomed {
-            prune_cell(&mut slots, c)?;
+            for slot in &mut slots[c * repeats..(c + 1) * repeats] {
+                slot.get_mut()
+                    .expect(POISONED)
+                    .finish(ctx, StopReason::Pruned)?;
+            }
             alive[c] = false;
             pruned_cells += 1;
         }
     }
-    // Run the survivors out to their full horizon.
-    for slot in &mut slots {
-        if alive[slot.cell] {
-            advance_to(slot, totals[slot.cell], &mut walls)?;
-        }
-    }
+    // The last epoch: run every survivor to its end.
+    advance_epoch(ctx, &slots, &alive, usize::MAX, serial, &mut walls)?;
 
-    let completed_cell_rounds: usize = slots.iter().map(Slot::points).sum();
-    let summary = AdaptiveSummary {
-        scheduled_cell_rounds: slots.iter().map(|s| totals[s.cell]).sum(),
-        completed_cell_rounds,
+    let slots: Vec<Slot> = slots
+        .into_iter()
+        .map(|s| s.into_inner().expect(POISONED))
+        .collect();
+    let adaptive = ctx.spec.prune.as_ref().map(|_| AdaptiveSummary {
+        scheduled_cell_rounds: totals.iter().sum::<usize>() * repeats,
+        completed_cell_rounds: slots.iter().map(|s| s.curve().len()).sum(),
         pruned_cells,
-    };
+    });
 
     // Fold the slots back into per-cell outcomes, repeat order.
-    let mut outcomes: Vec<CellOutcome> = Vec::with_capacity(ctx.cells.len());
     let mut slots = slots.into_iter();
+    let mut outcomes: Vec<CellOutcome> = Vec::with_capacity(n_cells);
     for (c, cell) in ctx.cells.iter().enumerate() {
         let runs: Vec<RunResult> = slots
             .by_ref()
             .take(repeats)
             .map(|s| match s.state {
-                SlotState::Cached(r) | SlotState::Finished(r) => r,
-                SlotState::Live(_) => unreachable!("slot left live after final advance"),
+                SlotState::Done(r) => r,
+                SlotState::Pending | SlotState::Live(_) => {
+                    unreachable!("slot left unfinished after the last epoch")
+                }
             })
             .collect();
         let mut avg = average_curves(&runs);
@@ -286,12 +431,54 @@ pub(crate) fn execute_adaptive(
             wall_ms: walls[c],
         });
     }
-    eprintln!(
-        "# adaptive: pruned {}/{} cells, saved {}/{} cell-rounds",
-        summary.pruned_cells,
-        ctx.cells.len(),
-        summary.saved_cell_rounds(),
-        summary.scheduled_cell_rounds
-    );
-    Ok((outcomes, summary))
+    if let Some(summary) = &adaptive {
+        eprintln!(
+            "# adaptive: pruned {}/{} cells, saved {}/{} cell-rounds",
+            summary.pruned_cells,
+            n_cells,
+            summary.saved_cell_rounds(),
+            summary.scheduled_cell_rounds
+        );
+    }
+    Ok((outcomes, adaptive))
+}
+
+/// Bring every slot of every alive cell to `horizon` completed points
+/// (`usize::MAX`: to the end of its run). Cells fan out across the pool
+/// unless `serial`, and each cell fans its repeats out; the call returns
+/// once all of them have — the epoch barrier. Each advanced cell's
+/// fan-out time is added to `walls`.
+fn advance_epoch(
+    ctx: &GridCtx<'_>,
+    slots: &[Mutex<Slot>],
+    alive: &[bool],
+    horizon: usize,
+    serial: bool,
+    walls: &mut [f64],
+) -> Result<(), Error> {
+    let repeats = ctx.scale.repeats;
+    let cells: Vec<usize> = (0..alive.len()).filter(|&c| alive[c]).collect();
+    let advance_cell = |i: usize| {
+        let c = cells[i];
+        let start = Instant::now();
+        let results = rayon::run_indexed(repeats, |r| {
+            // Each index locks a different slot: the lock is never
+            // contended.
+            let mut slot = slots[c * repeats + r].lock().expect(POISONED);
+            slot.advance(ctx, horizon)
+                .map_err(|e| e.in_cell(slot.key.clone()))
+        });
+        (start.elapsed().as_secs_f64() * 1e3, results)
+    };
+    let advanced: Vec<(f64, Vec<Result<(), Error>>)> = if serial {
+        (0..cells.len()).map(advance_cell).collect()
+    } else {
+        rayon::run_indexed(cells.len(), advance_cell)
+    };
+    let mut errors = Vec::new();
+    for (&c, (ms, results)) in cells.iter().zip(advanced) {
+        walls[c] += ms;
+        errors.extend(results.into_iter().filter_map(Result::err));
+    }
+    errors.into_iter().next().map_or(Ok(()), Err)
 }

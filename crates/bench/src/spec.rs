@@ -17,6 +17,54 @@ use serde::{DeError, Deserialize, Serialize, Value};
 use histal_core::error::Error;
 
 use crate::registry;
+use crate::scaling::POOL_SCALING_KIND;
+use crate::transfer::TRANSFER_KIND;
+
+/// The schema a spec file follows, named by its `kind` discriminator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpecKind {
+    /// No `kind`: an [`ExperimentSpec`] grid.
+    Experiment,
+    /// `"kind": "pool-scaling"`: a [`crate::scaling::PoolScalingSpec`].
+    PoolScaling,
+    /// `"kind": "transfer"`: a [`crate::transfer::TransferSpec`].
+    Transfer,
+}
+
+impl SpecKind {
+    /// Peek a JSON body's `kind` without committing to a schema, so
+    /// `spec-check`, `run --spec` and the round-trip tests can route
+    /// each file to its parser. A body without a known `kind`, or one
+    /// that does not parse, is an experiment grid; its parser then
+    /// reports the error.
+    pub fn of_json(body: &str) -> SpecKind {
+        #[derive(Deserialize)]
+        struct KindProbe {
+            #[serde(default)]
+            kind: Option<String>,
+        }
+        let probe = serde_json::from_str::<KindProbe>(body).ok();
+        match probe.and_then(|p| p.kind).as_deref() {
+            Some(POOL_SCALING_KIND) => SpecKind::PoolScaling,
+            Some(TRANSFER_KIND) => SpecKind::Transfer,
+            _ => SpecKind::Experiment,
+        }
+    }
+}
+
+/// Reject a repeat count the seed derivation cannot honour:
+/// [`crate::executor::seed_for`] folds the repeat index in as one byte,
+/// so repeat 256 would reuse repeat 0's seed, and zero repeats leave
+/// nothing to average. `what` names the setting in the error.
+pub(crate) fn check_repeats(what: &str, repeats: usize) -> Result<(), Error> {
+    if (1..=256).contains(&repeats) {
+        Ok(())
+    } else {
+        Err(Error::spec(format!(
+            "{what} must be in 1..=256, got {repeats} — seeds fold the repeat index into one byte"
+        )))
+    }
+}
 
 /// Declarative description of one experiment grid.
 ///
@@ -223,6 +271,25 @@ pub struct AnnSpec {
 }
 
 impl AnnSpec {
+    /// Check the LSH knobs against the index's bounds.
+    pub fn validate(&self) -> Result<(), Error> {
+        let bad = |field: &str, bound: &str, got: usize| {
+            Err(Error::spec(format!(
+                "`ann.{field}` must be {bound}, got {got}"
+            )))
+        };
+        match *self {
+            AnnSpec {
+                tables: Some(t), ..
+            } if !(1..=64).contains(&t) => bad("tables", "in 1..=64", t),
+            AnnSpec { bits: Some(b), .. } if b > 20 => bad("bits", "0 (auto) or at most 20", b),
+            AnnSpec {
+                probes: Some(q), ..
+            } if q > 20 => bad("probes", "at most 20", q),
+            _ => Ok(()),
+        }
+    }
+
     /// Lower the spec overrides onto the crate defaults.
     pub fn to_config(&self) -> histal_text::AnnConfig {
         let d = histal_text::AnnConfig::default();
@@ -539,6 +606,7 @@ impl ExperimentSpec {
             }
         }
         let kind = kind.expect("datasets checked non-empty");
+        let representations = self.pool.as_ref().is_some_and(|p| p.representations);
         for g in &self.groups {
             for e in &g.strategies {
                 let resolved = registry::parse_strategy(&e.strategy)?;
@@ -548,7 +616,19 @@ impl ExperimentSpec {
                         e.strategy
                     )));
                 }
+                let geometry = representations && kind == registry::TaskKind::Text;
+                if resolved.strategy.needs_representations() && !geometry {
+                    return Err(Error::spec(format!(
+                        "strategy `{}`: `+density`/`+mmr`/`+kcenter` need the pool geometry \
+                         only text datasets with `pool.representations` build — without it \
+                         the suffix would do nothing",
+                        e.strategy
+                    )));
+                }
             }
+        }
+        if let Some(r) = self.scale.as_ref().and_then(|s| s.repeats) {
+            check_repeats("`scale.repeats`", r)?;
         }
         for m in &self.metrics {
             registry::parse_metric(m)?;
@@ -586,33 +666,13 @@ impl ExperimentSpec {
                     "`ann` only applies to text datasets — NER cells have no pool geometry",
                 ));
             }
-            if !self.pool.as_ref().is_some_and(|p| p.representations) {
+            if !representations {
                 return Err(Error::spec(
                     "`ann` requires `pool.representations`: without representations \
                      no geometry is built and the index would never be consulted",
                 ));
             }
-            if let Some(t) = ann.tables {
-                if !(1..=64).contains(&t) {
-                    return Err(Error::spec(format!(
-                        "`ann.tables` must be in 1..=64, got {t}"
-                    )));
-                }
-            }
-            if let Some(b) = ann.bits {
-                if b > 20 {
-                    return Err(Error::spec(format!(
-                        "`ann.bits` must be 0 (auto) or at most 20, got {b}"
-                    )));
-                }
-            }
-            if let Some(q) = ann.probes {
-                if q > 20 {
-                    return Err(Error::spec(format!(
-                        "`ann.probes` must be at most 20, got {q}"
-                    )));
-                }
-            }
+            ann.validate()?;
         }
         if let Some(b) = &self.budget {
             let cost = b.cost_per_label.unwrap_or(1.0);
@@ -799,6 +859,25 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("transformer"));
+        // A diversity suffix needs the geometry only text datasets with
+        // representations build; without it the suffix would do nothing.
+        let mut spec = sample();
+        for token in ["entropy+density", "entropy+mmr", "entropy+kcenter"] {
+            spec.groups[0].strategies = vec![StrategyEntry::new(token)];
+            let msg = spec.validate().unwrap_err().to_string();
+            assert!(msg.contains(token) && msg.contains("pool.representations"));
+        }
+        spec.pool = Some(PoolSpec {
+            representations: true,
+            ..Default::default()
+        });
+        assert!(spec.validate().is_ok());
+        spec.datasets = vec![DatasetEntry::new("conll2003-en")];
+        assert!(spec
+            .validate()
+            .unwrap_err()
+            .to_string()
+            .contains("text datasets"));
         assert!(sample().validate().is_ok());
     }
 

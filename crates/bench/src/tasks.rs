@@ -212,10 +212,10 @@ pub(crate) fn with_extras<M: Model>(
 }
 
 /// One grid cell repeat as a round-streamed [`Session`], advanced one
-/// curve point at a time by the adaptive scheduler. The enum erases the
-/// model type so text (logistic / naive bayes) and NER (CRF) cells sit
-/// in one scheduling pool. [`StreamRun::run_to_end`] is the classic
-/// run-to-completion path; the scheduler advances it round by round.
+/// curve point at a time by the grid's slot loop
+/// ([`crate::scheduler`]). The enum erases the model type so text
+/// (logistic / naive bayes) and NER (CRF) cells sit in one pool of
+/// slots.
 pub enum StreamRun {
     /// Logistic text classifier session.
     Text(Session<TextClassifier>),
@@ -225,54 +225,37 @@ pub enum StreamRun {
     Ner(Session<CrfTagger>),
 }
 
-impl StreamRun {
-    /// Drive the session to completion against the hidden labels.
-    pub fn run_to_end(&mut self) -> Result<RunResult, Error> {
-        match self {
-            StreamRun::Text(s) => s.run_hidden(),
-            StreamRun::Nb(s) => s.run_hidden(),
-            StreamRun::Ner(s) => s.run_hidden(),
+/// Evaluate `$body` with `$s` bound to whichever session `$run` holds.
+macro_rules! with_session {
+    ($run:expr, $s:ident => $body:expr) => {
+        match $run {
+            StreamRun::Text($s) => $body,
+            StreamRun::Nb($s) => $body,
+            StreamRun::Ner($s) => $body,
         }
-    }
+    };
+}
 
+impl StreamRun {
     /// Record one more curve point (one fit/eval/score/select cycle)
     /// against the hidden labels; returns `true` once the run is done.
     pub fn advance_round(&mut self) -> Result<bool, Error> {
-        let step = match self {
-            StreamRun::Text(s) => s.run_round_hidden()?,
-            StreamRun::Nb(s) => s.run_round_hidden()?,
-            StreamRun::Ner(s) => s.run_round_hidden()?,
-        };
-        Ok(step == SessionStep::Done)
+        Ok(with_session!(self, s => s.run_round_hidden())? == SessionStep::Done)
     }
 
     /// The learning curve recorded so far.
     pub fn curve(&self) -> &[CurvePoint] {
-        match self {
-            StreamRun::Text(s) => s.curve(),
-            StreamRun::Nb(s) => s.curve(),
-            StreamRun::Ner(s) => s.curve(),
-        }
+        with_session!(self, s => s.curve())
     }
 
     /// Finish now (no-op when already done) and take the result — the
     /// exact prefix a full run would have produced. Pass
-    /// [`StopReason::Pruned`] from the scheduler's early-stop path.
+    /// [`StopReason::Pruned`] when the slot loop prunes the cell.
     pub fn finish(&mut self, reason: StopReason) -> RunResult {
-        match self {
-            StreamRun::Text(s) => {
-                s.finish_early(reason);
-                s.result().expect("finished session has a result").clone()
-            }
-            StreamRun::Nb(s) => {
-                s.finish_early(reason);
-                s.result().expect("finished session has a result").clone()
-            }
-            StreamRun::Ner(s) => {
-                s.finish_early(reason);
-                s.result().expect("finished session has a result").clone()
-            }
-        }
+        with_session!(self, s => {
+            s.finish_early(reason);
+            s.result().expect("finished session has a result").clone()
+        })
     }
 }
 
@@ -344,14 +327,6 @@ impl NerTask {
             .strategy(strategy)
             .config(config.clone())
             .seed(seed)
-    }
-
-    /// Run one active-learning loop.
-    pub fn run(&self, strategy: Strategy, config: &PoolConfig, seed: u64) -> RunResult {
-        self.builder(self.model(), strategy, config, seed)
-            .build()
-            .run()
-            .expect("strategy capabilities satisfied")
     }
 }
 

@@ -43,22 +43,6 @@ use crate::tasks::{Scale, TextTask};
 /// The `kind` discriminator of transfer spec files.
 pub const TRANSFER_KIND: &str = "transfer";
 
-/// Cheap peek: does this JSON body declare `"kind": "transfer"`?
-/// Mirrors [`crate::scaling::is_pool_scaling_json`] so `spec-check` and
-/// `run --spec` can route files to the right schema without parsing
-/// them twice.
-pub fn is_transfer_json(body: &str) -> bool {
-    #[derive(Deserialize)]
-    struct KindProbe {
-        #[serde(default)]
-        kind: Option<String>,
-    }
-    serde_json::from_str::<KindProbe>(body)
-        .ok()
-        .and_then(|p| p.kind)
-        .is_some_and(|k| k == TRANSFER_KIND)
-}
-
 /// Declarative description of one transfer matrix.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TransferSpec {
@@ -450,10 +434,15 @@ mod tests {
 
     #[test]
     fn kind_probe_routes_transfer_files() {
-        assert!(is_transfer_json(r#"{"kind": "transfer", "name": "x"}"#));
-        assert!(!is_transfer_json(r#"{"kind": "pool-scaling"}"#));
-        assert!(!is_transfer_json(r#"{"name": "fig5"}"#));
-        assert!(!is_transfer_json("not json"));
+        use crate::spec::SpecKind;
+        let kind = SpecKind::of_json;
+        assert_eq!(
+            kind(r#"{"kind": "transfer", "name": "x"}"#),
+            SpecKind::Transfer
+        );
+        assert_eq!(kind(r#"{"kind": "pool-scaling"}"#), SpecKind::PoolScaling);
+        assert_eq!(kind(r#"{"name": "fig5"}"#), SpecKind::Experiment);
+        assert_eq!(kind("not json"), SpecKind::Experiment);
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Golden tests of the adaptive (round-streamed, pruned) execution
-//! path: pruned curves must be exact prefixes of exhaustive ones, and a
-//! torn journal must resume to byte-identical output — including the
-//! pruning decisions themselves.
+//! Golden tests of pruned grid execution: pruned curves must be exact
+//! prefixes of exhaustive ones, a torn journal must resume to
+//! byte-identical output — including the pruning decisions themselves —
+//! and the thread count must not move a byte or a decision, although
+//! slots advance in parallel within each epoch.
 
 use histal_bench::executor::{GridExecutor, GridOutcome};
 use histal_bench::journal::JournalCtx;
@@ -154,4 +155,49 @@ fn adaptive_resume_from_torn_journal_is_byte_identical() {
         std::fs::remove_file(&torn).ok();
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// The `specs/adaptive-sweep.json` shape (two datasets, six strategies,
+/// checkpoint 1, margin 0): slots advance in parallel within each epoch,
+/// so running at 1 and 4 threads must give the same timing-free outcome
+/// and the same pruning decisions.
+#[test]
+fn pruned_grid_is_identical_at_one_and_four_threads() {
+    let spec = ExperimentSpec::from_json(
+        r#"{
+          "name": "adaptive-threads",
+          "experiment": "adaptive-threads",
+          "split_seed": 173,
+          "datasets": ["mr", "sst2"],
+          "groups": [
+            {"strategies": ["random", "entropy", "LC",
+                            "HUS(entropy)", "WSHS(entropy)", "FHS(entropy)"]}
+          ],
+          "scale": {"factor": 0.05, "repeats": 2},
+          "prune": {"checkpoint": 1, "margin": 0.0}
+        }"#,
+    )
+    .expect("test spec parses");
+    let run_at = |threads: usize| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("thread pool")
+            .install(|| GridExecutor::new(&spec, &scale()).execute())
+            .expect("pruned grid runs")
+    };
+    let serial = run_at(1);
+    let parallel = run_at(4);
+    let summary = serial.adaptive.expect("pruned grid has a summary");
+    assert!(summary.pruned_cells > 0, "margin 0 must prune something");
+    assert_eq!(
+        parallel.adaptive.expect("pruned grid has a summary"),
+        summary,
+        "pruning decisions changed with the thread count"
+    );
+    assert_eq!(
+        to_json_no_timings(&serial),
+        to_json_no_timings(&parallel),
+        "pruned grid output changed with the thread count"
+    );
 }

@@ -5,7 +5,9 @@
 //! stdout and `results/*.json` byte-identical to the pre-refactor
 //! harness, and a journal written by the pre-refactor binary must resume
 //! byte-identically. The goldens under `tests/goldens/` were captured
-//! from the hand-coded monolith at `--scale 0.02 --repeats 1` (debug).
+//! from the hand-coded monolith at `--scale 0.02 --repeats 1` (debug);
+//! the `compare` and `significance` goldens from those commands' own
+//! serial repeat loops, before they became specs run by the executor.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -150,6 +152,39 @@ fn fig3_text_resumes_pre_refactor_journal_byte_identically() {
         stdout,
         golden("fig3_text_s002_r1.stdout"),
         "resumed fig3-text stdout drifted from the pre-refactor golden"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `compare` runs as a two-cell spec through the grid executor; its
+/// curves and verdict table must match the hand-rolled repeat loop it
+/// replaced.
+#[test]
+fn compare_matches_golden() {
+    let dir = scratch("compare");
+    let (stdout, _) = run(&dir, &["compare", "entropy", "WSHS(entropy)"]);
+    assert_eq!(
+        stdout,
+        golden("compare_s002_r1.stdout"),
+        "compare stdout drifted"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Same contract for `significance`: stdout and its results JSON.
+#[test]
+fn significance_matches_golden() {
+    let dir = scratch("significance");
+    let (stdout, _) = run(&dir, &["significance"]);
+    assert_eq!(
+        stdout,
+        golden("significance_s002_r1.stdout"),
+        "significance stdout drifted"
+    );
+    assert_eq!(
+        results_json(&dir, "significance.json"),
+        golden("significance_s002_r1.json"),
+        "significance results JSON drifted"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

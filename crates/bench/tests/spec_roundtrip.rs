@@ -240,8 +240,9 @@ proptest! {
 /// schema; everything else is an [`ExperimentSpec`].
 #[test]
 fn checked_in_specs_parse_validate_and_round_trip() {
-    use histal_bench::scaling::{is_pool_scaling_json, PoolScalingSpec};
-    use histal_bench::transfer::{is_transfer_json, TransferSpec};
+    use histal_bench::scaling::PoolScalingSpec;
+    use histal_bench::spec::SpecKind;
+    use histal_bench::transfer::TransferSpec;
 
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs");
     let mut paths: Vec<_> = std::fs::read_dir(dir)
@@ -255,7 +256,8 @@ fn checked_in_specs_parse_validate_and_round_trip() {
     let mut transfer_specs = 0usize;
     for path in paths {
         let body = std::fs::read_to_string(&path).unwrap();
-        if is_pool_scaling_json(&body) {
+        let kind = SpecKind::of_json(&body);
+        if kind == SpecKind::PoolScaling {
             scaling_specs += 1;
             let spec = PoolScalingSpec::from_json(&body)
                 .unwrap_or_else(|e| panic!("{}: parse failed: {e}", path.display()));
@@ -271,7 +273,7 @@ fn checked_in_specs_parse_validate_and_round_trip() {
             );
             continue;
         }
-        if is_transfer_json(&body) {
+        if kind == SpecKind::Transfer {
             transfer_specs += 1;
             let spec = TransferSpec::from_json(&body)
                 .unwrap_or_else(|e| panic!("{}: parse failed: {e}", path.display()));

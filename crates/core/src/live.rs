@@ -289,8 +289,9 @@ impl<M: Model> Session<M> {
         // cached norms and CSR storage, built once per run instead of
         // recomputing norms inside every cosine.
         let geometry: Option<PoolGeometry> = representations.as_ref().and_then(|reps| {
-            let needed = strategy.density.is_some() || strategy.mmr.is_some() || strategy.kcenter;
-            needed.then(|| PoolGeometry::build(reps))
+            strategy
+                .needs_representations()
+                .then(|| PoolGeometry::build(reps))
         });
         // ANN index over the same rows, from its own seed stream. `ann:
         // None` skips it and every combinator runs its exact path.

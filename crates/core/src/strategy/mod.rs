@@ -293,6 +293,13 @@ impl Strategy {
         self
     }
 
+    /// Does a combinator need sample representations (pool geometry)?
+    /// Density weighting, MMR and k-center do; without representations
+    /// they would silently fall back to plain top-k.
+    pub fn needs_representations(&self) -> bool {
+        self.density.is_some() || self.mmr.is_some() || self.kcenter
+    }
+
     /// Report name, e.g. `"WSHS(entropy)"` or `"LC"`.
     pub fn name(&self) -> String {
         if let Some(k) = self.hkld {

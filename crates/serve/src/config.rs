@@ -167,8 +167,7 @@ impl SessionConfig {
             ));
         }
         let strategy = resolved.strategy;
-        let wants_representations =
-            strategy.density.is_some() || strategy.mmr.is_some() || strategy.kcenter;
+        let wants_representations = strategy.needs_representations();
         let config = self.pool_config();
 
         match parse_dataset(&self.dataset)? {

@@ -93,6 +93,15 @@ echo "    and resumes byte-identically (pruning decisions included)"
     diff adaptive-first.out adaptive-second.out
 )
 
+echo "==> significance smoke: its repeats now fan out through the grid executor,"
+echo "    so 1 and 4 worker threads must print the same table"
+(
+    cd "$SMOKE_DIR"
+    "$BIN" significance --scale 0.05 --repeats 1 --threads 1 > sig-1t.out 2> /dev/null
+    "$BIN" significance --scale 0.05 --repeats 1 --threads 4 > sig-4t.out 2> /dev/null
+    diff sig-1t.out sig-4t.out
+)
+
 echo "==> transfer smoke: selector train -> save -> load -> apply across datasets,"
 echo "    and the checked-in transfer matrix runs end-to-end"
 (
