@@ -90,6 +90,17 @@ impl SequencePredictor for TrainedPredictor {
     }
 }
 
+impl TrainedPredictor {
+    /// Check the parameter shapes a deserialized predictor indexes by.
+    fn check_shape(&self) -> Result<(), String> {
+        match self {
+            Self::Lstm(p) => p.check_shape(),
+            Self::Ar(p) => p.check_shape(),
+            Self::Holt(_) => Ok(()),
+        }
+    }
+}
+
 impl LhsArtifacts {
     /// Build the runtime selector from these artifacts.
     pub fn into_selector(self) -> LhsSelector {
@@ -153,7 +164,9 @@ pub fn save_artifacts(
 }
 
 /// Load an `HLRN1` envelope from `path`, rejecting wrong magic or
-/// version.
+/// version and a predictor whose parameter shapes don't match its own
+/// header (which would otherwise load fine and panic at the first
+/// prediction).
 pub fn load_artifacts(path: &Path) -> Result<(LhsArtifacts, ArtifactProvenance), Error> {
     let body = std::fs::read_to_string(path)
         .map_err(|e| Error::spec(format!("reading artifact {}: {e}", path.display())))?;
@@ -173,6 +186,11 @@ pub fn load_artifacts(path: &Path) -> Result<(LhsArtifacts, ArtifactProvenance),
             envelope.version
         )));
     }
+    envelope
+        .artifacts
+        .predictor
+        .check_shape()
+        .map_err(|e| Error::spec(format!("artifact {}: {e}", path.display())))?;
     Ok((envelope.artifacts, envelope.provenance))
 }
 
@@ -181,6 +199,9 @@ mod tests {
     use super::*;
     use crate::error::ErrorKind;
     use histal_ltr::{PointwiseConfig, TreeConfig};
+    use histal_tseries::LstmConfig;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     fn tiny_artifacts() -> LhsArtifacts {
         let rows: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64]).collect();
@@ -254,6 +275,50 @@ mod tests {
         };
         std::fs::remove_file(&path).ok();
         assert!(matches!(err.kind, ErrorKind::Conflict { .. }), "{err}");
+    }
+
+    #[test]
+    fn hlrn1_rejects_shape_inconsistent_predictors() {
+        let history = vec![vec![0.1, 0.4, 0.3, 0.2, 0.5]; 4];
+        let config = LstmConfig {
+            hidden: 3,
+            epochs: 1,
+            ..LstmConfig::default()
+        };
+        let lstm = LstmPredictor::fit(&history, config, &mut ChaCha8Rng::seed_from_u64(3));
+        let artifacts = LhsArtifacts {
+            predictor: TrainedPredictor::Lstm(lstm),
+            ..tiny_artifacts()
+        };
+        let ar = LhsArtifacts {
+            predictor: TrainedPredictor::Ar(ArPredictor::fit(&history, 2)),
+            ..tiny_artifacts()
+        };
+        let path = tmp_path("shape.json");
+        save_artifacts(&artifacts, &ArtifactProvenance::default(), &path).expect("save");
+        let lstm_body = std::fs::read_to_string(&path).expect("read back");
+        save_artifacts(&ar, &ArtifactProvenance::default(), &path).expect("save");
+        let ar_body = std::fs::read_to_string(&path).expect("read back");
+        assert!(load_artifacts(&path).is_ok());
+        let corruptions = [
+            // Header says 4 hidden units; the weight blocks hold 3.
+            lstm_body.replace("\"hidden\":3", "\"hidden\":4"),
+            lstm_body.replace("\"window\":5", "\"window\":0"),
+            ar_body.replace("\"order\":2", "\"order\":3"),
+        ];
+        for corrupt in corruptions {
+            std::fs::write(&path, &corrupt).expect("rewrite");
+            let err = match load_artifacts(&path) {
+                Err(err) => err,
+                Ok((loaded, _)) => {
+                    // What a selector would do next with the accepted file.
+                    let y = loaded.predictor.predict_next(&[0.2, 0.3, 0.4, 0.1]);
+                    panic!("shape-inconsistent artifact accepted (predicted {y})")
+                }
+            };
+            assert!(matches!(err.kind, ErrorKind::Spec { .. }), "{err}");
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

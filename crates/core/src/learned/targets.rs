@@ -9,8 +9,7 @@
 //! * [`TargetKind::Pairwise`] — the paper's LHS formulation: each round
 //!   is a ranking query group, deltas are bucketed into graded relevance
 //!   levels, and a pairwise ranker (LambdaMART or pairwise-logistic
-//!   linear) is fitted. [`train_lhs_artifacts`] is this path, unchanged
-//!   byte for byte from the original monolith.
+//!   linear) is fitted. [`train_lhs_artifacts`] is this configuration.
 //! * [`TargetKind::Pointwise`] — the LAL formulation (Konyushkova et
 //!   al., "Learning Active Learning from Data"): the raw deltas are
 //!   pointwise expected-error-reduction regression targets, flattened
@@ -33,6 +32,7 @@ use histal_ltr::{
     LambdaMart, LambdaMartConfig, LinearRanker, LinearRankerConfig, PointwiseConfig,
     PointwiseRegressor, QueryGroup, RankingDataset,
 };
+use histal_obs::{span, Level};
 use histal_tseries::{ArPredictor, HoltPredictor, LstmConfig, LstmPredictor};
 
 use crate::driver::{mix_seed, top_k};
@@ -233,13 +233,8 @@ where
 
 /// Train an LHS selector per Algorithm 1 on a fully labeled dataset
 /// (the paper uses Subj) and a held-out evaluation split, returning the
-/// serializable [`LhsArtifacts`].
-///
-/// Phase 1 simulates plain active learning with the base strategy to
-/// collect historical sequences and trains the next-score predictor on
-/// them. Phase 2 reruns the loop measuring `Eval(M′) − Eval(M)` for every
-/// candidate, forming one ranking query group per round, and fits the
-/// ranker.
+/// serializable [`LhsArtifacts`]: [`train_learned_artifacts`] with
+/// [`LearnedTrainerConfig::pairwise`].
 pub fn train_lhs_artifacts<M>(
     prototype: &M,
     samples: &[M::Sample],
@@ -254,127 +249,31 @@ where
     M::Sample: Clone,
     M::Label: Clone,
 {
-    assert_eq!(
-        samples.len(),
-        labels.len(),
-        "training samples/labels misaligned"
-    );
-    assert_eq!(
-        eval_samples.len(),
-        eval_labels.len(),
-        "eval samples/labels misaligned"
-    );
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    // Beyond the base strategy's own needs, Algorithm 1 builds its
-    // candidate set from entropy + LC and may featurize posteriors.
-    let mut caps = config.base.caps();
-    caps.entropy = true;
-    caps.probs = caps.probs || config.features.use_probs;
-
-    // ---- Phase 1: collect history sequences, train the predictor. ----
-    let mut sim = Simulation::new(
-        prototype.clone(),
+    train_learned_artifacts(
+        prototype,
         samples,
         labels,
-        config.init_labeled,
-        &mut rng,
-    );
-    for round in 0..config.rounds {
-        sim.fit(&mut rng);
-        let (unlabeled, base_scores) = sim.score_pool(config.base, &caps, seed, round, &mut rng)?;
-        let batch = config.add_per_round.min(unlabeled.len());
-        let picks = top_k(&base_scores, batch);
-        let ids: Vec<usize> = picks.iter().map(|&p| unlabeled[p]).collect();
-        sim.label(&ids);
-    }
-    let sequences = sim.history.non_empty_sequences();
-    let predictor: TrainedPredictor = match &config.predictor {
-        PredictorKind::Lstm(cfg) => {
-            TrainedPredictor::Lstm(LstmPredictor::fit(&sequences, cfg.clone(), &mut rng))
-        }
-        PredictorKind::Ar { order } => TrainedPredictor::Ar(ArPredictor::fit(&sequences, *order)),
-        PredictorKind::Holt => TrainedPredictor::Holt(HoltPredictor::fit(&sequences)),
-    };
-
-    // ---- Phase 2: Algorithm 1 — measure deltas, build ranking data. ----
-    let mut sim = Simulation::new(
-        prototype.clone(),
-        samples,
-        labels,
-        config.init_labeled,
-        &mut rng,
-    );
-    let eval_s: Vec<&M::Sample> = eval_samples.iter().collect();
-    let eval_l: Vec<&M::Label> = eval_labels.iter().collect();
-    let mut dataset = RankingDataset::new();
-    for round in 0..config.rounds {
-        sim.fit(&mut rng);
-        let base_metric = sim.model.metric(&eval_s, &eval_l);
-        let (unlabeled, _) = sim.score_pool(config.base, &caps, seed, round, &mut rng)?;
-        if unlabeled.is_empty() {
-            break;
-        }
-        let evals = &sim.last_evals;
-        let candidates = candidate_set(evals, config.candidates_per_round);
-        // Trial-retrain for every candidate in parallel (line 7 of Alg. 1).
-        let labeled_ids = sim.pool.labeled().to_vec();
-        let deltas: Vec<f64> = candidates
-            .par_iter()
-            .map(|&pos| {
-                let id = unlabeled[pos];
-                let mut trial = sim.model.clone();
-                let mut trial_ids = labeled_ids.clone();
-                trial_ids.push(id);
-                let s: Vec<&M::Sample> = trial_ids.iter().map(|&i| &samples[i]).collect();
-                let l: Vec<&M::Label> = trial_ids.iter().map(|&i| &labels[i]).collect();
-                let mut trial_rng =
-                    ChaCha8Rng::seed_from_u64(mix_seed(seed, round as u64, id as u64));
-                trial.fit(&s, &l, &mut trial_rng);
-                trial.metric(&eval_s, &eval_l) - base_metric
-            })
-            .collect();
-        let rows: Vec<Vec<f64>> = candidates
-            .iter()
-            .map(|&pos| {
-                config.features.extract(
-                    &sim.history.seq(unlabeled[pos]).to_vec(),
-                    &evals[pos],
-                    &predictor,
-                )
-            })
-            .collect();
-        let levels = bucket_levels(&deltas, config.level_interval);
-        dataset.push(QueryGroup::new(rows, levels));
-        // Line 11: move the highest-delta candidates into L.
-        let best = top_k(&deltas, config.add_per_round.min(candidates.len()));
-        let ids: Vec<usize> = best.iter().map(|&i| unlabeled[candidates[i]]).collect();
-        sim.label(&ids);
-    }
-
-    let ranker: TrainedRanker = match &config.ranker {
-        RankerKind::LambdaMart(cfg) => TrainedRanker::LambdaMart(LambdaMart::fit(&dataset, cfg)),
-        RankerKind::Linear(cfg) => {
-            TrainedRanker::Linear(LinearRanker::fit(&dataset, cfg, &mut rng))
-        }
-    };
-    Ok(LhsArtifacts {
-        ranker,
-        predictor,
-        features: config.features,
-        candidate_pool: config.selector_candidate_pool,
-        use_meta: false,
-    })
+        eval_samples,
+        eval_labels,
+        &LearnedTrainerConfig::pairwise(config.clone()),
+        seed,
+    )
 }
 
 /// Train a learned selector with an explicit [`TargetKind`] and optional
 /// meta-feature block, returning the serializable [`LhsArtifacts`].
 ///
-/// The classic configuration (pairwise, no meta) routes through
-/// [`train_lhs_artifacts`] unchanged — identical RNG stream, identical
-/// artifacts. Every other configuration runs the same two-phase
-/// simulation but collects its training rows through the generalized
-/// emitter: meta-features appended per round when requested, and either
-/// graded query groups (pairwise) or flat regression pairs (pointwise).
+/// Phase 1 simulates plain active learning with the base strategy to
+/// collect historical sequences and trains the next-score predictor on
+/// them. Phase 2 reruns the loop measuring `Eval(M′) − Eval(M)` for every
+/// candidate and emits one training row per candidate, with the
+/// pool-level meta-features appended when requested: a graded ranking
+/// query group per round (pairwise) or flat regression pairs
+/// (pointwise). The ranker or regressor is fitted last.
+///
+/// Each phase runs in a `Level::Trace` span — `learned.simulate`,
+/// `learned.predictor_fit`, `learned.trials` and `learned.ranker_fit` —
+/// so a `--trace=trace` run shows where selector training goes.
 pub fn train_learned_artifacts<M>(
     prototype: &M,
     samples: &[M::Sample],
@@ -389,17 +288,6 @@ where
     M::Sample: Clone,
     M::Label: Clone,
 {
-    if config.target == TargetKind::Pairwise && !config.use_meta {
-        return train_lhs_artifacts(
-            prototype,
-            samples,
-            labels,
-            eval_samples,
-            eval_labels,
-            &config.trainer,
-            seed,
-        );
-    }
     let trainer = &config.trainer;
     assert_eq!(
         samples.len(),
@@ -412,11 +300,14 @@ where
         "eval samples/labels misaligned"
     );
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    // Beyond the base strategy's own needs, Algorithm 1 builds its
+    // candidate set from entropy + LC and may featurize posteriors.
     let mut caps = trainer.base.caps();
     caps.entropy = true;
     caps.probs = caps.probs || trainer.features.use_probs;
 
-    // ---- Phase 1: identical to the pairwise path. ----
+    // ---- Phase 1: collect history sequences, train the predictor. ----
+    let simulate_span = span!(Level::Trace, "learned.simulate", rounds = trainer.rounds);
     let mut sim = Simulation::new(
         prototype.clone(),
         samples,
@@ -433,7 +324,13 @@ where
         let ids: Vec<usize> = picks.iter().map(|&p| unlabeled[p]).collect();
         sim.label(&ids);
     }
+    drop(simulate_span);
     let sequences = sim.history.non_empty_sequences();
+    let fit_span = span!(
+        Level::Trace,
+        "learned.predictor_fit",
+        sequences = sequences.len()
+    );
     let predictor: TrainedPredictor = match &trainer.predictor {
         PredictorKind::Lstm(cfg) => {
             TrainedPredictor::Lstm(LstmPredictor::fit(&sequences, cfg.clone(), &mut rng))
@@ -441,8 +338,10 @@ where
         PredictorKind::Ar { order } => TrainedPredictor::Ar(ArPredictor::fit(&sequences, *order)),
         PredictorKind::Holt => TrainedPredictor::Holt(HoltPredictor::fit(&sequences)),
     };
+    drop(fit_span);
 
-    // ---- Phase 2: measure deltas, emit targets in the requested shape. ----
+    // ---- Phase 2: Algorithm 1 — measure deltas, emit training rows. ----
+    let trials_span = span!(Level::Trace, "learned.trials", rounds = trainer.rounds);
     let mut sim = Simulation::new(
         prototype.clone(),
         samples,
@@ -465,6 +364,7 @@ where
         }
         let evals = &sim.last_evals;
         let candidates = candidate_set(evals, trainer.candidates_per_round);
+        // Trial-retrain for every candidate in parallel (line 7 of Alg. 1).
         let labeled_ids = sim.pool.labeled().to_vec();
         let deltas: Vec<f64> = candidates
             .par_iter()
@@ -508,11 +408,14 @@ where
                 flat_targets.extend_from_slice(&deltas);
             }
         }
+        // Line 11: move the highest-delta candidates into L.
         let best = top_k(&deltas, trainer.add_per_round.min(candidates.len()));
         let ids: Vec<usize> = best.iter().map(|&i| unlabeled[candidates[i]]).collect();
         sim.label(&ids);
     }
+    drop(trials_span);
 
+    let _ranker_span = span!(Level::Trace, "learned.ranker_fit");
     let ranker: TrainedRanker = match config.target {
         TargetKind::Pairwise => match &trainer.ranker {
             RankerKind::LambdaMart(cfg) => {
@@ -583,7 +486,8 @@ pub fn bucket_levels(deltas: &[f64], interval: f64) -> Vec<f64> {
         .collect()
 }
 
-/// Internal simulation state shared by the two phases of [`train_lhs`]:
+/// Internal simulation state shared by the two phases of
+/// [`train_learned_artifacts`]:
 /// the same [`Pool`] partition the driver uses, minus the pipeline
 /// plumbing the trainer does not need.
 struct Simulation<'a, M: Model> {

@@ -103,6 +103,21 @@ impl ArPredictor {
     pub fn coefficients(&self) -> &[f64] {
         &self.coeffs
     }
+
+    /// Check a deserialized model before it predicts: one intercept plus
+    /// one coefficient per lag. A model from [`ArPredictor::fit`] always
+    /// passes.
+    pub fn check_shape(&self) -> Result<(), String> {
+        if self.order.checked_add(1) == Some(self.coeffs.len()) {
+            Ok(())
+        } else {
+            Err(format!(
+                "AR({}) model has {} coefficients, needs order + 1",
+                self.order,
+                self.coeffs.len()
+            ))
+        }
+    }
 }
 
 impl SequencePredictor for ArPredictor {

@@ -122,6 +122,19 @@ echo "    and the checked-in transfer matrix runs end-to-end"
     test -s results/transfer-matrix.json
 )
 
+echo "==> selector-train determinism: LHS and LAL artifacts trained at 1 and 4"
+echo "    worker threads are byte-identical HLRN1 files"
+(
+    cd "$SMOKE_DIR"
+    for token in 'LHS(entropy)' 'LAL(entropy)'; do
+        "$BIN" selector-train "$token" mr st-1t.hlrn --scale 0.05 --threads 1 \
+            > /dev/null 2>&1
+        "$BIN" selector-train "$token" mr st-4t.hlrn --scale 0.05 --threads 4 \
+            > /dev/null 2>&1
+        cmp st-1t.hlrn st-4t.hlrn
+    done
+)
+
 echo "==> serve smoke: histal-serve end-to-end (external + simulated oracle,"
 echo "    duplicate absorption, per-tenant /metrics, clean shutdown)"
 cargo build -q --release -p histal-serve --bin histal-serve
