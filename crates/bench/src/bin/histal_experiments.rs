@@ -7,62 +7,52 @@
 //!                    [--variant paper|ar|linear|autocorr]
 //!                    [--spec FILE] [--journal FILE] [--trace[=LEVEL]]
 //!
-//! Commands:
-//!   table2     Measured per-round strategy cost  (Table 2)
-//!   table3     Text dataset statistics           (Table 3)
-//!   table4     NER dataset statistics            (Table 4)
-//!   fig3-text  General strategies, text          (Figure 3, rows 1–3)
-//!   fig3-ner   General strategies, NER           (Figure 3, row 4)
-//!   table5     Annotation cost to target acc.    (Table 5)
-//!   fig4       SOTA strategies + history         (Figure 4)
-//!   fig5       Hyper-parameter sensitivity       (Figure 5)
-//!   table6     Scores of selected samples        (Table 6)
-//!   table7     LHS feature ablation              (Table 7)
-//!   run        Execute an arbitrary experiment grid: `run --spec FILE`
-//!              (files with `"kind": "transfer"` run as train×apply
-//!              transfer matrices, see EXPERIMENTS.md)
+//! Commands (`histal_bench::commands::COMMANDS`; the usage text lists all):
+//!   fig2 table2 table3 table4 fig3-text fig3-ner table5 fig4 fig5 table6 table7
+//!              The paper's figures and tables; `all` runs them in order.
+//!              `table5 --targets` and `table7 --variant` rewrite their specs.
+//!   noise imbalance agnostic sweep-batch significance ceiling
+//!              Extensions and diagnostics (EXPERIMENTS.md)
+//!   compare    Two strategy tokens head to head: `compare <A> <B>`
+//!   run        Execute any spec file: `run --spec FILE` (files with
+//!              `"kind": "transfer"` run as train×apply matrices)
 //!   spec-check Parse + validate every spec file:  `spec-check [DIR]`
-//!   selector-train  Train a learned selector and save it as an HLRN1
-//!              artifact: `selector-train <TOKEN> <DATASET> <OUT>`
-//!   selector-apply  Load a saved selector and run it on a dataset:
-//!              `selector-apply <ARTIFACT> <DATASET>`
+//!   selector-train  `selector-train <TOKEN> <DATASET> <OUT>`: train a
+//!              learned selector and save it as an HLRN1 artifact
+//!   selector-apply  `selector-apply <ARTIFACT> <DATASET>`: load and run it
 //!   bench      Per-cell harness timings → BENCH_harness.json
 //!              (`bench --check`: CI smoke on a reduced grid, no artifact)
-//!   resume     Re-run a journaled command, replaying completed cells:
-//!              `resume <fig3-text|fig3-ner|fig5|run> --journal FILE`
-//!   all        Everything above in order
+//!   resume     Re-run a journaled command: `resume <command> --journal FILE`
 //! ```
 //!
 //! `--threads N` sizes the global worker pool (default: one per CPU).
 //! Results are byte-identical at any thread count; only wall time
 //! changes.
 //!
-//! `run --spec FILE` loads a JSON [`histal_bench::spec::ExperimentSpec`]
-//! and executes it with the same grid engine that powers the named
-//! commands — the checked-in files under `specs/` reproduce fig2, fig3,
-//! fig5, table2, table6 and table7 byte-for-byte, and custom files can
-//! describe new grids without touching code (see EXPERIMENTS.md).
+//! Every command that runs a spec — the checked-in `specs/*.json` it
+//! embeds, or `run --spec FILE` — goes through the same grid engine, so
+//! `fig5` and `run --spec specs/fig5.json` print the same bytes. Those
+//! commands take `--journal FILE`: a crash-safe JSONL run journal, one
+//! record per driver round plus one per completed grid cell. After an
+//! interruption, `resume <command> --journal FILE` repairs the journal
+//! tail, replays every completed cell byte-identically and runs only
+//! what's missing. `--trace` prints span closures and events to stderr
+//! (`--trace=debug` and `--trace=trace` widen the level); stdout stays
+//! byte-identical to an uninstrumented run.
 //!
-//! `--journal FILE` (fig3-text, fig3-ner, fig5, run) writes a crash-safe
-//! JSONL run journal: one record per driver round plus one per completed
-//! grid cell. After an interruption, `resume <command> --journal FILE`
-//! repairs the journal tail, replays every completed cell byte-identically
-//! and runs only what's missing. `--trace` prints span closures and
-//! events to stderr (`--trace=debug` and `--trace=trace` widen the
-//! level); stdout stays byte-identical to an uninstrumented run.
-//!
-//! Table 2 (efficiency) is a Criterion bench:
+//! `table2` measures per-round phase timings of whole AL runs; the
+//! strategy-fold micro-benchmark is the Criterion bench
 //! `cargo bench -p histal-bench --bench strategy_overhead`.
 
 use std::sync::Arc;
 
+use histal_bench::commands::{self, Command, Runs, SpecOptions, COMMANDS, TABLE7_VARIANTS};
 use histal_bench::executor::run_spec;
-use histal_bench::experiments::{self, Table7Variant};
+use histal_bench::experiments;
 use histal_bench::journal::JournalCtx;
-use histal_bench::scaling::PoolScalingSpec;
-use histal_bench::spec::{ExperimentSpec, SpecKind};
+use histal_bench::spec::SpecFile;
 use histal_bench::tasks::Scale;
-use histal_bench::transfer::{run_transfer, selector_apply, selector_train, TransferSpec};
+use histal_bench::transfer::{run_transfer, selector_apply, selector_train};
 use histal_core::error::Error;
 use histal_obs::trace::{set_subscriber, Level, StderrSubscriber};
 
@@ -76,8 +66,7 @@ fn main() {
     // consumes the command to re-run; `spec-check` an optional directory.
     let mut positional: Vec<String> = Vec::new();
     let mut scale = Scale::quick();
-    let mut targets = vec![0.72, 0.73, 0.735];
-    let mut variant = Table7Variant::Paper;
+    let mut options = SpecOptions::default();
     let mut threads: Option<usize> = None;
     let mut check = false;
     let mut spec_path: Option<String> = None;
@@ -124,21 +113,24 @@ fn main() {
             }
             "--targets" => {
                 i += 1;
-                targets = args
-                    .get(i)
-                    .unwrap_or_else(|| bad_flag("targets"))
-                    .split(',')
-                    .map(|s| s.trim().parse().unwrap_or_else(|_| bad_flag("targets")))
-                    .collect();
+                options.targets = Some(
+                    args.get(i)
+                        .unwrap_or_else(|| bad_flag("targets"))
+                        .split(',')
+                        .map(|s| s.trim().parse().unwrap_or_else(|_| bad_flag("targets")))
+                        .collect(),
+                );
             }
             "--variant" => {
                 i += 1;
-                variant = match args.get(i).map(String::as_str) {
-                    Some("paper") => Table7Variant::Paper,
-                    Some("ar") => Table7Variant::ArPredictor,
-                    Some("linear") => Table7Variant::LinearRanker,
-                    Some("autocorr") => Table7Variant::Autocorr,
-                    _ => bad_flag("variant"),
+                options.variant = match args.get(i).map(String::as_str) {
+                    Some("paper") => None,
+                    v => Some(
+                        TABLE7_VARIANTS
+                            .iter()
+                            .find(|(flag, ..)| Some(*flag) == v)
+                            .unwrap_or_else(|| bad_flag("variant")),
+                    ),
                 };
             }
             other if !other.starts_with("--") => positional.push(other.to_string()),
@@ -174,7 +166,8 @@ fn main() {
     let command = if resuming {
         if positional.len() != 1 {
             eprintln!(
-                "usage: histal-experiments resume <fig3-text|fig3-ner|fig5|run> --journal FILE"
+                "usage: histal-experiments resume <{}> --journal FILE",
+                commands::names(Command::journals)
             );
             std::process::exit(2);
         }
@@ -184,8 +177,9 @@ fn main() {
     };
     let command = command.as_str();
     let journal = journal_path.as_deref().map(|path| {
-        if !matches!(command, "fig3-text" | "fig3-ner" | "fig5" | "run") {
-            eprintln!("--journal is supported for fig3-text, fig3-ner, fig5 and run only");
+        if !commands::lookup(command).is_some_and(Command::journals) {
+            let journaling = commands::names(Command::journals);
+            eprintln!("--journal is supported for the commands that run a spec only: {journaling}");
             std::process::exit(2);
         }
         let ctx = if resuming {
@@ -212,87 +206,59 @@ fn main() {
         scale.repeats,
         rayon::current_num_threads()
     );
-    let start = std::time::Instant::now();
-    let result: Result<(), Error> = match command {
-        "table3" => {
-            experiments::table3();
-            Ok(())
-        }
-        "table4" => {
-            experiments::table4();
-            Ok(())
-        }
-        "fig3-text" => experiments::fig3_text(&scale, journal.as_ref()).map(|_| ()),
-        "fig3-ner" => experiments::fig3_ner(&scale, journal.as_ref()).map(|_| ()),
-        "table5" => experiments::table5(&scale, &targets),
-        "fig4" => experiments::fig4(&scale),
-        "fig5" => experiments::fig5(&scale, journal.as_ref()),
-        "table6" => experiments::table6(&scale),
-        "table7" => experiments::table7(&scale, variant),
-        "ceiling" => {
-            experiments::ceiling(&scale);
-            Ok(())
-        }
-        "table2" => experiments::table2(&scale),
-        "fig2" => experiments::fig2(&scale),
-        "noise" => experiments::noise(&scale),
-        "agnostic" => experiments::agnostic(&scale),
-        "imbalance" => experiments::imbalance(&scale),
-        "sweep-batch" => experiments::sweep_batch(&scale),
-        "run" => {
-            let Some(path) = spec_path.as_deref() else {
-                eprintln!("usage: histal-experiments run --spec FILE [--journal FILE]");
-                std::process::exit(2);
-            };
-            run_spec_file(path, &scale, journal.as_ref())
-        }
-        "selector-train" => {
-            if positional.len() != 3 {
-                eprintln!("usage: histal-experiments selector-train <TOKEN> <DATASET> <OUT>");
-                std::process::exit(2);
-            }
-            selector_train(&positional[0], &positional[1], &positional[2], &scale)
-        }
-        "selector-apply" => {
-            if positional.len() != 2 {
-                eprintln!("usage: histal-experiments selector-apply <ARTIFACT> <DATASET>");
-                std::process::exit(2);
-            }
-            selector_apply(&positional[0], &positional[1], &scale)
-        }
-        "compare" => {
-            if positional.len() != 2 {
-                eprintln!("usage: histal-experiments compare <strategyA> <strategyB> [--full]");
-                std::process::exit(2);
-            }
-            experiments::compare(&scale, &positional[0], &positional[1])
-        }
-        "significance" => experiments::significance(&scale),
-        "bench" => {
-            if check {
-                experiments::bench_check(&scale)
-            } else {
-                experiments::bench(&scale)
-            }
-        }
-        "all" => experiments::fig2(&scale)
-            .and_then(|()| experiments::table2(&scale))
-            .and_then(|()| {
-                experiments::table3();
-                experiments::table4();
-                experiments::fig3_text(&scale, None).map(|_| ())
-            })
-            .and_then(|()| experiments::fig3_ner(&scale, None).map(|_| ()))
-            .and_then(|()| experiments::table5(&scale, &targets))
-            .and_then(|()| experiments::fig4(&scale))
-            .and_then(|()| experiments::fig5(&scale, None))
-            .and_then(|()| experiments::table6(&scale))
-            .and_then(|()| experiments::table7(&scale, variant)),
-        other => {
-            eprintln!("unknown command: {other}");
-            usage_and_exit();
-        }
+    let Some(row) = commands::lookup(command) else {
+        eprintln!("unknown command: {command}");
+        usage_and_exit();
     };
+    // `all` runs the paper rows in table order; every other command is
+    // its own row.
+    let rows: Vec<&Command> = match command {
+        "all" => COMMANDS.iter().filter(|c| c.paper).collect(),
+        _ => vec![row],
+    };
+    let operands = |n: usize, usage: &str| {
+        if positional.len() != n {
+            eprintln!("usage: histal-experiments {command} {usage}");
+            std::process::exit(2);
+        }
+        &positional
+    };
+    let start = std::time::Instant::now();
+    let result = rows
+        .into_iter()
+        .try_for_each(|row| match (row.runs, row.name) {
+            (Runs::Spec(_, json), name) => {
+                run_spec(&options.spec(name, json)?, &scale, journal.as_ref()).map(|_| ())
+            }
+            (_, "table3") => experiments::table3(),
+            (_, "table4") => experiments::table4(),
+            (_, "fig4") => experiments::fig4(&scale),
+            (_, "ceiling") => experiments::ceiling(&scale),
+            (_, "agnostic") => experiments::agnostic(&scale),
+            (_, "sweep-batch") => experiments::sweep_batch(&scale),
+            (_, "run") => {
+                let Some(path) = spec_path.as_deref() else {
+                    eprintln!("usage: histal-experiments run --spec FILE [--journal FILE]");
+                    std::process::exit(2);
+                };
+                run_spec_file(path, &scale, journal.as_ref())
+            }
+            (_, "selector-train") => {
+                let ops = operands(3, "<TOKEN> <DATASET> <OUT>");
+                selector_train(&ops[0], &ops[1], &ops[2], &scale)
+            }
+            (_, "selector-apply") => {
+                let ops = operands(2, "<ARTIFACT> <DATASET>");
+                selector_apply(&ops[0], &ops[1], &scale)
+            }
+            (_, "compare") => {
+                let ops = operands(2, "<strategyA> <strategyB> [--full]");
+                experiments::compare(&scale, &ops[0], &ops[1])
+            }
+            (_, "significance") => experiments::significance(&scale),
+            (_, "bench") => experiments::bench(&scale, check),
+            (_, other) => Err(Error::invariant(format!("`{other}` runs before dispatch"))),
+        });
     if let Err(e) = result {
         eprintln!("error: {e}");
         std::process::exit(1);
@@ -306,22 +272,13 @@ fn main() {
 fn run_spec_file(path: &str, scale: &Scale, journal: Option<&JournalCtx>) -> Result<(), Error> {
     let body = std::fs::read_to_string(path)
         .map_err(|e| Error::spec(format!("cannot read spec {path}: {e}")))?;
-    match SpecKind::of_json(&body) {
-        SpecKind::PoolScaling => Err(Error::spec(format!(
+    match SpecFile::from_json(&body).map_err(|e| Error::spec(format!("{path}: {e}")))? {
+        SpecFile::PoolScaling(_) => Err(Error::spec(format!(
             "{path}: pool-scaling specs are not experiment grids — they run inside \
              `histal-experiments bench`"
         ))),
-        SpecKind::Transfer => {
-            let spec =
-                TransferSpec::from_json(&body).map_err(|e| Error::spec(format!("{path}: {e}")))?;
-            run_transfer(&spec, scale, journal).map(|_| ())
-        }
-        SpecKind::Experiment => {
-            let spec = ExperimentSpec::from_json(&body)
-                .map_err(|e| Error::spec(format!("{path}: {e}")))?;
-            spec.validate()?;
-            run_spec(&spec, scale, journal).map(|_| ())
-        }
+        SpecFile::Transfer(spec) => run_transfer(&spec, scale, journal).map(|_| ()),
+        SpecFile::Experiment(spec) => run_spec(&spec, scale, journal).map(|_| ()),
     }
 }
 
@@ -344,21 +301,11 @@ fn spec_check(dir: &str) {
     let mut failures = 0usize;
     for path in &paths {
         let shown = path.display();
-        // Files carrying a `kind` discriminator use their own schema
-        // (`pool-scaling`, `transfer`); everything else is an
-        // experiment grid.
         let parsed = std::fs::read_to_string(path)
             .map_err(|e| Error::spec(format!("cannot read: {e}")))
-            .and_then(|body| match SpecKind::of_json(&body) {
-                SpecKind::PoolScaling => PoolScalingSpec::from_json(&body)
-                    .and_then(|spec| spec.validate().map(|()| spec.name)),
-                SpecKind::Transfer => TransferSpec::from_json(&body)
-                    .and_then(|spec| spec.validate().map(|()| spec.name)),
-                SpecKind::Experiment => ExperimentSpec::from_json(&body)
-                    .and_then(|spec| spec.validate().map(|()| spec.name)),
-            });
+            .and_then(|body| SpecFile::from_json(&body));
         match parsed {
-            Ok(name) => println!("ok  {shown} ({name})"),
+            Ok(spec) => println!("ok  {shown} ({})", spec.name()),
             Err(e) => {
                 println!("ERR {shown}: {e}");
                 failures += 1;
@@ -385,9 +332,10 @@ fn bad_flag(name: &str) -> ! {
 
 fn usage_and_exit() -> ! {
     eprintln!(
-        "usage: histal-experiments <table2|table3|table4|fig3-text|fig3-ner|table5|fig4|fig5|table6|table7|run|spec-check|selector-train|selector-apply|bench|resume|all> \
+        "usage: histal-experiments <{}> \
          [--full|--quick|--check] [--repeats N] [--scale F] [--threads N] [--targets a,b,c] \
-         [--variant paper|ar|linear|autocorr] [--spec FILE] [--journal FILE] [--trace[=info|debug|trace]]"
+         [--variant paper|ar|linear|autocorr] [--spec FILE] [--journal FILE] [--trace[=info|debug|trace]]",
+        commands::names(|_| true)
     );
     std::process::exit(2);
 }

@@ -651,9 +651,10 @@ fn render_metrics(spec: &ExperimentSpec, outcome: &GridOutcome) -> Result<Render
 }
 
 /// Paired per-repeat metric samples of `cell` vs `baseline`: every
-/// `(repeat, round)` coordinate both curves recorded. Truncated
-/// (pruned/budgeted) curves pair only over their common prefix.
-fn paired_samples(cell: &CellOutcome, baseline: &CellOutcome) -> (Vec<f64>, Vec<f64>) {
+/// `(repeat, round)` coordinate both curves recorded, in repeat order.
+/// Truncated (pruned/budgeted) curves pair only over their common
+/// prefix.
+pub fn paired_samples(cell: &CellOutcome, baseline: &CellOutcome) -> (Vec<f64>, Vec<f64>) {
     let (mut a, mut b) = (Vec::new(), Vec::new());
     for (run, base) in cell.runs.iter().zip(&baseline.runs) {
         for (p, q) in run.curve.iter().zip(&base.curve) {

@@ -1,27 +1,21 @@
-//! One function per table/figure of the paper's evaluation section.
+//! The experiments that stay in code, and the BENCH emitter and gates.
 //!
-//! | function | paper artifact | spec |
-//! |---|---|---|
-//! | [`table3`] | Table 3 — text dataset statistics | hand-coded |
-//! | [`table4`] | Table 4 — NER dataset statistics | hand-coded |
-//! | [`fig2`] | Figure 2 — history sequence shapes | `specs/fig2.json` |
-//! | [`table2`] | Table 2 — per-round strategy cost | `specs/table2.json` |
-//! | [`fig3_text`] | Figure 3 rows 1–3 — general strategies, text | `specs/fig3_text.json` |
-//! | [`fig3_ner`] | Figure 3 row 4 — general strategies, NER | `specs/fig3_ner.json` |
-//! | [`table5`] | Table 5 — annotation cost to target accuracy | in-code spec |
-//! | [`fig4`] | Figure 4 — SOTA strategies + history wrappers | in-code spec |
-//! | [`fig5`] | Figure 5 — hyper-parameter sensitivity | `specs/fig5.json` |
-//! | [`table6`] | Table 6 — WSHS/FHS scores of selected samples | `specs/table6.json` |
-//! | [`table7`] | Table 7 — LHS feature ablation | `specs/table7.json` |
+//! Most tables and figures are checked-in `specs/*.json` grids run from
+//! the command table in [`crate::commands`]. The functions here render
+//! something no [`ReportKind`](crate::spec::ReportKind) produces:
 //!
-//! Every grid experiment is an [`ExperimentSpec`] executed by
-//! [`crate::executor::GridExecutor`]; the checked-in JSON files under
-//! `specs/` are embedded at compile time (and validated by CI), so
-//! `histal-experiments fig5` and `histal-experiments run --spec
-//! specs/fig5.json` are the same code path. `compare` and
-//! `significance` run in-code specs through the same executor and keep
-//! their own verdict tables; only the dataset-statistics tables,
-//! `ceiling` and the BENCH gates remain hand-coded.
+//! | function | artifact |
+//! |---|---|
+//! | [`table3`] | Table 3 — text dataset statistics |
+//! | [`table4`] | Table 4 — NER dataset statistics |
+//! | [`fig4`] | Figure 4 — SOTA strategies + history wrappers (two specs, one results file) |
+//! | [`agnostic`], [`sweep_batch`] | extensions that run one spec per model / batch size |
+//! | [`compare`], [`significance`] | verdict tables over paired curve points |
+//! | [`ceiling`] | diagnostic: fully-supervised accuracy |
+//! | [`bench()`] | `BENCH_harness.json`, or the `bench --check` gates |
+//!
+//! Their grids are still [`ExperimentSpec`]s run by
+//! [`crate::executor::GridExecutor`].
 
 use histal_core::analysis::area_under_curve;
 use histal_core::driver::RunResult;
@@ -30,28 +24,18 @@ use histal_core::strategy::{BaseStrategy, Strategy};
 use histal_data::{NerDataset, NerSpec, TextDataset, TextSpec};
 
 use crate::executor::{
-    mean_auc, render_spec, run_spec, seed_for, text_pool_config, train_lhs_plan, CellOutcome,
+    mean_auc, paired_samples, render_spec, seed_for, text_pool_config, train_lhs_plan, CellOutcome,
     GridExecutor, GridOutcome, Rendered,
 };
-use crate::journal::JournalCtx;
 use crate::registry;
 use crate::report::{print_curves, print_table, write_json};
-use crate::spec::{
-    DatasetEntry, ExperimentSpec, GroupSpec, PoolSpec, ReportKind, ScaleSpec, StrategyEntry,
-};
+use crate::spec::{DatasetEntry, ExperimentSpec, GroupSpec, PoolSpec, ScaleSpec, StrategyEntry};
 use crate::tasks::{Scale, TextTask};
-use crate::transfer::{execute_transfer, inject_train, TransferSpec};
+use crate::transfer::{execute_transfer, TransferSpec};
 
 /// Format an optional final metric for a table cell.
 fn fmt_metric(m: Option<f64>) -> String {
     m.map(|v| format!("{v:.4}")).unwrap_or_else(|| "n/a".into())
-}
-
-/// Parse one of the embedded `specs/*.json` files. A parse failure here
-/// is a build defect (the files are validated by CI and tests), but it
-/// still surfaces as a structured error rather than a panic.
-fn embedded_spec(json: &str) -> Result<ExperimentSpec, Error> {
-    ExperimentSpec::from_json(json)
 }
 
 /// A label-less [`GroupSpec`] from plain strategy tokens.
@@ -100,34 +84,6 @@ pub fn agnostic(scale: &Scale) -> Result<(), Error> {
     Ok(())
 }
 
-/// Extension experiment: robustness to annotation noise. Corrupts a
-/// fraction of the oracle labels on the MR analogue and compares how the
-/// base and history-aware strategies degrade.
-pub fn noise(scale: &Scale) -> Result<(), Error> {
-    let dataset = |token: &str, rename: &str| DatasetEntry {
-        dataset: token.into(),
-        rename: Some(rename.into()),
-    };
-    let spec = ExperimentSpec {
-        name: "noise".into(),
-        experiment: "noise".into(),
-        split_seed: 0xA0,
-        datasets: vec![
-            dataset("mr", "0%"),
-            dataset("mr?noise=0.1", "10%"),
-            dataset("mr?noise=0.2", "20%"),
-        ],
-        groups: vec![group(&["entropy", "WSHS(entropy)", "FHS(entropy)"])],
-        title: "Extension — final accuracy under label noise (MR analogue)".into(),
-        metrics: vec!["final".into()],
-        dataset_column: Some("Noise".into()),
-        report: ReportKind::Metrics,
-        ..Default::default()
-    };
-    run_spec(&spec, scale, None)?;
-    Ok(())
-}
-
 /// Head-to-head comparison of two strategy tokens on the MR analogue:
 /// averaged curves, ALC, and a Wilcoxon significance verdict — the
 /// harness's user-facing utility command. Tokens go through the full
@@ -164,7 +120,8 @@ pub fn compare(scale: &Scale, token_a: &str, token_b: &str) -> Result<(), Error>
         &format!("Compare — {} vs {}", a.name, b.name),
         &[a.avg.clone(), b.avg.clone()],
     );
-    let t = wilcoxon_signed_rank(&curve_points(a), &curve_points(b));
+    let (xs, ys) = paired_samples(a, b);
+    let t = wilcoxon_signed_rank(&xs, &ys);
     let mut rows: Vec<Vec<String>> = [&a.avg, &b.avg]
         .iter()
         .map(|run| {
@@ -198,15 +155,6 @@ fn repeats_at_least_3(scale: &Scale) -> ScaleSpec {
         factor: None,
         repeats: Some(scale.repeats.max(3)),
     }
-}
-
-/// Every repeat's curve metrics, concatenated in repeat order — the
-/// paired samples of `compare` and `significance`.
-fn curve_points(cell: &CellOutcome) -> Vec<f64> {
-    cell.runs
-        .iter()
-        .flat_map(|run| run.curve.iter().map(|p| p.metric))
-        .collect()
 }
 
 /// Extension experiment: batch-size sensitivity. The paper fixes batch
@@ -250,40 +198,6 @@ pub fn sweep_batch(scale: &Scale) -> Result<(), Error> {
     Ok(())
 }
 
-/// Extension experiment: class imbalance. Regenerates the MR analogue
-/// with 80/20 class priors and compares the strategy family — imbalance
-/// starves the minority class of labels, a classic AL stressor.
-pub fn imbalance(scale: &Scale) -> Result<(), Error> {
-    let spec = ExperimentSpec {
-        name: "imbalance".into(),
-        experiment: "imb".into(),
-        split_seed: 0x1B,
-        datasets: vec![
-            DatasetEntry {
-                dataset: "mr".into(),
-                rename: Some("balanced".into()),
-            },
-            DatasetEntry {
-                dataset: "mr?priors=0.8/0.2".into(),
-                rename: Some("80/20".into()),
-            },
-        ],
-        groups: vec![group(&[
-            "random",
-            "entropy",
-            "WSHS(entropy)",
-            "FHS(entropy)",
-        ])],
-        title: "Extension — class imbalance (MR analogue, 80/20 priors)".into(),
-        metrics: vec!["alc".into(), "final".into()],
-        dataset_column: Some("Priors".into()),
-        report: ReportKind::Metrics,
-        ..Default::default()
-    };
-    run_spec(&spec, scale, None)?;
-    Ok(())
-}
-
 /// Extension experiment: statistical significance of the history-aware
 /// improvements. Pools paired per-point curve metrics across repeats and
 /// runs Wilcoxon signed-rank + paired bootstrap against the base
@@ -310,10 +224,9 @@ pub fn significance(scale: &Scale) -> Result<(), Error> {
         .cells
         .split_first()
         .expect("the grid has four cells");
-    let baseline = curve_points(base);
     let mut rows = Vec::new();
     for cell in variants {
-        let variant = curve_points(cell);
+        let (variant, baseline) = paired_samples(cell, base);
         let w = wilcoxon_signed_rank(&variant, &baseline);
         let b = paired_bootstrap(&variant, &baseline, 5_000, 0x51);
         rows.push(vec![
@@ -343,30 +256,9 @@ pub fn significance(scale: &Scale) -> Result<(), Error> {
     Ok(())
 }
 
-/// Figure 2: the four characteristic shapes of historical evaluation
-/// sequences. We run plain entropy AL on the MR analogue, harvest the
-/// real per-sample sequences, classify each by Mann–Kendall trend and
-/// fluctuation, and report the census plus one exemplar per shape —
-/// demonstrating that all four motivating patterns occur in practice.
-pub fn fig2(scale: &Scale) -> Result<(), Error> {
-    let spec = embedded_spec(include_str!("../../../specs/fig2.json"))?;
-    run_spec(&spec, scale, None)?;
-    Ok(())
-}
-
-/// Table 2 (measured): per-round wall-clock breakdown of basic vs
-/// history-aware strategies on the MR analogue. The paper's claim is
-/// that the history strategies add `O(1)` time on top of the `O(T)`
-/// evaluation pass; here the `select` column is that overhead, measured.
-pub fn table2(scale: &Scale) -> Result<(), Error> {
-    let spec = embedded_spec(include_str!("../../../specs/table2.json"))?;
-    run_spec(&spec, scale, None)?;
-    Ok(())
-}
-
 /// Diagnostic (not a paper artifact): fully-supervised test accuracy of
 /// each text dataset — the ceiling the learning curves approach.
-pub fn ceiling(scale: &Scale) {
+pub fn ceiling(scale: &Scale) -> Result<(), Error> {
     let mut rows = Vec::new();
     for spec in [
         TextSpec::mr(),
@@ -396,6 +288,7 @@ pub fn ceiling(scale: &Scale) {
         &["Dataset", "#train", "accuracy"],
         &rows,
     );
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -403,7 +296,7 @@ pub fn ceiling(scale: &Scale) {
 // ---------------------------------------------------------------------
 
 /// Table 3: statistics of the four text-classification datasets.
-pub fn table3() {
+pub fn table3() -> Result<(), Error> {
     let mut rows = Vec::new();
     for spec in [
         TextSpec::mr(),
@@ -427,10 +320,11 @@ pub fn table3() {
         &rows,
     );
     write_json("table3", &rows);
+    Ok(())
 }
 
 /// Table 4: statistics of the three NER datasets.
-pub fn table4() {
+pub fn table4() -> Result<(), Error> {
     let mut rows = Vec::new();
     for spec in [
         NerSpec::conll2003_english(),
@@ -454,90 +348,6 @@ pub fn table4() {
         &rows,
     );
     write_json("table4", &rows);
-}
-
-// ---------------------------------------------------------------------
-// E3 / E4: Figure 3 — general strategies
-// ---------------------------------------------------------------------
-
-/// Figure 3, rows 1–3: {entropy, LC, EGL} × {base, HUS, WSHS, FHS, LHS}
-/// on MR, SST-2 and TREC (LHS only on the binary datasets, as in §5.4).
-///
-/// With `journal = Some(..)` every (cell, repeat) checkpoint lands in
-/// the journal and previously completed cells are replayed instead of
-/// re-run (`histal-experiments resume`).
-pub fn fig3_text(
-    scale: &Scale,
-    journal: Option<&JournalCtx>,
-) -> Result<Vec<(String, Vec<RunResult>)>, Error> {
-    let spec = embedded_spec(include_str!("../../../specs/fig3_text.json"))?;
-    let outcome = run_spec(&spec, scale, journal)?;
-    Ok(outcome
-        .blocks
-        .iter()
-        .map(|b| {
-            (
-                format!("{}:{}", b.dataset, b.label),
-                b.cells.iter().map(|c| c.avg.clone()).collect(),
-            )
-        })
-        .collect())
-}
-
-/// Figure 3, row 4: {random, LC, WSHS(LC), FHS(LC)} on the three NER
-/// datasets; `journal` checkpoints each (cell, repeat) for `resume`.
-pub fn fig3_ner(
-    scale: &Scale,
-    journal: Option<&JournalCtx>,
-) -> Result<Vec<(String, Vec<RunResult>)>, Error> {
-    let spec = embedded_spec(include_str!("../../../specs/fig3_ner.json"))?;
-    let outcome = run_spec(&spec, scale, journal)?;
-    Ok(outcome
-        .blocks
-        .iter()
-        .map(|b| {
-            (
-                b.dataset.clone(),
-                b.cells.iter().map(|c| c.avg.clone()).collect(),
-            )
-        })
-        .collect())
-}
-
-// ---------------------------------------------------------------------
-// E5: Table 5 — annotation cost
-// ---------------------------------------------------------------------
-
-/// Table 5: labeled samples needed to reach each target accuracy on the
-/// MR analogue, for all fifteen strategy variants. The target columns
-/// come from `--targets`, so this grid is assembled in code rather than
-/// loaded from a checked-in file.
-pub fn table5(scale: &Scale, targets: &[f64]) -> Result<(), Error> {
-    let mut strategies = vec![StrategyEntry::new("random")];
-    for base in ["entropy", "LC", "EGL"] {
-        strategies.push(StrategyEntry::new(base));
-        strategies.push(StrategyEntry::new(format!("HUS({base})")));
-        strategies.push(StrategyEntry::new(format!("WSHS({base})")));
-        strategies.push(StrategyEntry::new(format!("FHS({base})")));
-        let mut lhs = StrategyEntry::new(format!("LHS({base})"));
-        lhs.experiment = Some("t5-lhs".into());
-        strategies.push(lhs);
-    }
-    let spec = ExperimentSpec {
-        name: "table5".into(),
-        experiment: "t5".into(),
-        split_seed: 0xF3,
-        datasets: vec![DatasetEntry::new("mr")],
-        groups: vec![GroupSpec {
-            label: String::new(),
-            strategies,
-        }],
-        title: "Table 5 — annotated samples required (MR analogue)".into(),
-        metrics: targets.iter().map(|t| format!("target:{t}")).collect(),
-        report: ReportKind::Metrics,
-        ..Default::default()
-    };
-    run_spec(&spec, scale, None)?;
     Ok(())
 }
 
@@ -591,89 +401,6 @@ pub fn fig4(scale: &Scale) -> Result<(), Error> {
         }
     }
     write_json("fig4", &json);
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// E7: Figure 5 — hyper-parameter sensitivity
-// ---------------------------------------------------------------------
-
-/// Figure 5: WSHS window size l ∈ {2, 3, 6} (left) and FHS fluctuation
-/// weight w_f ∈ {0.2, 0.4, 0.5} at l = 3 (right), on the MR analogue.
-/// `journal` checkpoints each (cell, repeat) for `resume`.
-pub fn fig5(scale: &Scale, journal: Option<&JournalCtx>) -> Result<(), Error> {
-    let spec = embedded_spec(include_str!("../../../specs/fig5.json"))?;
-    run_spec(&spec, scale, journal)?;
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// E8: Table 6 — selection statistics
-// ---------------------------------------------------------------------
-
-/// Table 6: average WSHS score and history fluctuation of the samples
-/// selected by WSHS, FHS and LHS on the MR analogue.
-pub fn table6(scale: &Scale) -> Result<(), Error> {
-    let spec = embedded_spec(include_str!("../../../specs/table6.json"))?;
-    run_spec(&spec, scale, None)?;
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// E9: Table 7 — LHS ablation
-// ---------------------------------------------------------------------
-
-/// Which predictor/ranker the ablation harness should use (the DESIGN.md
-/// extension ablations).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Table7Variant {
-    /// Paper configuration: LSTM predictor + LambdaMART.
-    Paper,
-    /// AR(p) predictor instead of the LSTM.
-    ArPredictor,
-    /// Linear pairwise ranker instead of LambdaMART.
-    LinearRanker,
-    /// Paper configuration plus the lag-1 autocorrelation feature (the
-    /// paper's "explore more effective features" future work).
-    Autocorr,
-}
-
-/// Insert an extra `key=value` parameter into an `LHS...(base)` token,
-/// e.g. `LHS{history=false}(entropy)` + `predictor=ar:3` →
-/// `LHS{predictor=ar:3,history=false}(entropy)`.
-fn add_lhs_param(token: &str, param: &str) -> String {
-    match token.split_once('{') {
-        Some((head, rest)) => format!("{head}{{{param},{rest}"),
-        None => match token.split_once('(') {
-            Some((head, rest)) => format!("{head}{{{param}}}({rest}"),
-            None => token.to_string(),
-        },
-    }
-}
-
-/// Table 7: accuracy on the MR analogue when each LHS feature group is
-/// removed in turn. The non-`Paper` variants rewrite the checked-in
-/// spec's strategy tokens (an extra `predictor=`/`ranker=`/`autocorr=`
-/// parameter); seeds are untouched because they derive from the base
-/// strategy name, not the LHS plan.
-pub fn table7(scale: &Scale, variant: Table7Variant) -> Result<(), Error> {
-    let mut spec = embedded_spec(include_str!("../../../specs/table7.json"))?;
-    if variant != Table7Variant::Paper {
-        spec.name = format!("table7_{variant:?}");
-        spec.title = spec.title.replace("Paper", &format!("{variant:?}"));
-        let param = match variant {
-            Table7Variant::Paper => unreachable!("guarded above"),
-            Table7Variant::ArPredictor => "predictor=ar:3",
-            Table7Variant::LinearRanker => "ranker=linear",
-            Table7Variant::Autocorr => "autocorr=true",
-        };
-        for g in &mut spec.groups {
-            for entry in &mut g.strategies {
-                entry.strategy = add_lhs_param(&entry.strategy, param);
-            }
-        }
-    }
-    run_spec(&spec, scale, None)?;
     Ok(())
 }
 
@@ -791,30 +518,11 @@ fn bench_cell(experiment: &str, dataset: &str, cell: &CellOutcome) -> BenchCell 
     }
 }
 
-/// BENCH: time a representative slice of the experiment grid and write
-/// the perf trajectory to `BENCH_harness.json` at the repo root.
-///
-/// Cells run **serially** (the executor's serial mode) so each cell's
-/// wall clock is unpolluted by its neighbours; the parallelism being
-/// measured is the intra-cell kind (repeat fan-out plus the chunked
-/// training kernels), which scales with `--threads`. Timings vary run to
-/// run, but the `RunResult` behind each cell is byte-identical at any
-/// thread count.
-pub fn bench(scale: &Scale) -> Result<(), Error> {
-    bench_impl(scale, false)
-}
-
-/// CI smoke mode (`bench --check`): run a reduced grid — MR text cells
-/// plus the diversity cell, no NER — validate the timing diagnostics,
-/// and never touch `BENCH_harness.json`.
-pub fn bench_check(scale: &Scale) -> Result<(), Error> {
-    bench_impl(scale, true)
-}
-
 /// The timed grid of `bench` (and, reduced, of `bench --check`): the
 /// text cells, the diversity cell, and — full mode only — the beamed
 /// NER cells. [`grid_perf_gate`] re-times the *full* grid against the
-/// committed artifact, so keep the two callers sharing this builder.
+/// committed artifact and [`kernel_equivalence_gate`] runs it at smoke
+/// scale, so keep every caller sharing this builder.
 fn bench_grid_specs(check: bool) -> Vec<ExperimentSpec> {
     let text_datasets = if check {
         vec![DatasetEntry::new("mr")]
@@ -871,7 +579,7 @@ fn bench_grid_specs(check: bool) -> Vec<ExperimentSpec> {
 /// The checked-in adaptive diagnostic sweep (pins its own scale, so
 /// the CLI scale only fills gaps).
 fn adaptive_sweep_spec() -> Result<ExperimentSpec, Error> {
-    embedded_spec(include_str!("../../../specs/adaptive-sweep.json"))
+    ExperimentSpec::from_json(include_str!("../../../specs/adaptive-sweep.json"))
 }
 
 /// The checked-in cross-dataset transfer matrix.
@@ -881,7 +589,19 @@ fn transfer_matrix_spec() -> Result<TransferSpec, Error> {
     Ok(spec)
 }
 
-fn bench_impl(scale: &Scale, check: bool) -> Result<(), Error> {
+/// BENCH: time a representative slice of the experiment grid and write
+/// the perf trajectory to `BENCH_harness.json` at the repo root. With
+/// `check` (`bench --check`, the CI smoke): run a reduced grid — MR text
+/// cells plus the diversity cell, no NER — validate the timing
+/// diagnostics, run the gates, and never touch `BENCH_harness.json`.
+///
+/// Cells run **serially** (the executor's serial mode) so each cell's
+/// wall clock is unpolluted by its neighbours; the parallelism being
+/// measured is the intra-cell kind (repeat fan-out plus the chunked
+/// training kernels), which scales with `--threads`. Timings vary run to
+/// run, but the `RunResult` behind each cell is byte-identical at any
+/// thread count.
+pub fn bench(scale: &Scale, check: bool) -> Result<(), Error> {
     let threads = rayon::current_num_threads();
     eprintln!("# BENCH: {threads} thread(s), scale {:.2}", scale.factor);
 
@@ -1157,11 +877,11 @@ fn outcome_fingerprint(outcome: &GridOutcome) -> String {
 }
 
 /// `bench --check` gate (DESIGN.md §5.7): the kernel layer must be a
-/// pure perf change. Runs the same tiny text + NER cells under the
-/// scalar reference kernels and the lane dispatch and requires every
-/// curve point, selection, and diagnostic to match to the bit — the
-/// NER cells with the δ = 8 scoring beam enabled, so the pruned path is
-/// covered by the mode-invariance contract too.
+/// pure perf change. Runs the same tiny text, diversity and NER cells
+/// under the scalar reference kernels and the lane dispatch and
+/// requires every curve point, selection, and diagnostic to match to
+/// the bit — the NER cells with the δ = 8 scoring beam enabled, so the
+/// pruned path is covered by the mode-invariance contract too.
 fn kernel_equivalence_gate() -> Result<(), Error> {
     use histal_models::kernels::{self, KernelMode};
 
@@ -1169,24 +889,10 @@ fn kernel_equivalence_gate() -> Result<(), Error> {
         factor: 0.02,
         repeats: 1,
     };
-    let specs = [
-        ExperimentSpec {
-            name: "kernel-smoke-text".into(),
-            experiment: "kernel-smoke-text".into(),
-            split_seed: 0xBE,
-            datasets: vec![DatasetEntry::new("mr")],
-            groups: vec![group(&["entropy", "WSHS(entropy)"])],
-            ..Default::default()
-        },
-        ExperimentSpec {
-            name: "kernel-smoke-ner".into(),
-            experiment: "kernel-smoke-ner".into(),
-            datasets: vec![DatasetEntry::new("conll2003-en")],
-            groups: vec![group(&["LC", "WSHS(LC)"])],
-            ner_beam: Some(8.0),
-            ..Default::default()
-        },
-    ];
+    // The bench grid at smoke scale: MR text cells, the diversity cell
+    // and the beamed NER cells.
+    let mut specs = bench_grid_specs(false);
+    specs[0].datasets.truncate(1);
     let mut fingerprints = Vec::new();
     for mode in [KernelMode::Scalar, KernelMode::Lanes] {
         kernels::set_mode(mode);
@@ -1206,211 +912,152 @@ fn kernel_equivalence_gate() -> Result<(), Error> {
         fingerprints[1]
     );
     eprintln!(
-        "  kernel gate: scalar == lanes across text+NER smoke cells \
+        "  kernel gate: scalar == lanes across text, diversity and NER smoke cells \
          ({} fingerprint bytes)",
         fingerprints[0].len()
     );
     Ok(())
 }
 
-/// Load the committed `BENCH_harness.json` for a regression gate.
-/// Returns `None` (after a note) when no comparable reference exists —
-/// file missing, unreadable, or recorded under a different thread
-/// count.
-fn committed_report(gate: &str) -> Option<BenchReport> {
-    let raw = match std::fs::read_to_string("BENCH_harness.json") {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("  {gate}: skipped (no BENCH_harness.json: {e})");
-            return None;
-        }
-    };
-    let report: BenchReport = match serde_json::from_str(&raw) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("  {gate}: skipped (unreadable BENCH_harness.json: {e})");
-            return None;
-        }
-    };
+/// The committed-reference timing gates' shared body: checks the fresh
+/// timings of every group with [`check_walls`] against the `(key,
+/// committed wall_ms)` rows `reference` picks from the committed
+/// `BENCH_harness.json`. Skips, after a note, when no comparable
+/// reference exists — file missing, unreadable, recorded under a
+/// different thread count, or predating these rows (`None`).
+fn reference_gate<G>(
+    gate: &str,
+    reference: impl Fn(&BenchReport) -> Option<Vec<(String, f64)>>,
+    groups: &[G],
+    time: impl FnMut(&G) -> Result<Vec<(String, f64)>, Error>,
+) -> Result<(), Error> {
     let threads = rayon::current_num_threads();
-    if report.threads != threads {
-        eprintln!(
-            "  {gate}: skipped (reference recorded with {} thread(s), running {threads})",
-            report.threads
-        );
-        return None;
+    let raw = std::fs::read_to_string("BENCH_harness.json");
+    let skip = match raw.map(|raw| serde_json::from_str::<BenchReport>(&raw)) {
+        Err(e) => format!("no BENCH_harness.json: {e}"),
+        Ok(Err(e)) => format!("unreadable BENCH_harness.json: {e}"),
+        Ok(Ok(r)) if r.threads != threads => format!(
+            "reference recorded with {} thread(s), running {threads}",
+            r.threads
+        ),
+        Ok(Ok(r)) => match reference(&r) {
+            Some(rows) => return check_walls(gate, &rows, groups, time),
+            None => "no committed rows".into(),
+        },
+    };
+    eprintln!("  {gate}: skipped ({skip})");
+    Ok(())
+}
+
+/// Check fresh wall clocks against committed ones. `time` times one
+/// group and returns its `(key, wall_ms)` rows. A group with any row
+/// over its committed wall + 20% is re-timed once and each row keeps
+/// its minimum: a best-of-two absorbs transient machine jitter and
+/// still catches real regressions, which reproduce. Rows without a
+/// committed twin are noted and skipped. Fails if a compared row stays
+/// over the bound, or if no row was compared at all.
+fn check_walls<G>(
+    gate: &str,
+    reference: &[(String, f64)],
+    groups: &[G],
+    mut time: impl FnMut(&G) -> Result<Vec<(String, f64)>, Error>,
+) -> Result<(), Error> {
+    let committed = |key: &str| reference.iter().find(|(k, _)| k == key).map(|r| r.1);
+    let over = |(key, wall): &(String, f64)| committed(key).is_some_and(|c| *wall > c * 1.2);
+    let (mut compared, mut skipped) = (0usize, 0usize);
+    for group in groups {
+        let mut rows = time(group)?;
+        if rows.iter().any(over) {
+            eprintln!("  {gate}: over limit on first pass — re-timing once");
+            for (row, fresh) in rows.iter_mut().zip(time(group)?) {
+                row.1 = row.1.min(fresh.1);
+            }
+        }
+        for (key, wall) in &rows {
+            let Some(committed) = committed(key) else {
+                eprintln!("  {gate}: no committed {key} row — skipped");
+                skipped += 1;
+                continue;
+            };
+            if *wall > committed * 1.2 {
+                return Err(Error::invariant(format!(
+                    "{gate}: {key} wall {wall:.1} ms exceeds {:.1} ms \
+                     (committed {committed:.1} ms + 20%)",
+                    committed * 1.2
+                )));
+            }
+            compared += 1;
+        }
     }
-    Some(report)
+    if compared == 0 {
+        return Err(Error::invariant(format!("{gate} compared no rows")));
+    }
+    eprintln!("  {gate}: {compared} row(s) within +20% of committed ({skipped} skipped)");
+    Ok(())
 }
 
 /// `bench --check` gate: harness perf must not regress anywhere in the
 /// timed grid. Re-times the *full* bench grid (text, diversity, beamed
 /// NER) serially at the committed bench scale ([`Scale::quick`], the
-/// scale `bench` records) and fails if any fresh cell's wall clock
-/// exceeds its committed `BENCH_harness.json` twin — matched by
-/// `(experiment, dataset, strategy)` — by more than 20%. Cells without
-/// a committed twin are noted and skipped; pool-scaling rows have their
-/// own gate.
+/// scale `bench` records), one spec per group, against the committed
+/// cells, matched by `experiment/dataset/strategy`. Pool-scaling rows
+/// have their own gate.
 fn grid_perf_gate() -> Result<(), Error> {
-    let gate = "grid perf gate";
-    let Some(report) = committed_report(gate) else {
-        return Ok(());
+    let key = |e: &str, d: &str, s: &str| format!("{e}/{d}/{s}");
+    let committed = |r: &BenchReport| {
+        let cells = r.cells.iter();
+        Some(
+            cells
+                .map(|c| (key(&c.experiment, &c.dataset, &c.strategy), c.wall_ms))
+                .collect(),
+        )
     };
-    let (mut compared, mut skipped) = (0usize, 0usize);
-    for spec in bench_grid_specs(false) {
-        // Per-(dataset, strategy) walls of one serial re-timing pass.
-        let time_grid = || -> Result<Vec<(String, String, f64)>, Error> {
-            let outcome = GridExecutor::new(&spec, &Scale::quick())
-                .serial()
-                .execute()?;
-            Ok(outcome
-                .blocks
-                .iter()
-                .flat_map(|b| {
-                    b.cells
-                        .iter()
-                        .map(|c| (b.dataset.clone(), c.name.clone(), c.wall_ms))
-                })
-                .collect())
-        };
-        let mut walls = time_grid()?;
-        let over_limit = |walls: &[(String, String, f64)]| {
-            walls.iter().any(|(dataset, strategy, wall)| {
-                report
-                    .cells
-                    .iter()
-                    .find(|c| {
-                        c.experiment == spec.experiment_id()
-                            && &c.dataset == dataset
-                            && &c.strategy == strategy
-                    })
-                    .is_some_and(|r| *wall > r.wall_ms * 1.2)
-            })
-        };
-        // One retry absorbs transient machine noise — a best-of-two
-        // still catches real regressions, which reproduce.
-        if over_limit(&walls) {
-            eprintln!(
-                "  {gate}: {} over limit on first pass — re-timing once",
-                spec.experiment_id()
-            );
-            for (prev, fresh) in walls.iter_mut().zip(time_grid()?) {
-                prev.2 = prev.2.min(fresh.2);
+    let time = |spec: &ExperimentSpec| -> Result<Vec<(String, f64)>, Error> {
+        let outcome = GridExecutor::new(spec, &Scale::quick())
+            .serial()
+            .execute()?;
+        let mut rows = Vec::new();
+        for b in &outcome.blocks {
+            for c in &b.cells {
+                rows.push((key(spec.experiment_id(), &b.dataset, &c.name), c.wall_ms));
             }
         }
-        for (dataset, strategy, wall) in &walls {
-            let reference = report.cells.iter().find(|c| {
-                c.experiment == spec.experiment_id()
-                    && &c.dataset == dataset
-                    && &c.strategy == strategy
-            });
-            let Some(reference) = reference else {
-                eprintln!(
-                    "  {gate}: no committed {}/{dataset}/{strategy} cell — skipped",
-                    spec.experiment_id()
-                );
-                skipped += 1;
-                continue;
-            };
-            let limit = reference.wall_ms * 1.2;
-            assert!(
-                *wall <= limit,
-                "{gate}: {}/{dataset}/{strategy} wall {wall:.1} ms exceeds {limit:.1} ms \
-                 (committed {:.1} ms + 20%)",
-                spec.experiment_id(),
-                reference.wall_ms
-            );
-            compared += 1;
-        }
-    }
-    assert!(compared > 0, "{gate} compared no cells");
-    eprintln!("  {gate}: {compared} cell(s) within +20% of committed ({skipped} skipped)");
-    Ok(())
+        Ok(rows)
+    };
+    reference_gate("grid perf gate", committed, &bench_grid_specs(false), time)
 }
 
 /// `bench --check` gate: selector training must not regress. Re-times
 /// only the *deduplicated* selector trainings of the checked-in
 /// transfer matrix (not the full apply grid) at the committed bench
-/// scale and fails if any exceeds its committed
-/// `BENCH_harness.json` twin — matched by plan label — by more than
-/// 20%. Skipped when the committed artifact predates transfer grids.
+/// scale against the committed selector rows, matched by plan label.
 fn selector_train_gate() -> Result<(), Error> {
-    let gate = "selector train gate";
-    let Some(report) = committed_report(gate) else {
-        return Ok(());
-    };
-    if report.selector_train.is_empty() {
-        eprintln!("  {gate}: skipped (no committed selector_train rows)");
-        return Ok(());
-    }
     // The same dedup the executor performs: one training per distinct
     // plan cache key across the strategy × train grid.
-    let spec = transfer_matrix_spec()?;
-    let mut plans = Vec::new();
-    let mut keys: Vec<String> = Vec::new();
-    for train in &spec.train {
-        for token in &spec.strategies {
-            let plan = registry::parse_strategy(&inject_train(token, train))?
+    let mut plans: Vec<registry::LhsPlan> = Vec::new();
+    for group in transfer_matrix_spec()?.to_experiment_spec().groups {
+        for entry in group.strategies {
+            let plan = registry::parse_strategy(&entry.strategy)?
                 .lhs
                 .expect("transfer strategies are selector tokens");
-            let key = plan.cache_key();
-            if !keys.contains(&key) {
-                keys.push(key);
+            if !plans.iter().any(|p| p.cache_key() == plan.cache_key()) {
                 plans.push(plan);
             }
         }
     }
-    let time_all = |plans: &[registry::LhsPlan]| -> Result<Vec<f64>, Error> {
-        plans
-            .iter()
-            .map(|plan| {
-                let start = std::time::Instant::now();
-                train_lhs_plan(plan, &Scale::quick())?;
-                Ok(start.elapsed().as_secs_f64() * 1e3)
-            })
-            .collect()
+    let committed = |r: &BenchReport| {
+        let rows = r.selector_train.iter();
+        (!r.selector_train.is_empty())
+            .then(|| rows.map(|t| (t.selector.clone(), t.wall_ms)).collect())
     };
-    let reference = |label: &str| {
-        report
-            .selector_train
-            .iter()
-            .find(|r| r.selector == label)
-            .map(|r| r.wall_ms)
-    };
-    let mut walls = time_all(&plans)?;
-    let over_limit = |walls: &[f64]| {
-        plans
-            .iter()
-            .zip(walls)
-            .any(|(plan, wall)| reference(&plan.label()).is_some_and(|r| *wall > r * 1.2))
-    };
-    // One retry absorbs transient machine noise — a best-of-two still
-    // catches real regressions, which reproduce.
-    if over_limit(&walls) {
-        eprintln!("  {gate}: over limit on first pass — re-timing once");
-        for (prev, fresh) in walls.iter_mut().zip(time_all(&plans)?) {
-            *prev = prev.min(fresh);
-        }
-    }
-    let (mut compared, mut skipped) = (0usize, 0usize);
-    for (plan, wall) in plans.iter().zip(&walls) {
-        let label = plan.label();
-        let Some(committed) = reference(&label) else {
-            eprintln!("  {gate}: no committed {label} row — skipped");
-            skipped += 1;
-            continue;
+    reference_gate("selector train gate", committed, &[plans], |plans| {
+        let time = |plan: &registry::LhsPlan| {
+            let start = std::time::Instant::now();
+            train_lhs_plan(plan, &Scale::quick())?;
+            Ok((plan.label(), start.elapsed().as_secs_f64() * 1e3))
         };
-        let limit = committed * 1.2;
-        assert!(
-            *wall <= limit,
-            "{gate}: {label} train wall {wall:.1} ms exceeds {limit:.1} ms \
-             (committed {committed:.1} ms + 20%)"
-        );
-        compared += 1;
-    }
-    assert!(compared > 0, "{gate} compared no selectors");
-    eprintln!("  {gate}: {compared} selector(s) within +20% of committed ({skipped} skipped)");
-    Ok(())
+        plans.iter().map(time).collect()
+    })
 }
 
 /// `bench --check` gate: the adaptive scheduler must actually pay for
@@ -1581,43 +1228,36 @@ fn sessions_throughput_gate() -> Result<(), Error> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn add_lhs_param_inserts_into_both_token_forms() {
-        assert_eq!(
-            add_lhs_param("LHS(entropy)", "ranker=linear"),
-            "LHS{ranker=linear}(entropy)"
-        );
-        assert_eq!(
-            add_lhs_param("LHS{history=false}(entropy)", "predictor=ar:3"),
-            "LHS{predictor=ar:3,history=false}(entropy)"
-        );
+    /// [`check_walls`] against a committed `a` = 100 ms row, with a fake
+    /// re-timer that returns `passes` in turn: the error (if any) and
+    /// how many passes were timed.
+    fn gate(passes: &[&[(&str, f64)]]) -> (Option<String>, usize) {
+        let reference = [("a".to_string(), 100.0)];
+        let mut timed = 0;
+        let verdict = check_walls("gate", &reference, &[()], |_| {
+            timed += 1;
+            Ok(passes[timed - 1]
+                .iter()
+                .map(|(k, w)| (k.to_string(), *w))
+                .collect())
+        });
+        (verdict.err().map(|e| e.to_string()), timed)
     }
 
     #[test]
-    fn embedded_specs_parse_and_validate() {
-        for json in [
-            include_str!("../../../specs/fig2.json"),
-            include_str!("../../../specs/fig3_text.json"),
-            include_str!("../../../specs/fig3_ner.json"),
-            include_str!("../../../specs/fig5.json"),
-            include_str!("../../../specs/table2.json"),
-            include_str!("../../../specs/table6.json"),
-            include_str!("../../../specs/table7.json"),
-            include_str!("../../../specs/adaptive-sweep.json"),
-        ] {
-            let spec = embedded_spec(json).expect("embedded spec parses");
-            spec.validate().expect("embedded spec validates");
-        }
-    }
-
-    #[test]
-    fn table7_variant_rewrite_still_validates() {
-        let mut spec = embedded_spec(include_str!("../../../specs/table7.json")).unwrap();
-        for g in &mut spec.groups {
-            for entry in &mut g.strategies {
-                entry.strategy = add_lhs_param(&entry.strategy, "predictor=ar:3");
-            }
-        }
-        spec.validate().expect("rewritten ablation spec validates");
+    fn check_walls_bounds_retries_and_skips() {
+        // Within the bound: one pass.
+        assert_eq!(gate(&[&[("a", 119.0)]]), (None, 1));
+        // Over, then under on the retry: the minimum passes.
+        assert_eq!(gate(&[&[("a", 150.0)], &[("a", 110.0)]]), (None, 2));
+        // Over on both passes fails, on the minimum of the two.
+        let (e, timed) = gate(&[&[("a", 121.0)], &[("a", 130.0)]]);
+        assert!(e.unwrap().contains("a wall 121.0 ms exceeds 120.0 ms"));
+        assert_eq!(timed, 2);
+        // A row without a committed twin is skipped, never retried.
+        assert_eq!(gate(&[&[("a", 100.0), ("new", 1e9)]]), (None, 1));
+        // No row compared at all fails.
+        let (e, _) = gate(&[&[("new", 1.0)]]);
+        assert!(e.unwrap().contains("compared no rows"));
     }
 }

@@ -524,6 +524,21 @@ pub fn parse_strategy(token: &str) -> Result<ResolvedStrategy, Error> {
     Ok(resolved)
 }
 
+/// Insert a `key=value` parameter at the front of a wrapped token's
+/// `{…}` list, creating the list when absent: `LHS(entropy)` +
+/// `ranker=linear` → `LHS{ranker=linear}(entropy)`, and
+/// `LAL{meta=on}(LC)` + `train=mr` → `LAL{train=mr,meta=on}(LC)`. A bare
+/// base token comes back unchanged.
+pub fn add_selector_param(token: &str, param: &str) -> String {
+    match token.split_once('{') {
+        Some((head, rest)) => format!("{head}{{{param},{rest}"),
+        None => match token.split_once('(') {
+            Some((head, rest)) => format!("{head}{{{param}}}({rest}"),
+            None => token.to_string(),
+        },
+    }
+}
+
 // ---------------------------------------------------------------------
 // Dataset registry
 // ---------------------------------------------------------------------
@@ -601,6 +616,11 @@ pub fn parse_dataset(token: &str) -> Result<DatasetDef, Error> {
                     let rate: f64 = v
                         .parse()
                         .map_err(|_| Error::spec(format!("noise rate `{v}` is not a number")))?;
+                    if !(0.0..=1.0).contains(&rate) {
+                        return Err(Error::spec(format!(
+                            "noise rate `{v}` must be a fraction in [0, 1]"
+                        )));
+                    }
                     *noise = (rate > 0.0).then_some(rate);
                 }
                 ("priors", DatasetDef::Text { spec, .. }) => {
@@ -615,6 +635,14 @@ pub fn parse_dataset(token: &str) -> Result<DatasetDef, Error> {
                             spec.name,
                             spec.n_classes,
                             priors.len()
+                        )));
+                    }
+                    let sum: f64 = priors.iter().sum();
+                    if priors.iter().any(|p| !(p.is_finite() && *p >= 0.0))
+                        || (sum - 1.0).abs() >= 1e-6
+                    {
+                        return Err(Error::spec(format!(
+                            "priors `{v}` must be finite, non-negative and sum to 1"
                         )));
                     }
                     *spec = spec.clone().with_class_priors(priors);
@@ -927,6 +955,42 @@ mod tests {
         let e = parse_dataset("imdb").unwrap_err();
         assert!(e.to_string().contains("imdb") && e.to_string().contains("mr"));
         assert!(parse_dataset("conll2003-en?noise=0.1").is_err());
+    }
+
+    #[test]
+    fn priors_that_do_not_sum_to_one_are_a_spec_error() {
+        for token in ["mr?priors=0.9/0.3", "mr?priors=NaN/0.5"] {
+            let e = parse_dataset(token).unwrap_err();
+            assert!(matches!(e.kind, ErrorKind::Spec { .. }), "{e}");
+        }
+    }
+
+    #[test]
+    fn noise_rate_above_one_is_a_spec_error() {
+        assert!(parse_dataset("mr?noise=1.5").is_err());
+    }
+
+    #[test]
+    fn negative_or_non_finite_noise_rate_is_a_spec_error() {
+        for token in ["mr?noise=-0.5", "mr?noise=NaN", "mr?noise=inf"] {
+            assert!(parse_dataset(token).is_err(), "{token}");
+        }
+        assert!(parse_dataset("mr?noise=1").is_ok());
+    }
+
+    #[test]
+    fn add_selector_param_inserts_into_both_token_forms() {
+        for (token, want) in [
+            ("LHS(entropy)", "LHS{p=1}(entropy)"),
+            ("LHS{history=false}(LC)", "LHS{p=1,history=false}(LC)"),
+            ("LAL{meta=on}(LC)", "LAL{p=1,meta=on}(LC)"),
+            ("entropy", "entropy"),
+        ] {
+            assert_eq!(add_selector_param(token, "p=1"), want);
+        }
+        let token = add_selector_param("LAL(entropy)", "train=mr");
+        let plan = parse_strategy(&token).unwrap().lhs.unwrap();
+        assert_eq!(plan.train.as_deref(), Some("mr"));
     }
 
     #[test]

@@ -300,9 +300,16 @@ pub(crate) fn execute(
             TaskInstance::Ner { task, .. } => task.score_beam,
             TaskInstance::Text { .. } => None,
         };
+        // A token's `?noise=`/`?priors=` modifiers change the corpus but
+        // not its generated name, so they join the hashed dataset — only
+        // when set, so unmodified datasets keep their journal hashes.
+        let dataset = match ctx.spec.datasets[cell.task].dataset.split_once('?') {
+            Some((_, modifiers)) => format!("{}?{}", inst.name(), modifiers.trim()),
+            None => inst.name().to_string(),
+        };
         let hash = cell_hash(
             &cell.experiment,
-            inst.name(),
+            &dataset,
             &cell.strategy,
             inst.config(),
             &ctx.scale,

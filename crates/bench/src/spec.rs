@@ -17,8 +17,8 @@ use serde::{DeError, Deserialize, Serialize, Value};
 use histal_core::error::Error;
 
 use crate::registry;
-use crate::scaling::POOL_SCALING_KIND;
-use crate::transfer::TRANSFER_KIND;
+use crate::scaling::{PoolScalingSpec, POOL_SCALING_KIND};
+use crate::transfer::{TransferSpec, TRANSFER_KIND};
 
 /// The schema a spec file follows, named by its `kind` discriminator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,10 +33,9 @@ pub enum SpecKind {
 
 impl SpecKind {
     /// Peek a JSON body's `kind` without committing to a schema, so
-    /// `spec-check`, `run --spec` and the round-trip tests can route
-    /// each file to its parser. A body without a known `kind`, or one
-    /// that does not parse, is an experiment grid; its parser then
-    /// reports the error.
+    /// [`SpecFile::from_json`] can route each file to its parser. A body
+    /// without a known `kind`, or one that does not parse, is an
+    /// experiment grid; its parser then reports the error.
     pub fn of_json(body: &str) -> SpecKind {
         #[derive(Deserialize)]
         struct KindProbe {
@@ -48,6 +47,56 @@ impl SpecKind {
             Some(POOL_SCALING_KIND) => SpecKind::PoolScaling,
             Some(TRANSFER_KIND) => SpecKind::Transfer,
             _ => SpecKind::Experiment,
+        }
+    }
+}
+
+/// A spec file of any kind, parsed with the schema its `kind` names
+/// ([`SpecKind::of_json`]) and validated — the one loader behind
+/// `spec-check`, `run --spec` and the round-trip tests.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SpecFile {
+    /// No `kind`: an experiment grid.
+    Experiment(Box<ExperimentSpec>),
+    /// `"kind": "pool-scaling"`.
+    PoolScaling(PoolScalingSpec),
+    /// `"kind": "transfer"`.
+    Transfer(TransferSpec),
+}
+
+impl SpecFile {
+    /// Parse and validate a spec file's JSON `body`.
+    pub fn from_json(body: &str) -> Result<SpecFile, Error> {
+        let spec = match SpecKind::of_json(body) {
+            SpecKind::Experiment => {
+                SpecFile::Experiment(Box::new(ExperimentSpec::from_json(body)?))
+            }
+            SpecKind::PoolScaling => SpecFile::PoolScaling(PoolScalingSpec::from_json(body)?),
+            SpecKind::Transfer => SpecFile::Transfer(TransferSpec::from_json(body)?),
+        };
+        match &spec {
+            SpecFile::Experiment(s) => s.validate(),
+            SpecFile::PoolScaling(s) => s.validate(),
+            SpecFile::Transfer(s) => s.validate(),
+        }?;
+        Ok(spec)
+    }
+
+    /// The spec's `name`.
+    pub fn name(&self) -> &str {
+        match self {
+            SpecFile::Experiment(s) => &s.name,
+            SpecFile::PoolScaling(s) => &s.name,
+            SpecFile::Transfer(s) => &s.name,
+        }
+    }
+
+    /// Serialize to pretty JSON (the `specs/` file format).
+    pub fn to_json_pretty(&self) -> String {
+        match self {
+            SpecFile::Experiment(s) => s.to_json_pretty(),
+            SpecFile::PoolScaling(s) => s.to_json_pretty(),
+            SpecFile::Transfer(s) => s.to_json_pretty(),
         }
     }
 }
@@ -630,6 +679,9 @@ impl ExperimentSpec {
         if let Some(r) = self.scale.as_ref().and_then(|s| s.repeats) {
             check_repeats("`scale.repeats`", r)?;
         }
+        if self.pool.as_ref().and_then(|p| p.batch_size) == Some(0) {
+            return Err(Error::spec("`pool.batch_size` must be at least 1"));
+        }
         for m in &self.metrics {
             registry::parse_metric(m)?;
         }
@@ -756,15 +808,6 @@ impl ExperimentSpec {
         }
         Ok(())
     }
-
-    /// The task kind of the (validated) spec's datasets.
-    pub fn task_kind(&self) -> Result<registry::TaskKind, Error> {
-        let first = self
-            .datasets
-            .first()
-            .ok_or_else(|| Error::spec("spec lists no datasets"))?;
-        Ok(registry::parse_dataset(&first.dataset)?.kind())
-    }
 }
 
 /// Substitute `{dataset}` / `{label}` placeholders in a title or
@@ -879,6 +922,38 @@ mod tests {
             .to_string()
             .contains("text datasets"));
         assert!(sample().validate().is_ok());
+    }
+
+    fn validate_dataset(token: &str) -> Result<(), Error> {
+        let mut spec = sample();
+        spec.datasets = vec![DatasetEntry::new(token)];
+        spec.validate()
+    }
+
+    #[test]
+    fn validate_rejects_priors_that_do_not_sum_to_one() {
+        assert!(validate_dataset("mr?priors=0.9/0.3").is_err());
+    }
+
+    #[test]
+    fn validate_rejects_noise_rate_above_one() {
+        assert!(validate_dataset("mr?noise=1.5").is_err());
+    }
+
+    #[test]
+    fn validate_rejects_negative_or_non_finite_noise_rate() {
+        assert!(validate_dataset("mr?noise=-0.5").is_err());
+        assert!(validate_dataset("mr?noise=NaN").is_err());
+    }
+
+    #[test]
+    fn validate_rejects_zero_batch_size() {
+        let mut spec = sample();
+        spec.pool = Some(PoolSpec {
+            batch_size: Some(0),
+            ..Default::default()
+        });
+        assert!(spec.validate().is_err());
     }
 
     #[test]

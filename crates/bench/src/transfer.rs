@@ -97,18 +97,6 @@ pub struct TransferOutcome {
     pub selector_train_ms: Vec<(String, f64)>,
 }
 
-/// Insert a `train=DATASET` parameter into a selector token, e.g.
-/// `LAL{meta=on}(entropy)` + `mr` → `LAL{train=mr,meta=on}(entropy)`.
-pub fn inject_train(token: &str, dataset: &str) -> String {
-    match token.split_once('{') {
-        Some((head, rest)) => format!("{head}{{train={dataset},{rest}"),
-        None => match token.split_once('(') {
-            Some((head, rest)) => format!("{head}{{train={dataset}}}({rest}"),
-            None => token.to_string(),
-        },
-    }
-}
-
 impl TransferSpec {
     /// Parse a transfer spec from its JSON text.
     pub fn from_json(json: &str) -> Result<TransferSpec, Error> {
@@ -218,7 +206,7 @@ impl TransferSpec {
                         .iter()
                         .enumerate()
                         .map(|(si, token)| StrategyEntry {
-                            strategy: inject_train(token, ds),
+                            strategy: registry::add_selector_param(token, &format!("train={ds}")),
                             rename: None,
                             experiment: Some(format!("{exp}-s{si}-t-{ds}")),
                         })
@@ -452,21 +440,6 @@ mod tests {
         let back = TransferSpec::from_json(&json).unwrap();
         assert_eq!(back, spec);
         assert_eq!(back.to_json_pretty(), json);
-    }
-
-    #[test]
-    fn inject_train_handles_both_token_shapes() {
-        assert_eq!(inject_train("LHS(entropy)", "mr"), "LHS{train=mr}(entropy)");
-        assert_eq!(
-            inject_train("LAL{meta=on}(LC)", "sst2"),
-            "LAL{train=sst2,meta=on}(LC)"
-        );
-        // Injected tokens stay parseable and carry the train override.
-        let plan = registry::parse_strategy(&inject_train("LAL(entropy)", "mr"))
-            .unwrap()
-            .lhs
-            .unwrap();
-        assert_eq!(plan.train.as_deref(), Some("mr"));
     }
 
     #[test]

@@ -188,3 +188,76 @@ fn significance_matches_golden() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `noise`, `imbalance` and `table5 --targets` became embedded specs;
+/// their goldens were captured from the in-code specs they replaced.
+#[test]
+fn noise_imbalance_and_table5_targets_match_goldens() {
+    for (args, stem) in [
+        (&["noise"][..], "noise"),
+        (&["imbalance"], "imbalance"),
+        (&["table5", "--targets", "0.6,0.65"], "table5_targets"),
+    ] {
+        let dir = scratch(stem);
+        let (stdout, _) = run(&dir, args);
+        assert_eq!(
+            stdout,
+            golden(&format!("{stem}_s002_r1.stdout")),
+            "{args:?}"
+        );
+        let json = results_json(&dir, &format!("{}.json", args[0]));
+        assert_eq!(json, golden(&format!("{stem}_s002_r1.json")), "{args:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Every spec-backed row of the command table prints the same bytes as
+/// `run --spec` on its checked-in file. Table 2's cells are wall clocks,
+/// so only its table shape (numbers and rules masked, padding trimmed)
+/// must match.
+#[test]
+fn every_spec_command_matches_run_spec_on_its_file() {
+    use histal_bench::commands::{Runs, COMMANDS};
+
+    let mask = |s: String| -> Vec<Vec<String>> {
+        let cell = |c: &str| match c.trim() {
+            c if c.parse::<f64>().is_ok() || c.chars().all(|c| c == '-') => "#".to_string(),
+            c => c.to_string(),
+        };
+        s.lines()
+            .map(|l| l.split('|').map(cell).collect())
+            .collect()
+    };
+    for command in COMMANDS {
+        let Runs::Spec(file, _) = command.runs else {
+            continue;
+        };
+        let dir = scratch(command.name);
+        let (by_name, _) = run(&dir, &[command.name]);
+        let spec = specs().join(file);
+        let (by_spec, _) = run(&dir, &["run", "--spec", spec.to_str().unwrap()]);
+        match command.name {
+            "table2" => assert_eq!(mask(by_name), mask(by_spec), "table2 shape"),
+            name => assert_eq!(by_name, by_spec, "{name} != run --spec {file}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// `noise` runs three corpora that share the generated name `MR`, so
+/// their journal keys collide; the noise rate joins the replay-guard
+/// hash, so a torn journal still resumes each corpus from its own cells.
+#[test]
+fn noise_resumes_byte_identically_from_a_torn_journal() {
+    let dir = scratch("noise-resume");
+    let journal = dir.join("noise.jsonl");
+    let journal = journal.to_str().unwrap();
+    let (first, _) = run(&dir, &["noise", "--journal", journal]);
+    let torn = std::fs::metadata(journal).unwrap().len() - 50;
+    let file = std::fs::OpenOptions::new().write(true).open(journal);
+    file.unwrap().set_len(torn).expect("tear the journal tail");
+    let (resumed, stderr) = run(&dir, &["resume", "noise", "--journal", journal]);
+    assert!(stderr.contains("# resume: 8 completed cell(s)"), "{stderr}");
+    assert_eq!(resumed, first, "resumed noise table drifted");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -240,9 +240,7 @@ proptest! {
 /// schema; everything else is an [`ExperimentSpec`].
 #[test]
 fn checked_in_specs_parse_validate_and_round_trip() {
-    use histal_bench::scaling::PoolScalingSpec;
-    use histal_bench::spec::SpecKind;
-    use histal_bench::transfer::TransferSpec;
+    use histal_bench::spec::SpecFile;
 
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs");
     let mut paths: Vec<_> = std::fs::read_dir(dir)
@@ -251,57 +249,18 @@ fn checked_in_specs_parse_validate_and_round_trip() {
         .filter(|p| p.extension().is_some_and(|x| x == "json"))
         .collect();
     paths.sort();
-    let mut experiment_specs = 0usize;
-    let mut scaling_specs = 0usize;
-    let mut transfer_specs = 0usize;
+    let (mut experiment_specs, mut scaling_specs, mut transfer_specs) = (0usize, 0usize, 0usize);
     for path in paths {
         let body = std::fs::read_to_string(&path).unwrap();
-        let kind = SpecKind::of_json(&body);
-        if kind == SpecKind::PoolScaling {
-            scaling_specs += 1;
-            let spec = PoolScalingSpec::from_json(&body)
-                .unwrap_or_else(|e| panic!("{}: parse failed: {e}", path.display()));
-            spec.validate()
-                .unwrap_or_else(|e| panic!("{}: validate failed: {e}", path.display()));
-            let json1 = spec.to_json_pretty();
-            let spec2 = PoolScalingSpec::from_json(&json1).unwrap();
-            assert_eq!(
-                spec,
-                spec2,
-                "{}: round trip changed the spec",
-                path.display()
-            );
-            continue;
+        let spec = SpecFile::from_json(&body)
+            .unwrap_or_else(|e| panic!("{}: parse or validate failed: {e}", path.display()));
+        match spec {
+            SpecFile::Experiment(_) => experiment_specs += 1,
+            SpecFile::PoolScaling(_) => scaling_specs += 1,
+            SpecFile::Transfer(_) => transfer_specs += 1,
         }
-        if kind == SpecKind::Transfer {
-            transfer_specs += 1;
-            let spec = TransferSpec::from_json(&body)
-                .unwrap_or_else(|e| panic!("{}: parse failed: {e}", path.display()));
-            spec.validate()
-                .unwrap_or_else(|e| panic!("{}: validate failed: {e}", path.display()));
-            let json1 = spec.to_json_pretty();
-            let spec2 = TransferSpec::from_json(&json1).unwrap();
-            assert_eq!(
-                spec,
-                spec2,
-                "{}: round trip changed the spec",
-                path.display()
-            );
-            assert_eq!(
-                json1,
-                spec2.to_json_pretty(),
-                "{}: serialization not idempotent",
-                path.display()
-            );
-            continue;
-        }
-        experiment_specs += 1;
-        let spec = ExperimentSpec::from_json(&body)
-            .unwrap_or_else(|e| panic!("{}: parse failed: {e}", path.display()));
-        spec.validate()
-            .unwrap_or_else(|e| panic!("{}: validate failed: {e}", path.display()));
         let json1 = spec.to_json_pretty();
-        let spec2 = ExperimentSpec::from_json(&json1).unwrap();
+        let spec2 = SpecFile::from_json(&json1).unwrap();
         assert_eq!(
             spec,
             spec2,

@@ -114,41 +114,15 @@ pub fn wilcoxon_signed_rank(a: &[f64], b: &[f64]) -> TestResult {
 }
 
 /// Paired bootstrap test: resample the paired differences `iters` times
-/// and report the two-sided p-value of the sign of the mean.
+/// and report the two-sided p-value of the sign of the mean. The test
+/// half of [`paired_bootstrap_ci`] (same resampling stream, same p, same
+/// degenerate p = 1), with `statistic` = `mean_diff`.
 pub fn paired_bootstrap(a: &[f64], b: &[f64], iters: usize, seed: u64) -> TestResult {
-    assert_eq!(a.len(), b.len(), "paired samples must align");
-    let diffs: Vec<f64> = a.iter().zip(b).map(|(x, y)| x - y).collect();
-    let n = diffs.len();
-    let mean_diff = if n == 0 {
-        0.0
-    } else {
-        diffs.iter().sum::<f64>() / n as f64
-    };
-    if n == 0 || diffs.iter().all(|d| d.abs() < 1e-15) {
-        return TestResult {
-            statistic: mean_diff,
-            p_value: 1.0,
-            mean_diff,
-        };
-    }
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut opposite = 0usize;
-    for _ in 0..iters {
-        let mut acc = 0.0;
-        for _ in 0..n {
-            acc += diffs[rng.gen_range(0..n)];
-        }
-        let resampled = acc / n as f64;
-        if (resampled >= 0.0) != (mean_diff >= 0.0) || resampled == 0.0 {
-            opposite += 1;
-        }
-    }
-    // Two-sided p with the +1 smoothing that keeps p > 0.
-    let p = 2.0 * (opposite as f64 + 1.0) / (iters as f64 + 1.0);
+    let c = paired_bootstrap_ci(a, b, iters, seed, 0.05);
     TestResult {
-        statistic: mean_diff,
-        p_value: p.min(1.0),
-        mean_diff,
+        statistic: c.mean_diff,
+        p_value: c.p_value,
+        mean_diff: c.mean_diff,
     }
 }
 
@@ -256,14 +230,15 @@ fn degenerate_comparison(diffs: &[f64], mean_diff: f64) -> PairedComparison {
 /// Paired bootstrap with a percentile confidence interval: resample the
 /// paired differences with replacement `iters` times (drawing `n`
 /// indices per iteration with `gen_range(0..n)` from a
-/// `ChaCha8Rng::seed_from_u64(seed)` stream, exactly like
-/// [`paired_bootstrap`]), take the mean of each resample, and report
+/// `ChaCha8Rng::seed_from_u64(seed)` stream), take the mean of each
+/// resample, and report
 ///
 /// * the two-sided `1 − alpha` percentile interval
 ///   (linear-interpolation quantiles `alpha/2` and `1 − alpha/2` of the
 ///   sorted resampled means), and
-/// * the same sign-based two-sided p-value as [`paired_bootstrap`]
-///   (`2·(opposite + 1)/(iters + 1)`, capped at 1).
+/// * the sign-based two-sided p-value: the share of resampled means
+///   whose sign opposes `mean_diff` (or is zero), as
+///   `2·(opposite + 1)/(iters + 1)`, capped at 1.
 ///
 /// With `n = 0` pairs, all-tied pairs, or `iters = 0`, returns the
 /// degenerate point interval at `mean_diff` with p = 1.
@@ -502,16 +477,6 @@ mod tests {
         assert!(c.ci_low > 0.0, "ci = [{}, {}]", c.ci_low, c.ci_high);
         assert_eq!(c.verdict(0.05), Verdict::Win);
         assert_eq!((c.wins, c.losses, c.ties), (30, 0, 0));
-    }
-
-    #[test]
-    fn bootstrap_ci_p_matches_paired_bootstrap() {
-        let a: Vec<f64> = (0..20).map(|i| 0.5 + 0.03 * (i as f64).sin()).collect();
-        let b = vec![0.5; 20];
-        let t = paired_bootstrap(&a, &b, 1500, 9);
-        let c = paired_bootstrap_ci(&a, &b, 1500, 9, 0.05);
-        assert_eq!(t.p_value, c.p_value);
-        assert_eq!(t.mean_diff, c.mean_diff);
     }
 
     #[test]

@@ -314,6 +314,17 @@ mod tests {
     }
 
     #[test]
+    fn bad_priors_token_is_an_error_not_a_panic() {
+        let mut c = text_config();
+        c.dataset = "mr?priors=0.9/0.3".into();
+        let e = c
+            .build_session(&TaskCache::new(), Arc::new(MetricsRegistry::new()))
+            .err()
+            .expect("priors summing to 1.2 must be rejected");
+        assert!(e.to_string().contains("priors"), "{e}");
+    }
+
+    #[test]
     fn task_cache_shares_builds() {
         let tasks = TaskCache::new();
         let spec = histal_data::TextSpec::by_name("mr").unwrap();
