@@ -340,7 +340,9 @@ pub fn shift_add3_sub(out: &mut [f64], s: f64, a: &[f64], b: &[f64], c: &[f64], 
 }
 
 /// `acc[i] += row[i] * v` — the hashed sparse-dense building block
-/// shared by CRF emission fills and logreg logits/gradients.
+/// shared by CRF emission fills and logreg inference logits. Logreg
+/// training writes the same mul-then-add inline: its rows are 2–6
+/// wide, and on such a row this dispatch costs more than the row.
 #[inline]
 pub fn axpy(acc: &mut [f64], row: &[f64], v: f64) {
     dispatch!(

@@ -106,7 +106,8 @@ struct Linear {
     /// Feature-major `n_features × n_classes`: `w[idx*k + c]` keeps one
     /// hashed feature's class block contiguous, so the sparse hot loops
     /// (logits, dropout posteriors, SGD updates) each touch one cache
-    /// line per feature and hand the class block to the lane kernels.
+    /// line per feature; inference hands the class block to the lane
+    /// kernels, training loops over it inline.
     /// Per output cell the accumulation still runs over features in
     /// index order, so results are bit-identical to the class-major
     /// layout this replaces.
@@ -174,9 +175,9 @@ impl Linear {
     /// are taken at the batch-start weights and applied as a sum, so the
     /// value is part of the training semantics.
     const MINIBATCH: usize = 8;
-    /// Items per bias-gradient accumulation chunk (see
-    /// [`crate::parallel::chunked_grads_serial`]). Part of the training
-    /// semantics too: the chunk partials are summed in chunk order, so
+    /// Items per bias-gradient accumulation chunk. Part of the training
+    /// semantics too: each chunk's partial starts at zero and the
+    /// partials are summed in chunk order into a zeroed total, so
     /// changing it moves the low bits of every trained weight.
     const GRAD_CHUNK: usize = 2;
 
@@ -184,12 +185,18 @@ impl Linear {
     ///
     /// Runs on the calling thread. Per-sample gradients inside one
     /// minibatch are computed at the batch-start weights; bias gradients
-    /// reduce through fixed-order chunk accumulators and sparse weight
+    /// reduce through fixed-order chunk partials and sparse weight
     /// gradients apply in sample order. A minibatch is 8 sparse
     /// documents, about a microsecond of work per chunk, far less than a
     /// pool round-trip, so it does not fan out; pool evaluation and the
     /// harness parallelise above it. Dropout masks come from per-sample
     /// RNGs derived from one `epoch_seed` drawn from the driver stream.
+    ///
+    /// One workspace per fit: every buffer is sized before the epoch
+    /// loop and only cleared inside it. The k-wide row loops are written
+    /// inline rather than through `kernels::axpy`/`sgd_row_update`,
+    /// whose dispatch costs more than a 2-wide row; the per-cell float
+    /// operations (mul then add, no FMA) are the same.
     #[allow(clippy::too_many_arguments)]
     fn train(
         &mut self,
@@ -207,62 +214,83 @@ impl Linear {
         }
         let nf = self.n_features as usize;
         let k = self.n_classes;
-        // Hoisted out of the epoch loop: bounds-filter and widen each
-        // sample's features once per fit instead of once per step.
-        let feats: Vec<Vec<(u32, f64)>> = samples
-            .iter()
-            .map(|d| {
-                d.features
-                    .iter()
-                    .filter(|&(idx, _)| (idx as usize) < nf)
-                    .map(|(idx, val)| (idx, val as f64))
-                    .collect()
-            })
-            .collect();
         let keep = 1.0 - train_dropout;
+        // Each sample's bounds-filtered, widened features, already divided
+        // by the inverted-dropout `keep` (the same `v / keep` a kept
+        // feature always got), flattened once per fit: sample `i` owns
+        // `foff[i]..foff[i + 1]`.
+        let mut foff = Vec::with_capacity(n + 1);
+        foff.push(0);
+        let mut fidx: Vec<usize> = Vec::new();
+        let mut fval: Vec<f64> = Vec::new();
+        let mut max_len = 0;
+        for d in samples {
+            let start = fidx.len();
+            for (idx, val) in d.features.iter() {
+                if (idx as usize) < nf {
+                    fidx.push(idx as usize);
+                    fval.push(val as f64 / keep);
+                }
+            }
+            max_len = max_len.max(fidx.len() - start);
+            foff.push(fidx.len());
+        }
+        // The minibatch's dropout-masked features (sample `j` of the
+        // batch owns `moff[j]..moff[j + 1]`) and its `batch × k` block
+        // of logit gradients.
+        let mut midx: Vec<usize> = Vec::with_capacity(Self::MINIBATCH * max_len);
+        let mut mval: Vec<f64> = Vec::with_capacity(Self::MINIBATCH * max_len);
+        let mut moff: Vec<usize> = Vec::with_capacity(Self::MINIBATCH + 1);
+        let mut grads = vec![0.0; Self::MINIBATCH * k];
+        let mut chunk_grad = vec![0.0; k];
+        let mut bias_grad = vec![0.0; k];
         let mut order: Vec<usize> = (0..n).collect();
         for _ in 0..epochs {
             order.shuffle(rng);
             let epoch_seed: u64 = rng.gen();
             for (batch_no, batch) in order.chunks(Self::MINIBATCH).enumerate() {
                 let base = batch_no * Self::MINIBATCH;
-                let (w, b) = (&self.w, &self.b);
-                let (per_item, bias_grad) = crate::parallel::chunked_grads_serial(
-                    batch.len(),
-                    Self::GRAD_CHUNK,
-                    k,
-                    |j, bias_acc| {
-                        let i = batch[j];
+                midx.clear();
+                mval.clear();
+                moff.clear();
+                moff.push(0);
+                bias_grad.fill(0.0);
+                for (chunk_no, chunk) in batch.chunks(Self::GRAD_CHUNK).enumerate() {
+                    chunk_grad.fill(0.0);
+                    for (jc, &i) in chunk.iter().enumerate() {
+                        let j = chunk_no * Self::GRAD_CHUNK + jc;
                         let mut srng = ChaCha8Rng::seed_from_u64(crate::parallel::derive_seed(
                             epoch_seed,
                             (base + j) as u64,
                         ));
                         // One dropout mask per sample, reused for the
                         // forward pass and the gradient.
-                        let masked: Vec<(u32, f64)> = feats[i]
-                            .iter()
-                            .filter_map(|&(idx, v)| {
-                                if train_dropout == 0.0 || srng.gen::<f64>() < keep {
-                                    Some((idx, v / keep))
-                                } else {
-                                    None
-                                }
-                            })
-                            .collect();
-                        let mut logits = b.clone();
-                        for &(idx, v) in &masked {
-                            let row = &w[idx as usize * k..(idx as usize + 1) * k];
-                            crate::kernels::axpy(&mut logits, row, v);
+                        for f in foff[i]..foff[i + 1] {
+                            if train_dropout == 0.0 || srng.gen::<f64>() < keep {
+                                midx.push(fidx[f]);
+                                mval.push(fval[f]);
+                            }
                         }
-                        softmax_inplace(&mut logits);
+                        let (lo, hi) = (moff[j], midx.len());
+                        moff.push(hi);
+                        let g = &mut grads[j * k..(j + 1) * k];
+                        g.copy_from_slice(&self.b);
+                        for (&idx, &v) in midx[lo..hi].iter().zip(&mval[lo..hi]) {
+                            for (gc, &wc) in g.iter_mut().zip(&self.w[idx * k..(idx + 1) * k]) {
+                                *gc += wc * v;
+                            }
+                        }
+                        softmax_inplace(g);
                         let y = *labels[i];
-                        for c in 0..k {
-                            logits[c] -= if c == y { 1.0 } else { 0.0 };
-                            bias_acc[c] += logits[c];
+                        for (c, (gc, acc)) in g.iter_mut().zip(chunk_grad.iter_mut()).enumerate() {
+                            *gc -= if c == y { 1.0 } else { 0.0 };
+                            *acc += *gc;
                         }
-                        (masked, logits)
-                    },
-                );
+                    }
+                    for (t, p) in bias_grad.iter_mut().zip(&chunk_grad) {
+                        *t += p;
+                    }
+                }
                 for (bc, g) in self.b.iter_mut().zip(&bias_grad) {
                     *bc -= lr * g;
                 }
@@ -271,11 +299,12 @@ impl Linear {
                 // sample's features are unique, so within a sample each
                 // weight cell is touched once and the feature-outer
                 // order is bit-identical to the old class-outer order.
-                // eps = 0.0: logreg applies every update (no skip).
-                for (masked, g) in &per_item {
-                    for &(idx, v) in masked {
-                        let row = &mut self.w[idx as usize * k..(idx as usize + 1) * k];
-                        crate::kernels::sgd_row_update(row, g, v, lr, l2, 0.0);
+                for (j, g) in grads.chunks_exact(k).take(batch.len()).enumerate() {
+                    let (lo, hi) = (moff[j], moff[j + 1]);
+                    for (&idx, &v) in midx[lo..hi].iter().zip(&mval[lo..hi]) {
+                        for (wc, &gc) in self.w[idx * k..(idx + 1) * k].iter_mut().zip(g) {
+                            *wc -= lr * (gc * v + l2 * *wc);
+                        }
                     }
                 }
             }
@@ -733,6 +762,37 @@ mod tests {
             }
         }
         assert_eq!(h, 0xf02c_d799_23c7_dd7c, "pinned hash {h:#018x}");
+    }
+
+    #[test]
+    fn multiclass_short_batch_training_bits_are_pinned() {
+        // k = 3 over 37 samples: four full minibatches and a short last
+        // one of 5, whose bias gradient reduces over chunks of 2, 2 and
+        // 1. Same FNV-1a as `training_bits_are_pinned`.
+        let classes: [&[&str]; 3] = [&["alpha", "one"], &["beta", "two"], &["gamma", "three"]];
+        let mut docs = Vec::new();
+        let mut labels = Vec::new();
+        for i in 0..37 {
+            let filler = format!("m{i}");
+            let mut ws: Vec<&str> = classes[i % 3].to_vec();
+            ws.push(&filler);
+            docs.push(doc(&ws));
+            labels.push(i % 3);
+        }
+        let mut m = TextClassifier::new(TextClassifierConfig {
+            n_classes: 3,
+            epochs: 3,
+            ..small_config()
+        });
+        fit(&mut m, &docs, &labels, 23);
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for v in m.main.w.iter().chain(&m.main.b) {
+            for byte in v.to_bits().to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(h, 0x6e17_13f4_3d7c_02ec, "pinned hash {h:#018x}");
     }
 
     #[test]

@@ -48,8 +48,8 @@ where
 ///
 /// Worth it only when a chunk outweighs a pool round-trip (tens of
 /// microseconds): the CRF, whose chunk is a sentence's forward–backward
-/// pass, uses it; logistic regression's sparse minibatches use
-/// [`chunked_grads_serial`].
+/// pass, uses it. Logistic regression's sparse minibatches are far
+/// smaller and reduce the same way inline, on the calling thread.
 pub fn chunked_grads<T, F>(
     n_items: usize,
     chunk_size: usize,
@@ -69,41 +69,6 @@ where
         let items: Vec<T> = (lo..hi).map(|i| f(i, &mut dense)).collect();
         (items, dense)
     });
-    combine_chunks(per_chunk, n_items, dense_dim)
-}
-
-/// [`chunked_grads`] on the calling thread, with the *same* chunk
-/// association, so the two agree to 0 ULP (property-tested). The
-/// production path for work too small to pay for a pool call: the
-/// logistic-regression SGD minibatch.
-pub fn chunked_grads_serial<T, F>(
-    n_items: usize,
-    chunk_size: usize,
-    dense_dim: usize,
-    f: F,
-) -> (Vec<T>, Vec<f64>)
-where
-    F: Fn(usize, &mut [f64]) -> T,
-{
-    assert!(chunk_size > 0, "chunk_size must be positive");
-    let n_chunks = n_items.div_ceil(chunk_size);
-    let per_chunk: Vec<(Vec<T>, Vec<f64>)> = (0..n_chunks)
-        .map(|c| {
-            let lo = c * chunk_size;
-            let hi = (lo + chunk_size).min(n_items);
-            let mut dense = vec![0.0; dense_dim];
-            let items: Vec<T> = (lo..hi).map(|i| f(i, &mut dense)).collect();
-            (items, dense)
-        })
-        .collect();
-    combine_chunks(per_chunk, n_items, dense_dim)
-}
-
-fn combine_chunks<T>(
-    per_chunk: Vec<(Vec<T>, Vec<f64>)>,
-    n_items: usize,
-    dense_dim: usize,
-) -> (Vec<T>, Vec<f64>) {
     let mut items = Vec::with_capacity(n_items);
     let mut dense = vec![0.0; dense_dim];
     for (chunk_items, chunk_dense) in per_chunk {
@@ -147,12 +112,19 @@ mod tests {
                 acc[1] += vals[i] * 0.5;
                 i
             });
-            let (si, sd) = chunked_grads_serial(vals.len(), chunk, 2, |i, acc| {
-                acc[0] += vals[i];
-                acc[1] += vals[i] * 0.5;
-                i
-            });
-            assert_eq!(pi, si, "chunk {chunk}");
+            // The reference: each chunk's partial from zero, folded in
+            // chunk order into a zeroed total.
+            let mut sd = [0.0f64; 2];
+            for part in vals.chunks(chunk) {
+                let mut acc = [0.0f64; 2];
+                for v in part {
+                    acc[0] += v;
+                    acc[1] += v * 0.5;
+                }
+                sd[0] += acc[0];
+                sd[1] += acc[1];
+            }
+            assert_eq!(pi, (0..vals.len()).collect::<Vec<_>>(), "chunk {chunk}");
             assert_eq!(pd[0].to_bits(), sd[0].to_bits(), "chunk {chunk}");
             assert_eq!(pd[1].to_bits(), sd[1].to_bits(), "chunk {chunk}");
         }

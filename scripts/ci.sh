@@ -34,6 +34,10 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test --offline --manifest-path benchmark/Cargo.toml
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- verify
 
+echo "==> benchmark digest gate: at seed 0 every workload runs one full pass and"
+echo "    exits non-zero if its outputs differ from benchmark/workloads/digests.json"
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --seconds 1 > /dev/null
+
 echo "==> cargo bench --no-run (criterion benches compile)"
 cargo bench -p histal-bench --no-run
 
