@@ -9,7 +9,6 @@ use rand_chacha::ChaCha8Rng;
 use histal_core::eval::EvalCaps;
 use histal_core::model::Model;
 use histal_data::{NerSpec, TextSpec};
-use histal_models::kernels::{self, KernelMode};
 use histal_models::{
     CrfConfig, CrfTagger, Document, NaiveBayes, NaiveBayesConfig, Sentence, TextClassifier,
     TextClassifierConfig,
@@ -119,49 +118,16 @@ fn bench_crf(c: &mut Criterion) {
     });
 }
 
-/// Raw kernel micro-ops (scalar reference vs lane dispatch) and the
-/// lattice passes they feed: exact forward, beam-pruned forward, and the
-/// full scoring pass (forward + backward entropy), per DESIGN.md §5.7.
-fn bench_kernels(c: &mut Criterion) {
-    // Row widths: 17 is the CoNLL label count (the CRF's inner-loop
-    // trip count); 1024 shows the kernels' asymptotic throughput.
-    for (tag, n) in [("17", 17usize), ("1k", 1024)] {
-        let a: Vec<f64> = (0..n).map(|i| (i as f64) * 0.01 - 1.0).collect();
-        let bvec: Vec<f64> = a.iter().map(|x| 1.5 - x).collect();
-        let mut out = vec![0.0; n];
-        for (mode_tag, mode) in [("scalar", KernelMode::Scalar), ("lanes", KernelMode::Lanes)] {
-            kernels::set_mode(mode);
-            c.bench_function(format!("kernel_add2_{tag}_{mode_tag}"), |b| {
-                b.iter(|| {
-                    kernels::add2(&mut out, black_box(&a), black_box(&bvec));
-                    black_box(out[0])
-                })
-            });
-            c.bench_function(format!("kernel_axpy_{tag}_{mode_tag}"), |b| {
-                b.iter(|| {
-                    kernels::axpy(&mut out, black_box(&a), black_box(0.37));
-                    black_box(out[0])
-                })
-            });
-            c.bench_function(format!("kernel_max_index_{tag}_{mode_tag}"), |b| {
-                b.iter(|| black_box(kernels::max_index(black_box(&a))))
-            });
-        }
-    }
-    kernels::set_mode(KernelMode::Lanes);
-
-    let (exact, sents, tags) = crf_fixture();
+/// The lattice passes of DESIGN.md §5.7: exact forward, beam-pruned
+/// forward, and the full scoring pass (forward + backward entropy).
+fn bench_lattice(c: &mut Criterion) {
+    let (exact, sents, _) = crf_fixture();
     let (beamed, _, _) = crf_fixture_with(Some(8.0));
 
-    // Forward-only log-partition: lanes vs scalar dispatch vs δ=8 beam.
-    c.bench_function("crf_logz_exact_lanes", |b| {
+    // Forward-only log-partition: exact vs δ=8 beam.
+    c.bench_function("crf_logz_exact", |b| {
         b.iter(|| black_box(exact.log_partition(&sents[0])))
     });
-    kernels::set_mode(KernelMode::Scalar);
-    c.bench_function("crf_logz_exact_scalar", |b| {
-        b.iter(|| black_box(exact.log_partition(&sents[0])))
-    });
-    kernels::set_mode(KernelMode::Lanes);
     c.bench_function("crf_logz_beam8", |b| {
         b.iter(|| black_box(beamed.log_partition(&sents[0])))
     });
@@ -177,21 +143,6 @@ fn bench_kernels(c: &mut Criterion) {
     c.bench_function("crf_eval_entropy_beam8", |b| {
         b.iter(|| black_box(beamed.eval_sample(&sents[0], &caps, 5)))
     });
-
-    // Whole fit epoch under the scalar reference kernels — pairs with
-    // crf_fit_epoch_120 (lane dispatch) to isolate the kernel layer's
-    // contribution on the fit path.
-    kernels::set_mode(KernelMode::Scalar);
-    c.bench_function("crf_fit_epoch_120_scalar", |b| {
-        b.iter(|| {
-            let mut m = exact.clone();
-            let s: Vec<&Sentence> = sents.iter().collect();
-            let l: Vec<&Vec<u16>> = tags.iter().collect();
-            m.fit(&s, &l, &mut ChaCha8Rng::seed_from_u64(13));
-            black_box(m.n_labels())
-        })
-    });
-    kernels::set_mode(KernelMode::Lanes);
 }
 
 fn bench_naive_bayes(c: &mut Criterion) {
@@ -215,6 +166,6 @@ fn bench_naive_bayes(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_classifier, bench_crf, bench_kernels, bench_naive_bayes
+    targets = bench_classifier, bench_crf, bench_lattice, bench_naive_bayes
 }
 criterion_main!(benches);

@@ -25,7 +25,7 @@ use histal_data::{NerDataset, NerSpec, TextDataset, TextSpec};
 
 use crate::executor::{
     mean_auc, paired_samples, render_spec, seed_for, text_pool_config, train_lhs_plan, CellOutcome,
-    GridExecutor, GridOutcome, Rendered,
+    GridExecutor, Rendered,
 };
 use crate::registry;
 use crate::report::{print_curves, print_table, write_json};
@@ -521,8 +521,7 @@ fn bench_cell(experiment: &str, dataset: &str, cell: &CellOutcome) -> BenchCell 
 /// The timed grid of `bench` (and, reduced, of `bench --check`): the
 /// text cells, the diversity cell, and — full mode only — the beamed
 /// NER cells. [`grid_perf_gate`] re-times the *full* grid against the
-/// committed artifact and [`kernel_equivalence_gate`] runs it at smoke
-/// scale, so keep every caller sharing this builder.
+/// committed artifact, so keep both callers sharing this builder.
 fn bench_grid_specs(check: bool) -> Vec<ExperimentSpec> {
     let text_datasets = if check {
         vec![DatasetEntry::new("mr")]
@@ -658,7 +657,6 @@ pub fn bench(scale: &Scale, check: bool) -> Result<(), Error> {
         );
         obs_overhead_gate(scale, &cells);
         sharded_metrics_gate(scale)?;
-        kernel_equivalence_gate()?;
         grid_perf_gate()?;
         adaptive_gate()?;
         pool_scaling_gate()?;
@@ -838,83 +836,6 @@ fn sharded_metrics_gate(scale: &Scale) -> Result<(), Error> {
     eprintln!(
         "  metrics gate: {} shards merged, al.rounds {expect_rounds}, al.selected {expect_selected}",
         shards.len()
-    );
-    Ok(())
-}
-
-/// Everything about a [`GridOutcome`] that must be invariant under a
-/// kernel-mode switch: curves, per-round selections and history
-/// diagnostics, and the recorded score sequences — floats compared as
-/// raw bits. Timings are deliberately excluded.
-fn outcome_fingerprint(outcome: &GridOutcome) -> String {
-    use std::fmt::Write;
-    let mut fp = String::new();
-    for block in &outcome.blocks {
-        for cell in &block.cells {
-            let _ = write!(fp, "\n{}/{}:", block.dataset, cell.name);
-            for run in &cell.runs {
-                for p in &run.curve {
-                    let _ = write!(fp, " {}@{:016x}", p.n_labeled, p.metric.to_bits());
-                }
-                for round in &run.rounds {
-                    let _ = write!(
-                        fp,
-                        " sel{:?} w{:016x} f{:016x}",
-                        round.selected,
-                        round.mean_wshs_of_selected.to_bits(),
-                        round.mean_fluct_of_selected.to_bits()
-                    );
-                }
-                for seq in &run.history {
-                    for v in seq {
-                        let _ = write!(fp, " h{:016x}", v.to_bits());
-                    }
-                }
-            }
-        }
-    }
-    fp
-}
-
-/// `bench --check` gate (DESIGN.md §5.7): the kernel layer must be a
-/// pure perf change. Runs the same tiny text, diversity and NER cells
-/// under the scalar reference kernels and the lane dispatch and
-/// requires every curve point, selection, and diagnostic to match to
-/// the bit — the NER cells with the δ = 8 scoring beam enabled, so the
-/// pruned path is covered by the mode-invariance contract too.
-fn kernel_equivalence_gate() -> Result<(), Error> {
-    use histal_models::kernels::{self, KernelMode};
-
-    let smoke = Scale {
-        factor: 0.02,
-        repeats: 1,
-    };
-    // The bench grid at smoke scale: MR text cells, the diversity cell
-    // and the beamed NER cells.
-    let mut specs = bench_grid_specs(false);
-    specs[0].datasets.truncate(1);
-    let mut fingerprints = Vec::new();
-    for mode in [KernelMode::Scalar, KernelMode::Lanes] {
-        kernels::set_mode(mode);
-        let mut fp = String::new();
-        for spec in &specs {
-            let outcome = GridExecutor::new(spec, &smoke).serial().execute()?;
-            fp.push_str(&outcome_fingerprint(&outcome));
-        }
-        fingerprints.push(fp);
-    }
-    kernels::set_mode(KernelMode::Lanes);
-    assert!(
-        fingerprints[0] == fingerprints[1],
-        "kernel equivalence gate: scalar and lane kernels diverged\n\
-         --- scalar ---{}\n--- lanes ---{}",
-        fingerprints[0],
-        fingerprints[1]
-    );
-    eprintln!(
-        "  kernel gate: scalar == lanes across text, diversity and NER smoke cells \
-         ({} fingerprint bytes)",
-        fingerprints[0].len()
     );
     Ok(())
 }

@@ -192,7 +192,7 @@ struct LatticeScratch {
     pval: Vec<f64>,
     poff: Vec<usize>,
     /// Transposed transitions `trans_t[y*l + p] = trans[p*l + y]`, so
-    /// forward/Viterbi row fills read contiguous lanes.
+    /// forward/Viterbi row fills read contiguous rows.
     trans_t: Vec<f64>,
     /// Beam-active label sets per timestep (flattened + offsets).
     act: Vec<u16>,
@@ -216,7 +216,7 @@ pub struct CrfTagger {
     n_labels: usize,
     /// Feature-major `n_features × n_labels` emission weights:
     /// `emit[idx*l + y]`. Feature-major puts all labels of one hashed
-    /// feature in one contiguous (lane-friendly, cache-friendly) row,
+    /// feature in one contiguous (vectorizable, cache-friendly) row,
     /// which is the layout every hot loop walks: emission fills and the
     /// sparse SGD updates both iterate features outer, labels inner.
     /// For any fixed `(t, y)` cell the accumulation still runs in
@@ -289,7 +289,7 @@ impl CrfTagger {
                 for (idx, val) in x.iter() {
                     // Out-of-range hashed indices contribute zero.
                     if (idx as usize) < nf {
-                        kernels::scalar::axpy(&mut row, self.emit_row(idx as usize), val as f64);
+                        kernels::axpy(&mut row, self.emit_row(idx as usize), val as f64);
                     }
                 }
                 row
@@ -454,9 +454,8 @@ impl CrfTagger {
 
     /// Viterbi on a flat emission matrix with reusable lattices; fills
     /// `tags` with the best path and returns its unnormalized score.
-    /// The max-sum recursion vectorizes exactly: f64 max is associative
-    /// and commutative for non-NaN scores, and the lane argmax keeps the
-    /// scalar earliest-index tie-break.
+    /// The max-sum recursion's argmax is [`kernels::max_index`], which
+    /// keeps the earliest index on ties.
     fn viterbi_flat(
         &self,
         e: &[f64],
@@ -1556,6 +1555,40 @@ mod tests {
         m.fit(&s_refs, &l_refs, &mut rng(15));
         let f1 = m.metric(&s_refs, &l_refs);
         assert!(f1 > 0.8, "dropout-trained F1 {f1}");
+    }
+
+    #[test]
+    fn training_bits_are_pinned() {
+        // FNV-1a over the bits of `emit`, `trans`, `start` then `end`
+        // after a 3-epoch fit with training dropout on. Every kernel on
+        // the fit path (emission fill, lattices, ξ rows, SGD row update)
+        // feeds these weights, so a reassociated or fused float op in
+        // any of them moves the hash.
+        let scheme = TagScheme::new(["X"]);
+        let s_tag = scheme.tag(Position::S, 0);
+        let mut sentences = Vec::new();
+        let mut tag_seqs = Vec::new();
+        for i in 0..23 {
+            let filler = format!("w{i}");
+            let toks = [filler.as_str(), "ent", "other", "ent"];
+            sentences.push(sent(&toks));
+            tag_seqs.push(vec![0u16, s_tag, 0u16, s_tag]);
+        }
+        let mut cfg = tiny_config();
+        cfg.epochs = 3;
+        cfg.train_dropout = 0.25;
+        let mut m = CrfTagger::new(cfg);
+        let s_refs: Vec<&Sentence> = sentences.iter().collect();
+        let l_refs: Vec<&Vec<u16>> = tag_seqs.iter().collect();
+        m.fit(&s_refs, &l_refs, &mut rng(17));
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for v in m.emit.iter().chain(&m.trans).chain(&m.start).chain(&m.end) {
+            for byte in v.to_bits().to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(h, 0xdd40_91dc_d16c_6eea, "pinned hash {h:#018x}");
     }
 
     #[test]

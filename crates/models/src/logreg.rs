@@ -106,8 +106,8 @@ struct Linear {
     /// Feature-major `n_features × n_classes`: `w[idx*k + c]` keeps one
     /// hashed feature's class block contiguous, so the sparse hot loops
     /// (logits, dropout posteriors, SGD updates) each touch one cache
-    /// line per feature; inference hands the class block to the lane
-    /// kernels, training loops over it inline.
+    /// line per feature; logits hand the class block to
+    /// `kernels::axpy`.
     /// Per output cell the accumulation still runs over features in
     /// index order, so results are bit-identical to the class-major
     /// layout this replaces.
@@ -193,10 +193,10 @@ impl Linear {
     /// RNGs derived from one `epoch_seed` drawn from the driver stream.
     ///
     /// One workspace per fit: every buffer is sized before the epoch
-    /// loop and only cleared inside it. The k-wide row loops are written
-    /// inline rather than through `kernels::axpy`/`sgd_row_update`,
-    /// whose dispatch costs more than a 2-wide row; the per-cell float
-    /// operations (mul then add, no FMA) are the same.
+    /// loop and only cleared inside it. The logit rows go through
+    /// `kernels::axpy`; the SGD row update is written inline, because
+    /// `kernels::sgd_row_update` carries the CRF's small-gradient skip
+    /// and this update touches every cell.
     #[allow(clippy::too_many_arguments)]
     fn train(
         &mut self,
@@ -276,9 +276,7 @@ impl Linear {
                         let g = &mut grads[j * k..(j + 1) * k];
                         g.copy_from_slice(&self.b);
                         for (&idx, &v) in midx[lo..hi].iter().zip(&mval[lo..hi]) {
-                            for (gc, &wc) in g.iter_mut().zip(&self.w[idx * k..(idx + 1) * k]) {
-                                *gc += wc * v;
-                            }
+                            crate::kernels::axpy(g, &self.w[idx * k..(idx + 1) * k], v);
                         }
                         softmax_inplace(g);
                         let y = *labels[i];

@@ -1,10 +1,8 @@
 //! Shared numerical kernels.
 //!
-//! The max pass of both reductions runs through the lane kernels
-//! ([`crate::kernels::max_index`]); f64 max is associative and
-//! commutative on non-NaN inputs, so the lane-parallel reduction is
-//! bit-identical to the sequential fold it replaces. The sum of exps is
-//! *not* reassociable and stays a strict left-to-right scalar loop.
+//! The max pass of both reductions is [`crate::kernels::max_index`]. The
+//! sum of exps is *not* reassociable and stays a strict left-to-right
+//! loop.
 
 /// Numerically stable softmax of `logits`, in place.
 pub fn softmax_inplace(logits: &mut [f64]) {

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 /// Current on-disk schema version. Bump on breaking model-layout changes.
 /// v2: weight matrices went feature-major (`w[idx*k + c]`, CRF
-/// `emit[idx*l + y]`) for the lane kernels; v1 class-major payloads
+/// `emit[idx*l + y]`) for the row kernels; v1 class-major payloads
 /// would deserialize into transposed weights, so they must be rejected.
 pub const SCHEMA_VERSION: u32 = 2;
 

@@ -1,17 +1,8 @@
-//! Property tests for the kernel layer (DESIGN.md §5.7).
-//!
-//! Two contracts are pinned here:
-//!
-//! 1. the lane kernels in `histal_models::kernels` are **0-ULP
-//!    identical** to their scalar references under every dispatch mode
-//!    (all comparisons are on `f64::to_bits`, not approximate);
-//! 2. the beam-pruned scoring pass stays inside its documented error
-//!    envelope: `logZ` is underestimated by at most
-//!    `B = −(T−1)·ln(1 − L·e^{−δ})`, least-confidence moves by at most
-//!    `e^B − 1`, and a wide-open beam (`δ` huge) reproduces the exact
-//!    path bit-for-bit.
-
-use std::sync::{Mutex, MutexGuard};
+//! Property tests for the beam-pruned scoring pass (DESIGN.md §5.7): it
+//! stays inside its documented error envelope. `logZ` is underestimated
+//! by at most `B = −(T−1)·ln(1 − L·e^{−δ})`, least-confidence moves by
+//! at most `e^B − 1`, and a wide-open beam (`δ` huge) reproduces the
+//! exact path bit-for-bit.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -20,129 +11,8 @@ use rand_chacha::ChaCha8Rng;
 use histal_core::eval::EvalCaps;
 use histal_core::model::Model;
 use histal_core::tags::TagScheme;
-use histal_models::kernels::{self, KernelMode};
 use histal_models::{CrfConfig, CrfTagger, Sentence};
 use histal_text::FeatureHasher;
-
-/// The kernel mode is process-global; every test that flips it (or that
-/// asserts bit-identity across calls and so needs it stable) holds this
-/// lock so the parallel test threads can't race each other.
-static MODE_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock_mode() -> MutexGuard<'static, ()> {
-    MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Run `f` under both dispatch modes, restoring the lane default after.
-fn under_both_modes(mut f: impl FnMut(KernelMode)) {
-    for m in [KernelMode::Scalar, KernelMode::Lanes] {
-        kernels::set_mode(m);
-        f(m);
-    }
-    kernels::set_mode(KernelMode::Lanes);
-}
-
-fn bits(xs: &[f64]) -> Vec<u64> {
-    xs.iter().map(|x| x.to_bits()).collect()
-}
-
-// ---------------------------------------------------------------------------
-// Contract 1: lane kernels == scalar references, to the bit.
-// ---------------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// add2 / add3 / shift_add3_sub match the scalar references exactly
-    /// at every length (including the ragged tails < 4 lanes).
-    #[test]
-    fn elementwise_kernels_bit_identical(
-        a in prop::collection::vec(-1e3f64..1e3, 0..41),
-        s in -20f64..20.0,
-        z in -20f64..20.0,
-    ) {
-        let _g = lock_mode();
-        let n = a.len();
-        let b: Vec<f64> = a.iter().map(|x| x * 0.37 - 1.25).collect();
-        let c: Vec<f64> = a.iter().map(|x| 2.5 - x * 1.13).collect();
-
-        let mut w2 = vec![0.0; n];
-        let mut w3 = vec![0.0; n];
-        let mut ws = vec![0.0; n];
-        kernels::scalar::add2(&mut w2, &a, &b);
-        kernels::scalar::add3(&mut w3, &a, &b, &c);
-        kernels::scalar::shift_add3_sub(&mut ws, s, &a, &b, &c, z);
-
-        under_both_modes(|_| {
-            let mut g2 = vec![0.0; n];
-            let mut g3 = vec![0.0; n];
-            let mut gs = vec![0.0; n];
-            kernels::add2(&mut g2, &a, &b);
-            kernels::add3(&mut g3, &a, &b, &c);
-            kernels::shift_add3_sub(&mut gs, s, &a, &b, &c, z);
-            assert_eq!(bits(&g2), bits(&w2));
-            assert_eq!(bits(&g3), bits(&w3));
-            assert_eq!(bits(&gs), bits(&ws));
-        });
-    }
-
-    /// axpy and the SGD row update (both in-place) match exactly,
-    /// including the small-gradient skip semantics: with `eps = 0` no
-    /// cell is ever skipped, with `eps > 0` sub-threshold cells keep
-    /// their exact old bits (no L2 decay applied).
-    #[test]
-    fn accumulate_kernels_bit_identical(
-        acc0 in prop::collection::vec(-10f64..10.0, 0..41),
-        v in -5f64..5.0,
-        lr in 1e-4f64..0.5,
-        l2 in 0f64..1e-3,
-        eps_sel in 0u8..2,
-    ) {
-        let _g = lock_mode();
-        let row: Vec<f64> = acc0.iter().map(|x| x * 0.71 + 0.2).collect();
-        // Gradient rows mixing sub- and super-threshold magnitudes so
-        // the eps skip actually fires.
-        let grad: Vec<f64> = acc0
-            .iter()
-            .enumerate()
-            .map(|(i, x)| if i % 3 == 0 { x * 1e-14 } else { *x })
-            .collect();
-        let eps = if eps_sel == 1 { 1e-12 } else { 0.0 };
-
-        let mut want_axpy = acc0.clone();
-        kernels::scalar::axpy(&mut want_axpy, &row, v);
-        let mut want_sgd = acc0.clone();
-        kernels::scalar::sgd_row_update(&mut want_sgd, &grad, v, lr, l2, eps);
-
-        under_both_modes(|_| {
-            let mut got = acc0.clone();
-            kernels::axpy(&mut got, &row, v);
-            assert_eq!(bits(&got), bits(&want_axpy));
-            let mut got = acc0.clone();
-            kernels::sgd_row_update(&mut got, &grad, v, lr, l2, eps);
-            assert_eq!(bits(&got), bits(&want_sgd));
-        });
-    }
-
-    /// max_index matches the scalar earliest-index tie-break exactly.
-    /// Values are drawn from a small discrete set so duplicates (ties)
-    /// are common rather than measure-zero.
-    #[test]
-    fn max_index_matches_scalar(raw in prop::collection::vec(-4i32..5, 0..41)) {
-        let _g = lock_mode();
-        let xs: Vec<f64> = raw.iter().map(|&i| f64::from(i) * 0.5).collect();
-        let want = kernels::scalar::max_index(&xs);
-        under_both_modes(|_| {
-            let got = kernels::max_index(&xs);
-            assert_eq!(got.0.to_bits(), want.0.to_bits());
-            assert_eq!(got.1, want.1);
-        });
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Contract 2: the beam-pruned forward pass vs the exact oracle.
-// ---------------------------------------------------------------------------
 
 fn sents_strategy() -> impl Strategy<Value = Vec<Vec<String>>> {
     prop::collection::vec(prop::collection::vec("[a-d]{1,3}", 1..9), 2..6)
@@ -197,7 +67,6 @@ proptest! {
     /// bit-identical. (This is the δ → ∞ limit of the error bound.)
     #[test]
     fn huge_beam_is_bit_identical_to_exact(tokens in sents_strategy()) {
-        let _g = lock_mode();
         let (exact, beamed, sents, _) = fit_pair(&tokens, 1e300);
         let caps = EvalCaps { entropy: true, ..Default::default() };
         for (i, s) in sents.iter().enumerate() {
@@ -217,7 +86,6 @@ proptest! {
     /// the documented bound `B` of it.
     #[test]
     fn beam_logz_within_documented_bound(tokens in sents_strategy()) {
-        let _g = lock_mode();
         let delta = 8.0;
         let (exact, beamed, sents, n_labels) = fit_pair(&tokens, delta);
         for s in &sents {
@@ -240,7 +108,6 @@ proptest! {
     /// actually depends on.
     #[test]
     fn beam_lc_bounded_and_rank_stable(tokens in sents_strategy()) {
-        let _g = lock_mode();
         let delta = 8.0;
         let (exact, beamed, sents, n_labels) = fit_pair(&tokens, delta);
         let caps = EvalCaps::default();

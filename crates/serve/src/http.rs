@@ -14,6 +14,14 @@ use std::time::Duration;
 /// for even a million-row batch fits comfortably.
 pub const MAX_BODY: usize = 16 << 20;
 
+/// Reject a request line or header line longer than this (8 KiB,
+/// newline included), so a client that never sends `\n` cannot grow a
+/// line without limit.
+pub(crate) const MAX_LINE: usize = 8 << 10;
+
+/// Reject requests with more header lines than this.
+pub(crate) const MAX_HEADERS: usize = 100;
+
 /// A parsed request: method, path (query string split off), body.
 #[derive(Debug, Clone)]
 pub struct Request {
@@ -38,10 +46,8 @@ impl Request {
 pub fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, String> {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
-    match reader.read_line(&mut line) {
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
-        Err(e) => return Err(format!("read request line: {e}")),
+    if read_line_bounded(&mut reader, &mut line, "request line")? == 0 {
+        return Ok(None);
     }
     let mut parts = line.split_whitespace();
     let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
@@ -51,16 +57,19 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, String> {
     let path = target.split('?').next().unwrap_or(target).to_string();
 
     let mut content_length = 0usize;
+    let mut n_headers = 0;
     loop {
         let mut header = String::new();
-        match reader.read_line(&mut header) {
-            Ok(0) => break,
-            Ok(_) => {}
-            Err(e) => return Err(format!("read header: {e}")),
+        if read_line_bounded(&mut reader, &mut header, "header")? == 0 {
+            break;
         }
         let header = header.trim_end();
         if header.is_empty() {
             break;
+        }
+        n_headers += 1;
+        if n_headers > MAX_HEADERS {
+            return Err(format!("more than {MAX_HEADERS} headers"));
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.trim().eq_ignore_ascii_case("content-length") {
@@ -81,6 +90,23 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, String> {
             .map_err(|e| format!("read body: {e}"))?;
     }
     Ok(Some(Request { method, path, body }))
+}
+
+/// Read one line of at most [`MAX_LINE`] bytes into `line`, returning
+/// its length (0 at end of stream).
+fn read_line_bounded(
+    reader: &mut impl BufRead,
+    line: &mut String,
+    what: &str,
+) -> Result<usize, String> {
+    let n = reader
+        .take(MAX_LINE as u64)
+        .read_line(line)
+        .map_err(|e| format!("read {what}: {e}"))?;
+    if n == MAX_LINE && !line.ends_with('\n') {
+        return Err(format!("{what} exceeds {MAX_LINE} bytes"));
+    }
+    Ok(n)
 }
 
 fn reason(status: u16) -> &'static str {

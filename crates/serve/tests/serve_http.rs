@@ -1,9 +1,12 @@
-//! End-to-end service tests: the full HTTP surface, crash/resume
-//! byte-identity under arbitrary journal truncation, and the
-//! many-concurrent-sessions load shape the service exists for.
+//! End-to-end service tests: the full HTTP surface, hostile request
+//! heads, crash/resume byte-identity under arbitrary journal truncation,
+//! and the many-concurrent-sessions load shape the service exists for.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::{Shutdown, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Duration;
 
 use histal_serve::http::http_request;
 use histal_serve::{Server, SessionConfig, Store};
@@ -69,6 +72,59 @@ fn json_indices(body: &str) -> Vec<usize> {
         .split(',')
         .filter_map(|t| t.trim().parse().ok())
         .collect()
+}
+
+/// Send raw request bytes, half-close, and return the response status.
+fn raw_status(addr: std::net::SocketAddr, request: &[u8]) -> u16 {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    // The server may answer and close before it has read everything, so
+    // a write or half-close that races that close is not a failure.
+    let _ = stream.write_all(request);
+    let _ = stream.shutdown(Shutdown::Write);
+    let mut status_line = String::new();
+    BufReader::new(stream)
+        .read_line(&mut status_line)
+        .expect("read status line");
+    status_line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("bad status line {status_line:?}"))
+}
+
+/// A header line that never ends is cut off at `MAX_LINE` and answered
+/// with a 400 instead of being buffered without limit.
+#[test]
+fn unterminated_64k_header_line_is_a_400() {
+    let dir = tmp_dir("long-header");
+    let (addr, handle) = spawn_server(&dir, 2);
+    let mut request = b"GET /healthz HTTP/1.1\r\nX-Long: ".to_vec();
+    request.resize(request.len() + (64 << 10), b'a');
+    assert_eq!(raw_status(addr, &request), 400);
+    shutdown(addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `MAX_HEADERS` headers are served; one more is a 400.
+#[test]
+fn more_than_100_headers_is_a_400() {
+    let dir = tmp_dir("many-headers");
+    let (addr, handle) = spawn_server(&dir, 2);
+    let request = |n: usize| {
+        let mut r = String::from("GET /healthz HTTP/1.1\r\n");
+        for i in 0..n {
+            r.push_str(&format!("X-H{i}: v\r\n"));
+        }
+        r.push_str("\r\n");
+        r
+    };
+    assert_eq!(raw_status(addr, request(100).as_bytes()), 200);
+    assert_eq!(raw_status(addr, request(101).as_bytes()), 400);
+    shutdown(addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The whole external-oracle lifecycle over real HTTP: create, ticket,

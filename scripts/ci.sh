@@ -24,9 +24,6 @@ echo "==> pool protocol tests in release (narrower timing windows for the"
 echo "    close/running handshake of rayon::run_indexed)"
 cargo test --release -p rayon -q
 
-echo "==> model tests under HISTAL_KERNELS=scalar (reference-kernel dispatch tier)"
-HISTAL_KERNELS=scalar cargo test -p histal-models -q
-
 echo "==> benchmark package: builds, unit tests, flat fan-out matches GridExecutor"
 echo "    (the out-of-workspace benchmark/ package drives the public core API,"
 echo "     so an API change that breaks it or moves its curves fails here)"
@@ -42,8 +39,8 @@ echo "==> cargo bench --no-run (criterion benches compile)"
 cargo bench -p histal-bench --no-run
 
 echo "==> histal-experiments bench --check"
-echo "    (harness smoke + obs/metrics gates + scalar-vs-lanes kernel"
-echo "     equivalence + grid-wide perf-regression guard vs BENCH_harness.json"
+echo "    (harness smoke + obs/metrics gates"
+echo "     + grid-wide perf-regression guard vs BENCH_harness.json"
 echo "     + adaptive-sweep gate: >=30% cell-rounds saved, winners match"
 echo "     + 10k pool-scaling smoke: ANN must beat exact per combinator"
 echo "     + selector-train wall-time guard vs committed selector_train rows)"

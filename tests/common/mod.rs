@@ -34,6 +34,37 @@ pub fn tiny_text_task(n_classes: usize, n: usize, seed: u64) -> TextTask {
     }
 }
 
+/// Featurized NER task: pool + test sentences with their tag sequences.
+pub struct NerTask {
+    pub pool: Vec<Sentence>,
+    pub pool_tags: Vec<Vec<u16>>,
+    pub test: Vec<Sentence>,
+    pub test_tags: Vec<Vec<u16>>,
+}
+
+/// Generate a tiny NER task and featurize it.
+pub fn tiny_ner_task(n: usize, seed: u64) -> NerTask {
+    let data = NerDataset::generate(&NerSpec::tiny(n, seed));
+    let hasher = FeatureHasher::new(1 << 12);
+    let feats = |sents: &[histal_data::ner::NerSentence]| -> (Vec<Sentence>, Vec<Vec<u16>>) {
+        (
+            sents
+                .iter()
+                .map(|s| Sentence::featurize(&s.tokens, &hasher))
+                .collect(),
+            sents.iter().map(|s| s.tags.clone()).collect(),
+        )
+    };
+    let (pool, pool_tags) = feats(&data.train);
+    let (test, test_tags) = feats(&data.test);
+    NerTask {
+        pool,
+        pool_tags,
+        test,
+        test_tags,
+    }
+}
+
 /// Run one AL loop on a text task with the given strategy.
 pub fn run_text(task: &TextTask, strategy: Strategy, config: PoolConfig, seed: u64) -> RunResult {
     let model = TextClassifier::new(TextClassifierConfig {

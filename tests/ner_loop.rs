@@ -1,37 +1,10 @@
 //! End-to-end NER active learning: CRF tagger × synthetic CoNLL-style
 //! data × LC/MNLP/BALD strategies and the history wrappers.
 
+mod common;
+
+use common::{tiny_ner_task, NerTask};
 use histal::prelude::*;
-use histal_text::FeatureHasher;
-
-struct NerTask {
-    pool: Vec<Sentence>,
-    pool_tags: Vec<Vec<u16>>,
-    test: Vec<Sentence>,
-    test_tags: Vec<Vec<u16>>,
-}
-
-fn tiny_ner_task(n: usize, seed: u64) -> NerTask {
-    let data = NerDataset::generate(&NerSpec::tiny(n, seed));
-    let hasher = FeatureHasher::new(1 << 12);
-    let feats = |sents: &[histal_data::ner::NerSentence]| -> (Vec<Sentence>, Vec<Vec<u16>>) {
-        (
-            sents
-                .iter()
-                .map(|s| Sentence::featurize(&s.tokens, &hasher))
-                .collect(),
-            sents.iter().map(|s| s.tags.clone()).collect(),
-        )
-    };
-    let (pool, pool_tags) = feats(&data.train);
-    let (test, test_tags) = feats(&data.test);
-    NerTask {
-        pool,
-        pool_tags,
-        test,
-        test_tags,
-    }
-}
 
 fn crf() -> CrfTagger {
     CrfTagger::new(CrfConfig {

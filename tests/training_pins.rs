@@ -1,12 +1,14 @@
-//! Bit pins for whole active-learning runs on the text task: the FNV-1a
-//! hash of every curve metric's bits and every selected id. A change to
-//! classifier training, evaluation or selection that moves a single low
-//! bit of a trained weight shows up here.
+//! Bit pins for whole active-learning runs on the text and NER tasks:
+//! the FNV-1a hash of every curve metric's bits, every selected id and,
+//! when the run records it, every historical score's bits. A
+//! change to model training, evaluation or selection that moves a single
+//! low bit of a trained weight shows up here.
 
 mod common;
 
-use common::{run_text, tiny_text_task};
+use common::{run_text, tiny_ner_task, tiny_text_task};
 use histal::prelude::*;
+use histal_core::driver::RunResult;
 
 fn fnv(h: &mut u64, bytes: &[u8]) {
     for &byte in bytes {
@@ -26,6 +28,38 @@ fn entropy_run_hash(n_classes: usize, n: usize, seed: u64) -> u64 {
         ann: None,
     };
     let result = run_text(&task, Strategy::new(BaseStrategy::Entropy), config, seed);
+    run_hash(&result)
+}
+
+/// LC over a CRF on a tiny NER task; `score_beam` switches the scoring
+/// lattices between exact and pruned forward–backward. The recorded
+/// score history carries the `logZ` bits of every scoring pass.
+fn lc_ner_run_hash(score_beam: Option<f64>, n: usize, seed: u64) -> u64 {
+    let task = tiny_ner_task(n, seed);
+    let model = CrfTagger::new(CrfConfig {
+        n_features: 1 << 12,
+        epochs: 3,
+        score_beam,
+        ..Default::default()
+    });
+    let mut learner = ActiveLearner::builder(model)
+        .pool(task.pool, task.pool_tags)
+        .test(task.test, task.test_tags)
+        .strategy(Strategy::new(BaseStrategy::LeastConfidence))
+        .config(PoolConfig {
+            batch_size: 15,
+            rounds: 3,
+            init_labeled: 15,
+            history_max_len: None,
+            record_history: true,
+            ann: None,
+        })
+        .seed(seed)
+        .build();
+    run_hash(&learner.run().expect("LC needs no extra capability"))
+}
+
+fn run_hash(result: &RunResult) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for point in &result.curve {
         fnv(&mut h, &point.metric.to_bits().to_le_bytes());
@@ -34,6 +68,9 @@ fn entropy_run_hash(n_classes: usize, n: usize, seed: u64) -> u64 {
         for &id in &round.selected {
             fnv(&mut h, &(id as u64).to_le_bytes());
         }
+    }
+    for score in result.history.iter().flatten() {
+        fnv(&mut h, &score.to_bits().to_le_bytes());
     }
     h
 }
@@ -48,4 +85,16 @@ fn binary_entropy_run_bits_are_pinned() {
 fn six_class_entropy_run_bits_are_pinned() {
     let h = entropy_run_hash(6, 300, 32);
     assert_eq!(h, 0x7973_30c0_28cb_12fa, "pinned hash {h:#018x}");
+}
+
+#[test]
+fn exact_ner_lc_run_bits_are_pinned() {
+    let h = lc_ner_run_hash(None, 150, 41);
+    assert_eq!(h, 0x08ae_f672_37c3_94d4, "pinned hash {h:#018x}");
+}
+
+#[test]
+fn beamed_ner_lc_run_bits_are_pinned() {
+    let h = lc_ner_run_hash(Some(8.0), 150, 41);
+    assert_eq!(h, 0x94a9_837a_8b6f_1441, "pinned hash {h:#018x}");
 }
