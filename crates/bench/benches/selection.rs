@@ -1,15 +1,15 @@
 //! Selection-primitive micro-benches for the million-sample pool work:
-//! the bounded-heap `select_k` (vs. the full sort it replaced) and an
+//! the bounded-heap `top_k` (vs. the full sort it replaced) and an
 //! LSH neighbor probe, each at 10k and 1M rows.
 //!
-//! `select_k` is the driver's per-round batch pick and MMR's inner
+//! `top_k` is the driver's per-round batch pick and MMR's inner
 //! argmax; at k ≪ n it runs O(n log k) against the old O(n log n) sort.
 //! The LSH probe is what the ANN-indexed combinators pay per reference
 //! row instead of an O(n) sweep.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use histal_core::driver::{select_k, top_k};
+use histal_core::driver::top_k;
 use histal_data::synth_pool;
 use histal_text::{AnnConfig, AnnScratch, LshIndex, NeighborIndex, PoolGeometry};
 
@@ -27,16 +27,11 @@ fn scores(n: usize) -> Vec<f64> {
         .collect()
 }
 
-fn bench_select_k(c: &mut Criterion) {
-    let mut group = c.benchmark_group("select_k");
+fn bench_top_k(c: &mut Criterion) {
+    let mut group = c.benchmark_group("top_k");
     for &n in &[10_000usize, 1_000_000] {
         let s = scores(n);
         group.bench_function(BenchmarkId::new("heap_k64", n), |b| {
-            b.iter(|| black_box(select_k(black_box(&s), 64)))
-        });
-        // `top_k` now routes through `select_k`; timing it too keeps the
-        // delegation visibly free.
-        group.bench_function(BenchmarkId::new("top_k_k64", n), |b| {
             b.iter(|| black_box(top_k(black_box(&s), 64)))
         });
     }
@@ -64,5 +59,5 @@ fn bench_lsh_probe(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_select_k, bench_lsh_probe);
+criterion_group!(benches, bench_top_k, bench_lsh_probe);
 criterion_main!(benches);

@@ -44,6 +44,8 @@
 //! strategy-fold micro-benchmark is the Criterion bench
 //! `cargo bench -p histal-bench --bench strategy_overhead`.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use histal_bench::commands::{self, Command, Runs, SpecOptions, COMMANDS, TABLE7_VARIANTS};

@@ -617,7 +617,7 @@ pub fn bench(scale: &Scale, check: bool) -> Result<(), Error> {
 
     if !check {
         // The pool-scaling grid (selection-only wall clocks at 10k/100k/1M
-        // rows, exact vs LSH, resident vs mmap) rides along in the same
+        // rows, exact vs LSH) rides along in the same
         // artifact; its own spec format is documented in `scaling`.
         eprintln!("# BENCH: pool-scaling grid (specs/bench-pool-scaling.json)");
         let scaling_spec = crate::scaling::PoolScalingSpec::from_json(include_str!(

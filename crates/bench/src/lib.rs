@@ -6,6 +6,8 @@
 //! `DESIGN.md` maps experiment ids (E1–E10) to these modules; see
 //! `EXPERIMENTS.md` for recorded paper-vs-measured outcomes.
 
+#![forbid(unsafe_code)]
+
 pub mod commands;
 pub mod executor;
 pub mod experiments;

@@ -5,8 +5,8 @@
 //! 10k-sample pools — model fitting dominates long before geometry does.
 //! This grid isolates what the tentpole optimizes: it times *only* the
 //! similarity combinators (density / k-center / MMR) over a seeded
-//! clustered pool, exact path vs LSH-indexed path, resident vs
-//! memory-mapped backing. Cells land in `BENCH_harness.json` as
+//! clustered pool, exact path vs LSH-indexed path. Every size runs over
+//! a resident [`PoolGeometry`]. Cells land in `BENCH_harness.json` as
 //! experiment `bench-pool` alongside the AL-loop cells.
 //!
 //! The grid is described by `specs/bench-pool-scaling.json`, which is
@@ -19,7 +19,7 @@
 //! Exact cells above `exact_ceiling` rows are skipped with a note: the
 //! exact density/MMR sweeps are Θ(R·n) / Θ(k·n) cosine gathers and take
 //! minutes at 1M rows (documented in DESIGN.md §5.8); the 1M cells run
-//! ANN-only, streamed to disk and memory-mapped.
+//! ANN-only.
 
 use std::time::Instant;
 
@@ -27,8 +27,8 @@ use histal_core::error::Error;
 use histal_core::strategy::combinators::{
     apply_density, kcenter_select, mmr_select, DensityConfig, MmrConfig, SimScratch,
 };
-use histal_data::oocpool::{synth_pool, write_synth_pool, MappedPool};
-use histal_text::{Geometry, LshIndex, NeighborIndex, PoolGeometry};
+use histal_data::synth_pool;
+use histal_text::{LshIndex, NeighborIndex, PoolGeometry};
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -70,10 +70,6 @@ pub struct PoolScalingSpec {
     /// LSH tuning for the `"ann"` mode (defaults apply field-wise).
     #[serde(default)]
     pub ann: AnnSpec,
-    /// Pools at or above this many rows are streamed to a temp file and
-    /// memory-mapped instead of built resident (default 200 000).
-    #[serde(default)]
-    pub mmap_threshold: Option<usize>,
     /// Exact cells above this many rows are skipped — documented-slower,
     /// see DESIGN.md §5.8 (default 200 000).
     #[serde(default)]
@@ -91,10 +87,6 @@ impl PoolScalingSpec {
 
     pub fn batch_size(&self) -> usize {
         self.batch_size.unwrap_or(64)
-    }
-
-    pub fn mmap_threshold(&self) -> usize {
-        self.mmap_threshold.unwrap_or(200_000)
     }
 
     pub fn exact_ceiling(&self) -> usize {
@@ -147,44 +139,6 @@ impl PoolScalingSpec {
     }
 }
 
-/// One pool, resident or mapped, behind the [`Geometry`] trait.
-enum Backing {
-    Resident(PoolGeometry),
-    Mapped {
-        pool: MappedPool,
-        /// Held so the backing file outlives the mapping.
-        _tmp: tempfile::TempPath,
-    },
-}
-
-impl Backing {
-    fn geom(&self) -> &dyn Geometry {
-        match self {
-            Backing::Resident(g) => g,
-            Backing::Mapped { pool, .. } => pool,
-        }
-    }
-
-    fn label(&self) -> &'static str {
-        match self {
-            Backing::Resident(_) => "resident",
-            Backing::Mapped { .. } => "mmap",
-        }
-    }
-}
-
-/// Minimal in-crate temp-file helper (the workspace vendors no tempfile
-/// crate): a path under the system temp dir removed on drop.
-mod tempfile {
-    pub struct TempPath(pub std::path::PathBuf);
-
-    impl Drop for TempPath {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_file(&self.0);
-        }
-    }
-}
-
 /// Deterministic synthetic uncertainty score for row `i`: a splitmix64
 /// draw folded into `(0, 1]`, so greedy loops have real argmax structure.
 fn synth_score(seed: u64, i: usize) -> f64 {
@@ -197,34 +151,13 @@ fn synth_score(seed: u64, i: usize) -> f64 {
     ((h >> 11) as f64 + 1.0) / (1u64 << 53) as f64
 }
 
-fn build_backing(spec: &PoolScalingSpec, n: usize) -> Result<Backing, Error> {
-    if n >= spec.mmap_threshold() {
-        let mut path = std::env::temp_dir();
-        path.push(format!(
-            "histal-bench-pool-{n}-{}.hpool",
-            std::process::id()
-        ));
-        write_synth_pool(&path, spec.seed, n, spec.clusters(), spec.nnz_per_row())
-            .map_err(|e| Error::invariant(format!("stream synthetic pool: {e}")))?;
-        let pool = MappedPool::open(&path)
-            .map_err(|e| Error::invariant(format!("map synthetic pool: {e}")))?;
-        Ok(Backing::Mapped {
-            pool,
-            _tmp: tempfile::TempPath(path),
-        })
-    } else {
-        let reps = synth_pool(spec.seed, n, spec.clusters(), spec.nnz_per_row());
-        Ok(Backing::Resident(PoolGeometry::build(&reps)))
-    }
-}
-
 /// Time one combinator over one pool/index pairing; returns wall ms.
 #[allow(clippy::too_many_arguments)]
 fn time_strategy(
     strategy: &str,
     scores: &[f64],
     unlabeled: &[usize],
-    geom: &dyn Geometry,
+    geom: &PoolGeometry,
     index: Option<&dyn NeighborIndex>,
     batch: usize,
     seed: u64,
@@ -290,12 +223,15 @@ pub fn run_pool_scaling(
     let mut scratch = SimScratch::default();
     for &n in &sizes {
         let t0 = Instant::now();
-        let backing = build_backing(spec, n)?;
-        let geom = backing.geom();
+        let geom = PoolGeometry::build(&synth_pool(
+            spec.seed,
+            n,
+            spec.clusters(),
+            spec.nnz_per_row(),
+        ));
         eprintln!(
-            "  {:>10} {n:>9} rows ({}) built in {:.1} ms",
+            "  {:>10} {n:>9} rows built in {:.1} ms",
             spec.name,
-            backing.label(),
             t0.elapsed().as_secs_f64() * 1e3
         );
         let unlabeled: Vec<usize> = (0..n).collect();
@@ -303,7 +239,7 @@ pub fn run_pool_scaling(
 
         let lsh = if spec.modes.iter().any(|m| m == "ann") {
             let t0 = Instant::now();
-            let index = LshIndex::build(geom, &spec.ann.to_config(), spec.seed ^ 0xA11);
+            let index = LshIndex::build(&geom, &spec.ann.to_config(), spec.seed ^ 0xA11);
             eprintln!(
                 "  {:>10} {n:>9} rows: LSH ({} tables × {} bits, {} probes) built in {:.1} ms",
                 spec.name,
@@ -338,7 +274,7 @@ pub fn run_pool_scaling(
                     strategy,
                     &scores,
                     &unlabeled,
-                    geom,
+                    &geom,
                     index,
                     spec.batch_size(),
                     spec.seed,
@@ -444,31 +380,10 @@ mod tests {
             nnz_per_row: Some(12),
             batch_size: Some(16),
             ann: AnnSpec::default(),
-            mmap_threshold: None,
             exact_ceiling: None,
         };
         let cells = run_pool_scaling(&spec, None).unwrap();
         assert_eq!(cells.len(), 6, "3 strategies × 2 modes");
         assert!(cells.iter().all(|c| c.wall_ms.is_finite()));
-    }
-
-    #[test]
-    fn mmap_backing_kicks_in_below_cap() {
-        let spec = PoolScalingSpec {
-            kind: POOL_SCALING_KIND.into(),
-            name: "bench-pool".into(),
-            seed: 9,
-            sizes: vec![300],
-            modes: vec!["ann".into()],
-            strategies: vec!["mmr".into()],
-            clusters: Some(2),
-            nnz_per_row: Some(8),
-            batch_size: Some(8),
-            ann: AnnSpec::default(),
-            mmap_threshold: Some(100), // force the streamed/mapped path
-            exact_ceiling: Some(100),
-        };
-        let cells = run_pool_scaling(&spec, None).unwrap();
-        assert_eq!(cells.len(), 1);
     }
 }

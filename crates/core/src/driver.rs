@@ -181,24 +181,18 @@ impl<M: Model> ActiveLearner<M> {
 /// all-`NaN` (or otherwise constant) score vector degrades to
 /// pool-order selection, and mixed `NaN`s sort deterministically rather
 /// than panicking or varying by platform.
-pub fn top_k(scores: &[f64], k: usize) -> Vec<usize> {
-    select_k(scores, k)
-}
-
-/// Bounded-heap partial selection: identical output to [`top_k`]
-/// (`k` largest, best first, equal scores toward the lower index) in
-/// `O(n log k)` instead of a full `O(n log n)` sort.
 ///
-/// The heap holds the best `k` seen so far, keyed so its root is the
-/// *worst* member; a candidate replaces the root only when it is
-/// strictly better under the full (score desc, index asc) order, which
-/// reproduces the sort's tie-breaks exactly. `NaN` scores need the
-/// sort's explicit NaN-last total order, so any `NaN` input (and the
-/// trivial `k ≥ n` case) falls back to the full sort — provable
+/// Runs as a bounded-heap partial selection in `O(n log k)` instead of a
+/// full `O(n log n)` sort. The heap holds the best `k` seen so far, keyed
+/// so its root is the *worst* member; a candidate replaces the root only
+/// when it is strictly better under the full (score desc, index asc)
+/// order, which reproduces the sort's tie-breaks exactly. `NaN` scores
+/// need the sort's explicit NaN-last total order, so any `NaN` input (and
+/// the trivial `k ≥ n` case) falls back to the full sort — provable
 /// equivalence beats a heap on inputs that are degenerate anyway. The
-/// equivalence over all inputs, `NaN`s included, is pinned by a
-/// property test in `tests/driver_props.rs`.
-pub fn select_k(scores: &[f64], k: usize) -> Vec<usize> {
+/// equivalence over all inputs, `NaN`s included, is pinned by a property
+/// test in `tests/driver_props.rs`.
+pub fn top_k(scores: &[f64], k: usize) -> Vec<usize> {
     if k == 0 || scores.is_empty() {
         return Vec::new();
     }
@@ -250,8 +244,8 @@ pub fn select_k(scores: &[f64], k: usize) -> Vec<usize> {
     heap.into_sorted_vec().into_iter().map(|e| e.idx).collect()
 }
 
-/// The pre-heap implementation of [`top_k`]: full stable-order sort.
-/// Kept as the fallback that defines the contract on degenerate inputs.
+/// Full stable-order sort: [`top_k`]'s fallback, which defines the
+/// contract on degenerate inputs.
 ///
 /// `NaN` is ordered explicitly (after every real score, pool order
 /// among `NaN`s) because `partial_cmp → Equal` is not transitive on

@@ -80,6 +80,8 @@
 //! registry, a crash-safe run journal from the `histal-obs` crate)
 //! attach the same way; see [`session::SessionBuilder`].
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod driver;
 pub mod error;

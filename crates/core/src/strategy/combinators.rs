@@ -38,9 +38,9 @@ use serde::{Deserialize, Serialize};
 use histal_obs::span;
 use histal_obs::trace::Level;
 
-use histal_text::{AnnScratch, Geometry, NeighborIndex};
+use histal_text::{AnnScratch, NeighborIndex, PoolGeometry};
 
-use crate::driver::select_k;
+use crate::driver::top_k;
 
 /// Configuration for density (representativeness) weighting.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -95,7 +95,7 @@ pub struct SimScratch {
     /// so far.
     sim: Vec<f64>,
     /// Dense scatter buffer for one-vs-many cosine sweeps
-    /// ([`Geometry::scatter`]); sized to the pool's feature dimension
+    /// ([`PoolGeometry::scatter`]); sized to the pool's feature dimension
     /// on first use.
     dense: Vec<f64>,
     /// Candidate-neighbor id buffer for ANN-indexed sweeps.
@@ -103,7 +103,7 @@ pub struct SimScratch {
     /// Pool-id → position-in-`unlabeled` map (`usize::MAX` = not in `U`);
     /// filled per call, un-marked afterwards in O(|U|).
     pos_of: Vec<usize>,
-    /// Per-pick MMR objective values, fed to [`select_k`].
+    /// Per-pick MMR objective values, fed to [`top_k`].
     vals: Vec<f64>,
     /// Query-time scratch for the neighbor index.
     ann: AnnScratch,
@@ -146,10 +146,10 @@ impl SimScratch {
 /// denominator stays the full reference size, so approximate densities
 /// are biased low for outliers (exactly the samples density weighting
 /// discounts anyway).
-pub fn apply_density<G: Geometry + ?Sized>(
+pub fn apply_density(
     scores: &mut [f64],
     unlabeled: &[usize],
-    geom: &G,
+    geom: &PoolGeometry,
     index: Option<&dyn NeighborIndex>,
     config: &DensityConfig,
     rng: &mut ChaCha8Rng,
@@ -248,10 +248,10 @@ pub fn apply_density<G: Geometry + ?Sized>(
 /// candidate neighbors; non-neighbors keep their distance (initialized to
 /// the orthogonal distance 1.0), i.e. they are treated as never closer
 /// than orthogonal to the batch.
-pub fn kcenter_select<G: Geometry + ?Sized>(
+pub fn kcenter_select(
     scores: &[f64],
     unlabeled: &[usize],
-    geom: &G,
+    geom: &PoolGeometry,
     index: Option<&dyn NeighborIndex>,
     batch_size: usize,
     scratch: &mut SimScratch,
@@ -384,10 +384,10 @@ pub fn kcenter_select<G: Geometry + ?Sized>(
 /// With an ANN `index`, similarity penalties only propagate to each
 /// pick's candidate neighbors — non-neighbors keep their current penalty
 /// (initially zero), i.e. they are treated as dissimilar to the batch.
-pub fn mmr_select<G: Geometry + ?Sized>(
+pub fn mmr_select(
     scores: &[f64],
     unlabeled: &[usize],
-    geom: &G,
+    geom: &PoolGeometry,
     index: Option<&dyn NeighborIndex>,
     batch_size: usize,
     config: &MmrConfig,
@@ -419,7 +419,7 @@ pub fn mmr_select<G: Geometry + ?Sized>(
         // maintained incrementally.
         for _ in 0..k {
             // Materialize this round's MMR objective and take its argmax
-            // with the bounded-heap `select_k` (k = 1): same strict-`>`
+            // with the bounded-heap `top_k` (k = 1): same strict-`>`
             // lower-index-wins winner the linear scan produced, in one
             // branch-free pass.
             for pos in 0..n {
@@ -429,7 +429,7 @@ pub fn mmr_select<G: Geometry + ?Sized>(
                     config.lambda * scores[pos] - (1.0 - config.lambda) * max_sim[pos]
                 };
             }
-            let pos = match select_k(vals, 1).first().copied() {
+            let pos = match top_k(vals, 1).first().copied() {
                 // A taken position can only win when every live candidate
                 // is also −∞; fall back to the first live one.
                 Some(p) if taken[p] => match (0..n).find(|&q| !taken[q]) {

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
-use histal_core::driver::{select_k, top_k, ActiveLearner, PoolConfig};
+use histal_core::driver::{top_k, ActiveLearner, PoolConfig};
 use histal_core::eval::{EvalCaps, SampleEval};
 use histal_core::model::Model;
 use histal_core::strategy::{BaseStrategy, HistoryPolicy, Strategy as AlStrategy};
@@ -163,22 +163,9 @@ proptest! {
             }
         }
     }
-
-    /// All-tied (and all-NaN) score vectors degrade to pool order.
-    #[test]
-    fn top_k_constant_scores_select_pool_order(
-        n in 0usize..50,
-        k in 0usize..60,
-        nan in 0u8..2,
-    ) {
-        let v = if nan == 1 { f64::NAN } else { 0.25 };
-        let got = top_k(&vec![v; n], k);
-        let expect: Vec<usize> = (0..n.min(k)).collect();
-        prop_assert_eq!(&got, &expect);
-    }
 }
 
-/// The full-sort contract `select_k` must reproduce, stated as a total
+/// The full-sort contract `top_k` must reproduce, stated as a total
 /// key `(is_nan, score desc, index asc)`: indices by score descending,
 /// `NaN` after every real score, ties (including between `NaN`s) toward
 /// the lower index.
@@ -196,12 +183,12 @@ fn sort_oracle(scores: &[f64], k: usize) -> Vec<usize> {
 }
 
 proptest! {
-    /// `select_k` (the bounded-heap path) is extensionally equal to the
+    /// `top_k` (the bounded-heap path) is extensionally equal to the
     /// full sort for every input: mixed magnitudes, heavy ties, and
     /// `NaN`s (which route to the sort fallback), at every `k` from
     /// under-full to over-full.
     #[test]
-    fn select_k_matches_full_sort(
+    fn top_k_matches_full_sort(
         raw in prop::collection::vec(
             // i32::MAX is mapped to NaN below; unweighted union keeps
             // NaN common enough to exercise the sort fallback.
@@ -214,30 +201,30 @@ proptest! {
             .into_iter()
             .map(|v| if v == i32::MAX { f64::NAN } else { f64::from(v) / 8.0 })
             .collect();
-        prop_assert_eq!(select_k(&scores, k), sort_oracle(&scores, k));
+        prop_assert_eq!(top_k(&scores, k), sort_oracle(&scores, k));
     }
 
     /// `NaN`-free vectors with heavy ties: the bounded-heap path proper
     /// (the union above yields `NaN` in half the draws, which routes to
     /// the sort fallback — this pins the heap against the oracle).
     #[test]
-    fn select_k_matches_full_sort_finite(
+    fn top_k_matches_full_sort_finite(
         raw in prop::collection::vec(-20i32..20, 0..80),
         k in 0usize..90,
     ) {
         let scores: Vec<f64> = raw.into_iter().map(|v| f64::from(v) / 4.0).collect();
-        prop_assert_eq!(select_k(&scores, k), sort_oracle(&scores, k));
+        prop_assert_eq!(top_k(&scores, k), sort_oracle(&scores, k));
     }
 
-    /// All-tied vectors exercise the heap's pure tie-break path (no
-    /// `NaN` fallback): every pick must come out in pool order.
+    /// All-tied score vectors degrade to pool order: a real tie runs the
+    /// heap's pure tie-break path, an all-`NaN` vector the sort fallback.
     #[test]
-    fn select_k_all_tied_is_pool_order(
+    fn top_k_all_tied_is_pool_order(
         n in 0usize..60,
         k in 0usize..70,
-        v in -5.0f64..5.0,
+        v in prop_oneof![-5.0f64..5.0, Just(f64::NAN)],
     ) {
-        let got = select_k(&vec![v; n], k);
+        let got = top_k(&vec![v; n], k);
         let expect: Vec<usize> = (0..n.min(k)).collect();
         prop_assert_eq!(&got, &expect);
     }

@@ -15,14 +15,19 @@
 //!   ordering of the paper (e.g. CoNLL-EN F1 > Spanish > Dutch under a
 //!   small label budget) is preserved.
 //!
+//! It also builds seeded clustered sparse pools of any size
+//! ([`synth_pool`]) for the pool-scaling grid and the selection benches.
+//!
 //! Everything is deterministic given the dataset seed.
+
+#![forbid(unsafe_code)]
 
 pub mod conll;
 pub mod ltrgen;
 pub mod ner;
 pub mod noise;
-pub mod oocpool;
 pub mod splits;
+pub mod synth;
 pub mod textclf;
 pub mod zipf;
 
@@ -30,7 +35,7 @@ pub use conll::{parse_conll, read_conll, write_conll, ConllError};
 pub use ltrgen::{LtrDataset, LtrQuery, LtrSpec};
 pub use ner::{NerDataset, NerSpec};
 pub use noise::{corrupt_labels, drop_entity_tags};
-pub use oocpool::{synth_pool, synth_row, write_synth_pool, MappedPool, PoolWriter};
 pub use splits::{cv_folds, stratified_split, train_test_split};
+pub use synth::{synth_pool, synth_row};
 pub use textclf::{TextDataset, TextSpec};
 pub use zipf::Zipf;

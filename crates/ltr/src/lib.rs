@@ -14,6 +14,8 @@
 //! * [`linear`] — a pairwise-logistic linear ranker (ablation baseline),
 //! * [`pointwise`] — a pointwise regression ranker (the LAL substrate).
 
+#![forbid(unsafe_code)]
+
 pub mod dataset;
 pub mod lambdamart;
 pub mod linear;

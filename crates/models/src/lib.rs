@@ -17,6 +17,8 @@
 //! [`histal_core::ActiveLearner`]. See `DESIGN.md` at the workspace root
 //! for the substitution rationale.
 
+#![forbid(unsafe_code)]
+
 pub mod crf;
 pub mod document;
 pub mod kernels;

@@ -37,6 +37,8 @@
 //! assert!(sub.count("demo.work") >= 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod journal;
 pub mod metrics;
 pub mod trace;

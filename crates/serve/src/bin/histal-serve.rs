@@ -10,6 +10,8 @@
 //! fetches a ticket, submits labels, runs a simulated session to
 //! completion, scrapes `/metrics` — and prints `serve smoke OK`.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 use std::sync::Arc;
 

@@ -7,12 +7,16 @@
 //! pool inside the session pipeline. A handful of blocking workers
 //! pulling jobs from one queue is the whole story.
 //!
+//! A job that panics is caught at the worker, which then takes the next
+//! job, so a panicking handler never shrinks the pool.
+//!
 //! Shutdown is cooperative: dropping the pool closes the channel, each
 //! worker drains what it holds and exits, and `Drop` joins them — so a
 //! server that returns from its accept loop finishes in-flight requests
 //! before the process exits (the "clean shutdown" the smoke test
 //! scrapes for).
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -62,7 +66,9 @@ fn worker_loop(receiver: &Mutex<Receiver<Job>>) {
             Ok(job) => job,
             Err(_) => return, // channel closed: pool dropped
         };
-        job();
+        // The panic message has already gone to stderr through the panic
+        // hook; the worker lives on for the next job.
+        let _ = catch_unwind(AssertUnwindSafe(job));
     }
 }
 
@@ -80,6 +86,7 @@ impl Drop for ThreadPool {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     #[test]
     fn runs_all_jobs_before_drop_returns() {
@@ -102,5 +109,14 @@ mod tests {
         let (tx, rx) = channel();
         pool.execute(move || tx.send(42).unwrap());
         assert_eq!(rx.recv().unwrap(), 42);
+    }
+
+    #[test]
+    fn panicking_job_does_not_kill_its_worker() {
+        let pool = ThreadPool::new(1);
+        pool.execute(|| panic!("deliberate job panic"));
+        let (tx, rx) = channel();
+        pool.execute(move || tx.send(7).unwrap());
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(7));
     }
 }

@@ -21,6 +21,7 @@
 //! server.run().unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

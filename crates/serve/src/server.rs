@@ -26,6 +26,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use serde::{Deserialize, Serialize, Value};
 
@@ -155,6 +156,11 @@ fn handle_connection(store: &Store, shutdown: &AtomicBool, mut stream: TcpStream
     let _ = write_response(&mut stream, reply.status, reply.content_type, &reply.body);
 }
 
+/// Read and write inactivity timeout on every accepted connection: a
+/// client that stalls this long mid-request gets a 400 (or, mid-reply,
+/// a dropped connection), so an idle socket cannot pin a worker.
+const IO_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// The accept loop plus its worker pool.
 pub struct Server {
     store: Arc<Store>,
@@ -197,6 +203,11 @@ impl Server {
                 break;
             }
             let Ok(stream) = stream else { continue };
+            if stream.set_read_timeout(Some(IO_TIMEOUT)).is_err()
+                || stream.set_write_timeout(Some(IO_TIMEOUT)).is_err()
+            {
+                continue;
+            }
             let store = Arc::clone(&self.store);
             let shutdown = Arc::clone(&self.shutdown);
             let addr = self.addr;
@@ -247,6 +258,37 @@ mod tests {
         assert!(body.contains("error"));
         let (status, body) = http_request(addr, "POST", "/sessions", Some("{not json")).unwrap();
         assert_eq!(status, 400, "{body}");
+
+        let (status, _) = http_request(addr, "POST", "/shutdown", None).unwrap();
+        assert_eq!(status, 200);
+        handle.join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn idle_socket_does_not_pin_the_only_worker() {
+        use std::io::{Read, Write};
+
+        let dir = std::env::temp_dir().join(format!("histal-serve-idle-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(Store::open(&dir).unwrap());
+        let (addr, handle) = Server::bind("127.0.0.1:0", store, 1).unwrap().spawn();
+
+        // Connected first, sends nothing: it takes the only worker.
+        let idle = TcpStream::connect(addr).unwrap();
+        let mut probe = TcpStream::connect(addr).unwrap();
+        probe
+            .set_read_timeout(Some(Duration::from_secs(15)))
+            .unwrap();
+        probe
+            .write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+            .unwrap();
+        let mut reply = String::new();
+        probe
+            .read_to_string(&mut reply)
+            .expect("healthz must be answered while an idle socket is open");
+        assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+        drop(idle);
 
         let (status, _) = http_request(addr, "POST", "/shutdown", None).unwrap();
         assert_eq!(status, 200);

@@ -34,7 +34,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::geometry::Geometry;
+use crate::geometry::PoolGeometry;
 
 /// Tuning knobs for [`LshIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -121,7 +121,7 @@ fn mix64(mut h: u64) -> u64 {
     h
 }
 
-/// Multi-table random-hyperplane LSH over a [`Geometry`].
+/// Multi-table random-hyperplane LSH over a [`PoolGeometry`].
 #[derive(Debug, Clone)]
 pub struct LshIndex {
     n: usize,
@@ -155,7 +155,7 @@ impl LshIndex {
     /// Build the index over every row of `geom`. Deterministic in
     /// `(geom, cfg, seed)`; single-threaded by design so results do not
     /// depend on the thread pool.
-    pub fn build<G: Geometry + ?Sized>(geom: &G, cfg: &AnnConfig, seed: u64) -> Self {
+    pub fn build(geom: &PoolGeometry, cfg: &AnnConfig, seed: u64) -> Self {
         let n = geom.len();
         let tables = cfg.tables.clamp(1, 64);
         let bits = Self::effective_bits(n, cfg.bits);
@@ -294,7 +294,6 @@ impl NeighborIndex for LshIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::PoolGeometry;
     use crate::sparse::SparseVec;
 
     fn pool(n: usize, seed: u64) -> PoolGeometry {

@@ -19,114 +19,6 @@
 
 use crate::sparse::SparseVec;
 
-/// Row-store abstraction over a pool's sparse representations.
-///
-/// [`PoolGeometry`] (resident CSR) is the canonical implementation; the
-/// out-of-core memory-mapped pool in `histal-data` is the second. All
-/// similarity math lives in the provided methods so every backing store
-/// shares one accumulation order — the bit-identity contract of the
-/// combinators holds regardless of where the rows live.
-pub trait Geometry {
-    /// Number of rows.
-    fn len(&self) -> usize;
-
-    /// One past the largest stored index (0 for an all-empty pool) — the
-    /// length a dense scatter buffer needs.
-    fn dim(&self) -> usize;
-
-    /// The cached Euclidean norm of row `i`.
-    fn norm(&self, i: usize) -> f64;
-
-    /// Row `i` as parallel `(indices, values)` slices.
-    fn row(&self, i: usize) -> (&[u32], &[f32]);
-
-    /// True when the store holds no rows.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Sparse dot product of rows `a` and `b` — the same single-pass merge
-    /// and `f64` accumulation as [`SparseVec::dot`].
-    fn dot(&self, a: usize, b: usize) -> f64 {
-        let (ai, av) = self.row(a);
-        let (bi, bv) = self.row(b);
-        let (mut x, mut y) = (0, 0);
-        let mut acc = 0.0;
-        while x < ai.len() && y < bi.len() {
-            match ai[x].cmp(&bi[y]) {
-                std::cmp::Ordering::Less => x += 1,
-                std::cmp::Ordering::Greater => y += 1,
-                std::cmp::Ordering::Equal => {
-                    acc += av[x] as f64 * bv[y] as f64;
-                    x += 1;
-                    y += 1;
-                }
-            }
-        }
-        acc
-    }
-
-    /// Cosine similarity of rows `a` and `b` via the cached norms; zero
-    /// when either row is all-zero. Bit-identical to
-    /// [`SparseVec::cosine`] on the same vectors.
-    fn cosine(&self, a: usize, b: usize) -> f64 {
-        let denom = self.norm(a) * self.norm(b);
-        if denom == 0.0 {
-            0.0
-        } else {
-            self.dot(a, b) / denom
-        }
-    }
-
-    /// Scatter row `a`'s widened values into `dense` (grown to
-    /// [`Self::dim`] on first use) for repeated one-vs-many dots. Pair
-    /// with [`Self::unscatter`] to zero the entries again in O(nnz).
-    fn scatter(&self, a: usize, dense: &mut Vec<f64>) {
-        if dense.len() < self.dim() {
-            dense.resize(self.dim(), 0.0);
-        }
-        let (ai, av) = self.row(a);
-        for (&i, &v) in ai.iter().zip(av) {
-            dense[i as usize] = v as f64;
-        }
-    }
-
-    /// Zero row `a`'s entries in a buffer filled by [`Self::scatter`].
-    fn unscatter(&self, a: usize, dense: &mut [f64]) {
-        let (ai, _) = self.row(a);
-        for &i in ai {
-            dense[i as usize] = 0.0;
-        }
-    }
-
-    /// Dot of row `b` against a row scattered into `dense` — a linear
-    /// gather instead of the branchy two-pointer merge, and still
-    /// bit-identical to [`Self::dot`]: shared indices contribute the same
-    /// products in the same ascending order, and non-shared indices
-    /// contribute `±0.0`, which cannot change the accumulator (it is
-    /// never `-0.0`: it starts at `+0.0`, and round-to-nearest addition
-    /// yields `-0.0` only from `-0.0 + -0.0`).
-    fn dot_scattered(&self, dense: &[f64], b: usize) -> f64 {
-        let (bi, bv) = self.row(b);
-        let mut acc = 0.0;
-        for (&i, &v) in bi.iter().zip(bv) {
-            acc += dense[i as usize] * v as f64;
-        }
-        acc
-    }
-
-    /// Cosine of rows `a` (already scattered into `dense`) and `b`;
-    /// bit-identical to [`Self::cosine`] of the same rows.
-    fn cosine_scattered(&self, dense: &[f64], a: usize, b: usize) -> f64 {
-        let denom = self.norm(a) * self.norm(b);
-        if denom == 0.0 {
-            0.0
-        } else {
-            self.dot_scattered(dense, b) / denom
-        }
-    }
-}
-
 /// Immutable CSR snapshot of a pool's sparse representations with cached
 /// per-row norms.
 #[derive(Debug, Clone, Default)]
@@ -225,57 +117,82 @@ impl PoolGeometry {
     /// Sparse dot product of rows `a` and `b` — the same single-pass merge
     /// and `f64` accumulation as [`SparseVec::dot`].
     pub fn dot(&self, a: usize, b: usize) -> f64 {
-        Geometry::dot(self, a, b)
+        let (ai, av) = self.row(a);
+        let (bi, bv) = self.row(b);
+        let (mut x, mut y) = (0, 0);
+        let mut acc = 0.0;
+        while x < ai.len() && y < bi.len() {
+            match ai[x].cmp(&bi[y]) {
+                std::cmp::Ordering::Less => x += 1,
+                std::cmp::Ordering::Greater => y += 1,
+                std::cmp::Ordering::Equal => {
+                    acc += av[x] as f64 * bv[y] as f64;
+                    x += 1;
+                    y += 1;
+                }
+            }
+        }
+        acc
     }
 
     /// Cosine similarity of rows `a` and `b` via the cached norms; zero
     /// when either row is all-zero. Bit-identical to
     /// [`SparseVec::cosine`] on the same vectors.
     pub fn cosine(&self, a: usize, b: usize) -> f64 {
-        Geometry::cosine(self, a, b)
+        let denom = self.norm(a) * self.norm(b);
+        if denom == 0.0 {
+            0.0
+        } else {
+            self.dot(a, b) / denom
+        }
     }
 
     /// Scatter row `a`'s widened values into `dense` (grown to
     /// [`Self::dim`] on first use) for repeated one-vs-many dots. Pair
     /// with [`Self::unscatter`] to zero the entries again in O(nnz).
     pub fn scatter(&self, a: usize, dense: &mut Vec<f64>) {
-        Geometry::scatter(self, a, dense)
+        if dense.len() < self.dim() {
+            dense.resize(self.dim(), 0.0);
+        }
+        let (ai, av) = self.row(a);
+        for (&i, &v) in ai.iter().zip(av) {
+            dense[i as usize] = v as f64;
+        }
     }
 
     /// Zero row `a`'s entries in a buffer filled by [`Self::scatter`].
     pub fn unscatter(&self, a: usize, dense: &mut [f64]) {
-        Geometry::unscatter(self, a, dense)
+        let (ai, _) = self.row(a);
+        for &i in ai {
+            dense[i as usize] = 0.0;
+        }
     }
 
-    /// Dot of row `b` against a row scattered into `dense`; bit-identical
-    /// to [`Self::dot`] (see [`Geometry::dot_scattered`]).
+    /// Dot of row `b` against a row scattered into `dense` — a linear
+    /// gather instead of the branchy two-pointer merge, and still
+    /// bit-identical to [`Self::dot`]: shared indices contribute the same
+    /// products in the same ascending order, and non-shared indices
+    /// contribute `±0.0`, which cannot change the accumulator (it is
+    /// never `-0.0`: it starts at `+0.0`, and round-to-nearest addition
+    /// yields `-0.0` only from `-0.0 + -0.0`).
     pub fn dot_scattered(&self, dense: &[f64], b: usize) -> f64 {
-        Geometry::dot_scattered(self, dense, b)
+        let (bi, bv) = self.row(b);
+        let mut acc = 0.0;
+        for (&i, &v) in bi.iter().zip(bv) {
+            acc += dense[i as usize] * v as f64;
+        }
+        acc
     }
 
     /// Cosine of rows `a` (already scattered into `dense`) and `b`;
     /// bit-identical to [`Self::cosine`] of the same rows.
     pub fn cosine_scattered(&self, dense: &[f64], a: usize, b: usize) -> f64 {
-        Geometry::cosine_scattered(self, dense, a, b)
-    }
-}
-
-impl Geometry for PoolGeometry {
-    fn len(&self) -> usize {
-        self.norms.len()
-    }
-
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn norm(&self, i: usize) -> f64 {
-        self.norms[i]
-    }
-
-    fn row(&self, i: usize) -> (&[u32], &[f32]) {
-        let (lo, hi) = (self.offsets[i], self.offsets[i + 1]);
-        (&self.indices[lo..hi], &self.values[lo..hi])
+        let denom = self.norm(a) * self.norm(b);
+        if denom == 0.0 {
+            0.0
+        } else {
+            self.dot_scattered(dense, b) / denom
+        }
     }
 }
 

@@ -13,6 +13,8 @@
 //!   kernels (dot, cosine, axpy) the models need,
 //! * [`ngrams()`] — n-gram expansion for bag-of-n-grams features.
 
+#![forbid(unsafe_code)]
+
 pub mod ann;
 pub mod geometry;
 pub mod hashing;
@@ -24,7 +26,7 @@ pub mod vectorizer;
 pub mod vocab;
 
 pub use ann::{AnnConfig, AnnScratch, ExactNeighbors, LshIndex, NeighborIndex};
-pub use geometry::{Geometry, PoolGeometry};
+pub use geometry::PoolGeometry;
 pub use hashing::FeatureHasher;
 pub use ngrams::{char_ngrams, ngrams};
 pub use sparse::SparseVec;

@@ -12,6 +12,8 @@
 //! * [`ar::ArPredictor`] / [`lstm::LstmPredictor`] — next-score predictors
 //!   (the paper uses an LSTM; AR(p) is the cheap ablation alternative).
 
+#![forbid(unsafe_code)]
+
 pub mod ar;
 pub mod holt;
 pub mod lstm;

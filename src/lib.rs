@@ -20,6 +20,8 @@
 //! See `examples/quickstart.rs` for a complete working loop and
 //! `DESIGN.md` / `EXPERIMENTS.md` for the reproduction methodology.
 
+#![forbid(unsafe_code)]
+
 pub use histal_core as core;
 pub use histal_data as data;
 pub use histal_ltr as ltr;
