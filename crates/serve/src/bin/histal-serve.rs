@@ -59,7 +59,7 @@ fn serve(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let n_sessions = store.list().len();
+    let n_sessions = store.session_count();
     let server = match Server::bind(&addr, store, threads) {
         Ok(server) => server,
         Err(e) => {

@@ -23,6 +23,7 @@
 //! [`ErrorKind::http_status`]: histal_core::error::ErrorKind::http_status
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -127,7 +128,7 @@ fn route(store: &Store, shutdown: &AtomicBool, req: &Request) -> Reply {
             Ok(config) => ok_or_reply(store.create_session(config)),
             Err(reply) => reply,
         },
-        ("GET", ["sessions"]) => ok_or_reply(Ok(store.list())),
+        ("GET", ["sessions"]) => ok_or_reply(store.list()),
         ("GET", ["sessions", id]) => ok_or_reply(store.status(id)),
         ("GET", ["sessions", id, "batch"]) => ok_or_reply(store.next_batch(id)),
         ("GET", ["sessions", id, "snapshot"]) => match store.snapshot_json(id) {
@@ -147,9 +148,20 @@ fn route(store: &Store, shutdown: &AtomicBool, req: &Request) -> Reply {
     }
 }
 
+/// Run a handler, answering a panic with a 500 instead of a closed
+/// connection. A panic inside a session's lock also poisons that lock,
+/// which quarantines the session (see [`Store`]).
+fn guarded(handler: impl FnOnce() -> Reply) -> Reply {
+    std::panic::catch_unwind(AssertUnwindSafe(handler)).unwrap_or_else(|_| Reply {
+        status: 500,
+        content_type: "application/json",
+        body: error_body("the request handler panicked"),
+    })
+}
+
 fn handle_connection(store: &Store, shutdown: &AtomicBool, mut stream: TcpStream) {
     let reply = match read_request(&mut stream) {
-        Ok(Some(req)) => route(store, shutdown, &req),
+        Ok(Some(req)) => guarded(|| route(store, shutdown, &req)),
         Ok(None) => return, // probe connect, nothing to answer
         Err(message) => Reply::bad_request(&message),
     };
@@ -258,6 +270,63 @@ mod tests {
         assert!(body.contains("error"));
         let (status, body) = http_request(addr, "POST", "/sessions", Some("{not json")).unwrap();
         assert_eq!(status, 400, "{body}");
+
+        let (status, _) = http_request(addr, "POST", "/shutdown", None).unwrap();
+        assert_eq!(status, 200);
+        handle.join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_panicking_handler_is_a_500() {
+        let reply = guarded(|| panic!("handler bug"));
+        assert_eq!(reply.status, 500);
+        assert!(reply.body.contains("\"error\""), "{}", reply.body);
+    }
+
+    #[test]
+    fn a_poisoned_session_answers_500_and_others_keep_working() {
+        let dir = std::env::temp_dir().join(format!("histal-serve-poison-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(Store::open(&dir).unwrap());
+        let config = |oracle: &str| SessionConfig {
+            tenant: "acme".into(),
+            dataset: "mr".into(),
+            strategy: "entropy".into(),
+            scale: 0.05,
+            batch_size: 5,
+            rounds: 2,
+            init_labeled: 10,
+            oracle: oracle.into(),
+            ..SessionConfig::default()
+        };
+        let sick = store.create_session(config("external")).unwrap().id;
+        let well = store.create_session(config("simulated")).unwrap().id;
+        let entry = store.entry(&sick).unwrap();
+        let panicked = std::thread::spawn(move || {
+            let _slot = entry.lock().unwrap();
+            panic!("poison the session lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        let (addr, handle) = Server::bind("127.0.0.1:0", store, 2).unwrap().spawn();
+
+        for path in [
+            format!("/sessions/{sick}"),
+            format!("/sessions/{sick}/batch"),
+            format!("/sessions/{sick}/snapshot"),
+        ] {
+            let (status, body) = http_request(addr, "GET", &path, None).unwrap();
+            assert_eq!(status, 500, "GET {path}: {body}");
+            assert!(body.contains(&sick), "GET {path}: {body}");
+        }
+        let (status, body) =
+            http_request(addr, "POST", &format!("/sessions/{well}/run"), None).unwrap();
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"done\":true"), "{body}");
+        let (status, body) =
+            http_request(addr, "GET", &format!("/sessions/{well}/batch"), None).unwrap();
+        assert_eq!((status, body.contains("\"done\"")), (200, true), "{body}");
 
         let (status, _) = http_request(addr, "POST", "/shutdown", None).unwrap();
         assert_eq!(status, 200);

@@ -82,6 +82,17 @@ pub struct BatchView {
     pub indices: Vec<SampleId>,
 }
 
+impl BatchView {
+    /// The batch of a finished session: nothing left to label.
+    pub fn done() -> BatchView {
+        BatchView {
+            state: "done".into(),
+            ticket: 0,
+            indices: Vec::new(),
+        }
+    }
+}
+
 /// A served session with the model parameter erased: text-classification
 /// sessions carry class labels, NER sessions tag sequences.
 pub enum AnySession {
@@ -113,11 +124,7 @@ impl AnySession {
                 ticket: request.ticket,
                 indices: request.indices,
             },
-            None => BatchView {
-                state: "done".into(),
-                ticket: 0,
-                indices: Vec::new(),
-            },
+            None => BatchView::done(),
         }
     }
 

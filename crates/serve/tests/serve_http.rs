@@ -423,3 +423,210 @@ fn restart_preserves_sessions_over_http() {
     shutdown(addr, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Drive an external session to done over HTTP, one full chunk per
+/// ticket. Returns the last chunk's request body.
+fn drive_to_done_over_http(addr: std::net::SocketAddr, id: &str) -> String {
+    let mut last = String::new();
+    loop {
+        let (status, batch) =
+            http_request(addr, "GET", &format!("/sessions/{id}/batch"), None).unwrap();
+        assert_eq!(status, 200, "{batch}");
+        if json_str(&batch, "state") == "done" {
+            return last;
+        }
+        let ticket = json_u64(&batch, "ticket");
+        let labels: Vec<String> = json_indices(&batch)
+            .iter()
+            .map(|i| format!("[{i},{}]", i % 2))
+            .collect();
+        last = format!("{{\"ticket\":{ticket},\"labels\":[{}]}}", labels.join(","));
+        let (status, body) =
+            http_request(addr, "POST", &format!("/sessions/{id}/labels"), Some(&last)).unwrap();
+        assert_eq!(status, 200, "{body}");
+    }
+}
+
+/// `tenant`'s `serve.sessions.completed` counter at `/metrics`.
+fn completed(addr: std::net::SocketAddr, tenant: &str) -> Option<u64> {
+    let (status, metrics) = http_request(addr, "GET", "/metrics", None).unwrap();
+    assert_eq!(status, 200);
+    let needle = format!("{tenant}.serve.sessions.completed = ");
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(&needle))
+        .map(|n| n.trim().parse().unwrap())
+}
+
+/// A finished session is kept as a summary and rebuilt from its journal
+/// for snapshots and late labels. Every response must be the one a live
+/// session replayed from that journal gives, before and after a
+/// restart.
+#[test]
+fn finished_session_answers_like_its_replayed_journal() {
+    use histal_core::live::SubmitOutcome;
+    use histal_obs::MetricsRegistry;
+    use histal_serve::{BatchView, LabelValue, StatusView, SubmitRequest, TaskCache};
+    use serde::{Deserialize, Value};
+
+    let dir = tmp_dir("finished");
+    let (addr, handle) = spawn_server(&dir, 2);
+    let config = serde_json::to_string(&tiny_config("acme", "external", 13)).unwrap();
+    let (_, body) = http_request(addr, "POST", "/sessions", Some(&config)).unwrap();
+    let id = json_str(&body, "id");
+    let last_chunk = drive_to_done_over_http(addr, &id);
+
+    // The reference: a live session replayed from the journal.
+    let journal = std::fs::read_to_string(dir.join(format!("{id}.jsonl"))).unwrap();
+    let mut lines = journal
+        .lines()
+        .map(|l| serde_json::from_str::<Value>(l).unwrap());
+    let create = lines.next().unwrap();
+    let config = SessionConfig::from_value(create.get("config").unwrap()).unwrap();
+    let mut live = config
+        .build_session(&TaskCache::new(), Arc::new(MetricsRegistry::new()))
+        .unwrap();
+    for record in lines.filter(|r| r.get("kind").and_then(Value::as_str) == Some("labels")) {
+        let chunk = SubmitRequest::from_value(&record).unwrap();
+        live.step().unwrap();
+        live.submit(chunk.ticket, &chunk.labels).unwrap();
+    }
+    live.step().unwrap();
+
+    let json = |r: Result<String, histal_core::Error>| match r {
+        Ok(body) => (200, body),
+        Err(e) => (
+            e.kind.http_status(),
+            serde_json::to_string(&Value::Map(vec![(
+                "error".to_string(),
+                Value::Str(e.to_string()),
+            )]))
+            .unwrap(),
+        ),
+    };
+    let submit = |live: &mut histal_serve::AnySession, body: &str| {
+        let chunk: SubmitRequest = serde_json::from_str(body).unwrap();
+        json(
+            live.submit(chunk.ticket, &chunk.labels)
+                .map(|o: SubmitOutcome| serde_json::to_string(&o).unwrap()),
+        )
+    };
+    let last: SubmitRequest = serde_json::from_str(&last_chunk).unwrap();
+    let (sample, label) = last.labels[0].clone();
+    let LabelValue::Class(class) = label else {
+        panic!("text sessions label classes")
+    };
+    let conflicting = format!(
+        "{{\"ticket\":{},\"labels\":[[{sample},{}]]}}",
+        last.ticket,
+        1 - class
+    );
+    let wrong_shape = format!(
+        "{{\"ticket\":{},\"labels\":[[{sample},[0,1]]]}}",
+        last.ticket
+    );
+    let labels_path = format!("/sessions/{id}/labels");
+    let status = StatusView {
+        id: id.clone(),
+        tenant: "acme".into(),
+        oracle: "external".into(),
+        status: live.status(),
+    };
+    assert!(status.status.done);
+    // (method, path, body, expected (status, body))
+    type Exchange<'a> = (&'a str, String, Option<&'a str>, (u16, String));
+    let expected: Vec<Exchange> = vec![
+        (
+            "GET",
+            format!("/sessions/{id}"),
+            None,
+            (200, serde_json::to_string(&status).unwrap()),
+        ),
+        (
+            "GET",
+            "/sessions".into(),
+            None,
+            (200, serde_json::to_string(&vec![status.clone()]).unwrap()),
+        ),
+        (
+            "GET",
+            format!("/sessions/{id}/batch"),
+            None,
+            (200, serde_json::to_string(&live.batch_view()).unwrap()),
+        ),
+        (
+            "GET",
+            format!("/sessions/{id}/snapshot"),
+            None,
+            (200, live.snapshot_json()),
+        ),
+        (
+            "POST",
+            labels_path.clone(),
+            Some(&last_chunk),
+            submit(&mut live, &last_chunk),
+        ),
+        (
+            "POST",
+            labels_path.clone(),
+            Some(&conflicting),
+            submit(&mut live, &conflicting),
+        ),
+        (
+            "POST",
+            labels_path.clone(),
+            Some(&wrong_shape),
+            submit(&mut live, &wrong_shape),
+        ),
+    ];
+    assert_eq!(
+        expected[2].3 .1,
+        serde_json::to_string(&BatchView::done()).unwrap()
+    );
+    assert_eq!(expected[4].3 .0, 200);
+    assert_eq!(expected[5].3 .0, 409);
+    assert_eq!(expected[6].3 .0, 400);
+
+    let check = |addr, when: &str| {
+        for (method, path, body, want) in &expected {
+            let got = http_request(addr, method, path, *body).unwrap();
+            assert_eq!(&got, want, "{method} {path} ({when})");
+        }
+    };
+    check(addr, "as finished");
+    shutdown(addr, handle);
+    let (addr, handle) = spawn_server(&dir, 2);
+    check(addr, "after Store::open");
+    shutdown(addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `serve.sessions.completed` counts the step to done, once per
+/// session, however the session got there.
+#[test]
+fn each_finished_session_is_counted_once() {
+    let dir = tmp_dir("completed");
+    let (addr, handle) = spawn_server(&dir, 2);
+    let create = |tenant: &str, oracle: &str| {
+        let config = serde_json::to_string(&tiny_config(tenant, oracle, 17)).unwrap();
+        let (status, body) = http_request(addr, "POST", "/sessions", Some(&config)).unwrap();
+        assert_eq!(status, 200, "{body}");
+        json_str(&body, "id")
+    };
+
+    let ext = create("ext", "external");
+    drive_to_done_over_http(addr, &ext);
+    assert_eq!(completed(addr, "ext"), Some(1));
+    drive_to_done_over_http(addr, &ext);
+    assert_eq!(completed(addr, "ext"), Some(1));
+
+    let sim = create("sim", "simulated");
+    for _ in 0..2 {
+        let (status, body) =
+            http_request(addr, "POST", &format!("/sessions/{sim}/run"), None).unwrap();
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(completed(addr, "sim"), Some(1));
+    }
+    shutdown(addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -168,7 +168,8 @@ echo "    worker threads are byte-identical HLRN1 files"
 )
 
 echo "==> serve smoke: histal-serve end-to-end (external + simulated oracle,"
-echo "    duplicate absorption, per-tenant /metrics, clean shutdown)"
+echo "    duplicate absorption, per-tenant /metrics, clean shutdown), then a"
+echo "    restart on the same state dir must list the same sessions"
 cargo build -q --release -p histal-serve --bin histal-serve
 SERVE_BIN="$(pwd)/target/release/histal-serve"
 SERVE_ADDR="127.0.0.1:18437"
@@ -182,8 +183,23 @@ SERVE_ADDR="127.0.0.1:18437"
         sleep 0.1
     done
     "$SERVE_BIN" smoke --addr "$SERVE_ADDR"
+    curl -fsS "http://$SERVE_ADDR/sessions" > sessions-before.json
     curl -fsS -X POST "http://$SERVE_ADDR/shutdown" > /dev/null
     wait "$SERVE_PID"
+
+    # Restart on the same state dir: the finished session boots from its
+    # result record, the unfinished one by replay, and both list as before.
+    "$SERVE_BIN" serve --addr "$SERVE_ADDR" --state-dir serve-state --threads 4 \
+        > serve-restart.log 2>&1 &
+    SERVE_PID=$!
+    for _ in $(seq 1 50); do
+        if curl -fsS "http://$SERVE_ADDR/healthz" > /dev/null 2>&1; then break; fi
+        sleep 0.1
+    done
+    curl -fsS "http://$SERVE_ADDR/sessions" > sessions-after.json
+    curl -fsS -X POST "http://$SERVE_ADDR/shutdown" > /dev/null
+    wait "$SERVE_PID"
+    diff sessions-before.json sessions-after.json
 )
 
 echo "==> serve load: 1000 concurrent simulated sessions (acceptance bar)"
