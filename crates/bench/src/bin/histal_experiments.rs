@@ -40,9 +40,7 @@
 //! (`--trace=debug` and `--trace=trace` widen the level); stdout stays
 //! byte-identical to an uninstrumented run.
 //!
-//! `table2` measures per-round phase timings of whole AL runs; the
-//! strategy-fold micro-benchmark is the Criterion bench
-//! `cargo bench -p histal-bench --bench strategy_overhead`.
+//! `table2` measures per-round phase timings of whole AL runs.
 
 #![forbid(unsafe_code)]
 

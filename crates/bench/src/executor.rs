@@ -3,9 +3,9 @@
 //! [`GridExecutor`] turns an [`ExperimentSpec`] into results: it
 //! resolves datasets/strategies through [`crate::registry`], trains any
 //! LHS selectors the spec needs (deduplicated by training plan), flattens
-//! the `(dataset × group × strategy)` grid into a [`crate::scheduler::GridCtx`],
+//! the `(dataset × group × strategy)` grid into a `scheduler::GridCtx`,
 //! and runs it through the one epoch-stepped slot loop,
-//! [`crate::scheduler::execute`]: cells fan out across the rayon pool,
+//! `scheduler::execute`: cells fan out across the rayon pool,
 //! each cell fans its repeats out, and a spec with a `prune` policy
 //! stops at decision epochs where the successive-halving rule cuts
 //! dominated cells short.

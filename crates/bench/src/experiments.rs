@@ -453,7 +453,7 @@ pub struct TransferBenchRow {
 
 /// Wall clock of one deduplicated selector training performed by the
 /// transfer grid, keyed by the plan label (e.g. `LAL(entropy)@mr`).
-/// [`selector_train_gate`] re-times these against the committed values.
+/// `selector_train_gate` re-times these against the committed values.
 #[derive(serde::Serialize, serde::Deserialize)]
 pub struct SelectorTrainBench {
     pub selector: String,

@@ -10,7 +10,7 @@
 //! experiment `bench-pool` alongside the AL-loop cells.
 //!
 //! The grid is described by `specs/bench-pool-scaling.json`, which is
-//! deliberately **not** an [`ExperimentSpec`]: a full AL loop at 1M rows
+//! deliberately **not** an [`ExperimentSpec`](crate::spec::ExperimentSpec): a full AL loop at 1M rows
 //! is infeasible (and meaningless — there is no model or dataset here),
 //! so the file carries its own `"kind": "pool-scaling"` discriminator
 //! and schema. `spec-check` and the spec round-trip tests branch on that

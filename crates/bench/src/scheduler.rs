@@ -1,8 +1,8 @@
 //! Grid cell execution: one epoch-stepped slot loop runs every grid.
 //!
-//! [`crate::executor::GridExecutor`] resolves a spec into a [`GridCtx`]
+//! [`crate::executor::GridExecutor`] resolves a spec into a `GridCtx`
 //! — built datasets, trained LHS selectors, flattened cells — and hands
-//! it to [`execute`]. Every `(cell, repeat)` is a *slot*. The loop
+//! it to `execute`. Every `(cell, repeat)` is a *slot*. The loop
 //! advances the slots of every surviving cell to an epoch *horizon*
 //! (a number of completed curve points), waits for all of them, and —
 //! when the spec carries a [`crate::spec::PruneSpec`] — cuts the cells a

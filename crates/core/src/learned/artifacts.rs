@@ -7,8 +7,7 @@
 //! dataset A in one process can be persisted and applied to dataset B in
 //! another (the Chu & Lin cross-dataset transfer protocol as a file).
 //!
-//! The envelope is JSON for the same reason the model persistence layer
-//! (`histal-models`) is: the vendored toolchain has no binary
+//! The envelope is JSON: the vendored toolchain has no binary
 //! serialization dependency, and selector artifacts are kilobytes. The
 //! magic + version are *inside* the JSON, checked on load; a future
 //! incompatible layout bumps [`ARTIFACT_VERSION`] and readers reject

@@ -23,7 +23,6 @@
 #![forbid(unsafe_code)]
 
 pub mod conll;
-pub mod ltrgen;
 pub mod ner;
 pub mod noise;
 pub mod splits;
@@ -32,10 +31,9 @@ pub mod textclf;
 pub mod zipf;
 
 pub use conll::{parse_conll, read_conll, write_conll, ConllError};
-pub use ltrgen::{LtrDataset, LtrQuery, LtrSpec};
 pub use ner::{NerDataset, NerSpec};
 pub use noise::{corrupt_labels, drop_entity_tags};
-pub use splits::{cv_folds, stratified_split, train_test_split};
+pub use splits::train_test_split;
 pub use synth::{synth_pool, synth_row};
 pub use textclf::{TextDataset, TextSpec};
 pub use zipf::Zipf;

@@ -1,7 +1,7 @@
-//! Dataset splitting: shuffled train/test splits and k-fold CV.
+//! Dataset splitting: shuffled train/test splits.
 //!
-//! The paper 10-fold cross-validates MR and Subj and uses the original
-//! splits for SST-2, TREC, and CoNLL.
+//! MR and Subj ship without a standard test set; the harness carves one
+//! out with [`train_test_split`].
 
 use rand::prelude::SliceRandom;
 use rand::SeedableRng;
@@ -23,67 +23,6 @@ pub fn train_test_split(n: usize, test_fraction: f64, seed: u64) -> (Vec<usize>,
     }
     let test = idx.split_off(n - n_test);
     (idx, test)
-}
-
-/// K-fold cross validation: returns `k` `(train, test)` index pairs with
-/// disjoint, exhaustive test folds.
-pub fn cv_folds(n: usize, k: usize, seed: u64) -> Vec<(Vec<usize>, Vec<usize>)> {
-    assert!(k >= 2, "need at least two folds");
-    assert!(n >= k, "need at least one sample per fold");
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.shuffle(&mut ChaCha8Rng::seed_from_u64(seed));
-    let mut folds = Vec::with_capacity(k);
-    let base = n / k;
-    let extra = n % k;
-    let mut start = 0;
-    for f in 0..k {
-        let size = base + usize::from(f < extra);
-        let test: Vec<usize> = idx[start..start + size].to_vec();
-        let train: Vec<usize> = idx[..start]
-            .iter()
-            .chain(&idx[start + size..])
-            .copied()
-            .collect();
-        folds.push((train, test));
-        start += size;
-    }
-    folds
-}
-
-/// Stratified train/test split: preserves the class proportions of
-/// `labels` in both sides (up to rounding). Returns `(train, test)`
-/// index sets.
-///
-/// # Panics
-/// Panics if `test_fraction` is outside `[0, 1)`.
-pub fn stratified_split(
-    labels: &[usize],
-    test_fraction: f64,
-    seed: u64,
-) -> (Vec<usize>, Vec<usize>) {
-    assert!(
-        (0.0..1.0).contains(&test_fraction),
-        "test fraction must be in [0, 1)"
-    );
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    // Group indices by class.
-    let mut by_class: std::collections::BTreeMap<usize, Vec<usize>> =
-        std::collections::BTreeMap::new();
-    for (i, &y) in labels.iter().enumerate() {
-        by_class.entry(y).or_default().push(i);
-    }
-    let mut train = Vec::new();
-    let mut test = Vec::new();
-    for (_, mut idx) in by_class {
-        idx.shuffle(&mut rng);
-        let n_test = ((idx.len() as f64 * test_fraction).round() as usize).min(idx.len());
-        test.extend_from_slice(&idx[..n_test]);
-        train.extend_from_slice(&idx[n_test..]);
-    }
-    // Shuffle so downstream init-set sampling isn't class-ordered.
-    train.shuffle(&mut rng);
-    test.shuffle(&mut rng);
-    (train, test)
 }
 
 #[cfg(test)]
@@ -113,73 +52,6 @@ mod tests {
         assert_ne!(
             train_test_split(50, 0.3, 9).1,
             train_test_split(50, 0.3, 10).1
-        );
-    }
-
-    #[test]
-    fn folds_partition_everything() {
-        let folds = cv_folds(103, 10, 5);
-        assert_eq!(folds.len(), 10);
-        let mut seen = HashSet::new();
-        for (train, test) in &folds {
-            assert_eq!(train.len() + test.len(), 103);
-            for &i in test {
-                assert!(seen.insert(i), "test folds overlap at {i}");
-            }
-        }
-        assert_eq!(seen.len(), 103);
-    }
-
-    #[test]
-    fn fold_sizes_balanced() {
-        let folds = cv_folds(103, 10, 5);
-        for (_, test) in &folds {
-            assert!(test.len() == 10 || test.len() == 11);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "two folds")]
-    fn one_fold_panics() {
-        let _ = cv_folds(10, 1, 0);
-    }
-
-    #[test]
-    fn stratified_preserves_class_ratios() {
-        // 300 of class 0, 100 of class 1.
-        let labels: Vec<usize> = (0..400).map(|i| usize::from(i % 4 == 0)).collect();
-        let (train, test) = stratified_split(&labels, 0.25, 3);
-        assert_eq!(train.len() + test.len(), 400);
-        let share = |idx: &[usize]| {
-            idx.iter().filter(|&&i| labels[i] == 1).count() as f64 / idx.len() as f64
-        };
-        assert!(
-            (share(&train) - 0.25).abs() < 0.01,
-            "train share {}",
-            share(&train)
-        );
-        assert!(
-            (share(&test) - 0.25).abs() < 0.01,
-            "test share {}",
-            share(&test)
-        );
-    }
-
-    #[test]
-    fn stratified_partitions_everything() {
-        let labels = vec![0, 1, 0, 1, 2, 2, 0];
-        let (train, test) = stratified_split(&labels, 0.3, 1);
-        let mut all: Vec<usize> = train.iter().chain(&test).copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..7).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn stratified_deterministic() {
-        let labels: Vec<usize> = (0..50).map(|i| i % 3).collect();
-        assert_eq!(
-            stratified_split(&labels, 0.2, 9),
-            stratified_split(&labels, 0.2, 9)
         );
     }
 }

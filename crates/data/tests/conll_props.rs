@@ -1,10 +1,9 @@
 //! Property-based tests: the generated NER corpora survive a CoNLL
-//! write/parse round trip, and the LTR generator keeps its invariants
-//! under arbitrary specs.
+//! write/parse round trip.
 
 use proptest::prelude::*;
 
-use histal_data::{parse_conll, write_conll, LtrDataset, LtrSpec, NerDataset, NerSpec};
+use histal_data::{parse_conll, write_conll, NerDataset, NerSpec};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -22,31 +21,6 @@ proptest! {
         for (a, b) in back.iter().zip(&d.train) {
             prop_assert_eq!(&a.tokens, &b.tokens);
             prop_assert_eq!(&a.tags, &b.tags);
-        }
-    }
-
-    /// LTR generation invariants hold across the spec space.
-    #[test]
-    fn ltr_spec_space(
-        n_queries in 1usize..40,
-        docs in 3usize..12,
-        n_grades in 2usize..6,
-        seed in 0u64..200,
-    ) {
-        let spec = LtrSpec {
-            n_queries,
-            docs_per_query: docs,
-            n_grades,
-            seed,
-            ..Default::default()
-        };
-        let d = LtrDataset::generate(&spec);
-        prop_assert_eq!(d.len(), n_queries);
-        for q in &d.queries {
-            prop_assert!(q.features.len() >= 2);
-            let max = q.relevance.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            prop_assert!(max < n_grades as f64);
-            prop_assert!(q.relevance.iter().all(|&r| r >= 0.0));
         }
     }
 }

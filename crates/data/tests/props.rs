@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use histal_data::{cv_folds, train_test_split, NerDataset, NerSpec, TextDataset, TextSpec};
+use histal_data::{train_test_split, NerDataset, NerSpec, TextDataset, TextSpec};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -55,25 +55,6 @@ proptest! {
         let mut all: Vec<usize> = train.iter().chain(&test).copied().collect();
         all.sort_unstable();
         prop_assert_eq!(all, (0..n).collect::<Vec<_>>());
-    }
-
-    /// cv_folds: test folds are disjoint and exhaustive; every train set
-    /// is the complement of its test fold.
-    #[test]
-    fn folds_partition(n in 10usize..100, k in 2usize..8, seed in 0u64..100) {
-        prop_assume!(n >= k);
-        let folds = cv_folds(n, k, seed);
-        prop_assert_eq!(folds.len(), k);
-        let mut seen = vec![false; n];
-        for (train, test) in &folds {
-            prop_assert_eq!(train.len() + test.len(), n);
-            for &i in test {
-                prop_assert!(!seen[i], "index {i} in two test folds");
-                seen[i] = true;
-                prop_assert!(!train.contains(&i));
-            }
-        }
-        prop_assert!(seen.iter().all(|&b| b));
     }
 
     /// Generation with the same seed is identical; different seeds

@@ -26,12 +26,8 @@ pub mod logreg;
 pub mod math;
 pub mod nb;
 pub mod parallel;
-pub mod persist;
-pub mod ranker;
 
 pub use crf::{CrfConfig, CrfTagger, Sentence};
 pub use document::Document;
 pub use logreg::{TextClassifier, TextClassifierConfig};
 pub use nb::{NaiveBayes, NaiveBayesConfig};
-pub use persist::{load_model, save_model, PersistError};
-pub use ranker::{RankingModel, RankingModelConfig};

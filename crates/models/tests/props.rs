@@ -8,7 +8,8 @@ use histal_core::eval::EvalCaps;
 use histal_core::model::Model;
 use histal_core::tags::TagScheme;
 use histal_models::{
-    CrfConfig, CrfTagger, Document, Sentence, TextClassifier, TextClassifierConfig,
+    CrfConfig, CrfTagger, Document, NaiveBayes, NaiveBayesConfig, Sentence, TextClassifier,
+    TextClassifierConfig,
 };
 use histal_text::FeatureHasher;
 
@@ -111,5 +112,29 @@ proptest! {
         let b = Document::from_tokens(&tokens, &hasher);
         prop_assert_eq!(a.features, b.features);
         prop_assert_eq!(a.max_word_weight, b.max_word_weight);
+    }
+
+    /// NB posteriors stay on the simplex for arbitrary token bags, before
+    /// and after fitting on arbitrary labeled data.
+    #[test]
+    fn nb_posterior_simplex(
+        docs in prop::collection::vec(prop::collection::vec("[a-f]{1,3}", 1..6), 1..10),
+    ) {
+        let hasher = FeatureHasher::new(1 << 10);
+        let featurized: Vec<Document> =
+            docs.iter().map(|t| Document::from_tokens(t, &hasher)).collect();
+        let labels: Vec<usize> = (0..featurized.len()).map(|i| i % 2).collect();
+        let mut m = NaiveBayes::new(NaiveBayesConfig {
+            n_features: 1 << 10,
+            ..Default::default()
+        });
+        let s: Vec<&Document> = featurized.iter().collect();
+        let l: Vec<&usize> = labels.iter().collect();
+        m.fit(&s, &l, &mut ChaCha8Rng::seed_from_u64(1));
+        for d in &featurized {
+            let e = m.eval_sample(d, &EvalCaps::default(), 0);
+            prop_assert!((e.probs.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+            prop_assert!((0.0..=1.0 + 1e-9).contains(&e.least_confidence));
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! The design follows the `tracing` crate's architecture at a fraction of
 //! its surface:
 //!
-//! * every [`span!`]/[`event!`] expansion owns one `static` [`Callsite`]
+//! * every [`span!`](crate::span!)/[`event!`](crate::event!) expansion owns one `static` [`Callsite`]
 //!   holding the [`Metadata`] (name, target, level) — callsite identity is
 //!   the metadata address, so registration is free and repeatable;
 //! * a process-global [`Subscriber`] receives enter/exit/event
@@ -438,7 +438,7 @@ macro_rules! event {
     }};
 }
 
-/// Session-scoped variant of [`span!`]: the first argument is an
+/// Session-scoped variant of [`span!`](crate::span!): the first argument is an
 /// `Option<&Arc<dyn Subscriber>>` owned by the calling session (e.g. the
 /// handle a `SessionBuilder` threaded in). A `Some` handle dispatches to
 /// it directly; `None` falls back to the global subscriber, keeping the
@@ -463,7 +463,7 @@ macro_rules! session_span {
     }};
 }
 
-/// Session-scoped variant of [`event!`]; see [`session_span!`].
+/// Session-scoped variant of [`event!`](crate::event!); see [`session_span!`].
 #[macro_export]
 macro_rules! session_event {
     ($sess:expr, $lvl:expr, $name:expr $(, $k:ident = $v:expr)* $(,)?) => {{

@@ -1,6 +1,6 @@
 //! Type-erased served sessions and the wire-level label encoding.
 //!
-//! The core [`Session`](histal_core::live::Session) is generic over the
+//! The core [`Session`] is generic over the
 //! model, so its label type differs per task family (class index for
 //! text, tag sequence for NER). HTTP clients need one encoding for
 //! both: [`LabelValue`] is that sum type — a bare integer or a sequence

@@ -2,16 +2,18 @@
 //!
 //! The paper's evaluation tasks (text classification with TextCNN, NER with
 //! BiLSTM-CNNs-CRF) both consume tokenized sentences turned into feature
-//! vectors. This crate provides the pieces shared by the model substrate and
-//! the synthetic dataset generators:
+//! vectors. This crate provides the pieces shared by the model substrate,
+//! the synthetic dataset generators and the pool-scoring strategies:
 //!
-//! * [`tokenize`] — a deterministic whitespace/punctuation tokenizer,
-//! * [`Vocab`] — a frequency-counted, prunable vocabulary,
 //! * [`FeatureHasher`] — the signed hashing trick used to embed arbitrarily
 //!   large vocabularies into a fixed-width weight matrix,
 //! * [`SparseVec`] — an ordered sparse feature vector with the linear-algebra
 //!   kernels (dot, cosine, axpy) the models need,
-//! * [`ngrams()`] — n-gram expansion for bag-of-n-grams features.
+//! * [`ngrams()`] — n-gram expansion for bag-of-n-grams features,
+//! * [`PoolGeometry`] — a pool's vectors in one arena with cached norms,
+//!   for the density, MMR and k-center combinators,
+//! * [`LshIndex`] / [`ExactNeighbors`] — the [`NeighborIndex`]es that
+//!   bound those combinators' neighbour scans on large pools.
 
 #![forbid(unsafe_code)]
 
@@ -20,17 +22,9 @@ pub mod geometry;
 pub mod hashing;
 pub mod ngrams;
 pub mod sparse;
-pub mod tfidf;
-pub mod tokenizer;
-pub mod vectorizer;
-pub mod vocab;
 
 pub use ann::{AnnConfig, AnnScratch, ExactNeighbors, LshIndex, NeighborIndex};
 pub use geometry::PoolGeometry;
 pub use hashing::FeatureHasher;
 pub use ngrams::{char_ngrams, ngrams};
 pub use sparse::SparseVec;
-pub use tfidf::TfIdf;
-pub use tokenizer::{tokenize, tokenize_lower};
-pub use vectorizer::BowVectorizer;
-pub use vocab::Vocab;

@@ -1,31 +1,14 @@
-//! Property-based tests for tokenization, hashing and sparse vectors.
+//! Property-based tests for n-grams, hashing and sparse vectors.
 
 use proptest::prelude::*;
 
-use histal_text::{char_ngrams, ngrams, tokenize, tokenize_lower, FeatureHasher, SparseVec};
+use histal_text::{char_ngrams, ngrams, FeatureHasher, SparseVec};
 
 fn pairs_strategy() -> impl Strategy<Value = Vec<(u32, f32)>> {
     prop::collection::vec((0u32..1000, -10.0f32..10.0), 0..50)
 }
 
 proptest! {
-    /// Tokens never contain whitespace and are never empty.
-    #[test]
-    fn tokens_are_clean(text in ".{0,120}") {
-        for t in tokenize(&text) {
-            prop_assert!(!t.is_empty());
-            prop_assert!(!t.chars().any(char::is_whitespace), "token {t:?}");
-        }
-    }
-
-    /// Lowercasing commutes with tokenization for ASCII inputs.
-    #[test]
-    fn lowercase_commutes(text in "[ -~]{0,80}") {
-        let a = tokenize_lower(&text);
-        let b = tokenize(&text.to_ascii_lowercase());
-        prop_assert_eq!(a, b);
-    }
-
     /// Token count of n-grams: n_unigrams + (n-1)-windows per order.
     #[test]
     fn ngram_counts(tokens in prop::collection::vec("[a-z]{1,5}", 0..12), max_n in 1usize..4) {

@@ -9,7 +9,7 @@
 //!
 //! Training is strictly sequential SGD: one Adam step per window over a
 //! few hundred parameters, so its cost is per-step overhead more than
-//! arithmetic. [`LstmPredictor::fit`] therefore owns one [`Workspace`]
+//! arithmetic. [`LstmPredictor::fit`] therefore owns one `Workspace`
 //! that every step reuses. A step allocates nothing, computes `tanh(c)`
 //! once in the forward pass for the backward pass to read back, and
 //! computes Adam's bias corrections once per step, not per parameter.

@@ -1,23 +1,23 @@
 //! An end-to-end "annotation campaign" pipeline: budget-aware stopping,
-//! model persistence, LHS artifact reuse, and a significance check.
+//! LHS artifact reuse, and a significance check.
 //!
 //! 1. Train an LHS selector on an already-labeled corpus and persist its
-//!    artifacts to JSON (ship it with your product).
-//! 2. Start an annotation campaign on a new corpus with a stopping rule
-//!    (budget + plateau detection) instead of a fixed round count.
-//! 3. Persist the final classifier.
-//! 4. Verify the strategy actually beat random with a Wilcoxon test.
+//!    artifacts as an `HLRN1` file (ship it with your product).
+//! 2. Load the file back (magic, version and predictor shape are
+//!    checked) and start an annotation campaign on a new corpus with a
+//!    stopping rule (budget + plateau detection) instead of a fixed
+//!    round count.
+//! 3. Verify the strategy actually beat random with a Wilcoxon test.
 //!
 //! ```sh
 //! cargo run --release --example production_pipeline
 //! ```
 
 use histal::prelude::*;
-use histal_core::lhs::{train_lhs_artifacts, LhsArtifacts};
+use histal_core::lhs::{load_artifacts, save_artifacts, train_lhs_artifacts, ArtifactProvenance};
 use histal_core::stats::compare_curves;
 use histal_core::stopping::StoppingRule;
 use histal_data::train_test_split;
-use histal_models::{load_model, save_model};
 
 fn build(
     spec: &TextSpec,
@@ -52,11 +52,10 @@ fn model() -> TextClassifier {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let artifacts_path = std::env::temp_dir().join("histal-lhs-artifacts.json");
-    let model_path = std::env::temp_dir().join("histal-campaign-model.json");
+    let artifacts_path = std::env::temp_dir().join("histal-lhs-artifacts.hlrn");
 
     // ---- 1. Train the selector offline and persist it. ----
-    println!("[1/4] training LHS selector on the labeled source corpus…");
+    println!("[1/3] training LHS selector on the labeled source corpus…");
     let (src_pool, src_labels, src_test, src_test_labels) = build(&TextSpec::subj(), 1_000, 3);
     let artifacts = train_lhs_artifacts(
         &model(),
@@ -71,13 +70,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         7,
     )?;
-    save_model(&artifacts, &artifacts_path)?;
+    let provenance = ArtifactProvenance {
+        trained_on: "subj".to_string(),
+        base: "entropy".to_string(),
+        target: "pairwise".to_string(),
+        seed: 7,
+    };
+    save_artifacts(&artifacts, &provenance, &artifacts_path)?;
     println!("      artifacts saved to {}", artifacts_path.display());
 
     // ---- 2. Run the campaign with budget + plateau stopping. ----
-    println!("[2/4] running the annotation campaign on the target corpus…");
+    println!("[2/3] running the annotation campaign on the target corpus…");
     let (pool, labels, test, test_labels) = build(&TextSpec::mr(), 1_600, 4);
-    let restored: LhsArtifacts = load_model(&artifacts_path)?;
+    let (restored, _) = load_artifacts(&artifacts_path)?;
     let rule = StoppingRule::none()
         .with_budget(400)
         .with_patience(4, 0.002);
@@ -103,15 +108,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         campaign.final_metric().unwrap_or(f64::NAN)
     );
 
-    // ---- 3. Persist the final model. ----
-    println!("[3/4] persisting the trained classifier…");
-    let trained = learner.into_model();
-    save_model(&trained, &model_path)?;
-    let _reloaded: TextClassifier = load_model(&model_path)?;
-    println!("      model round-trips through {}", model_path.display());
-
-    // ---- 4. Did active learning beat random annotation? ----
-    println!("[4/4] sanity check vs random sampling…");
+    // ---- 3. Did active learning beat random annotation? ----
+    println!("[3/3] sanity check vs random sampling…");
     let mut random = ActiveLearner::builder(model())
         .pool(pool, labels)
         .test(test, test_labels)
@@ -140,6 +138,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     std::fs::remove_file(&artifacts_path).ok();
-    std::fs::remove_file(&model_path).ok();
     Ok(())
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, and the full test suite.
+# Local CI gate: formatting, lints, doc links, and the full test suite.
 #
 #   ./scripts/ci.sh
 #
@@ -13,6 +13,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (workspace, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (workspace, dangling or private doc links are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo build --examples (migrated call sites stay compiling)"
 cargo build --workspace --examples
@@ -34,9 +37,6 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- ve
 echo "==> benchmark digest gate: at seed 0 every workload runs one full pass and"
 echo "    exits non-zero if its outputs differ from benchmark/workloads/digests.json"
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --seconds 1 > /dev/null
-
-echo "==> cargo bench --no-run (criterion benches compile)"
-cargo bench -p histal-bench --no-run
 
 echo "==> histal-experiments bench --check"
 echo "    (harness smoke + obs/metrics gates"

@@ -12,7 +12,7 @@
 //! * [`models`] — the text classifier and CRF substrates;
 //! * [`data`] — seeded synthetic corpora matching the paper's dataset
 //!   statistics;
-//! * [`text`] — tokenization and feature hashing;
+//! * [`text`] — feature hashing, sparse vectors and pool geometry;
 //! * [`tseries`] — historical-sequence features (window sums, fluctuation,
 //!   Mann–Kendall trend, LSTM/AR next-score predictors);
 //! * [`ltr`] — the LambdaMART learning-to-rank stack behind LHS.
@@ -42,8 +42,8 @@ pub mod prelude {
     pub use histal_core::Model;
     pub use histal_data::{NerDataset, NerSpec, TextDataset, TextSpec};
     pub use histal_models::{
-        load_model, save_model, CrfConfig, CrfTagger, Document, NaiveBayes, NaiveBayesConfig,
-        RankingModel, RankingModelConfig, Sentence, TextClassifier, TextClassifierConfig,
+        CrfConfig, CrfTagger, Document, NaiveBayes, NaiveBayesConfig, Sentence, TextClassifier,
+        TextClassifierConfig,
     };
     pub use histal_text::FeatureHasher;
 }
