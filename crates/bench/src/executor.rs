@@ -29,13 +29,12 @@
 //! hand-coded grids and lets pre-refactor journals resume under the
 //! engine. Do not fold new inputs into these derivations.
 
+use std::sync::Arc;
+
 use histal_core::analysis::{area_under_curve, selection_stats};
 use histal_core::driver::{CurvePoint, PoolConfig, RunResult};
 use histal_core::error::Error;
-use histal_core::lhs::{
-    train_learned_artifacts, LearnedTrainerConfig, LhsArtifacts, LhsSelector, LhsTrainerConfig,
-    TargetKind,
-};
+use histal_core::learned::{train_learned, LearnedSelector, LearnedTrainerConfig, TargetKind};
 use histal_core::session::fingerprint;
 use histal_core::stats::{paired_bootstrap_ci, paired_permutation, PairedComparison};
 use histal_core::strategy::Strategy;
@@ -183,20 +182,13 @@ pub fn cell_hash(
 /// the plan's feature/predictor/ranker/target choices on top.
 fn learned_config(plan: &LhsPlan) -> LearnedTrainerConfig {
     LearnedTrainerConfig {
-        trainer: LhsTrainerConfig {
-            base: plan.base,
-            rounds: 8,
-            candidates_per_round: 24,
-            init_labeled: 25,
-            add_per_round: 5,
-            level_interval: 0.0,
-            features: plan.features,
-            predictor: plan.predictor.clone(),
-            ranker: plan.ranker.clone(),
-            selector_candidate_pool: 75,
-        },
+        base: plan.base,
+        features: plan.features,
+        predictor: plan.predictor.clone(),
+        ranker: plan.ranker.clone(),
         target: plan.target,
         use_meta: plan.use_meta,
+        ..Default::default()
     }
 }
 
@@ -217,14 +209,10 @@ fn train_seed_parts(plan: &LhsPlan) -> (&'static str, &str) {
 /// it on other unlabeled datasets of the same task". The training corpus
 /// defaults to the Subj analogue; `train=DATASET` substitutes any text
 /// dataset (the transfer grid's rows). Training failures propagate as
-/// structured errors.
-pub fn train_lhs_plan(plan: &LhsPlan, scale: &Scale) -> Result<LhsSelector, Error> {
-    Ok(train_lhs_plan_artifacts(plan, scale)?.into_selector())
-}
-
-/// [`train_lhs_plan`] in serializable form — the `selector-train` CLI
-/// saves the returned artifacts as an `HLRN1` file.
-pub fn train_lhs_plan_artifacts(plan: &LhsPlan, scale: &Scale) -> Result<LhsArtifacts, Error> {
+/// structured errors. The selector comes back shared, ready for
+/// `SessionBuilder::lhs`; the `selector-train` CLI saves the same value
+/// as an `HLRN1` file.
+pub fn train_lhs_plan(plan: &LhsPlan, scale: &Scale) -> Result<Arc<LearnedSelector>, Error> {
     let (experiment, train_name) = train_seed_parts(plan);
     let tspec = match &plan.train {
         None => TextSpec::subj(),
@@ -232,7 +220,7 @@ pub fn train_lhs_plan_artifacts(plan: &LhsPlan, scale: &Scale) -> Result<LhsArti
             .ok_or_else(|| Error::spec(format!("unknown selector training dataset `{name}`")))?,
     };
     let corpus = TextTask::build(&tspec, scale, 0x53_42);
-    train_learned_artifacts(
+    train_learned(
         &corpus.model(0),
         &corpus.pool_docs,
         &corpus.pool_labels,
@@ -241,6 +229,7 @@ pub fn train_lhs_plan_artifacts(plan: &LhsPlan, scale: &Scale) -> Result<LhsArti
         &learned_config(plan),
         seed_for(experiment, train_name, plan.base.name(), 0),
     )
+    .map(Arc::new)
 }
 
 /// One report block: the cells of one `(dataset × group)` pair.
@@ -409,7 +398,7 @@ impl<'a> GridExecutor<'a> {
         // Strategies: resolve every entry once, train each distinct LHS
         // plan once (serially, before the fan-out).
         let mut resolved: Vec<Vec<(registry::ResolvedStrategy, Option<usize>)>> = Vec::new();
-        let mut selectors: Vec<LhsSelector> = Vec::new();
+        let mut selectors: Vec<Arc<LearnedSelector>> = Vec::new();
         let mut selector_keys: Vec<String> = Vec::new();
         let mut selector_train_ms: Vec<(String, f64)> = Vec::new();
         for group in &spec.groups {

@@ -756,12 +756,15 @@ fn obs_overhead_gate(scale: &Scale, cells: &[BenchCell]) {
     let collector = Arc::new(CollectingSubscriber::with_max_level(Level::Trace));
     let hits = {
         let _guard = subscriber_scope(collector.clone());
-        task.run(
+        task.builder(
+            task.model(0),
             strategy,
-            None,
             &config,
             seed_for("bench", &task.name, &name, 0),
-        );
+        )
+        .build()
+        .run()
+        .expect("entropy needs no extra capability");
         collector.records().len()
     };
     assert!(hits > 0, "instrumented run fired no callsites");

@@ -30,8 +30,6 @@ use serde::{Deserialize, Serialize};
 use histal_core::driver::RunResult;
 use histal_core::error::Error;
 use histal_core::session::RunJournal;
-use histal_obs::event;
-use histal_obs::trace::Level;
 use histal_obs::{Journal, JournalReader};
 
 /// Cell-complete record: the terminal line a cell writes.
@@ -123,41 +121,6 @@ impl JournalCtx {
         };
         self.journal.append(&record).map_err(Error::journal)
     }
-
-    /// Fallible [`Self::run_cell`]: replay `cell` if a previous run
-    /// completed it, otherwise execute `run` with a per-round journal
-    /// handle and checkpoint the result. Errors from `run` propagate
-    /// without writing a cell record, so a failed cell re-runs on
-    /// resume.
-    pub fn try_run_cell(
-        &self,
-        cell: &str,
-        config_hash: u64,
-        seed: u64,
-        run: impl FnOnce(Option<RunJournal>) -> Result<RunResult, Error>,
-    ) -> Result<RunResult, Error> {
-        if let Some(cached) = self.cached(cell, config_hash) {
-            event!(Level::Info, "journal.replay", cell = cell.to_string());
-            return Ok(cached.clone());
-        }
-        let result = run(Some(self.run_journal(cell, config_hash, seed)))?;
-        self.try_complete(cell, config_hash, seed, &result)?;
-        Ok(result)
-    }
-
-    /// Run `cell` through the journal: replay it if a previous run
-    /// completed it, otherwise execute `run` with a per-round journal
-    /// handle and checkpoint the result.
-    pub fn run_cell(
-        &self,
-        cell: &str,
-        config_hash: u64,
-        seed: u64,
-        run: impl FnOnce(Option<RunJournal>) -> RunResult,
-    ) -> RunResult {
-        self.try_run_cell(cell, config_hash, seed, |j| Ok(run(j)))
-            .expect("journal cell record write failed")
-    }
 }
 
 #[cfg(test)]
@@ -188,21 +151,15 @@ mod tests {
         let path = tmp("resume");
         {
             let ctx = JournalCtx::create(&path).unwrap();
-            let r = ctx.run_cell("grid/a/r0", 7, 42, |_| result(0.5));
-            assert_eq!(r.curve[0].metric, 0.5);
+            assert!(ctx.cached("grid/a/r0", 7).is_none());
+            ctx.try_complete("grid/a/r0", 7, 42, &result(0.5)).unwrap();
         }
         let ctx = JournalCtx::resume(&path).unwrap();
         assert_eq!(ctx.resumed, 1);
-        let mut ran = false;
-        let r = ctx.run_cell("grid/a/r0", 7, 42, |_| {
-            ran = true;
-            result(0.9)
-        });
-        assert!(!ran, "cached cell must not re-run");
+        let r = ctx.cached("grid/a/r0", 7).expect("completed cell replays");
         assert_eq!(r.curve[0].metric, 0.5);
         // Different hash → treated as a different cell.
-        let r2 = ctx.run_cell("grid/a/r0", 8, 42, |_| result(0.9));
-        assert_eq!(r2.curve[0].metric, 0.9);
+        assert!(ctx.cached("grid/a/r0", 8).is_none());
         std::fs::remove_file(&path).ok();
     }
 

@@ -27,7 +27,7 @@
 use histal_core::analysis::{area_under_curve, format_cost, samples_to_target};
 use histal_core::driver::RunResult;
 use histal_core::error::Error;
-use histal_core::lhs::{LhsFeatureConfig, PredictorKind, RankerKind, TargetKind};
+use histal_core::learned::{LhsFeatureConfig, PredictorKind, RankerKind, TargetKind};
 use histal_core::strategy::{BaseStrategy, DensityConfig, HistoryPolicy, MmrConfig, Strategy};
 use histal_data::{NerSpec, TextSpec};
 use histal_ltr::LambdaMartConfig;
@@ -214,6 +214,18 @@ fn param_usize(p: &Param<'_>) -> Result<usize, Error> {
     })
 }
 
+/// A history window (`k` / `l`): a positive integer. A zero window has
+/// nothing to fold, so it is a spec error rather than an all-zero score.
+fn param_window(p: &Param<'_>) -> Result<usize, Error> {
+    match param_usize(p)? {
+        0 => Err(Error::spec(format!(
+            "parameter `{}=0`: the history window must be positive",
+            p.key
+        ))),
+        l => Ok(l),
+    }
+}
+
 fn param_f64(p: &Param<'_>) -> Result<f64, Error> {
     p.value
         .parse()
@@ -284,14 +296,13 @@ fn lhs_plan(
             "predictor" => {
                 predictor = match p.value.to_ascii_lowercase().as_str() {
                     "lstm" => PredictorKind::default(),
-                    "holt" => PredictorKind::Holt,
                     v => match v.strip_prefix("ar:").map(str::parse) {
                         Some(Ok(order)) => PredictorKind::Ar { order },
                         _ => {
                             return Err(Error::unknown_name(
                                 "LHS predictor",
                                 p.value,
-                                ["lstm", "ar:ORDER", "holt"],
+                                ["lstm", "ar:ORDER"],
                             ))
                         }
                     },
@@ -415,7 +426,7 @@ pub fn parse_strategy(token: &str) -> Result<ResolvedStrategy, Error> {
                     let mut k = WINDOW;
                     for p in &params {
                         match p.key.as_str() {
-                            "k" | "l" => k = param_usize(p)?,
+                            "k" | "l" => k = param_window(p)?,
                             _ => return Err(unknown_param("HUS", p, &["k"])),
                         }
                     }
@@ -429,7 +440,7 @@ pub fn parse_strategy(token: &str) -> Result<ResolvedStrategy, Error> {
                     let mut l = WINDOW;
                     for p in &params {
                         match p.key.as_str() {
-                            "l" => l = param_usize(p)?,
+                            "l" => l = param_window(p)?,
                             _ => return Err(unknown_param("WSHS", p, &["l"])),
                         }
                     }
@@ -445,7 +456,7 @@ pub fn parse_strategy(token: &str) -> Result<ResolvedStrategy, Error> {
                     let mut ws = None;
                     for p in &params {
                         match p.key.as_str() {
-                            "l" => l = param_usize(p)?,
+                            "l" => l = param_window(p)?,
                             "wf" => wf = param_f64(p)?,
                             "ws" => ws = Some(param_f64(p)?),
                             _ => return Err(unknown_param("FHS", p, &["l", "wf", "ws"])),
@@ -471,6 +482,12 @@ pub fn parse_strategy(token: &str) -> Result<ResolvedStrategy, Error> {
                             "k" => k = param_usize(p)?,
                             _ => return Err(unknown_param("HKLD", p, &["k"])),
                         }
+                    }
+                    if k < 2 {
+                        return Err(Error::spec(format!(
+                            "parameter `k={k}`: HKLD needs a committee of at least two \
+                             iterations"
+                        )));
                     }
                     ResolvedStrategy {
                         strategy: Strategy::new(base).with_hkld(k),
@@ -831,6 +848,25 @@ mod tests {
         );
         let s = parse_strategy("HKLD{k=3}(entropy)").unwrap().strategy;
         assert_eq!(s.name(), "HKLD(k=3)");
+    }
+
+    #[test]
+    fn degenerate_windows_and_committees_are_spec_errors() {
+        // A zero window has nothing to fold and a one-member committee no
+        // disagreement: each is a structured spec error, never a panic in
+        // `Strategy::with_hkld` or an all-zero fold run under the label.
+        for token in [
+            "HKLD{k=0}(entropy)",
+            "HKLD{k=1}(entropy)",
+            "HUS{k=0}(entropy)",
+            "WSHS{l=0}(entropy)",
+            "FHS{l=0}(entropy)",
+        ] {
+            let err = parse_strategy(token).expect_err(token);
+            assert!(matches!(err.kind, ErrorKind::Spec { .. }), "{token}: {err}");
+        }
+        assert!(parse_strategy("HKLD{k=2}(entropy)").is_ok());
+        assert!(parse_strategy("WSHS{l=1}(entropy)").is_ok());
     }
 
     #[test]

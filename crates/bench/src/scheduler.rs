@@ -36,7 +36,7 @@
 //!   (possibly truncated) curve verbatim; decisions recompute from the
 //!   same prefixes and land identically, byte for byte.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
@@ -44,7 +44,7 @@ use serde::{Deserialize, Serialize};
 use histal_core::analysis::average_curves;
 use histal_core::driver::{CurvePoint, PoolConfig, RunResult};
 use histal_core::error::Error;
-use histal_core::lhs::LhsSelector;
+use histal_core::learned::LearnedSelector;
 use histal_core::session::RunJournal;
 use histal_core::stopping::StopReason;
 use histal_core::strategy::Strategy;
@@ -126,7 +126,7 @@ pub(crate) struct GridCtx<'a> {
     pub(crate) model: TextModel,
     pub(crate) representations: bool,
     pub(crate) instances: Vec<TaskInstance>,
-    pub(crate) selectors: Vec<LhsSelector>,
+    pub(crate) selectors: Vec<Arc<LearnedSelector>>,
     pub(crate) cells: Vec<Cell>,
 }
 

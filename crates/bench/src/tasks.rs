@@ -1,8 +1,10 @@
 //! Featurized experiment tasks built from the synthetic corpora.
 
+use std::sync::Arc;
+
 use histal_core::driver::{CurvePoint, PoolConfig, RunResult};
 use histal_core::error::Error;
-use histal_core::lhs::LhsSelector;
+use histal_core::learned::LearnedSelector;
 use histal_core::live::{Session, SessionStep};
 use histal_core::model::Model;
 use histal_core::session::{Ready, RunJournal, SessionBuilder};
@@ -149,57 +151,13 @@ impl TextTask {
             .config(config.clone())
             .seed(seed)
     }
-
-    /// Run one active-learning loop with the logistic classifier.
-    pub fn run(
-        &self,
-        strategy: Strategy,
-        lhs: Option<LhsSelector>,
-        config: &PoolConfig,
-        seed: u64,
-    ) -> RunResult {
-        self.run_journaled(strategy, lhs, config, seed, None)
-    }
-
-    /// [`Self::run`], optionally checkpointing every round to `journal`
-    /// (see `histal_core::session::RunJournal`).
-    pub fn run_journaled(
-        &self,
-        strategy: Strategy,
-        lhs: Option<LhsSelector>,
-        config: &PoolConfig,
-        seed: u64,
-        journal: Option<RunJournal>,
-    ) -> RunResult {
-        let builder = self.builder(self.model(0), strategy, config, seed);
-        with_extras(builder, lhs, journal)
-            .build()
-            .run()
-            .expect("strategy capabilities satisfied")
-    }
-
-    /// Run one active-learning loop with the pool documents' sparse
-    /// features attached as representations, enabling the density / MMR /
-    /// k-center combinators.
-    pub fn run_with_representations(
-        &self,
-        strategy: Strategy,
-        config: &PoolConfig,
-        seed: u64,
-    ) -> RunResult {
-        self.builder(self.model(0), strategy, config, seed)
-            .representations(self.representations())
-            .build()
-            .run()
-            .expect("strategy capabilities satisfied")
-    }
 }
 
 /// Attach an optional learned selector and an optional run journal to a
 /// builder chain.
 pub(crate) fn with_extras<M: Model>(
     mut builder: SessionBuilder<M, Ready>,
-    lhs: Option<LhsSelector>,
+    lhs: Option<Arc<LearnedSelector>>,
     journal: Option<RunJournal>,
 ) -> SessionBuilder<M, Ready> {
     if let Some(lhs) = lhs {

@@ -21,19 +21,16 @@
 //! on a different dataset.
 
 use std::path::Path;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use histal_core::analysis::area_under_curve;
 use histal_core::error::Error;
-use histal_core::lhs::{
-    load_artifacts, save_artifacts, ArtifactProvenance, LhsSelector, TargetKind,
-};
+use histal_core::learned::{load_artifacts, save_artifacts, ArtifactProvenance, TargetKind};
 use histal_data::TextSpec;
 
-use crate::executor::{
-    mean_auc, seed_for, text_pool_config, train_lhs_plan_artifacts, GridExecutor,
-};
+use crate::executor::{mean_auc, seed_for, text_pool_config, train_lhs_plan, GridExecutor};
 use crate::journal::JournalCtx;
 use crate::registry;
 use crate::report::{print_curves, print_table, write_json};
@@ -342,7 +339,7 @@ pub fn selector_train(
         ));
     }
     plan.train = Some(dataset.clone());
-    let artifacts = train_lhs_plan_artifacts(&plan, scale)?;
+    let selector = train_lhs_plan(&plan, scale)?;
     let (target, experiment) = match plan.target {
         TargetKind::Pairwise => ("pairwise", "lhs-train"),
         TargetKind::Pointwise => ("pointwise", "lal-train"),
@@ -353,7 +350,7 @@ pub fn selector_train(
         target: target.to_string(),
         seed: seed_for(experiment, &dataset, plan.base.name(), 0),
     };
-    save_artifacts(&artifacts, &provenance, Path::new(out_path))?;
+    save_artifacts(&selector, &provenance, Path::new(out_path))?;
     println!(
         "trained {} on {dataset} → {out_path} ({target} targets)",
         plan.label()
@@ -365,7 +362,7 @@ pub fn selector_train(
 /// one active-learning pass with it on `dataset`, printing the learning
 /// curve and its ALC — the deployment half of the transfer protocol.
 pub fn selector_apply(artifact_path: &str, dataset: &str, scale: &Scale) -> Result<(), Error> {
-    let (artifacts, provenance) = load_artifacts(Path::new(artifact_path))?;
+    let (selector, provenance) = load_artifacts(Path::new(artifact_path))?;
     let tspec = TextSpec::by_name(dataset.trim())
         .ok_or_else(|| Error::unknown_name("dataset", dataset, TextSpec::NAMES.iter().copied()))?;
     if tspec.n_classes > 2 {
@@ -375,13 +372,12 @@ pub fn selector_apply(artifact_path: &str, dataset: &str, scale: &Scale) -> Resu
         )));
     }
     let strategy = registry::parse_strategy(&provenance.base)?.strategy;
-    let selector: LhsSelector = artifacts.into_selector();
     let task = TextTask::build(&tspec, scale, 0);
     let config = text_pool_config(false, scale);
     let seed = seed_for("selector-apply", &task.name, &strategy.name(), 0);
     let mut result = task
         .builder(task.model(0), strategy, &config, seed)
-        .lhs(selector)
+        .lhs(Arc::new(selector))
         .build()
         .run()?;
     result.strategy_name = format!(

@@ -1,63 +1,49 @@
-//! Golden tests of the crash-safe run journal: replayed cells must
-//! reproduce their `RunResult` byte-for-byte, and a grid killed at an
-//! arbitrary byte offset must resume to output identical to an
+//! Golden tests of the crash-safe run journal on the path the harness
+//! runs: a 4-cell spec through `GridExecutor::journal`. Replayed cells
+//! must reproduce their `RunResult` byte-for-byte, and a grid killed at
+//! an arbitrary byte offset must resume to output identical to an
 //! uninterrupted run.
 
+use histal_bench::executor::{GridExecutor, GridOutcome};
 use histal_bench::journal::JournalCtx;
-use histal_bench::tasks::{Scale, TextTask};
-use histal_core::driver::{PoolConfig, RunResult};
-use histal_core::strategy::{BaseStrategy, HistoryPolicy, Strategy};
-use histal_data::TextSpec;
+use histal_bench::spec::ExperimentSpec;
+use histal_bench::tasks::Scale;
+use histal_core::driver::RunResult;
 
 fn scale() -> Scale {
+    // The spec pins its own scale; this only fills gaps.
     Scale {
         factor: 0.05,
         repeats: 1,
     }
 }
 
-fn config() -> PoolConfig {
-    PoolConfig {
-        batch_size: 25,
-        rounds: 4,
-        init_labeled: 25,
-        history_max_len: None,
-        record_history: false,
-        ann: None,
-    }
+/// Four cells, one repeat each, on MR: split seed `split_seed` picks
+/// the corpus split, so the two tests run on different data.
+fn spec(split_seed: u64) -> ExperimentSpec {
+    ExperimentSpec::from_json(&format!(
+        r#"{{
+          "name": "journal-test",
+          "experiment": "journal-test",
+          "split_seed": {split_seed},
+          "datasets": ["mr"],
+          "groups": [
+            {{"strategies": ["entropy", "WSHS{{l=2}}(entropy)", "WSHS{{l=3}}(entropy)", "random"]}}
+          ],
+          "scale": {{"factor": 0.05, "repeats": 1}},
+          "pool": {{"batch_size": 25, "rounds": 4, "init_labeled": 25}}
+        }}"#
+    ))
+    .expect("test spec parses")
 }
 
-fn grid() -> Vec<(String, Strategy)> {
-    let wshs = |l| Strategy::new(BaseStrategy::Entropy).with_history(HistoryPolicy::Wshs { l });
-    vec![
-        (
-            "g/MR/entropy/r0".to_string(),
-            Strategy::new(BaseStrategy::Entropy),
-        ),
-        ("g/MR/WSHS-l2/r0".to_string(), wshs(2)),
-        ("g/MR/WSHS-l3/r0".to_string(), wshs(3)),
-        (
-            "g/MR/random/r0".to_string(),
-            Strategy::new(BaseStrategy::Random),
-        ),
-    ]
-}
+const CELLS: usize = 4;
 
-fn run_grid(task: &TextTask, ctx: Option<&JournalCtx>) -> Vec<RunResult> {
-    let config = config();
-    grid()
-        .into_iter()
-        .enumerate()
-        .map(|(i, (cell, strategy))| {
-            let seed = 1000 + i as u64;
-            match ctx {
-                Some(ctx) => ctx.run_cell(&cell, i as u64, seed, |j| {
-                    task.run_journaled(strategy.clone(), None, &config, seed, j)
-                }),
-                None => task.run(strategy.clone(), None, &config, seed),
-            }
-        })
-        .collect()
+fn run_grid(spec: &ExperimentSpec, ctx: Option<&JournalCtx>) -> GridOutcome {
+    GridExecutor::new(spec, &scale())
+        .journal(ctx)
+        .execute()
+        .expect("grid runs")
 }
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -66,8 +52,19 @@ fn tmp(name: &str) -> std::path::PathBuf {
     dir.join(format!("{name}-{}.jsonl", std::process::id()))
 }
 
-fn to_json(results: &[RunResult]) -> Vec<String> {
-    results
+fn runs(outcome: &GridOutcome) -> Vec<RunResult> {
+    let runs: Vec<RunResult> = outcome
+        .blocks
+        .iter()
+        .flat_map(|b| &b.cells)
+        .flat_map(|c| c.runs.iter().cloned())
+        .collect();
+    assert_eq!(runs.len(), CELLS);
+    runs
+}
+
+fn to_json(outcome: &GridOutcome) -> Vec<String> {
+    runs(outcome)
         .iter()
         .map(|r| serde_json::to_string(r).unwrap())
         .collect()
@@ -77,11 +74,10 @@ fn to_json(results: &[RunResult]) -> Vec<String> {
 /// *independent executions* agree on everything except how long each
 /// phase happened to take. Replay comparisons don't need this — a cached
 /// cell carries the original timings and matches byte-for-byte.
-fn to_json_no_timings(results: &[RunResult]) -> Vec<String> {
-    results
-        .iter()
-        .map(|r| {
-            let mut r = r.clone();
+fn to_json_no_timings(outcome: &GridOutcome) -> Vec<String> {
+    runs(outcome)
+        .into_iter()
+        .map(|mut r| {
             for round in &mut r.rounds {
                 round.fit_ms = 0.0;
                 round.eval_ms = 0.0;
@@ -98,38 +94,27 @@ fn to_json_no_timings(results: &[RunResult]) -> Vec<String> {
 /// `RunResult` lossless.
 #[test]
 fn replay_reproduces_run_result_byte_identically() {
-    let task = TextTask::build(&TextSpec::mr(), &scale(), 0x60);
+    let spec = spec(0x60);
     let path = tmp("replay");
     let fresh = {
         let ctx = JournalCtx::create(&path).unwrap();
-        run_grid(&task, Some(&ctx))
+        run_grid(&spec, Some(&ctx))
     };
+    let journaled_len = std::fs::metadata(&path).unwrap().len();
     let replayed = {
         let ctx = JournalCtx::resume(&path).unwrap();
-        assert_eq!(ctx.resumed, grid().len());
-        // Every cell must come from the journal: the run closure would
-        // produce a detectably different result if it executed at all.
-        let config = config();
-        grid()
-            .into_iter()
-            .enumerate()
-            .map(|(i, (cell, strategy))| {
-                let mut executed = false;
-                let r = ctx.run_cell(&cell, i as u64, 1000 + i as u64, |j| {
-                    executed = true;
-                    task.run_journaled(strategy.clone(), None, &config, 999, j)
-                });
-                assert!(!executed, "cell {cell} re-ran instead of replaying");
-                r
-            })
-            .collect::<Vec<_>>()
+        assert_eq!(ctx.resumed, CELLS);
+        run_grid(&spec, Some(&ctx))
     };
+    // Every cell came from the journal: a re-run would have appended its
+    // round and cell records, and measured its own wall clocks.
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), journaled_len);
     assert_eq!(to_json(&fresh), to_json(&replayed));
     // And both match an unjournaled run of the same grid (timings aside —
     // wall clocks differ between independent executions).
     assert_eq!(
         to_json_no_timings(&fresh),
-        to_json_no_timings(&run_grid(&task, None))
+        to_json_no_timings(&run_grid(&spec, None))
     );
     std::fs::remove_file(&path).ok();
 }
@@ -140,12 +125,12 @@ fn replay_reproduces_run_result_byte_identically() {
 /// whose completion record was lost.
 #[test]
 fn kill_at_round_k_resume_completes_grid() {
-    let task = TextTask::build(&TextSpec::mr(), &scale(), 0x61);
-    let reference = run_grid(&task, None);
+    let spec = spec(0x61);
+    let reference = run_grid(&spec, None);
     let path = tmp("kill");
     {
         let ctx = JournalCtx::create(&path).unwrap();
-        run_grid(&task, Some(&ctx));
+        run_grid(&spec, Some(&ctx));
     }
     let full_len = std::fs::metadata(&path).unwrap().len();
     // Chop at several offsets, including mid-line (a torn write): resume
@@ -156,10 +141,10 @@ fn kill_at_round_k_resume_completes_grid() {
         std::fs::write(&torn, &bytes[..cut as usize]).unwrap();
         let ctx = JournalCtx::resume(&torn).unwrap();
         assert!(
-            ctx.resumed < grid().len(),
+            ctx.resumed < CELLS,
             "cut at {cut}/{full_len} bytes lost no cells"
         );
-        let resumed = run_grid(&task, Some(&ctx));
+        let resumed = run_grid(&spec, Some(&ctx));
         assert_eq!(
             to_json_no_timings(&reference),
             to_json_no_timings(&resumed),
@@ -168,7 +153,7 @@ fn kill_at_round_k_resume_completes_grid() {
         // A second resume of the now-complete journal replays everything.
         drop(ctx);
         let ctx = JournalCtx::resume(&torn).unwrap();
-        assert_eq!(ctx.resumed, grid().len());
+        assert_eq!(ctx.resumed, CELLS);
         std::fs::remove_file(&torn).ok();
     }
     std::fs::remove_file(&path).ok();

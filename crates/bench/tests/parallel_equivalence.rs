@@ -34,7 +34,10 @@ fn run_cell() -> Vec<RunResult> {
         .collect();
     rayon::run_indexed(cells.len(), |c| {
         let (s, seed) = cells[c];
-        task.run(strategies[s].clone(), None, &config, seed)
+        task.builder(task.model(0), strategies[s].clone(), &config, seed)
+            .build()
+            .run()
+            .expect("entropy needs no extra capability")
     })
 }
 
@@ -60,7 +63,16 @@ fn run_diversity_cell() -> Vec<RunResult> {
         .with_density(DensityConfig::default())
         .with_mmr(MmrConfig::default());
     rayon::run_indexed(2, |r| {
-        task.run_with_representations(strategy.clone(), &config, 0xE1_0000 + r as u64)
+        task.builder(
+            task.model(0),
+            strategy.clone(),
+            &config,
+            0xE1_0000 + r as u64,
+        )
+        .representations(task.representations())
+        .build()
+        .run()
+        .expect("entropy needs no extra capability")
     })
 }
 

@@ -1,0 +1,56 @@
+//! `spec-check` on hostile specs: every file that fails validation
+//! exits 1 with one `ERR` line, never a panic (exit 101).
+
+use std::path::PathBuf;
+use std::process::Command;
+
+const BIN: &str = env!("CARGO_BIN_EXE_histal-experiments");
+
+/// Fresh scratch directory holding only the hostile specs.
+fn scratch() -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("histal-hostile-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+#[test]
+fn hostile_specs_exit_1_with_one_err_line_each() {
+    let dir = scratch();
+    // (file name, dataset token, strategy token, pool section)
+    let hostile = [
+        ("priors", "mr?priors=0.9/0.3", "entropy", "{}"),
+        ("noise", "mr?noise=1.5", "entropy", "{}"),
+        ("batch", "mr", "entropy", r#"{"batch_size": 0}"#),
+        ("hkld-k1", "mr", "HKLD{k=1}(entropy)", "{}"),
+        ("hus-k0", "mr", "HUS{k=0}(entropy)", "{}"),
+    ];
+    for (name, dataset, strategy, pool) in hostile {
+        let body = format!(
+            r#"{{"name": "{name}", "datasets": ["{dataset}"], "groups": [{{"strategies": ["{strategy}"]}}], "pool": {pool}}}"#
+        );
+        std::fs::write(dir.join(format!("{name}.json")), body).expect("write spec");
+    }
+    let out = Command::new(BIN)
+        .arg("spec-check")
+        .arg(&dir)
+        .output()
+        .expect("spawn histal-experiments");
+    let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let errs: Vec<&str> = stdout.lines().filter(|l| l.starts_with("ERR ")).collect();
+    assert_eq!(errs.len(), hostile.len(), "{stdout}");
+    for (name, ..) in hostile {
+        let file = format!("{name}.json:");
+        assert!(
+            errs.iter().any(|l| l.contains(&file)),
+            "no ERR line for {name}: {stdout}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

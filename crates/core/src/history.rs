@@ -175,14 +175,6 @@ impl<'a> HistorySeq<'a> {
         self.back.last().or_else(|| self.front.last()).copied()
     }
 
-    /// The two backing segments `(front, back)`: the logical sequence is
-    /// their concatenation, oldest first. Either may be empty. This is
-    /// the zero-copy entry point for the `histal_tseries::*_parts` folds,
-    /// which score a wrapped ring buffer without materializing it.
-    pub fn as_slices(&self) -> (&'a [f64], &'a [f64]) {
-        (self.front, self.back)
-    }
-
     /// Iterate oldest → newest.
     pub fn iter(&self) -> impl DoubleEndedIterator<Item = f64> + 'a {
         self.front.iter().chain(self.back.iter()).copied()

@@ -1,8 +1,9 @@
-//! Serializable trained artifacts and the versioned `HLRN1` file format.
+//! The trained parts of a learned selector and the versioned `HLRN1`
+//! file format.
 //!
-//! [`LhsArtifacts`] is the serializable bundle of everything the trainer
-//! produces (ranker + predictor + feature layout). [`save_artifacts`] /
-//! [`load_artifacts`] wrap it in a versioned JSON envelope — magic
+//! [`TrainedRanker`] and [`TrainedPredictor`] are the closed sets of
+//! models the trainer produces. [`save_artifacts`] / [`load_artifacts`]
+//! wrap a [`LearnedSelector`] in a versioned JSON envelope — magic
 //! `"HLRN1"`, schema version, provenance — so a selector trained on
 //! dataset A in one process can be persisted and applied to dataset B in
 //! another (the Chu & Lin cross-dataset transfer protocol as a file).
@@ -18,35 +19,13 @@ use std::path::Path;
 use serde::{Deserialize, Serialize};
 
 use histal_ltr::{LambdaMart, LinearRanker, PointwiseRegressor, Ranker};
-use histal_tseries::{ArPredictor, HoltPredictor, LstmPredictor, SequencePredictor};
+use histal_tseries::{ArPredictor, LstmPredictor, SequencePredictor};
 
 use crate::error::Error;
 
-use super::features::LhsFeatureConfig;
-use super::selector::LhsSelector;
+use super::selector::LearnedSelector;
 
-/// Serializable bundle of everything the trainer produces. Lets a
-/// ranker trained once on a labeled dataset (the paper trains on Subj) be
-/// persisted and deployed on other datasets later — the §4.4 transfer
-/// protocol as an artifact.
-#[derive(Clone, Serialize, Deserialize)]
-pub struct LhsArtifacts {
-    /// The trained ranking model.
-    pub ranker: TrainedRanker,
-    /// The trained next-score predictor.
-    pub predictor: TrainedPredictor,
-    /// Feature layout the ranker was trained with.
-    pub features: LhsFeatureConfig,
-    /// Candidate-set size for deployment.
-    pub candidate_pool: usize,
-    /// Whether the ranker was trained with (and the selector must append)
-    /// pool-level meta-features. Defaults to `false` so artifacts written
-    /// before the field existed load unchanged.
-    #[serde(default)]
-    pub use_meta: bool,
-}
-
-/// A concrete trained ranker (serializable counterpart of `dyn Ranker`).
+/// A concrete trained ranker.
 #[derive(Clone, Serialize, Deserialize)]
 pub enum TrainedRanker {
     /// LambdaMART ensemble.
@@ -57,59 +36,42 @@ pub enum TrainedRanker {
     Pointwise(PointwiseRegressor),
 }
 
-/// A concrete trained predictor (serializable counterpart of
-/// `dyn SequencePredictor`).
+/// A concrete trained next-score predictor.
 #[derive(Clone, Serialize, Deserialize)]
 pub enum TrainedPredictor {
     /// Scalar LSTM.
     Lstm(LstmPredictor),
     /// AR(p) least squares.
     Ar(ArPredictor),
-    /// Holt double exponential smoothing.
-    Holt(HoltPredictor),
 }
 
-impl Ranker for TrainedRanker {
-    fn score(&self, features: &[f64]) -> f64 {
+impl TrainedRanker {
+    /// Score every row, in order (higher ranks earlier).
+    pub fn score_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
         match self {
-            Self::LambdaMart(m) => m.score(features),
-            Self::Linear(m) => m.score(features),
-            Self::Pointwise(m) => m.score(features),
-        }
-    }
-}
-
-impl SequencePredictor for TrainedPredictor {
-    fn predict_next(&self, seq: &[f64]) -> f64 {
-        match self {
-            Self::Lstm(p) => p.predict_next(seq),
-            Self::Ar(p) => p.predict_next(seq),
-            Self::Holt(p) => p.predict_next(seq),
+            Self::LambdaMart(m) => m.score_batch(rows),
+            Self::Linear(m) => m.score_batch(rows),
+            Self::Pointwise(m) => m.score_batch(rows),
         }
     }
 }
 
 impl TrainedPredictor {
+    /// Predict the next value of `seq` (finite for any input, including
+    /// the empty sequence).
+    pub fn predict_next(&self, seq: &[f64]) -> f64 {
+        match self {
+            Self::Lstm(p) => p.predict_next(seq),
+            Self::Ar(p) => p.predict_next(seq),
+        }
+    }
+
     /// Check the parameter shapes a deserialized predictor indexes by.
     fn check_shape(&self) -> Result<(), String> {
         match self {
             Self::Lstm(p) => p.check_shape(),
             Self::Ar(p) => p.check_shape(),
-            Self::Holt(_) => Ok(()),
         }
-    }
-}
-
-impl LhsArtifacts {
-    /// Build the runtime selector from these artifacts.
-    pub fn into_selector(self) -> LhsSelector {
-        LhsSelector::new(
-            Box::new(self.ranker),
-            Box::new(self.predictor),
-            self.features,
-            self.candidate_pool,
-        )
-        .with_meta(self.use_meta)
     }
 }
 
@@ -135,18 +97,18 @@ pub struct ArtifactProvenance {
 }
 
 /// The on-disk envelope: magic + version checked on load, then the
-/// provenance and the artifacts themselves.
+/// provenance and the selector itself.
 #[derive(Serialize, Deserialize)]
 struct Hlrn1Envelope {
     magic: String,
     version: u32,
     provenance: ArtifactProvenance,
-    artifacts: LhsArtifacts,
+    artifacts: LearnedSelector,
 }
 
 /// Write `artifacts` to `path` as an `HLRN1` envelope.
 pub fn save_artifacts(
-    artifacts: &LhsArtifacts,
+    artifacts: &LearnedSelector,
     provenance: &ArtifactProvenance,
     path: &Path,
 ) -> Result<(), Error> {
@@ -163,10 +125,10 @@ pub fn save_artifacts(
 }
 
 /// Load an `HLRN1` envelope from `path`, rejecting wrong magic or
-/// version and a predictor whose parameter shapes don't match its own
-/// header (which would otherwise load fine and panic at the first
-/// prediction).
-pub fn load_artifacts(path: &Path) -> Result<(LhsArtifacts, ArtifactProvenance), Error> {
+/// version, a zero candidate pool and a predictor whose parameter shapes
+/// don't match its own header (either would otherwise load fine and
+/// panic at the first selection).
+pub fn load_artifacts(path: &Path) -> Result<(LearnedSelector, ArtifactProvenance), Error> {
     let body = std::fs::read_to_string(path)
         .map_err(|e| Error::spec(format!("reading artifact {}: {e}", path.display())))?;
     let envelope: Hlrn1Envelope = serde_json::from_str(&body)
@@ -185,24 +147,31 @@ pub fn load_artifacts(path: &Path) -> Result<(LhsArtifacts, ArtifactProvenance),
             envelope.version
         )));
     }
-    envelope
-        .artifacts
+    let selector = envelope.artifacts;
+    if selector.candidate_pool == 0 {
+        return Err(Error::spec(format!(
+            "artifact {}: candidate pool must be positive",
+            path.display()
+        )));
+    }
+    selector
         .predictor
         .check_shape()
         .map_err(|e| Error::spec(format!("artifact {}: {e}", path.display())))?;
-    Ok((envelope.artifacts, envelope.provenance))
+    Ok((selector, envelope.provenance))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::error::ErrorKind;
+    use crate::learned::LhsFeatureConfig;
     use histal_ltr::{PointwiseConfig, TreeConfig};
     use histal_tseries::LstmConfig;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn tiny_artifacts() -> LhsArtifacts {
+    fn tiny_artifacts() -> LearnedSelector {
         let rows: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64]).collect();
         let targets: Vec<f64> = (0..8).map(|i| if i < 4 { 0.0 } else { 1.0 }).collect();
         let regressor = PointwiseRegressor::fit_trees(
@@ -215,9 +184,9 @@ mod tests {
                 l2: 1.0,
             },
         );
-        LhsArtifacts {
+        LearnedSelector {
             ranker: TrainedRanker::Pointwise(regressor),
-            predictor: TrainedPredictor::Holt(HoltPredictor::fit(&[vec![0.1, 0.2, 0.3]])),
+            predictor: TrainedPredictor::Ar(ArPredictor::fit(&[vec![0.1, 0.2, 0.3]], 1)),
             features: LhsFeatureConfig::default(),
             candidate_pool: 75,
             use_meta: true,
@@ -247,11 +216,11 @@ mod tests {
         assert_eq!(loaded.candidate_pool, artifacts.candidate_pool);
         assert!(loaded.use_meta);
         // The loaded ranker scores identically to the saved one.
-        for row in [vec![0.5], vec![3.5], vec![6.0]] {
-            assert_eq!(loaded.ranker.score(&row), artifacts.ranker.score(&row));
-        }
-        let selector = loaded.into_selector();
-        assert!(selector.uses_meta());
+        let rows = [vec![0.5], vec![3.5], vec![6.0]];
+        assert_eq!(
+            loaded.ranker.score_batch(&rows),
+            artifacts.ranker.score_batch(&rows)
+        );
     }
 
     #[test]
@@ -285,11 +254,11 @@ mod tests {
             ..LstmConfig::default()
         };
         let lstm = LstmPredictor::fit(&history, config, &mut ChaCha8Rng::seed_from_u64(3));
-        let artifacts = LhsArtifacts {
+        let artifacts = LearnedSelector {
             predictor: TrainedPredictor::Lstm(lstm),
             ..tiny_artifacts()
         };
-        let ar = LhsArtifacts {
+        let ar = LearnedSelector {
             predictor: TrainedPredictor::Ar(ArPredictor::fit(&history, 2)),
             ..tiny_artifacts()
         };
@@ -321,6 +290,38 @@ mod tests {
     }
 
     #[test]
+    fn hlrn1_rejects_zero_candidate_pool() {
+        let path = tmp_path("zero-pool.json");
+        save_artifacts(&tiny_artifacts(), &ArtifactProvenance::default(), &path).expect("save");
+        let body = std::fs::read_to_string(&path).expect("read back");
+        let zero = body.replace("\"candidate_pool\":75", "\"candidate_pool\":0");
+        assert_ne!(zero, body);
+        std::fs::write(&path, &zero).expect("rewrite");
+        let Err(err) = load_artifacts(&path) else {
+            panic!("zero candidate pool accepted")
+        };
+        std::fs::remove_file(&path).ok();
+        assert!(matches!(err.kind, ErrorKind::Spec { .. }), "{err}");
+    }
+
+    #[test]
+    fn hlrn1_naming_an_unknown_predictor_is_a_spec_error() {
+        // A predictor kind this build does not know fails to parse
+        // instead of loading.
+        let path = tmp_path("holt.json");
+        save_artifacts(&tiny_artifacts(), &ArtifactProvenance::default(), &path).expect("save");
+        let body = std::fs::read_to_string(&path).expect("read back");
+        let holt = body.replace("\"Ar\":", "\"Holt\":");
+        assert_ne!(holt, body);
+        std::fs::write(&path, &holt).expect("rewrite");
+        let Err(err) = load_artifacts(&path) else {
+            panic!("unknown predictor kind accepted")
+        };
+        std::fs::remove_file(&path).ok();
+        assert!(matches!(err.kind, ErrorKind::Spec { .. }), "{err}");
+    }
+
+    #[test]
     fn hlrn1_missing_and_corrupt_files_error() {
         let missing = tmp_path("does-not-exist.json");
         assert!(load_artifacts(&missing).is_err());
@@ -337,14 +338,14 @@ mod tests {
     fn artifacts_without_meta_field_load_with_default() {
         // Pre-meta artifact JSON (no `use_meta` key) must deserialize
         // with `use_meta = false`.
-        let artifacts = LhsArtifacts {
+        let artifacts = LearnedSelector {
             use_meta: false,
             ..tiny_artifacts()
         };
         let mut json = serde_json::to_string(&artifacts).expect("serialize");
         json = json.replace(",\"use_meta\":false", "");
         assert!(!json.contains("use_meta"));
-        let loaded: LhsArtifacts = serde_json::from_str(&json).expect("deserialize");
+        let loaded: LearnedSelector = serde_json::from_str(&json).expect("deserialize");
         assert!(!loaded.use_meta);
     }
 }

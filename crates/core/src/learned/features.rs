@@ -20,12 +20,12 @@
 
 use serde::{Deserialize, Serialize};
 
-use histal_tseries::{
-    autocorrelation, last_window, mann_kendall, window_variance, SequencePredictor,
-};
+use histal_tseries::{autocorrelation, last_window, mann_kendall, window_variance};
 
 use crate::driver::top_k;
 use crate::eval::SampleEval;
+
+use super::artifacts::TrainedPredictor;
 
 /// Which feature groups the ranker sees — each toggle corresponds to one
 /// row of the paper's ablation study (Table 7).
@@ -101,7 +101,7 @@ impl LhsFeatureConfig {
         &self,
         seq: &[f64],
         eval: &SampleEval,
-        predictor: &dyn SequencePredictor,
+        predictor: &TrainedPredictor,
     ) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.width());
         if self.use_history {
@@ -265,20 +265,21 @@ pub fn candidate_set(evals: &[SampleEval], pool: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use histal_tseries::SequencePredictor;
 
-    pub(crate) struct ConstPredictor(pub f64);
-    impl SequencePredictor for ConstPredictor {
-        fn predict_next(&self, _seq: &[f64]) -> f64 {
-            self.0
-        }
+    /// An AR(1) predictor with a zero lag weight, deserialized the way
+    /// `HLRN1` loads one: it predicts `c` for every sequence.
+    fn const_predictor(c: f64) -> TrainedPredictor {
+        serde_json::from_str(&format!(
+            "{{\"Ar\":{{\"order\":1,\"coeffs\":[{c:?},0.0],\"fallback\":{c:?}}}}}"
+        ))
+        .expect("AR predictor JSON")
     }
 
     #[test]
     fn feature_width_matches_extract() {
         let cfg = LhsFeatureConfig::default();
         let eval = SampleEval::from_probs(vec![0.6, 0.4]);
-        let feats = cfg.extract(&[0.1, 0.2, 0.3], &eval, &ConstPredictor(0.5));
+        let feats = cfg.extract(&[0.1, 0.2, 0.3], &eval, &const_predictor(0.5));
         assert_eq!(feats.len(), cfg.width());
     }
 
@@ -293,7 +294,7 @@ mod tests {
             ..Default::default()
         };
         let eval = SampleEval::default();
-        let feats = cfg.extract(&[0.9], &eval, &ConstPredictor(0.0));
+        let feats = cfg.extract(&[0.9], &eval, &const_predictor(0.0));
         assert_eq!(feats, vec![0.0, 0.0, 0.0, 0.9]);
     }
 
@@ -331,7 +332,7 @@ mod tests {
         };
         let eval = SampleEval::default();
         let osc = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0];
-        let feats = cfg.extract(&osc, &eval, &ConstPredictor(0.0));
+        let feats = cfg.extract(&osc, &eval, &const_predictor(0.0));
         assert_eq!(feats.len(), 1);
         assert!(feats[0] < -0.5, "oscillation ACF {}", feats[0]);
     }
@@ -349,7 +350,7 @@ mod tests {
             use_autocorr: false,
         };
         let eval = SampleEval::from_probs(vec![0.3, 0.7]);
-        let feats = cfg.extract(&[], &eval, &ConstPredictor(0.0));
+        let feats = cfg.extract(&[], &eval, &const_predictor(0.0));
         assert_eq!(feats, vec![0.7, 0.3, 0.0]);
     }
 
@@ -363,7 +364,7 @@ mod tests {
             ..Default::default()
         };
         let eval = SampleEval::from_probs(vec![0.5, 0.5]);
-        let feats = cfg.extract(&[], &eval, &ConstPredictor(0.25));
+        let feats = cfg.extract(&[], &eval, &const_predictor(0.25));
         assert_eq!(feats.len(), cfg.width());
         assert!(feats[..cfg.window].iter().all(|&v| v == 0.0));
         assert!(feats.iter().all(|v| v.is_finite()), "{feats:?}");
@@ -384,7 +385,7 @@ mod tests {
             use_autocorr: false,
         };
         let eval = SampleEval::from_probs(vec![1.0]);
-        let feats = cfg.extract(&[0.2], &eval, &ConstPredictor(0.0));
+        let feats = cfg.extract(&[0.2], &eval, &const_predictor(0.0));
         assert_eq!(feats, vec![1.0, 0.0, 0.0, 0.0, 0.0]);
     }
 

@@ -9,7 +9,9 @@
 //! meta-features — produces selectors that transfer across datasets
 //! (Chu & Lin).
 //!
-//! The subsystem is layered so each concern is data, not a bolt-on:
+//! One type, [`LearnedSelector`], is the trained selector end to end:
+//! [`train_learned`] returns it, `HLRN1` files serialize it, and the
+//! pipeline's `Select::Lhs` stage runs it behind an `Arc`. The modules:
 //!
 //! * [`features`] — per-sample history features ([`LhsFeatureConfig`]:
 //!   raw window, fluctuation, Mann–Kendall trend, predicted next score,
@@ -18,17 +20,10 @@
 //! * [`targets`] — the two-phase Algorithm 1 training simulation,
 //!   generalized over [`TargetKind`] (pairwise ranking groups for LHS,
 //!   pointwise expected-error-reduction targets for LAL);
-//! * [`artifacts`] — the serializable trained bundle and the versioned
-//!   `HLRN1` file format ([`save_artifacts`] / [`load_artifacts`]) for
-//!   cross-process, cross-dataset deployment;
-//! * [`selector`] — the runtime [`LearnedSelector`] behind the
-//!   pipeline's `Select` stage (the historical `LhsSelector` name is an
-//!   alias).
-//!
-//! The legacy `histal_core::lhs` module re-exports everything here, so
-//! pre-refactor imports keep compiling; the classic LHS configuration
-//! (pairwise targets, no meta block) follows the exact code path — and
-//! RNG stream — it always did.
+//! * [`artifacts`] — the trained ranker and predictor enums and the
+//!   versioned `HLRN1` file format ([`save_artifacts`] /
+//!   [`load_artifacts`]) for cross-process, cross-dataset deployment;
+//! * [`selector`] — [`LearnedSelector`] and its per-round `select`.
 
 pub mod artifacts;
 pub mod features;
@@ -36,12 +31,11 @@ pub mod selector;
 pub mod targets;
 
 pub use artifacts::{
-    load_artifacts, save_artifacts, ArtifactProvenance, LhsArtifacts, TrainedPredictor,
-    TrainedRanker, ARTIFACT_MAGIC, ARTIFACT_VERSION,
+    load_artifacts, save_artifacts, ArtifactProvenance, TrainedPredictor, TrainedRanker,
+    ARTIFACT_MAGIC, ARTIFACT_VERSION,
 };
 pub use features::{candidate_set, LhsFeatureConfig, PoolMetaFeatures, META_FEATURE_WIDTH};
-pub use selector::{LearnedSelector, LhsSelector};
+pub use selector::LearnedSelector;
 pub use targets::{
-    bucket_levels, train_learned, train_learned_artifacts, train_lhs, train_lhs_artifacts,
-    LearnedTrainerConfig, LhsTrainerConfig, PredictorKind, RankerKind, TargetKind,
+    bucket_levels, train_learned, LearnedTrainerConfig, PredictorKind, RankerKind, TargetKind,
 };

@@ -1,121 +1,58 @@
-//! The runtime selection component shared by LHS and LAL.
+//! The learned selector shared by LHS and LAL: the training output, the
+//! `HLRN1` payload and the object the pipeline's `Select::Lhs` stage runs.
 //!
 //! [`LearnedSelector`] bundles a trained ranker, a trained next-score
 //! predictor and the feature layout they were trained with; each round it
 //! ranks the §4.4.1 candidate set (top entropy ∪ top LC) and picks the
-//! best batch. The historical `LhsSelector` name is a type alias — the
-//! pairwise-trained LHS selector and the pointwise LAL regressor are the
-//! same runtime object, differing only in how the ranker inside was
-//! fitted and whether pool-level meta-features are appended to each row.
+//! best batch. The pairwise-trained LHS selector and the pointwise LAL
+//! regressor are the same type, differing only in how the ranker inside
+//! was fitted and whether pool-level meta-features are appended to each
+//! row.
 
-use histal_ltr::Ranker;
-use histal_tseries::SequencePredictor;
+use serde::{Deserialize, Serialize};
 
 use crate::driver::top_k;
 use crate::eval::SampleEval;
 use crate::history::HistoryStore;
 
+use super::artifacts::{TrainedPredictor, TrainedRanker};
 use super::features::{candidate_set, LhsFeatureConfig, PoolMetaFeatures};
 
 /// A trained learned-selection component: ranker + predictor + feature
-/// layout. Cheaply cloneable (the trained parts are shared), so one
-/// trained selector can serve many runs.
-#[derive(Clone)]
+/// layout. Lets a ranker trained once on a labeled dataset (the paper
+/// trains on Subj) be persisted and deployed on other datasets later —
+/// the §4.4 transfer protocol. Sessions share one instance through an
+/// `Arc`, so one trained selector serves many runs.
+#[derive(Clone, Serialize, Deserialize)]
 pub struct LearnedSelector {
-    ranker: std::sync::Arc<dyn Ranker>,
-    predictor: std::sync::Arc<dyn SequencePredictor>,
-    features: LhsFeatureConfig,
+    /// The trained ranking model.
+    pub ranker: TrainedRanker,
+    /// The trained next-score predictor.
+    pub predictor: TrainedPredictor,
+    /// Feature layout the ranker was trained with.
+    pub features: LhsFeatureConfig,
     /// Candidate-set size (union of top-entropy and top-LC slices,
-    /// §4.4.1). Clamped to the pool size at selection time.
-    candidate_pool: usize,
-    /// Append pool-level meta-features to every candidate row (the LAL /
-    /// transfer configuration). Off for classic LHS selectors, keeping
-    /// their feature rows byte-identical to the pre-meta implementation.
-    use_meta: bool,
+    /// §4.4.1). Clamped to the pool size at selection time; must be
+    /// positive.
+    pub candidate_pool: usize,
+    /// Whether the ranker was trained with (and selection must append)
+    /// pool-level meta-features — the LAL / transfer configuration.
+    /// Defaults to `false` so artifacts written before the field existed
+    /// load unchanged.
+    #[serde(default)]
+    pub use_meta: bool,
 }
 
-/// The historical name of [`LearnedSelector`] (pairwise LHS was the only
-/// learned selector before LAL landed).
-pub type LhsSelector = LearnedSelector;
-
 impl LearnedSelector {
-    /// Assemble a selector from pre-trained parts.
-    pub fn new(
-        ranker: Box<dyn Ranker>,
-        predictor: Box<dyn SequencePredictor>,
-        features: LhsFeatureConfig,
-        candidate_pool: usize,
-    ) -> Self {
-        assert!(candidate_pool > 0, "candidate pool must be positive");
-        Self {
-            ranker: std::sync::Arc::from(ranker),
-            predictor: std::sync::Arc::from(predictor),
-            features,
-            candidate_pool,
-            use_meta: false,
-        }
-    }
-
-    /// Toggle the pool-level meta-feature block. Must match the layout
-    /// the ranker was trained with.
-    pub fn with_meta(mut self, use_meta: bool) -> Self {
-        self.use_meta = use_meta;
-        self
-    }
-
-    /// The feature configuration the ranker was trained with.
-    pub fn feature_config(&self) -> &LhsFeatureConfig {
-        &self.features
-    }
-
-    /// Whether ranking features read the full posterior vector, so the
-    /// driver must request [`EvalCaps::probs`](crate::eval::EvalCaps)
-    /// from the model.
-    pub fn needs_probs(&self) -> bool {
-        self.features.use_probs
-    }
-
-    /// Whether candidate rows carry the pool-level meta-feature block
-    /// (the `Select` stage then computes one [`PoolMetaFeatures`] per
-    /// round from its context).
-    pub fn uses_meta(&self) -> bool {
-        self.use_meta
-    }
-
     /// Rank the candidate set and return up to `batch` positions into
-    /// `unlabeled`, best first.
-    pub fn select(
-        &self,
-        unlabeled: &[usize],
-        evals: &[SampleEval],
-        history: &HistoryStore,
-        batch: usize,
-    ) -> Vec<usize> {
-        self.select_with_scratch(unlabeled, evals, history, batch, &mut Vec::new())
-    }
-
-    /// [`Self::select`] with a caller-owned scratch buffer for
+    /// `unlabeled`, best first. `seq_buf` is caller-owned scratch for
     /// materializing each candidate's (possibly ring-wrapped) history
     /// window, so repeated rounds allocate no per-candidate sequence
-    /// copies. The `Select::Lhs` stage reuses one buffer across
-    /// the whole run.
-    pub fn select_with_scratch(
-        &self,
-        unlabeled: &[usize],
-        evals: &[SampleEval],
-        history: &HistoryStore,
-        batch: usize,
-        seq_buf: &mut Vec<f64>,
-    ) -> Vec<usize> {
-        self.select_with_meta(unlabeled, evals, history, batch, seq_buf, None)
-    }
-
-    /// [`Self::select_with_scratch`] with an optional pool-level
-    /// meta-feature block appended to every candidate row. Selectors
-    /// trained without meta-features ([`Self::uses_meta`] is `false`)
-    /// ignore `meta`, so the classic LHS path is unchanged whether or
-    /// not the caller computed the block.
-    pub fn select_with_meta(
+    /// copies. `meta` is appended to every candidate row when the
+    /// selector was trained with meta-features and ignored otherwise, so
+    /// the classic LHS path is unchanged whether or not the caller
+    /// computed the block.
+    pub fn select(
         &self,
         unlabeled: &[usize],
         evals: &[SampleEval],
@@ -130,9 +67,7 @@ impl LearnedSelector {
             .iter()
             .map(|&pos| {
                 history.seq(unlabeled[pos]).copy_into(seq_buf);
-                let mut row = self
-                    .features
-                    .extract(seq_buf, &evals[pos], self.predictor.as_ref());
+                let mut row = self.features.extract(seq_buf, &evals[pos], &self.predictor);
                 if let Some(meta) = meta {
                     meta.append_to(&mut row);
                 }
@@ -148,55 +83,39 @@ impl LearnedSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use histal_tseries::SequencePredictor;
+    use crate::learned::META_FEATURE_WIDTH;
 
-    struct ConstPredictor(f64);
-    impl SequencePredictor for ConstPredictor {
-        fn predict_next(&self, _seq: &[f64]) -> f64 {
-            self.0
+    /// A selector built from real trained-model values, deserialized the
+    /// way `HLRN1` loads them: an all-ones linear ranker (it sums the
+    /// row, meta block included) and an AR(1) predictor that predicts
+    /// the last value.
+    fn width_selector(use_meta: bool) -> LearnedSelector {
+        let features = LhsFeatureConfig::default();
+        let width = features.width() + META_FEATURE_WIDTH;
+        let weights = vec!["1.0"; width].join(",");
+        let ranker: TrainedRanker =
+            serde_json::from_str(&format!("{{\"Linear\":{{\"weights\":[{weights}]}}}}"))
+                .expect("linear ranker JSON");
+        let predictor: TrainedPredictor =
+            serde_json::from_str("{\"Ar\":{\"order\":1,\"coeffs\":[0.0,1.0],\"fallback\":0.0}}")
+                .expect("AR predictor JSON");
+        LearnedSelector {
+            ranker,
+            predictor,
+            features,
+            candidate_pool: 4,
+            use_meta,
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn selector_zero_pool_panics() {
-        struct ZeroRanker;
-        impl Ranker for ZeroRanker {
-            fn score(&self, _f: &[f64]) -> f64 {
-                0.0
-            }
-        }
-        let _ = LhsSelector::new(
-            Box::new(ZeroRanker),
-            Box::new(ConstPredictor(0.0)),
-            LhsFeatureConfig::default(),
-            0,
-        );
     }
 
     #[test]
     fn meta_block_changes_selection_input_only_when_enabled() {
-        // A ranker that scores by row width: with the meta block the rows
-        // are wider, so selection can observe the difference — but only
-        // when the selector opts in.
-        struct WidthRanker;
-        impl Ranker for WidthRanker {
-            fn score(&self, f: &[f64]) -> f64 {
-                f.len() as f64
-            }
-        }
-        let features = LhsFeatureConfig::default();
-        let plain = LearnedSelector::new(
-            Box::new(WidthRanker),
-            Box::new(ConstPredictor(0.0)),
-            features,
-            4,
-        );
-        let meta_sel = plain.clone().with_meta(true);
-        assert!(!plain.uses_meta());
-        assert!(meta_sel.uses_meta());
-
-        let evals = vec![SampleEval::from_probs(vec![0.6, 0.4]); 3];
+        let plain = width_selector(false);
+        let meta_sel = width_selector(true);
+        let evals: Vec<SampleEval> = [0.6, 0.7, 0.9]
+            .iter()
+            .map(|&p| SampleEval::from_probs(vec![p, 1.0 - p]))
+            .collect();
         let mut history = HistoryStore::new(3);
         for id in 0..3 {
             history.append(id, 0.5);
@@ -204,8 +123,8 @@ mod tests {
         let meta = PoolMetaFeatures::from_evals(&evals, 1, 4, 0);
         let unlabeled = [0, 1, 2];
         // Passing meta to a non-meta selector must not change its picks.
-        let a = plain.select_with_scratch(&unlabeled, &evals, &history, 2, &mut Vec::new());
-        let b = plain.select_with_meta(
+        let a = plain.select(&unlabeled, &evals, &history, 2, &mut Vec::new(), None);
+        let b = plain.select(
             &unlabeled,
             &evals,
             &history,
@@ -215,7 +134,7 @@ mod tests {
         );
         assert_eq!(a, b);
         // The meta selector consumes the block without panicking.
-        let c = meta_sel.select_with_meta(
+        let c = meta_sel.select(
             &unlabeled,
             &evals,
             &history,

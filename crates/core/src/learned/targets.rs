@@ -9,7 +9,7 @@
 //! * [`TargetKind::Pairwise`] — the paper's LHS formulation: each round
 //!   is a ranking query group, deltas are bucketed into graded relevance
 //!   levels, and a pairwise ranker (LambdaMART or pairwise-logistic
-//!   linear) is fitted. [`train_lhs_artifacts`] is this configuration.
+//!   linear) is fitted. This is [`LearnedTrainerConfig`]'s default.
 //! * [`TargetKind::Pointwise`] — the LAL formulation (Konyushkova et
 //!   al., "Learning Active Learning from Data"): the raw deltas are
 //!   pointwise expected-error-reduction regression targets, flattened
@@ -33,7 +33,7 @@ use histal_ltr::{
     PointwiseRegressor, QueryGroup, RankingDataset,
 };
 use histal_obs::{span, Level};
-use histal_tseries::{ArPredictor, HoltPredictor, LstmConfig, LstmPredictor};
+use histal_tseries::{ArPredictor, LstmConfig, LstmPredictor};
 
 use crate::driver::{mix_seed, top_k};
 use crate::error::Error;
@@ -43,9 +43,9 @@ use crate::model::Model;
 use crate::pool::Pool;
 use crate::strategy::BaseStrategy;
 
-use super::artifacts::{LhsArtifacts, TrainedPredictor, TrainedRanker};
+use super::artifacts::{TrainedPredictor, TrainedRanker};
 use super::features::{candidate_set, LhsFeatureConfig, PoolMetaFeatures};
-use super::selector::LhsSelector;
+use super::selector::LearnedSelector;
 
 /// Which next-score predictor to train (§4.4.2 feature 4).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -57,9 +57,6 @@ pub enum PredictorKind {
         /// Autoregressive order.
         order: usize,
     },
-    /// Ablation alternative: Holt double exponential smoothing (gains
-    /// grid-fitted on the history corpus).
-    Holt,
 }
 
 impl Default for PredictorKind {
@@ -94,9 +91,11 @@ pub enum TargetKind {
     Pointwise,
 }
 
-/// Configuration for the Algorithm 1 trainer.
+/// Configuration for the Algorithm 1 trainer. The default is the
+/// classic LHS configuration (pairwise targets, no meta block); LAL sets
+/// `target: TargetKind::Pointwise` and `use_meta: true`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct LhsTrainerConfig {
+pub struct LearnedTrainerConfig {
     /// The base strategy whose scores populate the historical sequences.
     pub base: BaseStrategy,
     /// Algorithm 1 outer iterations (ranking query groups).
@@ -118,11 +117,16 @@ pub struct LhsTrainerConfig {
     /// Ranking model to train.
     pub ranker: RankerKind,
     /// Candidate-set size used at *selection* time by the produced
-    /// [`LhsSelector`].
+    /// [`LearnedSelector`]; must be positive.
     pub selector_candidate_pool: usize,
+    /// What the simulation emits and fits.
+    pub target: TargetKind,
+    /// Append pool-level meta-features to every training row (and mark
+    /// the produced selector to do the same at deployment).
+    pub use_meta: bool,
 }
 
-impl Default for LhsTrainerConfig {
+impl Default for LearnedTrainerConfig {
     fn default() -> Self {
         Self {
             base: BaseStrategy::Entropy,
@@ -135,133 +139,15 @@ impl Default for LhsTrainerConfig {
             predictor: PredictorKind::default(),
             ranker: RankerKind::default(),
             selector_candidate_pool: 75,
-        }
-    }
-}
-
-/// Full configuration of the generalized trainer: the shared simulation
-/// parameters plus the target shape and the meta-feature toggle.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct LearnedTrainerConfig {
-    /// Shared Algorithm 1 simulation parameters.
-    pub trainer: LhsTrainerConfig,
-    /// What the simulation emits and fits.
-    pub target: TargetKind,
-    /// Append pool-level meta-features to every training row (and mark
-    /// the produced selector to do the same at deployment).
-    pub use_meta: bool,
-}
-
-impl LearnedTrainerConfig {
-    /// The classic LHS configuration: pairwise targets, no meta block.
-    pub fn pairwise(trainer: LhsTrainerConfig) -> Self {
-        Self {
-            trainer,
             target: TargetKind::Pairwise,
             use_meta: false,
         }
     }
-
-    /// The LAL configuration: pointwise regression targets with the
-    /// pool-level meta block (the transferable form).
-    pub fn pointwise(trainer: LhsTrainerConfig) -> Self {
-        Self {
-            trainer,
-            target: TargetKind::Pointwise,
-            use_meta: true,
-        }
-    }
 }
 
-/// Train an LHS selector per Algorithm 1 (see [`train_lhs_artifacts`]
-/// for the serializable form).
-pub fn train_lhs<M>(
-    prototype: &M,
-    samples: &[M::Sample],
-    labels: &[M::Label],
-    eval_samples: &[M::Sample],
-    eval_labels: &[M::Label],
-    config: &LhsTrainerConfig,
-    seed: u64,
-) -> Result<LhsSelector, Error>
-where
-    M: Model + Clone,
-    M::Sample: Clone,
-    M::Label: Clone,
-{
-    train_lhs_artifacts(
-        prototype,
-        samples,
-        labels,
-        eval_samples,
-        eval_labels,
-        config,
-        seed,
-    )
-    .map(LhsArtifacts::into_selector)
-}
-
-/// Train a learned selector with an explicit target shape — the
-/// generalized entry point behind both `LHS(...)` and `LAL(...)` bench
-/// tokens. Equivalent to [`train_learned_artifacts`] +
-/// [`LhsArtifacts::into_selector`].
-pub fn train_learned<M>(
-    prototype: &M,
-    samples: &[M::Sample],
-    labels: &[M::Label],
-    eval_samples: &[M::Sample],
-    eval_labels: &[M::Label],
-    config: &LearnedTrainerConfig,
-    seed: u64,
-) -> Result<LhsSelector, Error>
-where
-    M: Model + Clone,
-    M::Sample: Clone,
-    M::Label: Clone,
-{
-    train_learned_artifacts(
-        prototype,
-        samples,
-        labels,
-        eval_samples,
-        eval_labels,
-        config,
-        seed,
-    )
-    .map(LhsArtifacts::into_selector)
-}
-
-/// Train an LHS selector per Algorithm 1 on a fully labeled dataset
-/// (the paper uses Subj) and a held-out evaluation split, returning the
-/// serializable [`LhsArtifacts`]: [`train_learned_artifacts`] with
-/// [`LearnedTrainerConfig::pairwise`].
-pub fn train_lhs_artifacts<M>(
-    prototype: &M,
-    samples: &[M::Sample],
-    labels: &[M::Label],
-    eval_samples: &[M::Sample],
-    eval_labels: &[M::Label],
-    config: &LhsTrainerConfig,
-    seed: u64,
-) -> Result<LhsArtifacts, Error>
-where
-    M: Model + Clone,
-    M::Sample: Clone,
-    M::Label: Clone,
-{
-    train_learned_artifacts(
-        prototype,
-        samples,
-        labels,
-        eval_samples,
-        eval_labels,
-        &LearnedTrainerConfig::pairwise(config.clone()),
-        seed,
-    )
-}
-
-/// Train a learned selector with an explicit [`TargetKind`] and optional
-/// meta-feature block, returning the serializable [`LhsArtifacts`].
+/// Train a learned selector per Algorithm 1 on a fully labeled dataset
+/// (the paper uses Subj) and a held-out evaluation split — the one
+/// trainer behind both `LHS(...)` and `LAL(...)` tokens.
 ///
 /// Phase 1 simulates plain active learning with the base strategy to
 /// collect historical sequences and trains the next-score predictor on
@@ -274,7 +160,7 @@ where
 /// Each phase runs in a `Level::Trace` span — `learned.simulate`,
 /// `learned.predictor_fit`, `learned.trials` and `learned.ranker_fit` —
 /// so a `--trace=trace` run shows where selector training goes.
-pub fn train_learned_artifacts<M>(
+pub fn train_learned<M>(
     prototype: &M,
     samples: &[M::Sample],
     labels: &[M::Label],
@@ -282,13 +168,16 @@ pub fn train_learned_artifacts<M>(
     eval_labels: &[M::Label],
     config: &LearnedTrainerConfig,
     seed: u64,
-) -> Result<LhsArtifacts, Error>
+) -> Result<LearnedSelector, Error>
 where
     M: Model + Clone,
     M::Sample: Clone,
     M::Label: Clone,
 {
-    let trainer = &config.trainer;
+    assert!(
+        config.selector_candidate_pool > 0,
+        "selector candidate pool must be positive"
+    );
     assert_eq!(
         samples.len(),
         labels.len(),
@@ -302,24 +191,23 @@ where
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     // Beyond the base strategy's own needs, Algorithm 1 builds its
     // candidate set from entropy + LC and may featurize posteriors.
-    let mut caps = trainer.base.caps();
+    let mut caps = config.base.caps();
     caps.entropy = true;
-    caps.probs = caps.probs || trainer.features.use_probs;
+    caps.probs = caps.probs || config.features.use_probs;
 
     // ---- Phase 1: collect history sequences, train the predictor. ----
-    let simulate_span = span!(Level::Trace, "learned.simulate", rounds = trainer.rounds);
+    let simulate_span = span!(Level::Trace, "learned.simulate", rounds = config.rounds);
     let mut sim = Simulation::new(
         prototype.clone(),
         samples,
         labels,
-        trainer.init_labeled,
+        config.init_labeled,
         &mut rng,
     );
-    for round in 0..trainer.rounds {
+    for round in 0..config.rounds {
         sim.fit(&mut rng);
-        let (unlabeled, base_scores) =
-            sim.score_pool(trainer.base, &caps, seed, round, &mut rng)?;
-        let batch = trainer.add_per_round.min(unlabeled.len());
+        let (unlabeled, base_scores) = sim.score_pool(config.base, &caps, seed, round, &mut rng)?;
+        let batch = config.add_per_round.min(unlabeled.len());
         let picks = top_k(&base_scores, batch);
         let ids: Vec<usize> = picks.iter().map(|&p| unlabeled[p]).collect();
         sim.label(&ids);
@@ -331,22 +219,21 @@ where
         "learned.predictor_fit",
         sequences = sequences.len()
     );
-    let predictor: TrainedPredictor = match &trainer.predictor {
+    let predictor: TrainedPredictor = match &config.predictor {
         PredictorKind::Lstm(cfg) => {
             TrainedPredictor::Lstm(LstmPredictor::fit(&sequences, cfg.clone(), &mut rng))
         }
         PredictorKind::Ar { order } => TrainedPredictor::Ar(ArPredictor::fit(&sequences, *order)),
-        PredictorKind::Holt => TrainedPredictor::Holt(HoltPredictor::fit(&sequences)),
     };
     drop(fit_span);
 
     // ---- Phase 2: Algorithm 1 — measure deltas, emit training rows. ----
-    let trials_span = span!(Level::Trace, "learned.trials", rounds = trainer.rounds);
+    let trials_span = span!(Level::Trace, "learned.trials", rounds = config.rounds);
     let mut sim = Simulation::new(
         prototype.clone(),
         samples,
         labels,
-        trainer.init_labeled,
+        config.init_labeled,
         &mut rng,
     );
     let eval_s: Vec<&M::Sample> = eval_samples.iter().collect();
@@ -355,15 +242,15 @@ where
     let mut flat_rows: Vec<Vec<f64>> = Vec::new();
     let mut flat_targets: Vec<f64> = Vec::new();
     let pool_size = samples.len();
-    for round in 0..trainer.rounds {
+    for round in 0..config.rounds {
         sim.fit(&mut rng);
         let base_metric = sim.model.metric(&eval_s, &eval_l);
-        let (unlabeled, _) = sim.score_pool(trainer.base, &caps, seed, round, &mut rng)?;
+        let (unlabeled, _) = sim.score_pool(config.base, &caps, seed, round, &mut rng)?;
         if unlabeled.is_empty() {
             break;
         }
         let evals = &sim.last_evals;
-        let candidates = candidate_set(evals, trainer.candidates_per_round);
+        let candidates = candidate_set(evals, config.candidates_per_round);
         // Trial-retrain for every candidate in parallel (line 7 of Alg. 1).
         let labeled_ids = sim.pool.labeled().to_vec();
         let deltas: Vec<f64> = candidates
@@ -387,7 +274,7 @@ where
         let rows: Vec<Vec<f64>> = candidates
             .iter()
             .map(|&pos| {
-                let mut row = trainer.features.extract(
+                let mut row = config.features.extract(
                     &sim.history.seq(unlabeled[pos]).to_vec(),
                     &evals[pos],
                     &predictor,
@@ -400,7 +287,7 @@ where
             .collect();
         match config.target {
             TargetKind::Pairwise => {
-                let levels = bucket_levels(&deltas, trainer.level_interval);
+                let levels = bucket_levels(&deltas, config.level_interval);
                 dataset.push(QueryGroup::new(rows, levels));
             }
             TargetKind::Pointwise => {
@@ -409,7 +296,7 @@ where
             }
         }
         // Line 11: move the highest-delta candidates into L.
-        let best = top_k(&deltas, trainer.add_per_round.min(candidates.len()));
+        let best = top_k(&deltas, config.add_per_round.min(candidates.len()));
         let ids: Vec<usize> = best.iter().map(|&i| unlabeled[candidates[i]]).collect();
         sim.label(&ids);
     }
@@ -417,7 +304,7 @@ where
 
     let _ranker_span = span!(Level::Trace, "learned.ranker_fit");
     let ranker: TrainedRanker = match config.target {
-        TargetKind::Pairwise => match &trainer.ranker {
+        TargetKind::Pairwise => match &config.ranker {
             RankerKind::LambdaMart(cfg) => {
                 TrainedRanker::LambdaMart(LambdaMart::fit(&dataset, cfg))
             }
@@ -428,7 +315,7 @@ where
         // LAL reuses the ranker hyper-parameters for its regression fit:
         // boosted mean-leaf trees mirror the LambdaMART ensemble shape,
         // and the linear ablation becomes ridge least squares.
-        TargetKind::Pointwise => match &trainer.ranker {
+        TargetKind::Pointwise => match &config.ranker {
             RankerKind::LambdaMart(cfg) => {
                 let pw = PointwiseConfig {
                     n_trees: cfg.n_trees,
@@ -449,11 +336,11 @@ where
             )),
         },
     };
-    Ok(LhsArtifacts {
+    Ok(LearnedSelector {
         ranker,
         predictor,
-        features: trainer.features,
-        candidate_pool: trainer.selector_candidate_pool,
+        features: config.features,
+        candidate_pool: config.selector_candidate_pool,
         use_meta: config.use_meta,
     })
 }
@@ -487,7 +374,7 @@ pub fn bucket_levels(deltas: &[f64], interval: f64) -> Vec<f64> {
 }
 
 /// Internal simulation state shared by the two phases of
-/// [`train_learned_artifacts`]:
+/// [`train_learned`]:
 /// the same [`Pool`] partition the driver uses, minus the pipeline
 /// plumbing the trainer does not need.
 struct Simulation<'a, M: Model> {

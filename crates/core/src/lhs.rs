@@ -1,17 +1,13 @@
-//! LHS — Learn from Historical Sequences (§4.4, Algorithm 1).
+//! The historical name of a shared learned selector.
 //!
-//! The implementation moved to the layered [`crate::learned`] module
-//! family (`features` / `targets` / `artifacts` / `selector`); this
-//! module re-exports the complete public surface under its historical
-//! path, so `histal_core::lhs::{train_lhs, LhsSelector, ...}` keeps
-//! compiling. The classic LHS configuration is byte-identical to the
-//! pre-refactor monolith — see [`crate::learned::targets`] for the
-//! contract.
+//! Everything learned-selector lives in [`crate::learned`]; this module
+//! keeps only the [`LhsSelector`] alias for callers outside the
+//! workspace that still import it from here.
 
-pub use crate::learned::{
-    bucket_levels, candidate_set, load_artifacts, save_artifacts, train_learned,
-    train_learned_artifacts, train_lhs, train_lhs_artifacts, ArtifactProvenance, LearnedSelector,
-    LearnedTrainerConfig, LhsArtifacts, LhsFeatureConfig, LhsSelector, LhsTrainerConfig,
-    PoolMetaFeatures, PredictorKind, RankerKind, TargetKind, TrainedPredictor, TrainedRanker,
-    ARTIFACT_MAGIC, ARTIFACT_VERSION, META_FEATURE_WIDTH,
-};
+use std::sync::Arc;
+
+use crate::learned::LearnedSelector;
+
+/// A trained selector shared between sessions (what
+/// [`SessionBuilder::lhs`](crate::session::SessionBuilder::lhs) takes).
+pub type LhsSelector = Arc<LearnedSelector>;

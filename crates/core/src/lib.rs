@@ -17,7 +17,7 @@
 //! 3. append `φ_t(x)` to the sample's historical sequence `H_t(x)`
 //!    ([`history::HistoryStore`]);
 //! 4. compute selection scores `F(H_t(x))` ([`strategy::HistoryPolicy`] or
-//!    the learned [`lhs::LhsSelector`]);
+//!    the learned [`learned::LearnedSelector`]);
 //! 5. annotate the top batch and repeat.
 //!
 //! ## The proposed strategies
@@ -76,9 +76,9 @@
 //!
 //! The builder is a typestate chain — `pool`, `test` and `strategy` are
 //! required (omitting one is a compile error), everything after is
-//! optional. Observability hooks (a tracing subscriber, a metrics
-//! registry, a crash-safe run journal from the `histal-obs` crate)
-//! attach the same way; see [`session::SessionBuilder`].
+//! optional. Observability hooks (a metrics registry and a crash-safe
+//! run journal from the `histal-obs` crate) attach the same way; see
+//! [`session::SessionBuilder`].
 
 #![forbid(unsafe_code)]
 

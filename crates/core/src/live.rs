@@ -55,7 +55,7 @@ use rand::prelude::SliceRandom;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use histal_obs::session_span;
+use histal_obs::span;
 use histal_obs::trace::Level;
 use histal_text::{LshIndex, NeighborIndex, PoolGeometry, SparseVec};
 
@@ -65,7 +65,7 @@ use crate::driver::{
 use crate::error::Error;
 use crate::eval::EvalCaps;
 use crate::history::HistoryStore;
-use crate::lhs::LhsSelector;
+use crate::learned::LearnedSelector;
 use crate::model::Model;
 use crate::pipeline::{
     apply_response, eval_pool, fit_measure, score_base, FoldHistory, LabelRequest, LabelResponse,
@@ -263,7 +263,7 @@ impl<M: Model> Session<M> {
         test_samples: Vec<M::Sample>,
         test_labels: Vec<M::Label>,
         strategy: Strategy,
-        lhs: Option<LhsSelector>,
+        lhs: Option<Arc<LearnedSelector>>,
         config: PoolConfig,
         representations: Option<Vec<SparseVec>>,
         seed: u64,
@@ -276,14 +276,11 @@ impl<M: Model> Session<M> {
             None => HistoryStore::new(n),
         };
         // Rolling trackers make the per-round history fold O(1) per
-        // sample. HKLD replaces the scalar fold entirely, and a
-        // degenerate zero window (e.g. HUS with k = 0) falls back to the
-        // borrowed-segment slice path.
+        // sample; they are the only scalar fold, so a zero window (e.g.
+        // HUS with k = 0) panics here. HKLD replaces the scalar fold
+        // entirely.
         if strategy.hkld.is_none() {
-            let window = strategy.history.window();
-            if window > 0 {
-                history = history.with_rolling(window);
-            }
+            history = history.with_rolling(strategy.history.window());
         }
         // Pre-normalized pool geometry for the similarity combinators:
         // cached norms and CSR storage, built once per run instead of
@@ -313,11 +310,11 @@ impl<M: Model> Session<M> {
         }
         if let Some(lhs) = &lhs {
             caps.entropy = true;
-            caps.probs = caps.probs || lhs.needs_probs();
+            caps.probs = caps.probs || lhs.features.use_probs;
         }
         let config_hash = session_config_hash(&strategy, lhs.is_some(), &config, seed);
         let select = if let Some(lhs) = lhs {
-            Select::Lhs(Arc::new(lhs))
+            Select::Lhs(lhs)
         } else if let (Some(cfg), true) = (strategy.mmr, geometry.is_some()) {
             Select::Mmr(cfg)
         } else if strategy.kcenter && geometry.is_some() {
@@ -422,8 +419,7 @@ impl<M: Model> Session<M> {
     fn compute_round(&mut self, rule: &StoppingRule) -> Result<(), Error> {
         let round = self.round;
         self.ctx.begin(round);
-        let _round_span = session_span!(
-            self.obs.subscriber(),
+        let _round_span = span!(
             Level::Debug,
             "al.round",
             round = round,
@@ -444,8 +440,7 @@ impl<M: Model> Session<M> {
         }
 
         let eval_start = std::time::Instant::now();
-        let eval_span = session_span!(
-            self.obs.subscriber(),
+        let eval_span = span!(
             Level::Debug,
             "al.eval",
             n_unlabeled = self.pool.n_unlabeled(),
@@ -463,7 +458,7 @@ impl<M: Model> Session<M> {
         self.ctx.timers.eval_ms = eval_start.elapsed().as_secs_f64() * 1e3;
 
         let score_start = std::time::Instant::now();
-        let score_span = session_span!(self.obs.subscriber(), Level::Debug, "al.score");
+        let score_span = span!(Level::Debug, "al.score");
         score_base(
             self.strategy.base,
             &self.ctx.evals,
@@ -496,7 +491,7 @@ impl<M: Model> Session<M> {
         self.ctx.timers.score_ms = score_start.elapsed().as_secs_f64() * 1e3;
 
         let pick_start = std::time::Instant::now();
-        let select_span = session_span!(self.obs.subscriber(), Level::Debug, "al.select");
+        let select_span = span!(Level::Debug, "al.select");
         let batch = self.config.batch_size.min(self.pool.n_unlabeled());
         let picked_positions = self.select.select(SelectCtx {
             scores: &self.ctx.final_scores,
@@ -608,12 +603,7 @@ impl<M: Model> Session<M> {
     }
 
     fn fit_and_record(&mut self) {
-        let _fit_span = session_span!(
-            self.obs.subscriber(),
-            Level::Debug,
-            "al.fit",
-            n_labeled = self.pool.n_labeled(),
-        );
+        let _fit_span = span!(Level::Debug, "al.fit", n_labeled = self.pool.n_labeled());
         let samples: Vec<&M::Sample> = self
             .pool
             .labeled()
@@ -889,8 +879,7 @@ impl<M: Model> Session<M> {
     /// [`Session::run_hidden`] that stops early once `rule` fires — the
     /// loop behind [`ActiveLearner::run_until`](crate::driver::ActiveLearner::run_until).
     pub(crate) fn run_hidden_until(&mut self, rule: &StoppingRule) -> Result<RunResult, Error> {
-        let _run_span = session_span!(
-            self.obs.subscriber(),
+        let _run_span = span!(
             Level::Info,
             "al.run",
             strategy = self.strategy.name(),

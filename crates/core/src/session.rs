@@ -13,8 +13,7 @@
 //!     .strategy(strategy)         SessionBuilder<M, Ready>
 //!     .seed(42)                   // optional, Ready-only
 //!     .config(config)
-//!     .subscriber(sub)            // observability handles
-//!     .metrics(registry)
+//!     .metrics(registry)          // observability handles
 //!     .journal(run_journal)
 //!     .build()                    ActiveLearner<M>
 //!  or .build_session()            Session<M>
@@ -26,11 +25,11 @@
 //! `SessionBuilder<M, Ready>`.
 //!
 //! The builder also owns the session's observability handles
-//! ([`SessionObs`]): a [`Subscriber`] that receives this session's spans
-//! (independent of the process-global dispatch), a
-//! [`MetricsRegistry`] accumulating phase-timing histograms, and a
-//! [`RunJournal`] that checkpoints every round to a crash-safe JSONL
-//! file.
+//! ([`SessionObs`]): a [`MetricsRegistry`] accumulating phase-timing
+//! histograms and a [`RunJournal`] that checkpoints every round to a
+//! crash-safe JSONL file. Spans and events go to the process-global
+//! subscriber (`histal_obs::trace::set_subscriber`), when one is
+//! installed.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -38,13 +37,12 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use histal_obs::metrics::MetricsRegistry;
-use histal_obs::trace::Subscriber;
 use histal_obs::Journal;
 use histal_text::SparseVec;
 
 use crate::driver::{ActiveLearner, PoolConfig, RoundRecord};
 use crate::error::Error;
-use crate::lhs::LhsSelector;
+use crate::learned::LearnedSelector;
 use crate::live::{Session, SessionSnapshot, SessionStep, SNAPSHOT_VERSION};
 use crate::model::Model;
 use crate::pipeline::LabelResponse;
@@ -59,10 +57,6 @@ use crate::strategy::Strategy;
 /// fully-instrumented run selects the exact same samples as a bare one.
 #[derive(Default, Clone)]
 pub struct SessionObs {
-    /// Session-owned span/event sink. `None` falls back to the global
-    /// subscriber installed via [`histal_obs::trace::set_subscriber`]
-    /// (which is itself usually absent — the disabled path).
-    pub(crate) subscriber: Option<Arc<dyn Subscriber>>,
     /// Phase-timing histograms (`al.fit_us`, `al.eval_us`, `al.score_us`,
     /// `al.select_us`) and round counters land here when present.
     pub(crate) metrics: Option<Arc<MetricsRegistry>>,
@@ -71,10 +65,6 @@ pub struct SessionObs {
 }
 
 impl SessionObs {
-    pub(crate) fn subscriber(&self) -> Option<&Arc<dyn Subscriber>> {
-        self.subscriber.as_ref()
-    }
-
     pub(crate) fn metrics(&self) -> Option<&MetricsRegistry> {
         self.metrics.as_deref()
     }
@@ -89,8 +79,7 @@ impl SessionObs {
     /// the crash-safe journal checkpoint. Called once per completed
     /// round, when the round's ticket is fulfilled.
     pub(crate) fn publish_round(&self, record: &RoundRecord) -> Result<(), Error> {
-        histal_obs::session_event!(
-            self.subscriber(),
+        histal_obs::event!(
             histal_obs::trace::Level::Debug,
             "al.round.complete",
             round = record.round,
@@ -250,7 +239,7 @@ pub struct SessionBuilder<M: Model, Stage = NeedsPool> {
     strategy: Option<Strategy>,
     config: PoolConfig,
     seed: u64,
-    lhs: Option<LhsSelector>,
+    lhs: Option<Arc<LearnedSelector>>,
     representations: Option<Vec<SparseVec>>,
     obs: SessionObs,
     _stage: PhantomData<Stage>,
@@ -351,10 +340,11 @@ impl<M: Model> SessionBuilder<M, Ready> {
         self
     }
 
-    /// Attach a trained LHS selector; selection then ranks a candidate
-    /// set with the learned ranker instead of sorting by the history
-    /// policy.
-    pub fn lhs(mut self, lhs: LhsSelector) -> Self {
+    /// Attach a trained learned selector (LHS or LAL); selection then
+    /// ranks a candidate set with the learned ranker instead of sorting
+    /// by the history policy. The selector is shared, not copied: many
+    /// sessions can run one trained instance.
+    pub fn lhs(mut self, lhs: Arc<LearnedSelector>) -> Self {
         self.lhs = Some(lhs);
         self
     }
@@ -368,13 +358,6 @@ impl<M: Model> SessionBuilder<M, Ready> {
             "one representation per pool sample"
         );
         self.representations = Some(reps);
-        self
-    }
-
-    /// Session-owned tracing subscriber. Receives this session's spans
-    /// and events regardless of (and instead of) the global dispatch.
-    pub fn subscriber(mut self, subscriber: Arc<dyn Subscriber>) -> Self {
-        self.obs.subscriber = Some(subscriber);
         self
     }
 

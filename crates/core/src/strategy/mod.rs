@@ -10,8 +10,8 @@
 //!   Eq. 7) and MMR diversity (Eq. 8).
 //!
 //! The learned LHS selector is a separate component
-//! ([`crate::lhs::LhsSelector`]) because it ranks a candidate set rather
-//! than mapping one history to one score.
+//! ([`crate::learned::LearnedSelector`]) because it ranks a candidate set
+//! rather than mapping one history to one score.
 
 pub mod combinators;
 
@@ -156,31 +156,6 @@ impl HistoryPolicy {
                 w_score,
                 w_fluct,
             } => w_score * current + w_fluct * window_variance(seq, l),
-        }
-    }
-
-    /// [`Self::final_score`] on a borrowed, possibly-wrapped
-    /// [`HistorySeq`](crate::history::HistorySeq) — the allocation-free
-    /// fallback the scoring stage uses when rolling statistics are
-    /// disabled (e.g. a degenerate zero window). Folds the two ring
-    /// segments directly via the `histal_tseries::*_parts` kernels, in
-    /// the same floating-point order as the contiguous fold, so the
-    /// score is bit-identical to `final_score(&seq.to_vec())` without
-    /// the `to_vec`.
-    pub fn final_score_seq(&self, seq: &crate::history::HistorySeq<'_>) -> f64 {
-        let (front, back) = seq.as_slices();
-        let current = seq.last().unwrap_or(0.0);
-        match *self {
-            Self::CurrentOnly => current,
-            Self::Hus { k } => histal_tseries::uniform_sum_parts(front, back, k),
-            Self::Wshs { l } => histal_tseries::exp_weighted_sum_parts(front, back, l),
-            Self::Fhs {
-                l,
-                w_score,
-                w_fluct,
-            } => {
-                w_score * current + w_fluct * histal_tseries::window_variance_parts(front, back, l)
-            }
         }
     }
 

@@ -229,3 +229,18 @@ proptest! {
         prop_assert_eq!(&got, &expect);
     }
 }
+
+/// A zero history window has no rolling fold: building the session
+/// panics, as `with_hkld(1)` does, instead of running an all-zero fold
+/// under a `HUS(...)` label.
+#[test]
+#[should_panic(expected = "rolling window must be positive")]
+fn zero_history_window_panics_at_build() {
+    run(
+        20,
+        2,
+        2,
+        AlStrategy::new(BaseStrategy::Entropy).with_history(HistoryPolicy::Hus { k: 0 }),
+        0,
+    );
+}

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use histal_core::driver::{hkld_score, top_k};
 use histal_core::eval::{entropy_of, margin_of, SampleEval};
 use histal_core::history::HistoryStore;
-use histal_core::lhs::bucket_levels;
+use histal_core::learned::bucket_levels;
 use histal_core::metrics::PrF1;
 use histal_core::strategy::HistoryPolicy;
 use histal_core::tags::TagScheme;

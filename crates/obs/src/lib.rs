@@ -8,8 +8,8 @@
 //! Three layers, each usable on its own:
 //!
 //! * [`trace`] — a structured-tracing facade. `span!` / `event!` macros
-//!   register a static [`trace::Callsite`] per expansion and dispatch to
-//!   a pluggable [`trace::Subscriber`]. When no subscriber is installed
+//!   own a static [`trace::Metadata`] per expansion and dispatch to a
+//!   pluggable [`trace::Subscriber`]. When no subscriber is installed
 //!   the macros cost one relaxed atomic load and never evaluate their
 //!   field expressions, so instrumented hot loops stay hot.
 //! * [`metrics`] — a registry of counters, gauges, and HDR-style

@@ -3,20 +3,15 @@
 //! The design follows the `tracing` crate's architecture at a fraction of
 //! its surface:
 //!
-//! * every [`span!`](crate::span!)/[`event!`](crate::event!) expansion owns one `static` [`Callsite`]
-//!   holding the [`Metadata`] (name, target, level) — callsite identity is
-//!   the metadata address, so registration is free and repeatable;
+//! * every [`span!`](crate::span!)/[`event!`](crate::event!) expansion owns one `static`
+//!   [`Metadata`] (name, target, level) — callsite identity is the
+//!   metadata address;
 //! * a process-global [`Subscriber`] receives enter/exit/event
 //!   notifications; when none is installed the instrumentation cost is a
 //!   single relaxed atomic load (no field evaluation, no clock reads);
 //! * entered spans are tracked on a thread-local stack, so
 //!   [`current_span_id`] gives error paths and journal records a context
 //!   id without threading one through every signature.
-//!
-//! Spans can also dispatch to a *session-owned* subscriber handle (see
-//! [`Span::enter_with`]) — the `ActiveLearner` session API hands its
-//! subscriber down this path so a run can be traced without touching
-//! process-global state.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -50,7 +45,8 @@ impl Level {
     }
 }
 
-/// Static description of a callsite, shared by every firing of it.
+/// Static description of a callsite, shared by every firing of it. Each
+/// macro expansion owns one `static` instance.
 #[derive(Debug)]
 pub struct Metadata {
     /// Span/event name, e.g. `"al.round"`.
@@ -59,52 +55,6 @@ pub struct Metadata {
     pub target: &'static str,
     /// Verbosity level.
     pub level: Level,
-}
-
-/// A `static` per-expansion registration cell: metadata plus a
-/// once-latch so the global callsite inventory records each site exactly
-/// once, however hot the loop around it.
-pub struct Callsite {
-    /// The callsite's static metadata.
-    pub meta: Metadata,
-    registered: AtomicBool,
-}
-
-impl Callsite {
-    /// Const constructor used by the macros.
-    pub const fn new(name: &'static str, target: &'static str, level: Level) -> Callsite {
-        Callsite {
-            meta: Metadata {
-                name,
-                target,
-                level,
-            },
-            registered: AtomicBool::new(false),
-        }
-    }
-
-    /// Record this callsite in the global inventory (idempotent).
-    pub fn register(&'static self) {
-        if !self.registered.swap(true, Ordering::Relaxed) {
-            registry().lock().unwrap().push(self);
-        }
-    }
-}
-
-fn registry() -> &'static Mutex<Vec<&'static Callsite>> {
-    static REGISTRY: Mutex<Vec<&'static Callsite>> = Mutex::new(Vec::new());
-    &REGISTRY
-}
-
-/// Names and levels of every callsite the process has passed through so
-/// far, in first-firing order. Diagnostic; the set grows monotonically.
-pub fn callsites() -> Vec<(&'static str, Level)> {
-    registry()
-        .lock()
-        .unwrap()
-        .iter()
-        .map(|c| (c.meta.name, c.meta.level))
-        .collect()
 }
 
 /// A field value attached to a span or event.
@@ -319,41 +269,22 @@ impl Span {
     }
 
     /// Enter a span dispatching to the global subscriber.
-    pub fn enter(callsite: &'static Callsite, fields: &[Field]) -> Span {
-        match current_subscriber() {
-            Some(sub) => Span::enter_on(sub, callsite, fields),
-            None => Span::disabled(),
-        }
-    }
-
-    /// Enter a span on a session-owned subscriber if one is given, else
-    /// fall back to the global dispatch. This is the construction path the
-    /// `SessionBuilder` hands its handle down.
-    pub fn enter_with(
-        session: Option<&Arc<dyn Subscriber>>,
-        callsite: &'static Callsite,
-        fields: &[Field],
-    ) -> Span {
-        match session {
-            Some(sub) => Span::enter_on(Arc::clone(sub), callsite, fields),
-            None => Span::enter(callsite, fields),
-        }
-    }
-
-    fn enter_on(sub: Arc<dyn Subscriber>, callsite: &'static Callsite, fields: &[Field]) -> Span {
-        callsite.register();
-        if !sub.enabled(&callsite.meta) {
+    pub fn enter(meta: &'static Metadata, fields: &[Field]) -> Span {
+        let Some(sub) = current_subscriber() else {
+            return Span::disabled();
+        };
+        if !sub.enabled(meta) {
             return Span::disabled();
         }
         let id = next_span_id();
         let parent = current_span_id();
-        sub.span_enter(id, parent, &callsite.meta, fields);
+        sub.span_enter(id, parent, meta, fields);
         SPAN_STACK.with(|s| s.borrow_mut().push(id));
         Span {
             live: Some(LiveSpan {
                 sub,
                 id,
-                meta: &callsite.meta,
+                meta,
                 start: Instant::now(),
             }),
         }
@@ -375,29 +306,12 @@ impl Drop for Span {
     }
 }
 
-/// Fire a point event at `callsite` through the global dispatch.
-pub fn fire_event(callsite: &'static Callsite, fields: &[Field]) {
+/// Fire a point event at `meta` through the global dispatch.
+pub fn fire_event(meta: &'static Metadata, fields: &[Field]) {
     if let Some(sub) = current_subscriber() {
-        fire_event_on(&sub, callsite, fields);
-    }
-}
-
-/// Fire a point event on a session subscriber, falling back to global.
-pub fn fire_event_with(
-    session: Option<&Arc<dyn Subscriber>>,
-    callsite: &'static Callsite,
-    fields: &[Field],
-) {
-    match session {
-        Some(sub) => fire_event_on(sub, callsite, fields),
-        None => fire_event(callsite, fields),
-    }
-}
-
-fn fire_event_on(sub: &Arc<dyn Subscriber>, callsite: &'static Callsite, fields: &[Field]) {
-    callsite.register();
-    if sub.enabled(&callsite.meta) {
-        sub.event(current_span_id(), &callsite.meta, fields);
+        if sub.enabled(meta) {
+            sub.event(current_span_id(), meta, fields);
+        }
     }
 }
 
@@ -408,11 +322,14 @@ fn fire_event_on(sub: &Arc<dyn Subscriber>, callsite: &'static Callsite, fields:
 #[macro_export]
 macro_rules! span {
     ($lvl:expr, $name:expr $(, $k:ident = $v:expr)* $(,)?) => {{
-        static __CALLSITE: $crate::trace::Callsite =
-            $crate::trace::Callsite::new($name, module_path!(), $lvl);
+        static __META: $crate::trace::Metadata = $crate::trace::Metadata {
+            name: $name,
+            target: module_path!(),
+            level: $lvl,
+        };
         if $crate::trace::dispatch_active() {
             $crate::trace::Span::enter(
-                &__CALLSITE,
+                &__META,
                 &[$((stringify!($k), $crate::trace::FieldValue::from($v))),*],
             )
         } else {
@@ -427,55 +344,14 @@ macro_rules! span {
 #[macro_export]
 macro_rules! event {
     ($lvl:expr, $name:expr $(, $k:ident = $v:expr)* $(,)?) => {{
-        static __CALLSITE: $crate::trace::Callsite =
-            $crate::trace::Callsite::new($name, module_path!(), $lvl);
+        static __META: $crate::trace::Metadata = $crate::trace::Metadata {
+            name: $name,
+            target: module_path!(),
+            level: $lvl,
+        };
         if $crate::trace::dispatch_active() {
             $crate::trace::fire_event(
-                &__CALLSITE,
-                &[$((stringify!($k), $crate::trace::FieldValue::from($v))),*],
-            );
-        }
-    }};
-}
-
-/// Session-scoped variant of [`span!`](crate::span!): the first argument is an
-/// `Option<&Arc<dyn Subscriber>>` owned by the calling session (e.g. the
-/// handle a `SessionBuilder` threaded in). A `Some` handle dispatches to
-/// it directly; `None` falls back to the global subscriber, keeping the
-/// one-atomic-load disabled path.
-#[macro_export]
-macro_rules! session_span {
-    ($sess:expr, $lvl:expr, $name:expr $(, $k:ident = $v:expr)* $(,)?) => {{
-        static __CALLSITE: $crate::trace::Callsite =
-            $crate::trace::Callsite::new($name, module_path!(), $lvl);
-        let __session: ::core::option::Option<
-            &::std::sync::Arc<dyn $crate::trace::Subscriber>,
-        > = $sess;
-        if __session.is_some() || $crate::trace::dispatch_active() {
-            $crate::trace::Span::enter_with(
-                __session,
-                &__CALLSITE,
-                &[$((stringify!($k), $crate::trace::FieldValue::from($v))),*],
-            )
-        } else {
-            $crate::trace::Span::disabled()
-        }
-    }};
-}
-
-/// Session-scoped variant of [`event!`](crate::event!); see [`session_span!`].
-#[macro_export]
-macro_rules! session_event {
-    ($sess:expr, $lvl:expr, $name:expr $(, $k:ident = $v:expr)* $(,)?) => {{
-        static __CALLSITE: $crate::trace::Callsite =
-            $crate::trace::Callsite::new($name, module_path!(), $lvl);
-        let __session: ::core::option::Option<
-            &::std::sync::Arc<dyn $crate::trace::Subscriber>,
-        > = $sess;
-        if __session.is_some() || $crate::trace::dispatch_active() {
-            $crate::trace::fire_event_with(
-                __session,
-                &__CALLSITE,
+                &__META,
                 &[$((stringify!($k), $crate::trace::FieldValue::from($v))),*],
             );
         }
@@ -717,35 +593,6 @@ mod tests {
         assert_eq!(first.count("t.after"), 1);
         drop(guard_a);
         assert!(!dispatch_active());
-    }
-
-    #[test]
-    fn session_handle_bypasses_global() {
-        let _l = TEST_LOCK.lock().unwrap();
-        static CS: Callsite = Callsite::new("t.session", "tests", Level::Info);
-        let sub: Arc<dyn Subscriber> = Arc::new(CollectingSubscriber::new());
-        {
-            let s = Span::enter_with(Some(&sub), &CS, &[]);
-            assert!(s.is_enabled());
-        }
-        fire_event_with(Some(&sub), &CS, &[("k", FieldValue::U64(7))]);
-        let collecting = callsites();
-        assert!(collecting.iter().any(|(n, _)| *n == "t.session"));
-    }
-
-    #[test]
-    fn callsites_registered_once() {
-        let _l = TEST_LOCK.lock().unwrap();
-        let sub = Arc::new(CollectingSubscriber::new());
-        let _guard = subscriber_scope(sub);
-        for _ in 0..3 {
-            event!(Level::Info, "t.registered_once");
-        }
-        let names: Vec<_> = callsites()
-            .into_iter()
-            .filter(|(n, _)| *n == "t.registered_once")
-            .collect();
-        assert_eq!(names.len(), 1);
     }
 
     #[test]

@@ -222,6 +222,24 @@ fn external_oracle_lifecycle_over_http() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Strategies the registry rejects — a one-member HKLD committee, a zero
+/// history window — are a 400 at session creation, never a panicked
+/// handler's 500.
+#[test]
+fn degenerate_strategies_are_a_400() {
+    let dir = tmp_dir("degenerate");
+    let (addr, handle) = spawn_server(&dir, 2);
+    for strategy in ["HKLD{k=1}(entropy)", "HUS{k=0}(entropy)"] {
+        let mut config = tiny_config("acme", "external", 7);
+        config.strategy = strategy.into();
+        let config = serde_json::to_string(&config).unwrap();
+        let (status, body) = http_request(addr, "POST", "/sessions", Some(&config)).unwrap();
+        assert_eq!(status, 400, "{strategy}: {body}");
+    }
+    shutdown(addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Kill -9 at an arbitrary journal offset, restart, and the session
 /// resumes byte-identically: the reopened snapshot equals the snapshot
 /// the live session had after exactly the chunks that survived in the

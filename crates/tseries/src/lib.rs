@@ -15,7 +15,6 @@
 #![forbid(unsafe_code)]
 
 pub mod ar;
-pub mod holt;
 pub mod lstm;
 pub mod rolling;
 pub mod stats;
@@ -23,15 +22,11 @@ pub mod trend;
 pub mod window;
 
 pub use ar::ArPredictor;
-pub use holt::HoltPredictor;
 pub use lstm::{LstmConfig, LstmPredictor};
 pub use rolling::RollingStats;
-pub use stats::{autocorrelation, mean, variance, window_variance, window_variance_parts};
+pub use stats::{autocorrelation, mean, variance, window_variance};
 pub use trend::{mann_kendall, MannKendall, Trend};
-pub use window::{
-    exp_weighted_sum, exp_weighted_sum_parts, exp_weights, last_window, last_window_parts,
-    uniform_sum, uniform_sum_parts,
-};
+pub use window::{exp_weighted_sum, exp_weights, last_window, uniform_sum};
 
 /// A next-score predictor over historical evaluation sequences.
 ///

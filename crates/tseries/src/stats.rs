@@ -29,24 +29,6 @@ pub fn window_variance(seq: &[f64], l: usize) -> f64 {
     variance(crate::window::last_window(seq, l))
 }
 
-/// [`window_variance`] over the split sequence `front ++ back` (the two
-/// halves of a wrapped ring buffer). Sums left-to-right in both passes
-/// (mean, then squared deviations) exactly like the contiguous fold, so
-/// the result is bit-identical to `window_variance(&concat, l)`.
-pub fn window_variance_parts(front: &[f64], back: &[f64], l: usize) -> f64 {
-    let (f, b) = crate::window::last_window_parts(front, back, l);
-    let n = f.len() + b.len();
-    if n < 2 {
-        return 0.0;
-    }
-    let m = f.iter().chain(b.iter()).sum::<f64>() / n as f64;
-    f.iter()
-        .chain(b.iter())
-        .map(|&x| (x - m) * (x - m))
-        .sum::<f64>()
-        / n as f64
-}
-
 /// Lag-`k` autocorrelation of a sequence, in `[-1, 1]`; 0 for sequences
 /// too short or with zero variance. Distinguishes *oscillating* histories
 /// (negative lag-1 ACF — a sample bouncing across the boundary) from

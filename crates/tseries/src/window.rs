@@ -49,45 +49,6 @@ pub fn uniform_sum(seq: &[f64], l: usize) -> f64 {
     last_window(seq, l).iter().sum()
 }
 
-/// The last `min(l, |front| + |back|)` elements of the logical sequence
-/// `front ++ back`, still as two slices — the split view a ring-buffered
-/// history hands out without materializing the concatenation.
-pub fn last_window_parts<'a>(
-    front: &'a [f64],
-    back: &'a [f64],
-    l: usize,
-) -> (&'a [f64], &'a [f64]) {
-    let total = front.len() + back.len();
-    let start = total.saturating_sub(l);
-    if start >= front.len() {
-        (&[], &back[start - front.len()..])
-    } else {
-        (&front[start..], back)
-    }
-}
-
-/// [`exp_weighted_sum`] over the split sequence `front ++ back`.
-/// Accumulates newest → oldest exactly like the contiguous fold, so the
-/// result is bit-identical to `exp_weighted_sum(&concat, l)` — pinned by
-/// proptest in `tests/rolling_props.rs`.
-pub fn exp_weighted_sum_parts(front: &[f64], back: &[f64], l: usize) -> f64 {
-    let (f, b) = last_window_parts(front, back, l);
-    let mut acc = 0.0;
-    let mut weight = 1.0;
-    for &v in b.iter().rev().chain(f.iter().rev()) {
-        acc += weight * v;
-        weight *= 0.5;
-    }
-    acc
-}
-
-/// [`uniform_sum`] over the split sequence `front ++ back`; bit-identical
-/// to the contiguous fold (same left-to-right addition order).
-pub fn uniform_sum_parts(front: &[f64], back: &[f64], l: usize) -> f64 {
-    let (f, b) = last_window_parts(front, back, l);
-    f.iter().chain(b.iter()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

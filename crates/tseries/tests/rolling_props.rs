@@ -6,10 +6,7 @@
 
 use proptest::prelude::*;
 
-use histal_tseries::{
-    exp_weighted_sum, exp_weighted_sum_parts, uniform_sum, uniform_sum_parts, window_variance,
-    window_variance_parts, RollingStats,
-};
+use histal_tseries::{exp_weighted_sum, uniform_sum, window_variance, RollingStats};
 
 /// Drive the rolling tracker alongside an explicit sequence, as the
 /// history store does: the evictee is the value `window` positions back,
@@ -81,36 +78,6 @@ proptest! {
                 "variance: rolling {} vs scratch {}", stats.variance(), oracle
             );
         });
-    }
-
-    /// The two-slice `_parts` folds are **bit-identical** to the
-    /// contiguous folds at every possible split point — not merely
-    /// close: the zero-copy ring-buffer scoring path must reproduce the
-    /// exact summation order of the contiguous path, so `==` on the
-    /// f64 bits is the contract.
-    #[test]
-    fn parts_folds_bitwise_match_contiguous(
-        values in prop::collection::vec(-5.0f64..5.0, 0..40),
-        window in 1usize..9,
-    ) {
-        for split in 0..=values.len() {
-            let (front, back) = values.split_at(split);
-            assert_eq!(
-                uniform_sum_parts(front, back, window).to_bits(),
-                uniform_sum(&values, window).to_bits(),
-                "uniform_sum split at {split}"
-            );
-            assert_eq!(
-                exp_weighted_sum_parts(front, back, window).to_bits(),
-                exp_weighted_sum(&values, window).to_bits(),
-                "exp_weighted_sum split at {split}"
-            );
-            assert_eq!(
-                window_variance_parts(front, back, window).to_bits(),
-                window_variance(&values, window).to_bits(),
-                "window_variance split at {split}"
-            );
-        }
     }
 
     /// `current` and `len` mirror the driven sequence exactly.

@@ -12,8 +12,10 @@
 //! cargo run --release --example lhs_transfer
 //! ```
 
+use std::sync::Arc;
+
 use histal::prelude::*;
-use histal_core::lhs::{PredictorKind, RankerKind};
+use histal_core::learned::{PredictorKind, RankerKind};
 use histal_data::train_test_split;
 
 fn build_task(
@@ -53,7 +55,7 @@ fn main() {
     let (subj_pool, subj_labels, subj_test, subj_test_labels) =
         build_task(&TextSpec::subj(), 1_200, 5);
     println!("training LHS ranker on Subj analogue (Algorithm 1)…");
-    let trainer = LhsTrainerConfig {
+    let trainer = LearnedTrainerConfig {
         base: BaseStrategy::Entropy,
         rounds: 6,
         candidates_per_round: 16,
@@ -67,8 +69,9 @@ fn main() {
         predictor: PredictorKind::Lstm(histal::tseries::LstmConfig::default()),
         ranker: RankerKind::LambdaMart(Default::default()),
         selector_candidate_pool: 75,
+        ..Default::default()
     };
-    let selector = train_lhs(
+    let selector = train_learned(
         &model(),
         &subj_pool,
         &subj_labels,
@@ -80,7 +83,7 @@ fn main() {
     .expect("Algorithm 1 training");
     println!(
         "ranker trained ({} features per candidate)",
-        selector.feature_config().width()
+        selector.features.width()
     );
 
     // ---- Phase 2: deploy on the MR analogue. ----
@@ -109,7 +112,7 @@ fn main() {
         .strategy(Strategy::new(BaseStrategy::Entropy))
         .config(config)
         .seed(21)
-        .lhs(selector)
+        .lhs(Arc::new(selector))
         .build();
     let lhs_run = lhs.run().expect("LHS run");
 

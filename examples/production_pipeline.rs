@@ -13,8 +13,10 @@
 //! cargo run --release --example production_pipeline
 //! ```
 
+use std::sync::Arc;
+
 use histal::prelude::*;
-use histal_core::lhs::{load_artifacts, save_artifacts, train_lhs_artifacts, ArtifactProvenance};
+use histal_core::learned::{load_artifacts, save_artifacts, ArtifactProvenance};
 use histal_core::stats::compare_curves;
 use histal_core::stopping::StoppingRule;
 use histal_data::train_test_split;
@@ -57,13 +59,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- 1. Train the selector offline and persist it. ----
     println!("[1/3] training LHS selector on the labeled source corpus…");
     let (src_pool, src_labels, src_test, src_test_labels) = build(&TextSpec::subj(), 1_000, 3);
-    let artifacts = train_lhs_artifacts(
+    let selector = train_learned(
         &model(),
         &src_pool,
         &src_labels,
         &src_test,
         &src_test_labels,
-        &LhsTrainerConfig {
+        &LearnedTrainerConfig {
             rounds: 5,
             candidates_per_round: 14,
             ..Default::default()
@@ -76,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         target: "pairwise".to_string(),
         seed: 7,
     };
-    save_artifacts(&artifacts, &provenance, &artifacts_path)?;
+    save_artifacts(&selector, &provenance, &artifacts_path)?;
     println!("      artifacts saved to {}", artifacts_path.display());
 
     // ---- 2. Run the campaign with budget + plateau stopping. ----
@@ -99,7 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ann: None,
         })
         .seed(11)
-        .lhs(restored.into_selector())
+        .lhs(Arc::new(restored))
         .build();
     let (campaign, reason) = learner.run_until(&rule)?;
     println!(

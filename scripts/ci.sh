@@ -83,24 +83,6 @@ echo "    every spec-backed command takes --journal) resumes byte-identically"
     diff table6-first.out table6-second.out
 )
 
-echo "==> spec-check on hostile specs: bad priors, an out-of-range noise rate"
-echo "    and a zero batch size exit 1 with ERR lines, never a panic (101)"
-(
-    cd "$SMOKE_DIR"
-    mkdir -p hostile
-    hostile() { # name dataset pool
-        printf '{"name": "%s", "datasets": ["%s"], "groups": [{"strategies": ["entropy"]}], "pool": %s}\n' \
-            "$1" "$2" "$3" > "hostile/$1.json"
-    }
-    hostile priors 'mr?priors=0.9/0.3' '{}'
-    hostile noise 'mr?noise=1.5' '{}'
-    hostile batch mr '{"batch_size": 0}'
-    status=0
-    "$BIN" spec-check hostile > hostile.out 2> /dev/null || status=$?
-    test "$status" -eq 1
-    test "$(grep -c '^ERR ' hostile.out)" -eq 3
-)
-
 echo "==> spec smoke: run --spec specs/fig5.json matches the fig5 golden"
 (
     cd "$SMOKE_DIR"

@@ -35,7 +35,9 @@ pub mod prelude {
         area_under_curve, deficiency, format_cost, samples_to_target, selection_stats,
     };
     pub use histal_core::driver::{ActiveLearner, PoolConfig, RunResult};
-    pub use histal_core::lhs::{train_lhs, LhsFeatureConfig, LhsSelector, LhsTrainerConfig};
+    pub use histal_core::learned::{
+        train_learned, LearnedSelector, LearnedTrainerConfig, LhsFeatureConfig,
+    };
     pub use histal_core::stats::{compare_curves, paired_bootstrap, wilcoxon_signed_rank};
     pub use histal_core::stopping::{StopReason, StoppingRule};
     pub use histal_core::strategy::{BaseStrategy, HistoryPolicy, Strategy};

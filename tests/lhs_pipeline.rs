@@ -5,12 +5,14 @@
 mod common;
 
 use common::tiny_text_task;
+use std::sync::Arc;
+
 use histal::prelude::*;
-use histal_core::lhs::{PredictorKind, RankerKind};
+use histal_core::learned::{PredictorKind, RankerKind};
 use histal_ltr::LambdaMartConfig;
 
-fn quick_trainer_config() -> LhsTrainerConfig {
-    LhsTrainerConfig {
+fn quick_trainer_config() -> LearnedTrainerConfig {
+    LearnedTrainerConfig {
         base: BaseStrategy::Entropy,
         rounds: 4,
         candidates_per_round: 10,
@@ -27,6 +29,7 @@ fn quick_trainer_config() -> LhsTrainerConfig {
             ..Default::default()
         }),
         selector_candidate_pool: 40,
+        ..Default::default()
     }
 }
 
@@ -43,7 +46,7 @@ fn trainer_model(n_classes: usize) -> TextClassifier {
 fn train_lhs_and_select_on_fresh_dataset() {
     // "Subj" role: ranker training source.
     let subj = tiny_text_task(2, 300, 41);
-    let selector = train_lhs(
+    let selector = train_learned(
         &trainer_model(2),
         &subj.pool_docs,
         &subj.pool_labels,
@@ -69,7 +72,7 @@ fn train_lhs_and_select_on_fresh_dataset() {
             ann: None,
         })
         .seed(3)
-        .lhs(selector)
+        .lhs(Arc::new(selector))
         .build();
     let result = learner.run().expect("LHS run succeeds");
     assert_eq!(result.strategy_name, "LHS(entropy)");
@@ -96,7 +99,7 @@ fn lhs_with_lstm_predictor_and_linear_ranker() {
         ..Default::default()
     });
     cfg.ranker = RankerKind::Linear(Default::default());
-    let selector = train_lhs(
+    let selector = train_learned(
         &trainer_model(2),
         &subj.pool_docs,
         &subj.pool_labels,
@@ -106,14 +109,14 @@ fn lhs_with_lstm_predictor_and_linear_ranker() {
         11,
     )
     .expect("LHS trains with LSTM + linear ranker");
-    assert_eq!(selector.feature_config().window, 3);
+    assert_eq!(selector.features.window, 3);
 }
 
 #[test]
 fn lhs_training_is_deterministic() {
     let subj = tiny_text_task(2, 200, 44);
     let run = |seed| {
-        let selector = train_lhs(
+        let selector = train_learned(
             &trainer_model(2),
             &subj.pool_docs,
             &subj.pool_labels,
@@ -137,7 +140,7 @@ fn lhs_training_is_deterministic() {
                 ann: None,
             })
             .seed(5)
-            .lhs(selector)
+            .lhs(Arc::new(selector))
             .build();
         learner.run().unwrap()
     };
@@ -150,10 +153,8 @@ fn lhs_training_is_deterministic() {
 
 #[test]
 fn artifacts_round_trip_through_json() {
-    use histal_core::lhs::{train_lhs_artifacts, LhsArtifacts};
-
     let subj = tiny_text_task(2, 200, 47);
-    let artifacts = train_lhs_artifacts(
+    let selector = train_learned(
         &trainer_model(2),
         &subj.pool_docs,
         &subj.pool_labels,
@@ -164,8 +165,8 @@ fn artifacts_round_trip_through_json() {
     )
     .expect("training succeeds");
 
-    let json = serde_json::to_string(&artifacts).expect("artifacts serialize");
-    let restored: LhsArtifacts = serde_json::from_str(&json).expect("artifacts deserialize");
+    let json = serde_json::to_string(&selector).expect("selector serializes");
+    let restored: LearnedSelector = serde_json::from_str(&json).expect("selector deserializes");
 
     // Deploying the original and the round-tripped selector must produce
     // identical selections.
@@ -188,8 +189,8 @@ fn artifacts_round_trip_through_json() {
             .build();
         learner.run().unwrap()
     };
-    let a = run(artifacts.clone().into_selector());
-    let b = run(restored.into_selector());
+    let a = run(Arc::new(selector));
+    let b = run(Arc::new(restored));
     for (ra, rb) in a.rounds.iter().zip(&b.rounds) {
         assert_eq!(ra.selected, rb.selected);
     }
@@ -243,7 +244,7 @@ fn ablated_feature_configs_train() {
         let mut cfg = quick_trainer_config();
         cfg.rounds = 3;
         cfg.features = features;
-        let r = train_lhs(
+        let r = train_learned(
             &trainer_model(2),
             &subj.pool_docs,
             &subj.pool_labels,
