@@ -4,7 +4,9 @@
 //! change to model training, evaluation or selection that moves a single
 //! low bit of a trained weight shows up here. The learned-selector pin
 //! hashes the `HLRN1` bytes two tiny selector trainings write, so the
-//! trainer and the artifact layout are pinned the same way.
+//! trainer and the artifact layout are pinned the same way. The
+//! diversity pins cover density weighting (Eq. 7), MMR (Eq. 8) and
+//! k-center, which read the pool geometry instead of the plain scores.
 
 mod common;
 
@@ -15,7 +17,9 @@ use histal_core::learned::{
     save_artifacts, train_learned, ArtifactProvenance, LearnedTrainerConfig, PredictorKind,
     RankerKind, TargetKind,
 };
+use histal_core::strategy::{DensityConfig, MmrConfig};
 use histal_ltr::LambdaMartConfig;
+use histal_text::{AnnConfig, SparseVec};
 
 fn fnv(h: &mut u64, bytes: &[u8]) {
     for &byte in bytes {
@@ -66,6 +70,51 @@ fn lc_ner_run_hash(score_beam: Option<f64>, n: usize, seed: u64) -> u64 {
     run_hash(&learner.run().expect("LC needs no extra capability"))
 }
 
+/// Entropy plus one diversity combinator on one tiny binary text task,
+/// with the pool's document vectors as representations; `ann` switches
+/// the similarity sweeps to the LSH candidate path.
+fn diversity_run_hash(strategy: Strategy, ann: Option<AnnConfig>, seed: u64) -> u64 {
+    let task = tiny_text_task(2, 300, 71);
+    let reps: Vec<SparseVec> = task.pool_docs.iter().map(|d| d.features.clone()).collect();
+    let model = TextClassifier::new(TextClassifierConfig {
+        n_classes: 2,
+        n_features: 1 << 14,
+        epochs: 4,
+        ..Default::default()
+    });
+    let mut learner = ActiveLearner::builder(model)
+        .pool(task.pool_docs, task.pool_labels)
+        .test(task.test_docs, task.test_labels)
+        .strategy(strategy)
+        .config(PoolConfig {
+            batch_size: 12,
+            rounds: 4,
+            init_labeled: 12,
+            history_max_len: None,
+            record_history: true,
+            ann,
+        })
+        .seed(seed)
+        .representations(reps)
+        .build();
+    run_hash(&learner.run().expect("entropy needs no extra capability"))
+}
+
+fn density() -> Strategy {
+    Strategy::new(BaseStrategy::Entropy).with_density(DensityConfig {
+        sample_size: 64,
+        beta: 1.0,
+    })
+}
+
+fn mmr() -> Strategy {
+    Strategy::new(BaseStrategy::Entropy).with_mmr(MmrConfig { lambda: 0.5 })
+}
+
+fn kcenter() -> Strategy {
+    Strategy::new(BaseStrategy::Entropy).with_kcenter()
+}
+
 fn run_hash(result: &RunResult) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for point in &result.curve {
@@ -104,6 +153,35 @@ fn exact_ner_lc_run_bits_are_pinned() {
 fn beamed_ner_lc_run_bits_are_pinned() {
     let h = lc_ner_run_hash(Some(8.0), 150, 41);
     assert_eq!(h, 0x94a9_837a_8b6f_1441, "pinned hash {h:#018x}");
+}
+
+#[test]
+fn density_run_bits_are_pinned() {
+    let h = diversity_run_hash(density(), None, 71);
+    assert_eq!(h, 0x496e_8115_3fec_98ab, "pinned hash {h:#018x}");
+}
+
+#[test]
+fn mmr_run_bits_are_pinned() {
+    let h = diversity_run_hash(mmr(), None, 72);
+    assert_eq!(h, 0x654a_cd7a_1f8f_4dce, "pinned hash {h:#018x}");
+}
+
+#[test]
+fn kcenter_run_bits_are_pinned() {
+    let h = diversity_run_hash(kcenter(), None, 73);
+    assert_eq!(h, 0x7387_eae9_c3f3_ec6e, "pinned hash {h:#018x}");
+}
+
+#[test]
+fn ann_mmr_run_bits_are_pinned() {
+    let ann = AnnConfig {
+        tables: 4,
+        bits: 0,
+        probes: 1,
+    };
+    let h = diversity_run_hash(mmr(), Some(ann), 74);
+    assert_eq!(h, 0xa864_e922_d107_d001, "pinned hash {h:#018x}");
 }
 
 /// Train a selector on a tiny text task and hash the `HLRN1` file
