@@ -267,16 +267,11 @@ fn main() {
 }
 
 /// Execute one spec file, routing on its `kind`: transfer specs run as
-/// train×apply matrices, experiment specs as ordinary grids. Pool-scaling
-/// grids only run inside `bench`.
+/// train×apply matrices, experiment specs as ordinary grids.
 fn run_spec_file(path: &str, scale: &Scale, journal: Option<&JournalCtx>) -> Result<(), Error> {
     let body = std::fs::read_to_string(path)
         .map_err(|e| Error::spec(format!("cannot read spec {path}: {e}")))?;
     match SpecFile::from_json(&body).map_err(|e| Error::spec(format!("{path}: {e}")))? {
-        SpecFile::PoolScaling(_) => Err(Error::spec(format!(
-            "{path}: pool-scaling specs are not experiment grids — they run inside \
-             `histal-experiments bench`"
-        ))),
         SpecFile::Transfer(spec) => run_transfer(&spec, scale, journal).map(|_| ()),
         SpecFile::Experiment(spec) => run_spec(&spec, scale, journal).map(|_| ()),
     }

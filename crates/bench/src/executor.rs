@@ -362,7 +362,6 @@ impl<'a> GridExecutor<'a> {
             Some("nb") => TextModel::NaiveBayes,
             _ => TextModel::LogReg,
         };
-        let representations = spec.pool.as_ref().is_some_and(|p| p.representations);
 
         // Datasets → built tasks with per-kind pool configs.
         let mut instances: Vec<TaskInstance> = Vec::new();
@@ -408,13 +407,6 @@ impl<'a> GridExecutor<'a> {
                 let lhs = match &r.lhs {
                     None => None,
                     Some(plan) => {
-                        if representations {
-                            return Err(Error::spec(format!(
-                                "strategy `{}`: LHS selectors cannot be combined with \
-                                 `pool.representations`",
-                                entry.strategy
-                            )));
-                        }
                         let key = plan.cache_key();
                         let idx = match selector_keys.iter().position(|k| *k == key) {
                             Some(i) => i,
@@ -474,7 +466,6 @@ impl<'a> GridExecutor<'a> {
             scale: self.scale,
             journal: self.journal,
             model,
-            representations,
             instances,
             selectors,
             cells,

@@ -88,17 +88,11 @@ pub fn agnostic(scale: &Scale) -> Result<(), Error> {
 /// averaged curves, ALC, and a Wilcoxon significance verdict — the
 /// harness's user-facing utility command. Tokens go through the full
 /// registry grammar, so wrapper parameters, `LHS(...)` (trained on the
-/// fly) and diversity suffixes all work here: the grid attaches
-/// representations when either token needs them.
+/// fly) and diversity suffixes all work here, in either position: a
+/// diversity cell reads the task's shared pool geometry.
 pub fn compare(scale: &Scale, token_a: &str, token_b: &str) -> Result<(), Error> {
     use histal_core::stats::wilcoxon_signed_rank;
 
-    let mut representations = false;
-    for token in [token_a, token_b] {
-        representations |= registry::parse_strategy(token)?
-            .strategy
-            .needs_representations();
-    }
     let spec = ExperimentSpec {
         name: "compare".into(),
         experiment: "cmp".into(),
@@ -106,10 +100,6 @@ pub fn compare(scale: &Scale, token_a: &str, token_b: &str) -> Result<(), Error>
         datasets: vec![DatasetEntry::new("mr")],
         groups: vec![group(&[token_a, token_b])],
         scale: Some(repeats_at_least_3(scale)),
-        pool: representations.then(|| PoolSpec {
-            representations: true,
-            ..Default::default()
-        }),
         ..Default::default()
     };
     let outcome = GridExecutor::new(&spec, scale).execute()?;
@@ -550,10 +540,6 @@ fn bench_grid_specs(check: bool) -> Vec<ExperimentSpec> {
             split_seed: 0xBE,
             datasets: vec![DatasetEntry::new("mr")],
             groups: vec![group(&["WSHS(entropy)+density+mmr"])],
-            pool: Some(PoolSpec {
-                representations: true,
-                ..Default::default()
-            }),
             ..Default::default()
         },
     ];
@@ -617,13 +603,10 @@ pub fn bench(scale: &Scale, check: bool) -> Result<(), Error> {
 
     if !check {
         // The pool-scaling grid (selection-only wall clocks at 10k/100k/1M
-        // rows, exact vs LSH) rides along in the same
-        // artifact; its own spec format is documented in `scaling`.
-        eprintln!("# BENCH: pool-scaling grid (specs/bench-pool-scaling.json)");
-        let scaling_spec = crate::scaling::PoolScalingSpec::from_json(include_str!(
-            "../../../specs/bench-pool-scaling.json"
-        ))?;
-        cells.extend(crate::scaling::run_pool_scaling(&scaling_spec, None)?);
+        // rows, exact vs LSH) rides along in the same artifact; its fixed
+        // settings live in `scaling`.
+        eprintln!("# BENCH: pool-scaling grid");
+        cells.extend(crate::scaling::run_pool_scaling(&crate::scaling::SIZES));
     }
 
     if check {
@@ -659,7 +642,7 @@ pub fn bench(scale: &Scale, check: bool) -> Result<(), Error> {
         sharded_metrics_gate(scale)?;
         grid_perf_gate()?;
         adaptive_gate()?;
-        pool_scaling_gate()?;
+        pool_scaling_gate();
         sessions_throughput_gate()?;
         selector_train_gate()?;
         println!("bench --check OK ({} cells)", cells.len());
@@ -1042,41 +1025,35 @@ fn adaptive_gate() -> Result<(), Error> {
     Ok(())
 }
 
-/// `bench --check` gate: pool-scaling smoke. Runs the committed scaling
-/// grid at its smallest size only (10k rows — seconds, not minutes) and
-/// requires the LSH-indexed path to beat the exact path outright for
-/// every combinator that ran both ways. A same-order ANN path means the
-/// index is not pruning candidates and the scaling story is broken.
-fn pool_scaling_gate() -> Result<(), Error> {
-    let spec = crate::scaling::PoolScalingSpec::from_json(include_str!(
-        "../../../specs/bench-pool-scaling.json"
-    ))?;
-    let cap = spec.sizes.first().copied();
-    let cells = crate::scaling::run_pool_scaling(&spec, cap)?;
+/// `bench --check` gate: pool-scaling smoke. Runs the scaling grid at
+/// its smallest size only (10k rows — seconds, not minutes) and requires
+/// the LSH-indexed path to beat the exact path outright for every
+/// combinator. A same-order ANN path means the index is not pruning
+/// candidates and the scaling story is broken.
+fn pool_scaling_gate() {
+    use crate::scaling::{run_pool_scaling, SIZES, STRATEGIES};
+
+    let rows = SIZES[0];
+    let cells = run_pool_scaling(&[rows]);
     let wall = |strategy: &str, mode: &str| {
         cells
             .iter()
             .find(|c| c.strategy == format!("{strategy}/{mode}"))
             .map(|c| c.wall_ms)
+            .expect("both paths run at the smallest size")
     };
-    let mut compared = 0;
-    for strategy in &spec.strategies {
-        if let (Some(exact), Some(ann)) = (wall(strategy, "exact"), wall(strategy, "ann")) {
-            assert!(
-                ann < exact,
-                "pool scaling gate: {strategy} ann {ann:.1} ms not faster than exact {exact:.1} ms \
-                 at {} rows",
-                cap.unwrap_or(0)
-            );
-            compared += 1;
-        }
+    for strategy in STRATEGIES {
+        let (exact, ann) = (wall(strategy, "exact"), wall(strategy, "ann"));
+        assert!(
+            ann < exact,
+            "pool scaling gate: {strategy} ann {ann:.1} ms not faster than exact {exact:.1} ms \
+             at {rows} rows"
+        );
     }
-    assert!(
-        compared > 0,
-        "pool scaling gate compared no exact/ann pairs"
+    eprintln!(
+        "  pool scaling gate: ann beat exact on {} combinator(s)",
+        STRATEGIES.len()
     );
-    eprintln!("  pool scaling gate: ann beat exact on {compared} combinator(s)");
-    Ok(())
 }
 
 /// `bench --check` gate: the interactive [`Session`] form of the

@@ -15,7 +15,7 @@ pub mod journal;
 pub mod plot;
 pub mod registry;
 pub mod report;
-pub mod scaling;
+mod scaling;
 pub mod scheduler;
 pub mod spec;
 pub mod tasks;

@@ -124,7 +124,6 @@ pub(crate) struct GridCtx<'a> {
     pub(crate) scale: Scale,
     pub(crate) journal: Option<&'a JournalCtx>,
     pub(crate) model: TextModel,
-    pub(crate) representations: bool,
     pub(crate) instances: Vec<TaskInstance>,
     pub(crate) selectors: Vec<Arc<LearnedSelector>>,
     pub(crate) cells: Vec<Cell>,
@@ -136,19 +135,17 @@ fn stream_repeat(ctx: &GridCtx<'_>, c: usize, seed: u64, journal: Option<RunJour
     let strategy = cell.strategy.clone();
     match &ctx.instances[cell.task] {
         TaskInstance::Text { task, config, .. } => {
-            // Specs reject learned selectors alongside representations.
+            // `task.builder` attaches the task's shared geometry to
+            // diversity cells; a learned-selector token carries no
+            // diversity suffix (spec validation), so its cells get none.
             let lhs = cell.lhs.map(|i| ctx.selectors[i].clone());
             match ctx.model {
-                // Representation grids always train the logistic model.
-                TextModel::NaiveBayes if !ctx.representations => {
+                TextModel::NaiveBayes => {
                     let builder = task.builder(task.naive_bayes(), strategy, config, seed);
                     StreamRun::Nb(with_extras(builder, lhs, journal).build_session())
                 }
-                _ => {
-                    let mut builder = task.builder(task.model(0), strategy, config, seed);
-                    if ctx.representations {
-                        builder = builder.representations(task.representations());
-                    }
+                TextModel::LogReg => {
+                    let builder = task.builder(task.model(0), strategy, config, seed);
                     StreamRun::Text(with_extras(builder, lhs, journal).build_session())
                 }
             }

@@ -17,7 +17,6 @@ use serde::{DeError, Deserialize, Serialize, Value};
 use histal_core::error::Error;
 
 use crate::registry;
-use crate::scaling::{PoolScalingSpec, POOL_SCALING_KIND};
 use crate::transfer::{TransferSpec, TRANSFER_KIND};
 
 /// The schema a spec file follows, named by its `kind` discriminator.
@@ -25,8 +24,6 @@ use crate::transfer::{TransferSpec, TRANSFER_KIND};
 pub enum SpecKind {
     /// No `kind`: an [`ExperimentSpec`] grid.
     Experiment,
-    /// `"kind": "pool-scaling"`: a [`crate::scaling::PoolScalingSpec`].
-    PoolScaling,
     /// `"kind": "transfer"`: a [`crate::transfer::TransferSpec`].
     Transfer,
 }
@@ -44,7 +41,6 @@ impl SpecKind {
         }
         let probe = serde_json::from_str::<KindProbe>(body).ok();
         match probe.and_then(|p| p.kind).as_deref() {
-            Some(POOL_SCALING_KIND) => SpecKind::PoolScaling,
             Some(TRANSFER_KIND) => SpecKind::Transfer,
             _ => SpecKind::Experiment,
         }
@@ -58,8 +54,6 @@ impl SpecKind {
 pub enum SpecFile {
     /// No `kind`: an experiment grid.
     Experiment(Box<ExperimentSpec>),
-    /// `"kind": "pool-scaling"`.
-    PoolScaling(PoolScalingSpec),
     /// `"kind": "transfer"`.
     Transfer(TransferSpec),
 }
@@ -71,12 +65,10 @@ impl SpecFile {
             SpecKind::Experiment => {
                 SpecFile::Experiment(Box::new(ExperimentSpec::from_json(body)?))
             }
-            SpecKind::PoolScaling => SpecFile::PoolScaling(PoolScalingSpec::from_json(body)?),
             SpecKind::Transfer => SpecFile::Transfer(TransferSpec::from_json(body)?),
         };
         match &spec {
             SpecFile::Experiment(s) => s.validate(),
-            SpecFile::PoolScaling(s) => s.validate(),
             SpecFile::Transfer(s) => s.validate(),
         }?;
         Ok(spec)
@@ -86,7 +78,6 @@ impl SpecFile {
     pub fn name(&self) -> &str {
         match self {
             SpecFile::Experiment(s) => &s.name,
-            SpecFile::PoolScaling(s) => &s.name,
             SpecFile::Transfer(s) => &s.name,
         }
     }
@@ -95,7 +86,6 @@ impl SpecFile {
     pub fn to_json_pretty(&self) -> String {
         match self {
             SpecFile::Experiment(s) => s.to_json_pretty(),
-            SpecFile::PoolScaling(s) => s.to_json_pretty(),
             SpecFile::Transfer(s) => s.to_json_pretty(),
         }
     }
@@ -171,7 +161,8 @@ pub struct ExperimentSpec {
     /// every figure spec) keeps the exact exhaustive sweeps and the
     /// pre-ANN journal hashes; `Some` routes density/MMR/k-center
     /// neighbor queries through a seeded LSH index and joins the cell
-    /// hash, mirroring `ner_beam`. Requires `pool.representations`.
+    /// hash, mirroring `ner_beam`. Requires a `+density`/`+mmr`/
+    /// `+kcenter` strategy on a text dataset.
     #[serde(default)]
     pub ann: Option<AnnSpec>,
     /// Annotation-cost model: a per-label cost and a total budget
@@ -297,8 +288,10 @@ pub struct PoolSpec {
     /// [`ReportKind::TrendCensus`]).
     #[serde(default)]
     pub record_history: bool,
-    /// Attach sparse document features as representations (enables the
-    /// `+density` / `+mmr` / `+kcenter` strategy modifiers).
+    /// Changes no run: every `+density` / `+mmr` / `+kcenter` cell gets
+    /// its task's shared pool geometry from the strategy alone. Still
+    /// parsed and written so spec files that set it keep round-tripping;
+    /// the out-of-workspace `benchmark/` package reads it.
     #[serde(default)]
     pub representations: bool,
 }
@@ -655,7 +648,7 @@ impl ExperimentSpec {
             }
         }
         let kind = kind.expect("datasets checked non-empty");
-        let representations = self.pool.as_ref().is_some_and(|p| p.representations);
+        let mut diversity = false;
         for g in &self.groups {
             for e in &g.strategies {
                 let resolved = registry::parse_strategy(&e.strategy)?;
@@ -665,15 +658,22 @@ impl ExperimentSpec {
                         e.strategy
                     )));
                 }
-                let geometry = representations && kind == registry::TaskKind::Text;
-                if resolved.strategy.needs_representations() && !geometry {
+                let needs_geometry = resolved.strategy.needs_representations();
+                if needs_geometry && resolved.lhs.is_some() {
                     return Err(Error::spec(format!(
-                        "strategy `{}`: `+density`/`+mmr`/`+kcenter` need the pool geometry \
-                         only text datasets with `pool.representations` build — without it \
-                         the suffix would do nothing",
+                        "strategy `{}`: a learned selector ranks its own candidates — \
+                         `+density`/`+mmr`/`+kcenter` cannot ride on `LHS`/`LAL`",
                         e.strategy
                     )));
                 }
+                if needs_geometry && kind != registry::TaskKind::Text {
+                    return Err(Error::spec(format!(
+                        "strategy `{}`: `+density`/`+mmr`/`+kcenter` need the pool geometry \
+                         only text datasets build — without it the suffix would do nothing",
+                        e.strategy
+                    )));
+                }
+                diversity |= needs_geometry;
             }
         }
         if let Some(r) = self.scale.as_ref().and_then(|s| s.repeats) {
@@ -718,10 +718,11 @@ impl ExperimentSpec {
                     "`ann` only applies to text datasets — NER cells have no pool geometry",
                 ));
             }
-            if !representations {
+            if !diversity {
                 return Err(Error::spec(
-                    "`ann` requires `pool.representations`: without representations \
-                     no geometry is built and the index would never be consulted",
+                    "`ann` indexes the pool geometry, which only `+density`/`+mmr`/\
+                     `+kcenter` strategies read — without one the index would never be \
+                     consulted",
                 ));
             }
             ann.validate()?;
@@ -902,19 +903,24 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("transformer"));
-        // A diversity suffix needs the geometry only text datasets with
-        // representations build; without it the suffix would do nothing.
+        // A diversity suffix gets its geometry from the strategy alone on
+        // text datasets; NER tasks build none, and a learned selector
+        // ranks its own candidates.
         let mut spec = sample();
         for token in ["entropy+density", "entropy+mmr", "entropy+kcenter"] {
             spec.groups[0].strategies = vec![StrategyEntry::new(token)];
-            let msg = spec.validate().unwrap_err().to_string();
-            assert!(msg.contains(token) && msg.contains("pool.representations"));
+            assert!(spec.validate().is_ok(), "{token}");
         }
-        spec.pool = Some(PoolSpec {
-            representations: true,
-            ..Default::default()
-        });
-        assert!(spec.validate().is_ok());
+        for token in [
+            "LHS(entropy)+density",
+            "LHS(entropy)+mmr",
+            "LAL(entropy)+kcenter",
+        ] {
+            let mut lhs = sample();
+            lhs.groups[0].strategies = vec![StrategyEntry::new(token)];
+            let msg = lhs.validate().unwrap_err().to_string();
+            assert!(msg.contains(token) && msg.contains("LHS`/`LAL"), "{msg}");
+        }
         spec.datasets = vec![DatasetEntry::new("conll2003-en")];
         assert!(spec
             .validate()
@@ -993,6 +999,38 @@ mod tests {
         assert_eq!(back, spec);
         assert_eq!(back.to_json_pretty(), json);
         assert!(spec.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_checks_ann() {
+        let ann = AnnSpec {
+            tables: Some(4),
+            bits: None,
+            probes: Some(1),
+        };
+        let mut spec = sample();
+        spec.ann = Some(ann.clone());
+        // Without a diversity strategy no geometry is built to index.
+        let msg = spec.validate().unwrap_err().to_string();
+        assert!(msg.contains("`ann`") && msg.contains("+mmr"), "{msg}");
+        spec.groups[0].strategies = vec![StrategyEntry::new("entropy+mmr")];
+        spec.validate()
+            .expect("ann over an MMR text grid validates");
+        // The LSH bounds.
+        for field in ["tables", "bits", "probes"] {
+            let mut bad = ann.clone();
+            match field {
+                "tables" => bad.tables = Some(65),
+                "bits" => bad.bits = Some(21),
+                _ => bad.probes = Some(21),
+            }
+            spec.ann = Some(bad);
+            let msg = spec.validate().unwrap_err().to_string();
+            assert!(msg.contains(&format!("`ann.{field}`")), "{msg}");
+        }
+        spec.ann = Some(ann);
+        spec.datasets = vec![DatasetEntry::new("conll2003-en")];
+        assert!(spec.validate().is_err(), "NER tasks have no geometry");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Featurized experiment tasks built from the synthetic corpora.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use histal_core::driver::{CurvePoint, PoolConfig, RunResult};
 use histal_core::error::Error;
@@ -16,7 +16,7 @@ use histal_models::{
     CrfConfig, CrfTagger, Document, NaiveBayes, NaiveBayesConfig, Sentence, TextClassifier,
     TextClassifierConfig,
 };
-use histal_text::{FeatureHasher, SparseVec};
+use histal_text::{FeatureHasher, PoolGeometry};
 
 /// Global experiment scale. `1.0` reproduces the paper's dataset sizes
 /// and budgets; smaller factors shrink pools, batches and budgets
@@ -79,6 +79,9 @@ pub struct TextTask {
     pub pool_labels: Vec<usize>,
     pub test_docs: Vec<Document>,
     pub test_labels: Vec<usize>,
+    /// The pool documents' similarity geometry, built on first use and
+    /// shared by every session on this task.
+    geometry: OnceLock<Arc<PoolGeometry>>,
 }
 
 impl TextTask {
@@ -103,6 +106,7 @@ impl TextTask {
             pool_labels: train.iter().map(|&i| data.labels[i]).collect(),
             test_docs: test.iter().map(|&i| docs[i].clone()).collect(),
             test_labels: test.iter().map(|&i| data.labels[i]).collect(),
+            geometry: OnceLock::new(),
         }
     }
 
@@ -127,16 +131,23 @@ impl TextTask {
         })
     }
 
-    /// The pool documents' sparse features, one per pool sample — the
-    /// representations the density / MMR / k-center combinators need.
-    pub fn representations(&self) -> Vec<SparseVec> {
-        self.pool_docs.iter().map(|d| d.features.clone()).collect()
+    /// The pool geometry the density / MMR / k-center combinators read:
+    /// row `i` is pool document `i`'s sparse features. Built once per
+    /// task, on first call; later calls share it.
+    pub fn geometry(&self) -> Arc<PoolGeometry> {
+        let geometry = self.geometry.get_or_init(|| {
+            Arc::new(PoolGeometry::build(
+                self.pool_docs.iter().map(|d| &d.features),
+            ))
+        });
+        Arc::clone(geometry)
     }
 
     /// The builder chain every text run starts from: this task's pool
     /// and test split, `strategy`, `config` and `seed`, training
-    /// `model`. Finish it with `build()` for a batch run or
-    /// `build_session()` for a session the caller drives.
+    /// `model`, plus the task's shared geometry when `strategy` has a
+    /// similarity combinator. Finish it with `build()` for a batch run
+    /// or `build_session()` for a session the caller drives.
     pub fn builder<M: Model<Sample = Document, Label = usize>>(
         &self,
         model: M,
@@ -144,12 +155,18 @@ impl TextTask {
         config: &PoolConfig,
         seed: u64,
     ) -> SessionBuilder<M, Ready> {
-        ActiveLearner::builder(model)
+        let diversity = strategy.needs_representations();
+        let builder = ActiveLearner::builder(model)
             .pool(self.pool_docs.clone(), self.pool_labels.clone())
             .test(self.test_docs.clone(), self.test_labels.clone())
             .strategy(strategy)
             .config(config.clone())
-            .seed(seed)
+            .seed(seed);
+        if diversity {
+            builder.geometry(self.geometry())
+        } else {
+            builder
+        }
     }
 }
 

@@ -424,7 +424,6 @@ mod tests {
             kind(r#"{"kind": "transfer", "name": "x"}"#),
             SpecKind::Transfer
         );
-        assert_eq!(kind(r#"{"kind": "pool-scaling"}"#), SpecKind::PoolScaling);
         assert_eq!(kind(r#"{"name": "fig5"}"#), SpecKind::Experiment);
         assert_eq!(kind("not json"), SpecKind::Experiment);
     }

@@ -42,7 +42,7 @@ fn run_cell() -> Vec<RunResult> {
 }
 
 /// A diversity-combinator cell: density weighting plus MMR selection
-/// over the cached pool geometry, the paths that reuse per-round
+/// over the task's shared pool geometry, the paths that reuse per-round
 /// similarity scratch buffers.
 fn run_diversity_cell() -> Vec<RunResult> {
     let scale = Scale {
@@ -69,7 +69,6 @@ fn run_diversity_cell() -> Vec<RunResult> {
             &config,
             0xE1_0000 + r as u64,
         )
-        .representations(task.representations())
         .build()
         .run()
         .expect("entropy needs no extra capability")

@@ -171,22 +171,41 @@ fn compare_matches_golden() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Same contract for `significance`: stdout and its results JSON.
+/// `compare` takes any two registry tokens: a learned selector against
+/// a diversity token runs, the selector cell without pool geometry and
+/// the MMR cell with it.
+#[test]
+fn compare_runs_a_learned_selector_against_a_diversity_token() {
+    let dir = scratch("compare-lhs-mmr");
+    let (stdout, _) = run(&dir, &["compare", "LHS(entropy)", "entropy+mmr"]);
+    assert!(
+        stdout.contains("Compare — LHS(entropy) vs entropy"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("Wilcoxon"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Same contract for `significance`: stdout and its results JSON, at 1
+/// and at 4 worker threads (its repeats fan out through the grid
+/// executor, so the thread count must not move a byte).
 #[test]
 fn significance_matches_golden() {
-    let dir = scratch("significance");
-    let (stdout, _) = run(&dir, &["significance"]);
-    assert_eq!(
-        stdout,
-        golden("significance_s002_r1.stdout"),
-        "significance stdout drifted"
-    );
-    assert_eq!(
-        results_json(&dir, "significance.json"),
-        golden("significance_s002_r1.json"),
-        "significance results JSON drifted"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+    for threads in ["1", "4"] {
+        let dir = scratch(&format!("significance-{threads}t"));
+        let (stdout, _) = run(&dir, &["significance", "--threads", threads]);
+        assert_eq!(
+            stdout,
+            golden("significance_s002_r1.stdout"),
+            "significance stdout drifted at {threads} thread(s)"
+        );
+        assert_eq!(
+            results_json(&dir, "significance.json"),
+            golden("significance_s002_r1.json"),
+            "significance results JSON drifted at {threads} thread(s)"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// `noise`, `imbalance` and `table5 --targets` became embedded specs;

@@ -160,8 +160,8 @@ fn spec() -> impl Strategy<Value = ExperimentSpec> {
                 // specs and the generated datasets are arbitrary. Its
                 // round-trip is pinned by `ner_beam_round_trips`.
                 ner_beam: None,
-                // Same story: `ann` requires representations-bearing
-                // text specs; pinned by `ann_round_trips`.
+                // Same story: `ann` requires a diversity strategy on a
+                // text spec; pinned by `ann_round_trips`.
                 ann: None,
                 budget,
                 prune,
@@ -235,9 +235,8 @@ proptest! {
 }
 
 /// Every checked-in spec file must parse, validate, and round-trip
-/// byte-idempotently. Files declaring `"kind": "pool-scaling"` follow
-/// the scaling-grid schema, `"kind": "transfer"` the transfer-matrix
-/// schema; everything else is an [`ExperimentSpec`].
+/// byte-idempotently. Files declaring `"kind": "transfer"` follow the
+/// transfer-matrix schema; everything else is an [`ExperimentSpec`].
 #[test]
 fn checked_in_specs_parse_validate_and_round_trip() {
     use histal_bench::spec::SpecFile;
@@ -249,14 +248,13 @@ fn checked_in_specs_parse_validate_and_round_trip() {
         .filter(|p| p.extension().is_some_and(|x| x == "json"))
         .collect();
     paths.sort();
-    let (mut experiment_specs, mut scaling_specs, mut transfer_specs) = (0usize, 0usize, 0usize);
+    let (mut experiment_specs, mut transfer_specs) = (0usize, 0usize);
     for path in paths {
         let body = std::fs::read_to_string(&path).unwrap();
         let spec = SpecFile::from_json(&body)
             .unwrap_or_else(|e| panic!("{}: parse or validate failed: {e}", path.display()));
         match spec {
             SpecFile::Experiment(_) => experiment_specs += 1,
-            SpecFile::PoolScaling(_) => scaling_specs += 1,
             SpecFile::Transfer(_) => transfer_specs += 1,
         }
         let json1 = spec.to_json_pretty();
@@ -277,10 +275,6 @@ fn checked_in_specs_parse_validate_and_round_trip() {
     assert!(
         experiment_specs >= 7,
         "expected the seven checked-in experiment specs, found {experiment_specs}"
-    );
-    assert!(
-        scaling_specs >= 1,
-        "expected the checked-in pool-scaling spec, found {scaling_specs}"
     );
     assert!(
         transfer_specs >= 1,

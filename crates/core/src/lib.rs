@@ -104,10 +104,7 @@ pub use driver::{ActiveLearner, PoolConfig, RoundRecord, RunResult};
 pub use error::{Error, ErrorKind};
 pub use eval::{EvalCaps, SampleEval};
 pub use history::HistoryStore;
-pub use live::{
-    RoundObserver, Session, SessionSnapshot, SessionStatus, SessionStep, SubmitOutcome,
-    TicketLabels,
-};
+pub use live::{Session, SessionSnapshot, SessionStatus, SessionStep, SubmitOutcome, TicketLabels};
 pub use model::Model;
 pub use pipeline::{
     FoldHistory, LabelRequest, LabelResponse, RoundCtx, Select, SelectCtx, StageTimers, Ticket,

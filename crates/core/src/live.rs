@@ -57,7 +57,7 @@ use serde::{Deserialize, Serialize};
 
 use histal_obs::span;
 use histal_obs::trace::Level;
-use histal_text::{LshIndex, NeighborIndex, PoolGeometry, SparseVec};
+use histal_text::{LshIndex, NeighborIndex, PoolGeometry};
 
 use crate::driver::{
     mix_seed, selection_diagnostics, CurvePoint, PoolConfig, RoundRecord, RunResult,
@@ -85,22 +85,6 @@ pub enum SessionStep {
     AwaitingLabels,
     /// All rounds are complete; [`Session::result`] is available.
     Done,
-}
-
-/// Observer of interim learning-curve progress, invoked after each
-/// curve point is recorded (once per round's pre-selection fit, plus the
-/// final fit). The callback runs *between* pipeline stages with only a
-/// shared view of the curve, so installing one cannot perturb RNG
-/// consumption, stage order, or span structure — the streamed run stays
-/// byte-identical to an unobserved one.
-///
-/// This is the hook behind the adaptive grid executor: the scheduler
-/// reads interim curves between rounds to decide which cells keep
-/// running.
-pub trait RoundObserver: Send {
-    /// One new curve point was recorded; `curve` is the full curve so
-    /// far (the new point is `curve.last()`).
-    fn on_round(&mut self, curve: &[CurvePoint]);
 }
 
 /// What one [`Session::submit`] call did.
@@ -232,7 +216,7 @@ pub struct Session<M: Model> {
     caps: EvalCaps,
     pool: Pool,
     history: HistoryStore,
-    geometry: Option<PoolGeometry>,
+    geometry: Option<Arc<PoolGeometry>>,
     ann_index: Option<LshIndex>,
     ctx: RoundCtx,
     curve: Vec<CurvePoint>,
@@ -247,13 +231,12 @@ pub struct Session<M: Model> {
     result: Option<RunResult>,
     stop_reason: Option<StopReason>,
     config_hash: u64,
-    round_observer: Option<Box<dyn RoundObserver>>,
 }
 
 impl<M: Model> Session<M> {
     /// Lowering target of
     /// [`SessionBuilder::build_session`](crate::session::SessionBuilder::build_session):
-    /// builds the history store, the pool geometry and ANN index, and
+    /// builds the history store and ANN index, and
     /// picks the [`FoldHistory`] and [`Select`] variants once.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
@@ -265,7 +248,7 @@ impl<M: Model> Session<M> {
         strategy: Strategy,
         lhs: Option<Arc<LearnedSelector>>,
         config: PoolConfig,
-        representations: Option<Vec<SparseVec>>,
+        geometry: Option<Arc<PoolGeometry>>,
         seed: u64,
         obs: SessionObs,
     ) -> Self {
@@ -282,14 +265,10 @@ impl<M: Model> Session<M> {
         if strategy.hkld.is_none() {
             history = history.with_rolling(strategy.history.window());
         }
-        // Pre-normalized pool geometry for the similarity combinators:
-        // cached norms and CSR storage, built once per run instead of
-        // recomputing norms inside every cosine.
-        let geometry: Option<PoolGeometry> = representations.as_ref().and_then(|reps| {
-            strategy
-                .needs_representations()
-                .then(|| PoolGeometry::build(reps))
-        });
+        // The pool geometry is shared read-only with every other session
+        // on the same pool; a strategy without a similarity combinator
+        // drops it.
+        let geometry = geometry.filter(|_| strategy.needs_representations());
         // ANN index over the same rows, from its own seed stream. `ann:
         // None` skips it and every combinator runs its exact path.
         let ann_index: Option<LshIndex> = match (&config.ann, &geometry) {
@@ -352,16 +331,7 @@ impl<M: Model> Session<M> {
             result: None,
             stop_reason: None,
             config_hash,
-            round_observer: None,
         }
-    }
-
-    /// Install a [`RoundObserver`] that is called after every recorded
-    /// curve point. Attach before the first [`Session::step`] to see the
-    /// whole curve; the observer never affects the computation (see the
-    /// trait docs).
-    pub fn set_round_observer(&mut self, observer: Box<dyn RoundObserver>) {
-        self.round_observer = Some(observer);
     }
 
     /// Fingerprint of the session configuration; stamped on snapshots.
@@ -498,7 +468,7 @@ impl<M: Model> Session<M> {
             unlabeled: self.pool.unlabeled(),
             evals: &self.ctx.evals,
             history: &self.history,
-            geometry: self.geometry.as_ref(),
+            geometry: self.geometry.as_deref(),
             index: self.ann_index.as_ref().map(|i| i as &dyn NeighborIndex),
             batch,
             round,
@@ -634,9 +604,6 @@ impl<M: Model> Session<M> {
             n_labeled: self.pool.n_labeled(),
             metric,
         });
-        if let Some(observer) = &mut self.round_observer {
-            observer.on_round(&self.curve);
-        }
     }
 
     /// Finish the run now with the rounds completed so far — the

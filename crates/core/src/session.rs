@@ -38,7 +38,7 @@ use serde::{Deserialize, Serialize};
 
 use histal_obs::metrics::MetricsRegistry;
 use histal_obs::Journal;
-use histal_text::SparseVec;
+use histal_text::{PoolGeometry, SparseVec};
 
 use crate::driver::{ActiveLearner, PoolConfig, RoundRecord};
 use crate::error::Error;
@@ -240,7 +240,7 @@ pub struct SessionBuilder<M: Model, Stage = NeedsPool> {
     config: PoolConfig,
     seed: u64,
     lhs: Option<Arc<LearnedSelector>>,
-    representations: Option<Vec<SparseVec>>,
+    geometry: Option<Arc<PoolGeometry>>,
     obs: SessionObs,
     _stage: PhantomData<Stage>,
 }
@@ -257,7 +257,7 @@ impl<M: Model, Stage> SessionBuilder<M, Stage> {
             config: self.config,
             seed: self.seed,
             lhs: self.lhs,
-            representations: self.representations,
+            geometry: self.geometry,
             obs: self.obs,
             _stage: PhantomData,
         }
@@ -276,7 +276,7 @@ impl<M: Model> SessionBuilder<M, NeedsPool> {
             config: PoolConfig::default(),
             seed: 0,
             lhs: None,
-            representations: None,
+            geometry: None,
             obs: SessionObs::default(),
             _stage: PhantomData,
         }
@@ -349,16 +349,26 @@ impl<M: Model> SessionBuilder<M, Ready> {
         self
     }
 
-    /// Sparse representations enabling the density / MMR / k-center
-    /// combinators. `reps[i]` must describe pool sample `i`.
-    pub fn representations(mut self, reps: Vec<SparseVec>) -> Self {
+    /// The pool geometry enabling the density / MMR / k-center
+    /// combinators; row `i` must describe pool sample `i`. The geometry
+    /// is shared, not copied: every session on one pool can read one
+    /// instance. A session whose strategy has no similarity combinator
+    /// drops it.
+    pub fn geometry(mut self, geometry: Arc<PoolGeometry>) -> Self {
         assert_eq!(
-            reps.len(),
+            geometry.len(),
             self.samples.len(),
-            "one representation per pool sample"
+            "one geometry row per pool sample"
         );
-        self.representations = Some(reps);
+        self.geometry = Some(geometry);
         self
+    }
+
+    /// [`SessionBuilder::geometry`] built from sparse representations,
+    /// `reps[i]` describing pool sample `i`, for callers that hold no
+    /// shared geometry.
+    pub fn representations(self, reps: Vec<SparseVec>) -> Self {
+        self.geometry(Arc::new(PoolGeometry::build(&reps)))
     }
 
     /// Metrics registry accumulating the session's phase-timing
@@ -391,7 +401,7 @@ impl<M: Model> SessionBuilder<M, Ready> {
             self.strategy.expect("strategy set by typestate"),
             self.lhs,
             self.config,
-            self.representations,
+            self.geometry,
             self.seed,
             self.obs,
         )

@@ -167,7 +167,6 @@ impl SessionConfig {
             ));
         }
         let strategy = resolved.strategy;
-        let wants_representations = strategy.needs_representations();
         let config = self.pool_config();
 
         match parse_dataset(&self.dataset)? {
@@ -184,16 +183,13 @@ impl SessionConfig {
                     0
                 };
                 let task = tasks.text(&spec, self.scale, self.seed);
-                let mut builder = task
+                let builder = task
                     .builder(task.model(committee), strategy, &config, self.seed)
                     .metrics(metrics);
-                if wants_representations {
-                    builder = builder.representations(task.representations());
-                }
                 Ok(AnySession::Text(builder.build_session()))
             }
             DatasetDef::Ner { spec } => {
-                if wants_representations {
+                if strategy.needs_representations() {
                     return Err(Error::spec(
                         "density/MMR/k-center need sparse representations, \
                          which NER tasks don't carry",
@@ -211,9 +207,10 @@ impl SessionConfig {
 
 /// Cache of featurized tasks keyed by `(spec, scale, seed)`: a thousand
 /// sessions over the same corpus share one pool build instead of
-/// re-generating and re-featurizing it a thousand times. (Sessions
-/// still clone the documents out of the shared task — the pool itself
-/// is mutated as labels arrive.)
+/// re-generating and re-featurizing it a thousand times, and diversity
+/// sessions share the task's one pool geometry. (Sessions still clone
+/// the documents out of the shared task — the pool itself is mutated as
+/// labels arrive.)
 #[derive(Default)]
 pub struct TaskCache {
     text: Mutex<HashMap<String, Arc<TextTask>>>,

@@ -36,18 +36,24 @@ pub struct PoolGeometry {
 }
 
 impl PoolGeometry {
-    /// Snapshot `reps` into contiguous storage. `reps[i]` becomes row `i`.
+    /// Snapshot `reps` into contiguous storage. The `i`-th vector becomes
+    /// row `i`; the vectors are read in place, never copied out first.
     ///
     /// Everything is pre-sized from one counting pass (`dim` folds into
     /// the fill loop) and the final capacities are asserted, so a
     /// million-row build performs exactly four arena allocations instead
     /// of thrashing the allocator with amortised regrowth.
-    pub fn build(reps: &[SparseVec]) -> Self {
-        let nnz: usize = reps.iter().map(|r| r.nnz()).sum();
-        let mut offsets = Vec::with_capacity(reps.len() + 1);
+    pub fn build<'a, I>(reps: I) -> Self
+    where
+        I: IntoIterator<Item = &'a SparseVec>,
+        I::IntoIter: Clone,
+    {
+        let reps = reps.into_iter();
+        let (rows, nnz) = reps.clone().fold((0, 0), |(n, z), r| (n + 1, z + r.nnz()));
+        let mut offsets = Vec::with_capacity(rows + 1);
         let mut indices = Vec::with_capacity(nnz);
         let mut values = Vec::with_capacity(nnz);
-        let mut norms = Vec::with_capacity(reps.len());
+        let mut norms = Vec::with_capacity(rows);
         let (indices_cap, values_cap, offsets_cap) =
             (indices.capacity(), values.capacity(), offsets.capacity());
         let mut dim = 0usize;

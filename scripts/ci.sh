@@ -48,7 +48,6 @@ cargo run -q --release -p histal-bench --bin histal-experiments -- \
     bench --check --scale 0.02 --repeats 1
 
 echo "==> spec-check: every checked-in specs/*.json parses and validates"
-echo "    (incl. the pool-scaling grid's ann table/bit/probe bounds)"
 cargo run -q --release -p histal-bench --bin histal-experiments -- spec-check
 
 echo "==> journal smoke: fig5 --journal, kill-free resume replays byte-identically"
@@ -105,15 +104,6 @@ echo "    and resumes byte-identically (pruning decisions included)"
     "$BIN" resume run --spec "$REPO_DIR/specs/adaptive-sweep.json" \
         --journal adaptive.jsonl > adaptive-second.out 2> /dev/null
     diff adaptive-first.out adaptive-second.out
-)
-
-echo "==> significance smoke: its repeats now fan out through the grid executor,"
-echo "    so 1 and 4 worker threads must print the same table"
-(
-    cd "$SMOKE_DIR"
-    "$BIN" significance --scale 0.05 --repeats 1 --threads 1 > sig-1t.out 2> /dev/null
-    "$BIN" significance --scale 0.05 --repeats 1 --threads 4 > sig-4t.out 2> /dev/null
-    diff sig-1t.out sig-4t.out
 )
 
 echo "==> transfer smoke: selector train -> save -> load -> apply across datasets,"

@@ -10,7 +10,9 @@
 
 mod common;
 
-use common::{run_text, tiny_ner_task, tiny_text_task};
+use std::sync::Arc;
+
+use common::{run_text, tiny_ner_task, tiny_text_task, TextTask};
 use histal::prelude::*;
 use histal_core::driver::RunResult;
 use histal_core::learned::{
@@ -19,7 +21,7 @@ use histal_core::learned::{
 };
 use histal_core::strategy::{DensityConfig, MmrConfig};
 use histal_ltr::LambdaMartConfig;
-use histal_text::{AnnConfig, SparseVec};
+use histal_text::{AnnConfig, PoolGeometry, SparseVec};
 
 fn fnv(h: &mut u64, bytes: &[u8]) {
     for &byte in bytes {
@@ -70,11 +72,22 @@ fn lc_ner_run_hash(score_beam: Option<f64>, n: usize, seed: u64) -> u64 {
     run_hash(&learner.run().expect("LC needs no extra capability"))
 }
 
-/// Entropy plus one diversity combinator on one tiny binary text task,
-/// with the pool's document vectors as representations; `ann` switches
-/// the similarity sweeps to the LSH candidate path.
-fn diversity_run_hash(strategy: Strategy, ann: Option<AnnConfig>, seed: u64) -> u64 {
-    let task = tiny_text_task(2, 300, 71);
+/// The one tiny binary text task every diversity pin runs on.
+fn diversity_task() -> TextTask {
+    tiny_text_task(2, 300, 71)
+}
+
+/// Entropy plus one diversity combinator on [`diversity_task`]; `ann`
+/// switches the similarity sweeps to the LSH candidate path. The session
+/// reads `geometry` when given, and otherwise builds its own from the
+/// pool's document vectors as representations.
+fn diversity_run_hash(
+    strategy: Strategy,
+    ann: Option<AnnConfig>,
+    seed: u64,
+    geometry: Option<Arc<PoolGeometry>>,
+) -> u64 {
+    let task = diversity_task();
     let reps: Vec<SparseVec> = task.pool_docs.iter().map(|d| d.features.clone()).collect();
     let model = TextClassifier::new(TextClassifierConfig {
         n_classes: 2,
@@ -82,7 +95,7 @@ fn diversity_run_hash(strategy: Strategy, ann: Option<AnnConfig>, seed: u64) -> 
         epochs: 4,
         ..Default::default()
     });
-    let mut learner = ActiveLearner::builder(model)
+    let builder = ActiveLearner::builder(model)
         .pool(task.pool_docs, task.pool_labels)
         .test(task.test_docs, task.test_labels)
         .strategy(strategy)
@@ -94,10 +107,17 @@ fn diversity_run_hash(strategy: Strategy, ann: Option<AnnConfig>, seed: u64) -> 
             record_history: true,
             ann,
         })
-        .seed(seed)
-        .representations(reps)
-        .build();
-    run_hash(&learner.run().expect("entropy needs no extra capability"))
+        .seed(seed);
+    let builder = match geometry {
+        Some(geometry) => builder.geometry(geometry),
+        None => builder.representations(reps),
+    };
+    run_hash(
+        &builder
+            .build()
+            .run()
+            .expect("entropy needs no extra capability"),
+    )
 }
 
 fn density() -> Strategy {
@@ -155,22 +175,46 @@ fn beamed_ner_lc_run_bits_are_pinned() {
     assert_eq!(h, 0x94a9_837a_8b6f_1441, "pinned hash {h:#018x}");
 }
 
+const DENSITY_PIN: u64 = 0x496e_8115_3fec_98ab;
+const MMR_PIN: u64 = 0x654a_cd7a_1f8f_4dce;
+const KCENTER_PIN: u64 = 0x7387_eae9_c3f3_ec6e;
+
 #[test]
 fn density_run_bits_are_pinned() {
-    let h = diversity_run_hash(density(), None, 71);
-    assert_eq!(h, 0x496e_8115_3fec_98ab, "pinned hash {h:#018x}");
+    let h = diversity_run_hash(density(), None, 71, None);
+    assert_eq!(h, DENSITY_PIN, "pinned hash {h:#018x}");
 }
 
 #[test]
 fn mmr_run_bits_are_pinned() {
-    let h = diversity_run_hash(mmr(), None, 72);
-    assert_eq!(h, 0x654a_cd7a_1f8f_4dce, "pinned hash {h:#018x}");
+    let h = diversity_run_hash(mmr(), None, 72, None);
+    assert_eq!(h, MMR_PIN, "pinned hash {h:#018x}");
 }
 
 #[test]
 fn kcenter_run_bits_are_pinned() {
-    let h = diversity_run_hash(kcenter(), None, 73);
-    assert_eq!(h, 0x7387_eae9_c3f3_ec6e, "pinned hash {h:#018x}");
+    let h = diversity_run_hash(kcenter(), None, 73, None);
+    assert_eq!(h, KCENTER_PIN, "pinned hash {h:#018x}");
+}
+
+/// The density, MMR and k-center pins hold when the three sessions read
+/// one shared geometry instead of each building its own, and the
+/// sessions hand the geometry back when they end.
+#[test]
+fn diversity_pins_hold_on_one_shared_geometry() {
+    let task = diversity_task();
+    let shared = Arc::new(PoolGeometry::build(
+        task.pool_docs.iter().map(|d| &d.features),
+    ));
+    for (strategy, seed, pin) in [
+        (density(), 71, DENSITY_PIN),
+        (mmr(), 72, MMR_PIN),
+        (kcenter(), 73, KCENTER_PIN),
+    ] {
+        let h = diversity_run_hash(strategy, None, seed, Some(Arc::clone(&shared)));
+        assert_eq!(h, pin, "shared-geometry hash {h:#018x}");
+    }
+    assert_eq!(Arc::strong_count(&shared), 1);
 }
 
 #[test]
@@ -180,7 +224,7 @@ fn ann_mmr_run_bits_are_pinned() {
         bits: 0,
         probes: 1,
     };
-    let h = diversity_run_hash(mmr(), Some(ann), 74);
+    let h = diversity_run_hash(mmr(), Some(ann), 74, None);
     assert_eq!(h, 0xa864_e922_d107_d001, "pinned hash {h:#018x}");
 }
 
