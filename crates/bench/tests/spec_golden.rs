@@ -280,3 +280,75 @@ fn noise_resumes_byte_identically_from_a_torn_journal() {
     assert_eq!(resumed, first, "resumed noise table drifted");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The cross-dataset transfer matrix (`specs/transfer-matrix.json`, which
+/// pins its own `repeats: 2`): stdout, the flat ALC rows of its results
+/// JSON, at 1 and at 4 worker threads.
+#[test]
+fn transfer_matrix_matches_golden() {
+    let spec = specs().join("transfer-matrix.json");
+    for threads in ["1", "4"] {
+        let dir = scratch(&format!("transfer-{threads}t"));
+        let (stdout, stderr) = run(
+            &dir,
+            &[
+                "run",
+                "--spec",
+                spec.to_str().unwrap(),
+                "--threads",
+                threads,
+            ],
+        );
+        assert_eq!(
+            stdout,
+            golden("transfer_matrix_s002_r1.stdout"),
+            "transfer matrix stdout drifted at {threads} thread(s)"
+        );
+        assert_eq!(
+            results_json(&dir, "transfer-matrix.json"),
+            golden("transfer_matrix_s002_r1.json"),
+            "transfer matrix results JSON drifted at {threads} thread(s)"
+        );
+        assert_eq!(stderr.matches("# selector train: ").count(), 4, "{stderr}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A transfer-matrix journal captured from an earlier binary must replay:
+/// the per-entry experiment ids, seeds, cell keys and config hashes of
+/// every matrix cell stay the same, so no cell re-runs and the journal
+/// gains no byte.
+#[test]
+fn transfer_matrix_resumes_golden_journal_byte_identically() {
+    let dir = scratch("transfer-resume");
+    let journal = dir.join("transfer.jsonl");
+    std::fs::copy(goldens().join("transfer_matrix_s002_r1.jsonl"), &journal)
+        .expect("copy golden journal");
+    let spec = specs().join("transfer-matrix.json");
+    let (stdout, stderr) = run(
+        &dir,
+        &[
+            "resume",
+            "run",
+            "--spec",
+            spec.to_str().unwrap(),
+            "--journal",
+            journal.to_str().unwrap(),
+        ],
+    );
+    assert!(
+        stderr.contains("# resume: 16 completed cell(s) in journal"),
+        "journal cells not recognized:\n{stderr}"
+    );
+    assert_eq!(
+        stdout,
+        golden("transfer_matrix_s002_r1.stdout"),
+        "resumed transfer matrix stdout drifted from the golden"
+    );
+    assert_eq!(
+        std::fs::read(&journal).unwrap(),
+        std::fs::read(goldens().join("transfer_matrix_s002_r1.jsonl")).unwrap(),
+        "a replayed cell re-ran and appended to the journal"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
