@@ -14,8 +14,7 @@
 //!   noise imbalance agnostic sweep-batch significance ceiling
 //!              Extensions and diagnostics (EXPERIMENTS.md)
 //!   compare    Two strategy tokens head to head: `compare <A> <B>`
-//!   run        Execute any spec file: `run --spec FILE` (files with
-//!              `"kind": "transfer"` run as train×apply matrices)
+//!   run        Execute any spec file: `run --spec FILE`
 //!   spec-check Parse + validate every spec file:  `spec-check [DIR]`
 //!   selector-train  `selector-train <TOKEN> <DATASET> <OUT>`: train a
 //!              learned selector and save it as an HLRN1 artifact
@@ -50,9 +49,8 @@ use histal_bench::commands::{self, Command, Runs, SpecOptions, COMMANDS, TABLE7_
 use histal_bench::executor::run_spec;
 use histal_bench::experiments;
 use histal_bench::journal::JournalCtx;
-use histal_bench::spec::SpecFile;
+use histal_bench::spec::ExperimentSpec;
 use histal_bench::tasks::Scale;
-use histal_bench::transfer::{run_transfer, selector_apply, selector_train};
 use histal_core::error::Error;
 use histal_obs::trace::{set_subscriber, Level, StderrSubscriber};
 
@@ -241,15 +239,16 @@ fn main() {
                     eprintln!("usage: histal-experiments run --spec FILE [--journal FILE]");
                     std::process::exit(2);
                 };
-                run_spec_file(path, &scale, journal.as_ref())
+                let spec = load_spec(path).map_err(|e| Error::spec(format!("{path}: {e}")))?;
+                run_spec(&spec, &scale, journal.as_ref()).map(|_| ())
             }
             (_, "selector-train") => {
                 let ops = operands(3, "<TOKEN> <DATASET> <OUT>");
-                selector_train(&ops[0], &ops[1], &ops[2], &scale)
+                experiments::selector_train(&ops[0], &ops[1], &ops[2], &scale)
             }
             (_, "selector-apply") => {
                 let ops = operands(2, "<ARTIFACT> <DATASET>");
-                selector_apply(&ops[0], &ops[1], &scale)
+                experiments::selector_apply(&ops[0], &ops[1], &scale)
             }
             (_, "compare") => {
                 let ops = operands(2, "<strategyA> <strategyB> [--full]");
@@ -266,15 +265,13 @@ fn main() {
     eprintln!("# done in {:.1}s", start.elapsed().as_secs_f64());
 }
 
-/// Execute one spec file, routing on its `kind`: transfer specs run as
-/// train×apply matrices, experiment specs as ordinary grids.
-fn run_spec_file(path: &str, scale: &Scale, journal: Option<&JournalCtx>) -> Result<(), Error> {
-    let body = std::fs::read_to_string(path)
-        .map_err(|e| Error::spec(format!("cannot read spec {path}: {e}")))?;
-    match SpecFile::from_json(&body).map_err(|e| Error::spec(format!("{path}: {e}")))? {
-        SpecFile::Transfer(spec) => run_transfer(&spec, scale, journal).map(|_| ()),
-        SpecFile::Experiment(spec) => run_spec(&spec, scale, journal).map(|_| ()),
-    }
+/// Read, parse and validate one spec file.
+fn load_spec(path: impl AsRef<std::path::Path>) -> Result<ExperimentSpec, Error> {
+    let body =
+        std::fs::read_to_string(path).map_err(|e| Error::spec(format!("cannot read spec: {e}")))?;
+    let spec = ExperimentSpec::from_json(&body)?;
+    spec.validate()?;
+    Ok(spec)
 }
 
 /// Parse + validate every `*.json` under `dir`; exit nonzero if any
@@ -296,11 +293,8 @@ fn spec_check(dir: &str) {
     let mut failures = 0usize;
     for path in &paths {
         let shown = path.display();
-        let parsed = std::fs::read_to_string(path)
-            .map_err(|e| Error::spec(format!("cannot read: {e}")))
-            .and_then(|body| SpecFile::from_json(&body));
-        match parsed {
-            Ok(spec) => println!("ok  {shown} ({})", spec.name()),
+        match load_spec(path) {
+            Ok(spec) => println!("ok  {shown} ({})", spec.name),
             Err(e) => {
                 println!("ERR {shown}: {e}");
                 failures += 1;

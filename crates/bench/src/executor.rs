@@ -530,6 +530,7 @@ pub fn render_spec(spec: &ExperimentSpec, outcome: &GridOutcome) -> Result<Rende
         ReportKind::SelectionStats => Ok(render_selection_stats(spec, outcome)),
         ReportKind::TrendCensus => Ok(render_trend_census(spec, outcome)),
         ReportKind::Checkpoints => Ok(render_checkpoints(spec, outcome)),
+        ReportKind::AlcMatrix => Ok(render_alc_matrix(spec, outcome)),
     }
 }
 
@@ -543,6 +544,9 @@ pub fn write_rendered(name: &str, rendered: &Rendered) {
 }
 
 /// Execute + render + persist one spec — the whole figure/table pipeline.
+/// Selector-training wall clocks go to stderr (like the `# adaptive:`
+/// summary), so stdout stays byte-identical across resumes and thread
+/// counts.
 pub fn run_spec(
     spec: &ExperimentSpec,
     cli_scale: &Scale,
@@ -553,6 +557,9 @@ pub fn run_spec(
         .execute()?;
     let rendered = render_spec(spec, &outcome)?;
     write_rendered(&spec.name, &rendered);
+    for (label, ms) in &outcome.selector_train_ms {
+        eprintln!("# selector train: {label} {ms:.1} ms");
+    }
     Ok(outcome)
 }
 
@@ -855,6 +862,58 @@ fn render_checkpoints(spec: &ExperimentSpec, outcome: &GridOutcome) -> Rendered 
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
     print_table(&spec.title, &header_refs, &rows);
     Rendered::Rows(rows)
+}
+
+/// One `train \ apply` table per strategy display name: a row per
+/// group label, a column per dataset, each cell's [`mean_auc`]. The JSON
+/// payload is the flat matrix, one `[strategy, train, apply, alc]` row
+/// per cell in block order. Validation guarantees no cell was skipped.
+fn render_alc_matrix(spec: &ExperimentSpec, outcome: &GridOutcome) -> Rendered {
+    fn distinct<'a>(names: impl Iterator<Item = &'a String>) -> Vec<&'a str> {
+        let mut out: Vec<&str> = Vec::new();
+        for name in names {
+            if !out.contains(&name.as_str()) {
+                out.push(name);
+            }
+        }
+        out
+    }
+    let cells = || {
+        outcome
+            .blocks
+            .iter()
+            .flat_map(|b| b.cells.iter().map(move |c| (b, c)))
+    };
+    let datasets = distinct(outcome.blocks.iter().map(|b| &b.dataset));
+    let labels = distinct(outcome.blocks.iter().map(|b| &b.label));
+    for strategy in distinct(cells().map(|(_, c)| &c.name)) {
+        let alc = |label: &str, dataset: &str| {
+            cells()
+                .find(|(b, c)| b.label == label && b.dataset == dataset && c.name == strategy)
+                .map(|(_, c)| format!("{:.4}", mean_auc(c)))
+                .unwrap_or_default()
+        };
+        let rows: Vec<Vec<String>> = labels
+            .iter()
+            .filter(|label| cells().any(|(b, c)| b.label == **label && c.name == strategy))
+            .map(|label| {
+                let mut row = vec![label.to_string()];
+                row.extend(datasets.iter().map(|dataset| alc(label, dataset)));
+                row
+            })
+            .collect();
+        let mut header = vec!["train \\ apply"];
+        header.extend(&datasets);
+        print_table(&format!("{} — {strategy}", spec.title), &header, &rows);
+    }
+    Rendered::Rows(
+        cells()
+            .map(|(b, c)| {
+                let alc = format!("{:.6}", mean_auc(c));
+                vec![c.name.clone(), b.label.clone(), b.dataset.clone(), alc]
+            })
+            .collect(),
+    )
 }
 
 /// Mean of per-run areas under the learning curve — matches the

@@ -12,14 +12,19 @@
 //! | [`agnostic`], [`sweep_batch`] | extensions that run one spec per model / batch size |
 //! | [`compare`], [`significance`] | verdict tables over paired curve points |
 //! | [`ceiling`] | diagnostic: fully-supervised accuracy |
+//! | [`selector_train`], [`selector_apply`] | an `HLRN1` selector artifact, and one run with it |
 //! | [`bench()`] | `BENCH_harness.json`, or the `bench --check` gates |
 //!
 //! Their grids are still [`ExperimentSpec`]s run by
 //! [`crate::executor::GridExecutor`].
 
+use std::path::Path;
+use std::sync::Arc;
+
 use histal_core::analysis::area_under_curve;
 use histal_core::driver::RunResult;
 use histal_core::error::Error;
+use histal_core::learned::{load_artifacts, save_artifacts, ArtifactProvenance, TargetKind};
 use histal_core::strategy::{BaseStrategy, Strategy};
 use histal_data::{NerDataset, NerSpec, TextDataset, TextSpec};
 
@@ -31,7 +36,6 @@ use crate::registry;
 use crate::report::{print_curves, print_table, write_json};
 use crate::spec::{DatasetEntry, ExperimentSpec, GroupSpec, PoolSpec, ScaleSpec, StrategyEntry};
 use crate::tasks::{Scale, TextTask};
-use crate::transfer::{execute_transfer, TransferSpec};
 
 /// Format an optional final metric for a table cell.
 fn fmt_metric(m: Option<f64>) -> String {
@@ -395,6 +399,84 @@ pub fn fig4(scale: &Scale) -> Result<(), Error> {
 }
 
 // ---------------------------------------------------------------------
+// Selector artifacts: train on one dataset, deploy on another
+// ---------------------------------------------------------------------
+
+/// `selector-train TOKEN DATASET OUT`: train the learned selector the
+/// token describes on `dataset` and save it (with provenance) as an
+/// `HLRN1` artifact at `out_path`.
+pub fn selector_train(
+    token: &str,
+    dataset: &str,
+    out_path: &str,
+    scale: &Scale,
+) -> Result<(), Error> {
+    let Some(mut plan) = registry::parse_strategy(token)?.lhs else {
+        return Err(Error::spec(format!(
+            "strategy `{token}` is not a learned selector — selector-train takes \
+             LHS(...) / LAL(...) tokens"
+        )));
+    };
+    let dataset = registry::training_dataset(dataset)?;
+    plan.train = Some(dataset.to_string());
+    let selector = train_lhs_plan(&plan, scale)?;
+    let (target, experiment) = match plan.target {
+        TargetKind::Pairwise => ("pairwise", "lhs-train"),
+        TargetKind::Pointwise => ("pointwise", "lal-train"),
+    };
+    let provenance = ArtifactProvenance {
+        trained_on: dataset.to_string(),
+        base: plan.base.name().to_string(),
+        target: target.to_string(),
+        seed: seed_for(experiment, dataset, plan.base.name(), 0),
+    };
+    save_artifacts(&selector, &provenance, Path::new(out_path))?;
+    println!(
+        "trained {} on {dataset} → {out_path} ({target} targets)",
+        plan.label()
+    );
+    Ok(())
+}
+
+/// `selector-apply ARTIFACT DATASET`: load an `HLRN1` artifact and run
+/// one active-learning pass with it on `dataset`, printing the learning
+/// curve and its ALC — the deployment half of §4.4's transfer protocol.
+pub fn selector_apply(artifact_path: &str, dataset: &str, scale: &Scale) -> Result<(), Error> {
+    let (selector, provenance) = load_artifacts(Path::new(artifact_path))?;
+    let tspec = TextSpec::by_name(dataset.trim())
+        .ok_or_else(|| Error::unknown_name("dataset", dataset, TextSpec::NAMES.iter().copied()))?;
+    if tspec.n_classes > 2 {
+        return Err(Error::spec(format!(
+            "dataset `{dataset}` is multiclass — learned selectors deploy on binary \
+             text tasks"
+        )));
+    }
+    let strategy = registry::parse_strategy(&provenance.base)?.strategy;
+    let task = TextTask::build(&tspec, scale, 0);
+    let config = text_pool_config(false, scale);
+    let seed = seed_for("selector-apply", &task.name, &strategy.name(), 0);
+    let mut result = task
+        .builder(task.model(0), strategy, &config, seed)
+        .lhs(Arc::new(selector))
+        .build()
+        .run()?;
+    result.strategy_name = format!(
+        "{}({})@{}",
+        if provenance.target == "pointwise" {
+            "LAL"
+        } else {
+            "LHS"
+        },
+        provenance.base,
+        provenance.trained_on
+    );
+    let title = format!("{} applied to {}", result.strategy_name, task.name);
+    print_curves(&title, std::slice::from_ref(&result));
+    println!("ALC {:.4}", area_under_curve(&result));
+    Ok(())
+}
+
+// ---------------------------------------------------------------------
 // BENCH: harness performance trajectory
 // ---------------------------------------------------------------------
 
@@ -568,10 +650,8 @@ fn adaptive_sweep_spec() -> Result<ExperimentSpec, Error> {
 }
 
 /// The checked-in cross-dataset transfer matrix.
-fn transfer_matrix_spec() -> Result<TransferSpec, Error> {
-    let spec = TransferSpec::from_json(include_str!("../../../specs/transfer-matrix.json"))?;
-    spec.validate()?;
-    Ok(spec)
+fn transfer_matrix_spec() -> Result<ExperimentSpec, Error> {
+    ExperimentSpec::from_json(include_str!("../../../specs/transfer-matrix.json"))
 }
 
 /// BENCH: time a representative slice of the experiment grid and write
@@ -671,15 +751,18 @@ pub fn bench(scale: &Scale, check: bool) -> Result<(), Error> {
     // deterministic, and the deduplicated selector-training wall clocks
     // give `selector_train_gate` its reference.
     eprintln!("# BENCH: transfer matrix (specs/transfer-matrix.json)");
-    let transfer_outcome = execute_transfer(&transfer_matrix_spec()?, scale, None, true)?;
+    let transfer_outcome = GridExecutor::new(&transfer_matrix_spec()?, scale)
+        .serial()
+        .execute()?;
     let transfer = transfer_outcome
-        .rows
+        .blocks
         .iter()
-        .map(|r| TransferBenchRow {
-            strategy: r.strategy.clone(),
-            train: r.train.clone(),
-            apply: r.apply.clone(),
-            alc: r.alc,
+        .flat_map(|b| b.cells.iter().map(move |c| (b, c)))
+        .map(|(b, c)| TransferBenchRow {
+            strategy: c.name.clone(),
+            train: b.label.clone(),
+            apply: b.dataset.clone(),
+            alc: mean_auc(c),
         })
         .collect();
     let selector_train = transfer_outcome
@@ -942,12 +1025,12 @@ fn selector_train_gate() -> Result<(), Error> {
     // The same dedup the executor performs: one training per distinct
     // plan cache key across the strategy × train grid.
     let mut plans: Vec<registry::LhsPlan> = Vec::new();
-    for group in transfer_matrix_spec()?.to_experiment_spec().groups {
+    for group in transfer_matrix_spec()?.groups {
         for entry in group.strategies {
-            let plan = registry::parse_strategy(&entry.strategy)?
-                .lhs
-                .expect("transfer strategies are selector tokens");
-            if !plans.iter().any(|p| p.cache_key() == plan.cache_key()) {
+            let plan = registry::parse_strategy(&entry.strategy)?.lhs;
+            if let Some(plan) =
+                plan.filter(|p| plans.iter().all(|q| q.cache_key() != p.cache_key()))
+            {
                 plans.push(plan);
             }
         }

@@ -19,6 +19,5 @@ mod scaling;
 pub mod scheduler;
 pub mod spec;
 pub mod tasks;
-pub mod transfer;
 
 pub use tasks::{NerTask, Scale, TextTask};

@@ -261,6 +261,33 @@ fn unknown_param(wrapper: &str, p: &Param<'_>, valid: &[&str]) -> Error {
     Error::unknown_name(what, p.key.clone(), valid.iter().copied())
 }
 
+/// Resolve a selector-training dataset to its canonical name
+/// (`sst-2` → `sst2`), so every spelling of one corpus trains, caches
+/// and labels the same selector. Only binary text datasets can train
+/// one: the simulated labelling histories rank binary uncertainty.
+pub fn training_dataset(name: &str) -> Result<&'static str, Error> {
+    let name = name.trim();
+    let spec = TextSpec::by_name(name).ok_or_else(|| {
+        Error::unknown_name(
+            "selector training dataset",
+            name,
+            TextSpec::NAMES.iter().copied(),
+        )
+    })?;
+    if spec.n_classes > 2 {
+        return Err(Error::spec(format!(
+            "training dataset `{name}` is multiclass — learned selectors train on binary \
+             text tasks"
+        )));
+    }
+    let same_corpus = |n: &&str| TextSpec::by_name(n).is_some_and(|s| s.name == spec.name);
+    Ok(TextSpec::NAMES
+        .iter()
+        .copied()
+        .find(same_corpus)
+        .expect("by_name resolves only canonical names and their aliases"))
+}
+
 /// Shared plan parser behind the `LHS{...}` and `LAL{...}` tokens.
 /// `wrapper` picks the defaults: `LHS` is the classic pairwise ranker
 /// without meta-features; `LAL` defaults to pointwise regression targets
@@ -322,17 +349,7 @@ fn lhs_plan(
                 }
             }
             "meta" => use_meta = param_bool(p)?,
-            "train" => {
-                let name = p.value.trim();
-                if TextSpec::by_name(name).is_none() {
-                    return Err(Error::unknown_name(
-                        "selector training dataset",
-                        name,
-                        TextSpec::NAMES.iter().copied(),
-                    ));
-                }
-                train = Some(name.to_ascii_lowercase());
-            }
+            "train" => train = Some(training_dataset(p.value)?.to_string()),
             _ => {
                 return Err(unknown_param(
                     wrapper,
@@ -925,6 +942,17 @@ mod tests {
             }
         ));
         assert!(e.to_string().contains("mr"), "{e}");
+        // Multiclass corpora cannot train a selector.
+        let e = parse_strategy("LAL{train=trec}(entropy)").unwrap_err();
+        assert!(e.to_string().contains("multiclass"), "{e}");
+        // Aliases resolve to the canonical name: one plan, one label,
+        // one cache key and one training seed per corpus.
+        let alias = parse_strategy("LHS{train=SST-2}(entropy)").unwrap();
+        let canonical = parse_strategy("LHS{train=sst2}(entropy)").unwrap();
+        assert_eq!(alias.display_name(), "LHS(entropy)@sst2");
+        let (alias, canonical) = (alias.lhs.unwrap(), canonical.lhs.unwrap());
+        assert_eq!(alias.train.as_deref(), Some("sst2"));
+        assert_eq!(alias.cache_key(), canonical.cache_key());
     }
 
     #[test]

@@ -17,79 +17,6 @@ use serde::{DeError, Deserialize, Serialize, Value};
 use histal_core::error::Error;
 
 use crate::registry;
-use crate::transfer::{TransferSpec, TRANSFER_KIND};
-
-/// The schema a spec file follows, named by its `kind` discriminator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpecKind {
-    /// No `kind`: an [`ExperimentSpec`] grid.
-    Experiment,
-    /// `"kind": "transfer"`: a [`crate::transfer::TransferSpec`].
-    Transfer,
-}
-
-impl SpecKind {
-    /// Peek a JSON body's `kind` without committing to a schema, so
-    /// [`SpecFile::from_json`] can route each file to its parser. A body
-    /// without a known `kind`, or one that does not parse, is an
-    /// experiment grid; its parser then reports the error.
-    pub fn of_json(body: &str) -> SpecKind {
-        #[derive(Deserialize)]
-        struct KindProbe {
-            #[serde(default)]
-            kind: Option<String>,
-        }
-        let probe = serde_json::from_str::<KindProbe>(body).ok();
-        match probe.and_then(|p| p.kind).as_deref() {
-            Some(TRANSFER_KIND) => SpecKind::Transfer,
-            _ => SpecKind::Experiment,
-        }
-    }
-}
-
-/// A spec file of any kind, parsed with the schema its `kind` names
-/// ([`SpecKind::of_json`]) and validated — the one loader behind
-/// `spec-check`, `run --spec` and the round-trip tests.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SpecFile {
-    /// No `kind`: an experiment grid.
-    Experiment(Box<ExperimentSpec>),
-    /// `"kind": "transfer"`.
-    Transfer(TransferSpec),
-}
-
-impl SpecFile {
-    /// Parse and validate a spec file's JSON `body`.
-    pub fn from_json(body: &str) -> Result<SpecFile, Error> {
-        let spec = match SpecKind::of_json(body) {
-            SpecKind::Experiment => {
-                SpecFile::Experiment(Box::new(ExperimentSpec::from_json(body)?))
-            }
-            SpecKind::Transfer => SpecFile::Transfer(TransferSpec::from_json(body)?),
-        };
-        match &spec {
-            SpecFile::Experiment(s) => s.validate(),
-            SpecFile::Transfer(s) => s.validate(),
-        }?;
-        Ok(spec)
-    }
-
-    /// The spec's `name`.
-    pub fn name(&self) -> &str {
-        match self {
-            SpecFile::Experiment(s) => &s.name,
-            SpecFile::Transfer(s) => &s.name,
-        }
-    }
-
-    /// Serialize to pretty JSON (the `specs/` file format).
-    pub fn to_json_pretty(&self) -> String {
-        match self {
-            SpecFile::Experiment(s) => s.to_json_pretty(),
-            SpecFile::Transfer(s) => s.to_json_pretty(),
-        }
-    }
-}
 
 /// Reject a repeat count the seed derivation cannot honour:
 /// [`crate::executor::seed_for`] folds the repeat index in as one byte,
@@ -443,6 +370,10 @@ pub enum ReportKind {
     TrendCensus,
     /// Metric at evenly spaced label-budget checkpoints.
     Checkpoints,
+    /// One `train \ apply` table of mean per-repeat ALCs per strategy
+    /// display name: group labels are the rows (the datasets a
+    /// `train=` selector learned on), datasets the columns.
+    AlcMatrix,
 }
 
 impl ReportKind {
@@ -453,6 +384,7 @@ impl ReportKind {
         ("timing", ReportKind::Timing),
         ("trend-census", ReportKind::TrendCensus),
         ("checkpoints", ReportKind::Checkpoints),
+        ("alc-matrix", ReportKind::AlcMatrix),
     ];
 
     fn as_str(self) -> &'static str {
@@ -633,8 +565,12 @@ impl ExperimentSpec {
             return Err(Error::spec("spec lists no strategies"));
         }
         let mut kind = None;
+        let mut multiclass = None;
         for d in &self.datasets {
             let def = registry::parse_dataset(&d.dataset)?;
+            if matches!(&def, registry::DatasetDef::Text { spec, .. } if spec.n_classes > 2) {
+                multiclass.get_or_insert(&d.dataset);
+            }
             match kind {
                 None => kind = Some(def.kind()),
                 Some(k) if k != def.kind() => {
@@ -649,12 +585,20 @@ impl ExperimentSpec {
         }
         let kind = kind.expect("datasets checked non-empty");
         let mut diversity = false;
+        let alc_matrix = self.report == ReportKind::AlcMatrix;
         for g in &self.groups {
             for e in &g.strategies {
                 let resolved = registry::parse_strategy(&e.strategy)?;
                 if resolved.lhs.is_some() && kind == registry::TaskKind::Ner {
                     return Err(Error::spec(format!(
                         "strategy `{}`: LHS selectors are only supported on text datasets",
+                        e.strategy
+                    )));
+                }
+                if let Some(dataset) = multiclass.filter(|_| alc_matrix && resolved.lhs.is_some()) {
+                    return Err(Error::spec(format!(
+                        "strategy `{}` on multiclass dataset `{dataset}`: the grid skips \
+                         learned-selector cells there, so the `alc-matrix` would have a hole",
                         e.strategy
                     )));
                 }
@@ -1087,6 +1031,20 @@ mod tests {
         assert_eq!(budget(None, Some(10.0)).affordable_rounds(25, 25), 0);
         // No ceiling → unconstrained (validate() rejects this spec).
         assert_eq!(budget(None, None).affordable_rounds(25, 25), usize::MAX);
+    }
+
+    #[test]
+    fn alc_matrix_rejects_learned_cells_the_grid_would_skip() {
+        let mut spec = sample();
+        spec.report = ReportKind::AlcMatrix;
+        spec.groups[0].strategies = vec![StrategyEntry::new("LHS{train=subj}(entropy)")];
+        spec.validate().expect("binary datasets fill every cell");
+        spec.datasets.push(DatasetEntry::new("trec"));
+        let msg = spec.validate().unwrap_err().to_string();
+        assert!(msg.contains("`trec`") && msg.contains("hole"), "{msg}");
+        // Other reports show the skipped cell as absent (fig3's TREC).
+        spec.report = ReportKind::Curves;
+        spec.validate().expect("curves tolerate skipped cells");
     }
 
     #[test]

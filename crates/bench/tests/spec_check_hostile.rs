@@ -24,11 +24,26 @@ fn hostile_specs_exit_1_with_one_err_line_each() {
         ("batch", "mr", "entropy", r#"{"batch_size": 0}"#),
         ("hkld-k1", "mr", "HKLD{k=1}(entropy)", "{}"),
         ("hus-k0", "mr", "HUS{k=0}(entropy)", "{}"),
+        // Only binary datasets can train a selector.
+        ("train-trec", "mr", "LHS{train=trec}(entropy)", "{}"),
     ];
-    for (name, dataset, strategy, pool) in hostile {
-        let body = format!(
-            r#"{{"name": "{name}", "datasets": ["{dataset}"], "groups": [{{"strategies": ["{strategy}"]}}], "pool": {pool}}}"#
-        );
+    let mut files: Vec<(&str, String)> = hostile
+        .iter()
+        .map(|(name, dataset, strategy, pool)| {
+            let body = format!(
+                r#"{{"name": "{name}", "datasets": ["{dataset}"], "groups": [{{"strategies": ["{strategy}"]}}], "pool": {pool}}}"#
+            );
+            (*name, body)
+        })
+        .collect();
+    // The retired second schema: a train × apply matrix is now an
+    // ordinary grid with an `alc-matrix` report.
+    files.push((
+        "transfer-kind",
+        r#"{"kind": "transfer", "name": "t", "train": ["subj"], "apply": ["mr"], "strategies": ["LHS(entropy)"]}"#
+            .to_string(),
+    ));
+    for (name, body) in &files {
         std::fs::write(dir.join(format!("{name}.json")), body).expect("write spec");
     }
     let out = Command::new(BIN)
@@ -44,8 +59,8 @@ fn hostile_specs_exit_1_with_one_err_line_each() {
         String::from_utf8_lossy(&out.stderr)
     );
     let errs: Vec<&str> = stdout.lines().filter(|l| l.starts_with("ERR ")).collect();
-    assert_eq!(errs.len(), hostile.len(), "{stdout}");
-    for (name, ..) in hostile {
+    assert_eq!(errs.len(), files.len(), "{stdout}");
+    for (name, _) in &files {
         let file = format!("{name}.json:");
         assert!(
             errs.iter().any(|l| l.contains(&file)),

@@ -110,6 +110,7 @@ fn report_kind() -> impl Strategy<Value = ReportKind> {
         Just(ReportKind::Timing),
         Just(ReportKind::TrendCensus),
         Just(ReportKind::Checkpoints),
+        Just(ReportKind::AlcMatrix),
     ]
 }
 
@@ -235,12 +236,9 @@ proptest! {
 }
 
 /// Every checked-in spec file must parse, validate, and round-trip
-/// byte-idempotently. Files declaring `"kind": "transfer"` follow the
-/// transfer-matrix schema; everything else is an [`ExperimentSpec`].
+/// byte-idempotently as an [`ExperimentSpec`] — the one spec schema.
 #[test]
 fn checked_in_specs_parse_validate_and_round_trip() {
-    use histal_bench::spec::SpecFile;
-
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs");
     let mut paths: Vec<_> = std::fs::read_dir(dir)
         .expect("specs/ directory exists at the repo root")
@@ -248,17 +246,13 @@ fn checked_in_specs_parse_validate_and_round_trip() {
         .filter(|p| p.extension().is_some_and(|x| x == "json"))
         .collect();
     paths.sort();
-    let (mut experiment_specs, mut transfer_specs) = (0usize, 0usize);
-    for path in paths {
-        let body = std::fs::read_to_string(&path).unwrap();
-        let spec = SpecFile::from_json(&body)
+    for path in &paths {
+        let body = std::fs::read_to_string(path).unwrap();
+        let spec = ExperimentSpec::from_json(&body)
+            .and_then(|spec| spec.validate().map(|()| spec))
             .unwrap_or_else(|e| panic!("{}: parse or validate failed: {e}", path.display()));
-        match spec {
-            SpecFile::Experiment(_) => experiment_specs += 1,
-            SpecFile::Transfer(_) => transfer_specs += 1,
-        }
         let json1 = spec.to_json_pretty();
-        let spec2 = SpecFile::from_json(&json1).unwrap();
+        let spec2 = ExperimentSpec::from_json(&json1).unwrap();
         assert_eq!(
             spec,
             spec2,
@@ -273,11 +267,8 @@ fn checked_in_specs_parse_validate_and_round_trip() {
         );
     }
     assert!(
-        experiment_specs >= 7,
-        "expected the seven checked-in experiment specs, found {experiment_specs}"
-    );
-    assert!(
-        transfer_specs >= 1,
-        "expected the checked-in transfer spec, found {transfer_specs}"
+        paths.len() >= 12,
+        "expected the twelve checked-in specs, found {}",
+        paths.len()
     );
 }

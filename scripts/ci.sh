@@ -106,39 +106,6 @@ echo "    and resumes byte-identically (pruning decisions included)"
     diff adaptive-first.out adaptive-second.out
 )
 
-echo "==> transfer smoke: selector train -> save -> load -> apply across datasets,"
-echo "    and the checked-in transfer matrix runs end-to-end"
-(
-    cd "$SMOKE_DIR"
-    # Cross-process cross-dataset transfer: train on MR, persist the
-    # HLRN1 artifact, reload it in a fresh process and deploy on SST-2.
-    "$BIN" selector-train 'LAL(entropy)' mr lal-mr.hlrn --scale 0.05 \
-        > /dev/null 2>&1
-    test -s lal-mr.hlrn
-    "$BIN" selector-apply lal-mr.hlrn sst2 --scale 0.05 \
-        > apply.out 2> /dev/null
-    grep -q '^ALC 0\.' apply.out
-    "$BIN" run --spec "$REPO_DIR/specs/transfer-matrix.json" --scale 0.02 \
-        > transfer.out 2> transfer.err
-    grep -q 'Transfer ALC — LHS(entropy)' transfer.out
-    grep -q 'Transfer ALC — LAL(entropy)' transfer.out
-    grep -q '# selector train: ' transfer.err
-    test -s results/transfer-matrix.json
-)
-
-echo "==> selector-train determinism: LHS and LAL artifacts trained at 1 and 4"
-echo "    worker threads are byte-identical HLRN1 files"
-(
-    cd "$SMOKE_DIR"
-    for token in 'LHS(entropy)' 'LAL(entropy)'; do
-        "$BIN" selector-train "$token" mr st-1t.hlrn --scale 0.05 --threads 1 \
-            > /dev/null 2>&1
-        "$BIN" selector-train "$token" mr st-4t.hlrn --scale 0.05 --threads 4 \
-            > /dev/null 2>&1
-        cmp st-1t.hlrn st-4t.hlrn
-    done
-)
-
 echo "==> serve smoke: histal-serve end-to-end (external + simulated oracle,"
 echo "    duplicate absorption, per-tenant /metrics, clean shutdown), then a"
 echo "    restart on the same state dir must list the same sessions"
