@@ -1,9 +1,10 @@
 //! Generic grid executor behind the declarative experiment engine.
 //!
 //! [`GridExecutor`] turns an [`ExperimentSpec`] into results: it
-//! resolves datasets/strategies through [`crate::registry`], trains any
-//! LHS selectors the spec needs (deduplicated by training plan), flattens
+//! resolves datasets/strategies through [`crate::registry`], flattens
 //! the `(dataset × group × strategy)` grid into a `scheduler::GridCtx`,
+//! lays out its slots (replaying what the journal holds), trains the LHS
+//! selectors the remaining slots need (deduplicated by training plan),
 //! and runs it through the one epoch-stepped slot loop,
 //! `scheduler::execute`: cells fan out across the rayon pool,
 //! each cell fans its repeats out, and a spec with a `prune` policy
@@ -46,7 +47,7 @@ use crate::journal::JournalCtx;
 use crate::registry::{self, DatasetDef, LhsPlan, Metric};
 use crate::report::{print_curves, print_table, write_json};
 pub use crate::scheduler::CellOutcome;
-use crate::scheduler::{self, AdaptiveSummary, Cell, GridCtx, TaskInstance};
+use crate::scheduler::{self, AdaptiveSummary, Cell, GridCtx, Slot, TaskInstance};
 use crate::spec::{
     check_repeats, render_template, BudgetSpec, ExperimentSpec, PruneSpec, ReportKind,
     SignificanceSpec,
@@ -347,7 +348,8 @@ impl<'a> GridExecutor<'a> {
     }
 
     /// Execute the grid. Validates the spec, builds every dataset,
-    /// trains the (deduplicated) LHS selectors, then runs all cells.
+    /// trains the (deduplicated) LHS selectors the journal cannot replay,
+    /// then runs all cells.
     /// The first failing cell aborts the grid with an error naming its
     /// cell key.
     pub fn execute(&self) -> Result<GridOutcome, Error> {
@@ -394,34 +396,24 @@ impl<'a> GridExecutor<'a> {
             }
         }
 
-        // Strategies: resolve every entry once, train each distinct LHS
-        // plan once (serially, before the fan-out).
+        // Strategies: resolve every entry once and number each distinct
+        // LHS plan; training waits until the journal has been consulted.
         let mut resolved: Vec<Vec<(registry::ResolvedStrategy, Option<usize>)>> = Vec::new();
-        let mut selectors: Vec<Arc<LearnedSelector>> = Vec::new();
-        let mut selector_keys: Vec<String> = Vec::new();
-        let mut selector_train_ms: Vec<(String, f64)> = Vec::new();
+        let mut plans: Vec<LhsPlan> = Vec::new();
         for group in &spec.groups {
             let mut row = Vec::new();
             for entry in &group.strategies {
                 let r = registry::parse_strategy(&entry.strategy)?;
-                let lhs = match &r.lhs {
-                    None => None,
-                    Some(plan) => {
-                        let key = plan.cache_key();
-                        let idx = match selector_keys.iter().position(|k| *k == key) {
-                            Some(i) => i,
-                            None => {
-                                let start = std::time::Instant::now();
-                                selectors.push(train_lhs_plan(plan, &self.scale)?);
-                                selector_train_ms
-                                    .push((plan.label(), start.elapsed().as_secs_f64() * 1e3));
-                                selector_keys.push(key);
-                                selectors.len() - 1
-                            }
-                        };
-                        Some(idx)
-                    }
-                };
+                let lhs = r.lhs.as_ref().map(|plan| {
+                    let key = plan.cache_key();
+                    plans
+                        .iter()
+                        .position(|p| p.cache_key() == key)
+                        .unwrap_or_else(|| {
+                            plans.push(plan.clone());
+                            plans.len() - 1
+                        })
+                });
                 row.push((r, lhs));
             }
             resolved.push(row);
@@ -461,17 +453,34 @@ impl<'a> GridExecutor<'a> {
             }
         }
 
-        let ctx = GridCtx {
+        let mut ctx = GridCtx {
             spec,
             scale: self.scale,
             journal: self.journal,
             model,
             instances,
-            selectors,
+            selectors: vec![None; plans.len()],
             cells,
         };
 
-        let (outcomes, adaptive) = scheduler::execute(&ctx, self.serial)?;
+        // Train each distinct LHS plan that some slot the journal cannot
+        // replay still needs: once, in plan order, serially before the
+        // fan-out. A resume that replays every cell of a plan skips it.
+        let slots = scheduler::plan_slots(&ctx);
+        let mut needed = vec![false; plans.len()];
+        for c in slots.iter().filter_map(Slot::pending_cell) {
+            if let Some(p) = ctx.cells[c].lhs {
+                needed[p] = true;
+            }
+        }
+        let mut selector_train_ms: Vec<(String, f64)> = Vec::new();
+        for (p, plan) in plans.iter().enumerate().filter(|(p, _)| needed[*p]) {
+            let start = std::time::Instant::now();
+            ctx.selectors[p] = Some(train_lhs_plan(plan, &self.scale)?);
+            selector_train_ms.push((plan.label(), start.elapsed().as_secs_f64() * 1e3));
+        }
+
+        let (outcomes, adaptive) = scheduler::execute(&ctx, slots, self.serial)?;
 
         // Regroup consecutive cells per (dataset, group) into blocks —
         // output order matches the historical serial nested loops.

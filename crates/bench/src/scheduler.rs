@@ -1,7 +1,8 @@
 //! Grid cell execution: one epoch-stepped slot loop runs every grid.
 //!
 //! [`crate::executor::GridExecutor`] resolves a spec into a `GridCtx`
-//! — built datasets, trained LHS selectors, flattened cells — and hands
+//! — built datasets, flattened cells, and the LHS selectors needed by
+//! the slots `plan_slots` could not replay from the journal — and hands
 //! it to `execute`. Every `(cell, repeat)` is a *slot*. The loop
 //! advances the slots of every surviving cell to an epoch *horizon*
 //! (a number of completed curve points), waits for all of them, and —
@@ -125,7 +126,9 @@ pub(crate) struct GridCtx<'a> {
     pub(crate) journal: Option<&'a JournalCtx>,
     pub(crate) model: TextModel,
     pub(crate) instances: Vec<TaskInstance>,
-    pub(crate) selectors: Vec<Arc<LearnedSelector>>,
+    /// Trained selectors by plan index; a plan no pending slot needs
+    /// stays untrained.
+    pub(crate) selectors: Vec<Option<Arc<LearnedSelector>>>,
     pub(crate) cells: Vec<Cell>,
 }
 
@@ -138,7 +141,11 @@ fn stream_repeat(ctx: &GridCtx<'_>, c: usize, seed: u64, journal: Option<RunJour
             // `task.builder` attaches the task's shared geometry to
             // diversity cells; a learned-selector token carries no
             // diversity suffix (spec validation), so its cells get none.
-            let lhs = cell.lhs.map(|i| ctx.selectors[i].clone());
+            let lhs = cell.lhs.map(|i| {
+                ctx.selectors[i]
+                    .clone()
+                    .expect("a pending slot's selector was trained")
+            });
             match ctx.model {
                 TextModel::NaiveBayes => {
                     let builder = task.builder(task.naive_bayes(), strategy, config, seed);
@@ -190,7 +197,7 @@ enum SlotState {
 }
 
 /// One `(cell, repeat)` execution slot.
-struct Slot {
+pub(crate) struct Slot {
     cell: usize,
     key: String,
     seed: u64,
@@ -199,6 +206,12 @@ struct Slot {
 }
 
 impl Slot {
+    /// The slot's cell while it still has to run; `None` once the journal
+    /// has supplied its record.
+    pub(crate) fn pending_cell(&self) -> Option<usize> {
+        matches!(self.state, SlotState::Pending).then_some(self.cell)
+    }
+
     /// The curve points completed so far.
     fn curve(&self) -> &[CurvePoint] {
         match &self.state {
@@ -209,22 +222,14 @@ impl Slot {
     }
 
     /// Advance to `horizon` completed points or natural completion,
-    /// whichever comes first. The first advance replays the journal's
-    /// record of the slot or builds its session.
+    /// whichever comes first. The first advance of a pending slot builds
+    /// its session.
     fn advance(&mut self, ctx: &GridCtx<'_>, horizon: usize) -> Result<(), Error> {
         if let SlotState::Pending = self.state {
-            self.state = match ctx.journal.and_then(|j| j.cached(&self.key, self.hash)) {
-                Some(cached) => {
-                    event!(Level::Info, "journal.replay", cell = self.key.clone());
-                    SlotState::Done(cached.clone())
-                }
-                None => {
-                    let journal = ctx
-                        .journal
-                        .map(|j| j.run_journal(&self.key, self.hash, self.seed));
-                    SlotState::Live(stream_repeat(ctx, self.cell, self.seed, journal))
-                }
-            };
+            let journal = ctx
+                .journal
+                .map(|j| j.run_journal(&self.key, self.hash, self.seed));
+            self.state = SlotState::Live(stream_repeat(ctx, self.cell, self.seed, journal));
         }
         let SlotState::Live(run) = &mut self.state else {
             return Ok(());
@@ -266,31 +271,16 @@ impl Slot {
 /// panic has already unwound out of the epoch's fan-out.
 const POISONED: &str = "a slot's advance panicked and was re-raised";
 
-/// Run every slot of the grid through the epoch loop. Returns the cell
-/// outcomes in flattened cell order, plus the pruning summary when the
-/// spec sets `prune`. The first failing slot, in slot order, aborts the
-/// grid with an error naming its cell key.
-pub(crate) fn execute(
-    ctx: &GridCtx<'_>,
-    serial: bool,
-) -> Result<(Vec<CellOutcome>, Option<AdaptiveSummary>), Error> {
+/// Lay out the grid's slots, cell-major, then repeat. Seeds and journal
+/// keys derive only from `(experiment, dataset, strategy, repeat)`, per
+/// the determinism contract; the replay-guard hash is everything else
+/// that determines a cell's bytes (see [`cell_hash`]). A slot whose
+/// record the journal holds under the same key and hash starts done,
+/// with that record; every other slot starts pending. Reads neither
+/// `ctx.selectors` nor any RNG, so it can run before selector training.
+pub(crate) fn plan_slots(ctx: &GridCtx<'_>) -> Vec<Slot> {
     let repeats = ctx.scale.repeats;
-    let n_cells = ctx.cells.len();
-
-    // Total curve points of each cell's runs (rounds + the initial
-    // point). Uniform within a dataset; datasets may differ.
-    let totals: Vec<usize> = ctx
-        .cells
-        .iter()
-        .map(|cell| ctx.instances[cell.task].config().rounds + 1)
-        .collect();
-
-    // Slots are cell-major, then repeat; each sits behind its own lock
-    // so a cell's repeat fan-out can advance them in place. Seeds and
-    // journal keys derive only from `(experiment, dataset, strategy,
-    // repeat)`, per the determinism contract; the replay-guard hash is
-    // everything else that determines a cell's bytes (see [`cell_hash`]).
-    let mut slots: Vec<Mutex<Slot>> = Vec::with_capacity(n_cells * repeats);
+    let mut slots: Vec<Slot> = Vec::with_capacity(ctx.cells.len() * repeats);
     for (c, cell) in ctx.cells.iter().enumerate() {
         let inst = &ctx.instances[cell.task];
         let beam = match inst {
@@ -318,15 +308,49 @@ pub(crate) fn execute(
         );
         let strategy = cell.strategy.name();
         for r in 0..repeats {
-            slots.push(Mutex::new(Slot {
+            let key = format!("{}/{}/{strategy}/r{r}", cell.experiment, inst.name());
+            let state = match ctx.journal.and_then(|j| j.cached(&key, hash)) {
+                Some(cached) => {
+                    event!(Level::Info, "journal.replay", cell = key.clone());
+                    SlotState::Done(cached.clone())
+                }
+                None => SlotState::Pending,
+            };
+            slots.push(Slot {
                 cell: c,
-                key: format!("{}/{}/{strategy}/r{r}", cell.experiment, inst.name()),
                 seed: seed_for(&cell.experiment, inst.name(), &strategy, r),
+                key,
                 hash,
-                state: SlotState::Pending,
-            }));
+                state,
+            });
         }
     }
+    slots
+}
+
+/// Run the grid's `slots` (from [`plan_slots`]) through the epoch loop.
+/// Returns the cell outcomes in flattened cell order, plus the pruning
+/// summary when the spec sets `prune`. The first failing slot, in slot
+/// order, aborts the grid with an error naming its cell key.
+pub(crate) fn execute(
+    ctx: &GridCtx<'_>,
+    slots: Vec<Slot>,
+    serial: bool,
+) -> Result<(Vec<CellOutcome>, Option<AdaptiveSummary>), Error> {
+    let repeats = ctx.scale.repeats;
+    let n_cells = ctx.cells.len();
+
+    // Total curve points of each cell's runs (rounds + the initial
+    // point). Uniform within a dataset; datasets may differ.
+    let totals: Vec<usize> = ctx
+        .cells
+        .iter()
+        .map(|cell| ctx.instances[cell.task].config().rounds + 1)
+        .collect();
+
+    // Each slot sits behind its own lock so a cell's repeat fan-out can
+    // advance them in place.
+    let mut slots: Vec<Mutex<Slot>> = slots.into_iter().map(Mutex::new).collect();
 
     let mut alive: Vec<bool> = vec![true; n_cells];
     let mut walls: Vec<f64> = vec![0.0; n_cells];

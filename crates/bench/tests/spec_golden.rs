@@ -316,8 +316,8 @@ fn transfer_matrix_matches_golden() {
 
 /// A transfer-matrix journal captured from an earlier binary must replay:
 /// the per-entry experiment ids, seeds, cell keys and config hashes of
-/// every matrix cell stay the same, so no cell re-runs and the journal
-/// gains no byte.
+/// every matrix cell stay the same, so no cell re-runs, the journal
+/// gains no byte and no selector is trained.
 #[test]
 fn transfer_matrix_resumes_golden_journal_byte_identically() {
     let dir = scratch("transfer-resume");
@@ -350,5 +350,61 @@ fn transfer_matrix_resumes_golden_journal_byte_identically() {
         std::fs::read(goldens().join("transfer_matrix_s002_r1.jsonl")).unwrap(),
         "a replayed cell re-ran and appended to the journal"
     );
+    assert!(
+        !stderr.contains("# selector train:"),
+        "a fully replayed resume trained a selector:\n{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Resume the golden transfer journal with one slot's records cut out
+/// (`transfer-s0-t-mr/SST-2/entropy/r1`): that slot re-runs and the other
+/// 15 replay, so only its selector, `LHS(entropy)@mr`, is trained, and
+/// stdout still equals the golden.
+#[test]
+fn a_partial_transfer_resume_trains_only_the_selectors_unreplayed_cells_need() {
+    let dir = scratch("transfer-partial");
+    let journal = dir.join("transfer.jsonl");
+    let golden_journal = golden("transfer_matrix_s002_r1.jsonl");
+    let cut = "\"cell\":\"transfer-s0-t-mr/SST-2/entropy/r1\"";
+    let kept: String = golden_journal
+        .lines()
+        .filter(|line| !line.contains(cut))
+        .map(|line| format!("{line}\n"))
+        .collect();
+    assert_eq!(kept.lines().count(), golden_journal.lines().count() - 6);
+    std::fs::write(&journal, kept).expect("write cut journal");
+    let spec = specs().join("transfer-matrix.json");
+    let (stdout, stderr) = run(
+        &dir,
+        &[
+            "resume",
+            "run",
+            "--spec",
+            spec.to_str().unwrap(),
+            "--journal",
+            journal.to_str().unwrap(),
+        ],
+    );
+    assert!(
+        stderr.contains("# resume: 15 completed cell(s) in journal"),
+        "journal cells not recognized:\n{stderr}"
+    );
+    assert_eq!(
+        stdout,
+        golden("transfer_matrix_s002_r1.stdout"),
+        "partially resumed transfer matrix stdout drifted from the golden"
+    );
+    let trained: Vec<&str> = stderr
+        .lines()
+        .filter(|line| line.starts_with("# selector train: "))
+        .collect();
+    assert_eq!(trained.len(), 1, "{stderr}");
+    assert!(
+        trained[0].starts_with("# selector train: LHS(entropy)@mr "),
+        "{stderr}"
+    );
+    let records = std::fs::read_to_string(&journal).unwrap();
+    assert_eq!(records.matches("\"kind\":\"cell\"").count(), 16);
     let _ = std::fs::remove_dir_all(&dir);
 }

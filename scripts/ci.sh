@@ -27,6 +27,10 @@ echo "==> pool protocol tests in release (narrower timing windows for the"
 echo "    close/running handshake of rayon::run_indexed)"
 cargo test --release -p rayon -q
 
+echo "==> ChaCha8 refill tests in release (the SSE2 refill against the scalar"
+echo "    oracle under the optimised codegen that ships)"
+cargo test --release -p rand_chacha -q
+
 echo "==> benchmark package: builds, unit tests, flat fan-out matches GridExecutor"
 echo "    (the out-of-workspace benchmark/ package drives the public core API,"
 echo "     so an API change that breaks it or moves its curves fails here)"
