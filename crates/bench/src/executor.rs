@@ -44,7 +44,7 @@ use histal_obs::span;
 use histal_obs::trace::Level;
 
 use crate::journal::JournalCtx;
-use crate::registry::{self, DatasetDef, LhsPlan, Metric};
+use crate::registry::{self, LhsPlan, Metric, TaskKind};
 use crate::report::{print_curves, print_table, write_json};
 pub use crate::scheduler::CellOutcome;
 use crate::scheduler::{self, AdaptiveSummary, Cell, GridCtx, Slot, TaskInstance};
@@ -52,7 +52,7 @@ use crate::spec::{
     check_repeats, render_template, BudgetSpec, ExperimentSpec, PruneSpec, ReportKind,
     SignificanceSpec,
 };
-use crate::tasks::{NerTask, Scale, TextModel, TextTask};
+use crate::tasks::{Scale, Task, TextTask};
 
 /// Pool configuration for a text dataset: the paper samples 20 batches of
 /// 25 (MR, SST-2) or 100 (TREC), the first batch random.
@@ -222,7 +222,7 @@ pub fn train_lhs_plan(plan: &LhsPlan, scale: &Scale) -> Result<Arc<LearnedSelect
     };
     let corpus = TextTask::build(&tspec, scale, 0x53_42);
     train_learned(
-        &corpus.model(0),
+        &corpus.classifier_for(plan.base),
         &corpus.pool_docs,
         &corpus.pool_labels,
         &corpus.test_docs,
@@ -360,41 +360,24 @@ impl<'a> GridExecutor<'a> {
         check_repeats("repeats", self.scale.repeats)?;
         let _span = span!(Level::Info, "harness.experiment", name = spec.name.clone());
 
-        let model = match spec.model.as_deref() {
-            Some("nb") => TextModel::NaiveBayes,
-            _ => TextModel::LogReg,
-        };
-
         // Datasets → built tasks with per-kind pool configs.
         let mut instances: Vec<TaskInstance> = Vec::new();
+        let mut kind = TaskKind::Text;
         for d in &spec.datasets {
-            match registry::parse_dataset(&d.dataset)? {
-                DatasetDef::Text { spec: tspec, noise } => {
-                    let trec_like = tspec.n_classes > 2;
-                    let mut task = TextTask::build(&tspec, &self.scale, spec.split_seed);
-                    if let Some(rate) = noise {
-                        histal_data::corrupt_labels(
-                            &mut task.pool_labels,
-                            task.n_classes,
-                            rate,
-                            spec.split_seed + 1,
-                        );
-                    }
-                    let config = self.apply_pool(text_pool_config(trec_like, &self.scale));
-                    instances.push(TaskInstance::Text {
-                        task,
-                        config,
-                        trec_like,
-                    });
+            let def = registry::parse_dataset(&d.dataset)?;
+            kind = def.kind();
+            let mut task = Task::build(&def, &self.scale, spec.split_seed);
+            let config = match &mut task {
+                Task::Text(t) => text_pool_config(t.n_classes > 2, &self.scale),
+                Task::Ner(t) => {
+                    t.score_beam = spec.ner_beam;
+                    ner_pool_config(&self.scale)
                 }
-                DatasetDef::Ner { spec: nspec } => {
-                    let mut task = NerTask::build(&nspec, &self.scale);
-                    task.score_beam = spec.ner_beam;
-                    let config = self.apply_pool(ner_pool_config(&self.scale));
-                    instances.push(TaskInstance::Ner { task, config });
-                }
-            }
+            };
+            let config = self.apply_pool(config);
+            instances.push(TaskInstance { task, config });
         }
+        let model = registry::parse_model(spec.model.as_deref(), kind)?;
 
         // Strategies: resolve every entry once and number each distinct
         // LHS plan; training waits until the journal has been consulted.
@@ -424,13 +407,7 @@ impl<'a> GridExecutor<'a> {
         // Subj — matches the historical fig3 grid).
         let mut cells: Vec<Cell> = Vec::new();
         for (ti, inst) in instances.iter().enumerate() {
-            let multiclass = matches!(
-                inst,
-                TaskInstance::Text {
-                    trec_like: true,
-                    ..
-                }
-            );
+            let multiclass = matches!(&inst.task, Task::Text(t) if t.n_classes > 2);
             for (gi, group) in spec.groups.iter().enumerate() {
                 for (ei, entry) in group.strategies.iter().enumerate() {
                     let (r, lhs) = &resolved[gi][ei];
@@ -494,9 +471,9 @@ impl<'a> GridExecutor<'a> {
                     dataset: spec.datasets[cell.task]
                         .rename
                         .clone()
-                        .unwrap_or_else(|| ctx.instances[cell.task].name().to_string()),
+                        .unwrap_or_else(|| ctx.instances[cell.task].task.name().to_string()),
                     label: spec.groups[cell.group].label.clone(),
-                    config: ctx.instances[cell.task].config().clone(),
+                    config: ctx.instances[cell.task].config.clone(),
                     cells: Vec::new(),
                 });
             }
@@ -1007,23 +984,44 @@ mod tests {
 
     #[test]
     fn failing_cell_reports_its_key() {
-        // QBC needs a committee the default model doesn't provide, so the
-        // cell fails — the error must name the cell key.
+        // Spec validation refuses every cell its model cannot score, so
+        // this grid context is laid out by hand: MNLP on the logistic
+        // model fails at its first scored round, and the error must name
+        // the cell key.
         let spec = ExperimentSpec::from_json(
-            r#"{"name":"x","experiment":"xx","datasets":["mr"],
-                "groups":[{"strategies":["qbc"]}],
-                "scale":{"factor":0.02,"repeats":1}}"#,
+            r#"{"name":"x","datasets":["mr"],"groups":[{"strategies":["entropy"]}]}"#,
         )
         .unwrap();
-        let cli = Scale {
+        let scale = Scale {
             factor: 0.02,
             repeats: 1,
         };
-        let err = match GridExecutor::new(&spec, &cli).execute() {
-            Ok(_) => panic!("qbc without a committee must fail"),
+        let def = registry::parse_dataset("mr").unwrap();
+        let ctx = GridCtx {
+            spec: &spec,
+            scale,
+            journal: None,
+            model: registry::ModelKind::LogReg,
+            instances: vec![TaskInstance {
+                task: Task::build(&def, &scale, 0),
+                config: text_pool_config(false, &scale),
+            }],
+            selectors: Vec::new(),
+            cells: vec![Cell {
+                task: 0,
+                group: 0,
+                strategy: Strategy::new(histal_core::strategy::BaseStrategy::Mnlp),
+                lhs: None,
+                lhs_variant: None,
+                display: "MNLP".into(),
+                experiment: "xx".into(),
+            }],
+        };
+        let err = match scheduler::execute(&ctx, scheduler::plan_slots(&ctx), true) {
+            Ok(_) => panic!("MNLP on the logistic model must fail"),
             Err(e) => e,
         };
         let msg = err.to_string();
-        assert!(msg.contains("xx/MR/QBC"), "{msg}");
+        assert!(msg.contains("xx/MR/MNLP"), "{msg}");
     }
 }

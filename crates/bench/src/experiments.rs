@@ -32,10 +32,10 @@ use crate::executor::{
     mean_auc, paired_samples, render_spec, seed_for, text_pool_config, train_lhs_plan, CellOutcome,
     GridExecutor, Rendered,
 };
-use crate::registry;
+use crate::registry::{self, ModelKind, TaskKind};
 use crate::report::{print_curves, print_table, write_json};
 use crate::spec::{DatasetEntry, ExperimentSpec, GroupSpec, PoolSpec, ScaleSpec, StrategyEntry};
-use crate::tasks::{Scale, TextTask};
+use crate::tasks::{build_session, Scale, Task, TextTask};
 
 /// Format an optional final metric for a table cell.
 fn fmt_metric(m: Option<f64>) -> String {
@@ -443,23 +443,23 @@ pub fn selector_train(
 /// curve and its ALC — the deployment half of §4.4's transfer protocol.
 pub fn selector_apply(artifact_path: &str, dataset: &str, scale: &Scale) -> Result<(), Error> {
     let (selector, provenance) = load_artifacts(Path::new(artifact_path))?;
-    let tspec = TextSpec::by_name(dataset.trim())
-        .ok_or_else(|| Error::unknown_name("dataset", dataset, TextSpec::NAMES.iter().copied()))?;
-    if tspec.n_classes > 2 {
-        return Err(Error::spec(format!(
-            "dataset `{dataset}` is multiclass — learned selectors deploy on binary \
-             text tasks"
-        )));
-    }
-    let strategy = registry::parse_strategy(&provenance.base)?.strategy;
-    let task = TextTask::build(&tspec, scale, 0);
+    let def = registry::parse_dataset(registry::training_dataset(dataset)?)?;
+    let strategy =
+        registry::resolve_cell(TaskKind::Text, ModelKind::LogReg, &provenance.base)?.strategy;
+    let task = Task::build(&def, scale, 0);
     let config = text_pool_config(false, scale);
-    let seed = seed_for("selector-apply", &task.name, &strategy.name(), 0);
-    let mut result = task
-        .builder(task.model(0), strategy, &config, seed)
-        .lhs(Arc::new(selector))
-        .build()
-        .run()?;
+    let seed = seed_for("selector-apply", task.name(), &strategy.name(), 0);
+    let mut session = build_session(
+        &task,
+        ModelKind::LogReg,
+        strategy,
+        &config,
+        seed,
+        Some(Arc::new(selector)),
+        None,
+        None,
+    );
+    let mut result = session.run_hidden()?;
     result.strategy_name = format!(
         "{}({})@{}",
         if provenance.target == "pointwise" {
@@ -470,7 +470,7 @@ pub fn selector_apply(artifact_path: &str, dataset: &str, scale: &Scale) -> Resu
         provenance.base,
         provenance.trained_on
     );
-    let title = format!("{} applied to {}", result.strategy_name, task.name);
+    let title = format!("{} applied to {}", result.strategy_name, task.name());
     print_curves(&title, std::slice::from_ref(&result));
     println!("ALC {:.4}", area_under_curve(&result));
     Ok(())

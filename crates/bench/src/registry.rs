@@ -1,6 +1,6 @@
 //! Name-keyed registries behind the declarative experiment engine.
 //!
-//! Three registries resolve the string tokens an
+//! These registries resolve the string tokens an
 //! [`ExperimentSpec`](crate::spec::ExperimentSpec) carries into the
 //! concrete objects the executor runs:
 //!
@@ -17,8 +17,10 @@
 //! * [`parse_metric`] — pluggable report metrics (`final`, `alc`,
 //!   `target:T`, `speedup:REF`), evaluated over the full learning curve
 //!   in [`evaluate_metric`].
+//! * [`parse_model`] and [`resolve_cell`] — the `model` token, and every
+//!   rule on which (task, model, strategy) cells can run.
 //!
-//! All three return `Result<_, histal_core::error::Error>` with
+//! All of them return `Result<_, histal_core::error::Error>` with
 //! [`ErrorKind::UnknownName`](histal_core::error::ErrorKind) /
 //! [`ErrorKind::Spec`](histal_core::error::ErrorKind) payloads, so a
 //! typo'd spec fails with an actionable message instead of a silent
@@ -697,6 +699,98 @@ pub fn parse_dataset(token: &str) -> Result<DatasetDef, Error> {
         }
     }
     Ok(def)
+}
+
+// ---------------------------------------------------------------------
+// Model registry and the cell rules
+// ---------------------------------------------------------------------
+
+/// Which model a cell trains: the logistic classifier (text default, the
+/// TextCNN proxy), naive bayes (text) or the CRF (NER); see [`parse_model`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ModelKind {
+    LogReg,
+    NaiveBayes,
+    Crf,
+}
+
+impl ModelKind {
+    /// The spec token naming this model.
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::LogReg => "logreg",
+            Self::NaiveBayes => "nb",
+            Self::Crf => "crf",
+        }
+    }
+
+    /// Whether this model computes `base`'s score. Every model scores
+    /// the posterior-only bases; the logistic model adds EGL, BALD and
+    /// QBC (its session trains the committee), the CRF BALD and MNLP.
+    pub fn scores(self, base: BaseStrategy) -> bool {
+        use BaseStrategy::*;
+        matches!(
+            (self, base),
+            (_, Random | Entropy | LeastConfidence | Margin)
+                | (Self::LogReg, Egl | EglWord | Bald | QbcKl)
+                | (Self::Crf, Bald | Mnlp)
+        )
+    }
+}
+
+/// Resolve a spec's `model` token for a task kind: `logreg` (the text
+/// default) or `nb` on text, `crf` (the only, default, choice) on NER.
+pub fn parse_model(token: Option<&str>, kind: TaskKind) -> Result<ModelKind, Error> {
+    match (token, kind) {
+        (None | Some("logreg"), TaskKind::Text) => Ok(ModelKind::LogReg),
+        (Some("nb"), TaskKind::Text) => Ok(ModelKind::NaiveBayes),
+        (None | Some("crf"), TaskKind::Ner) => Ok(ModelKind::Crf),
+        (Some(other), TaskKind::Text) => {
+            Err(Error::unknown_name("text model", other, ["logreg", "nb"]))
+        }
+        (Some(other), TaskKind::Ner) => Err(Error::unknown_name("NER model", other, ["crf"])),
+    }
+}
+
+/// Resolve strategy `token` for a cell of task `kind` trained by `model`,
+/// refusing a cell that could not run — every such rule, for spec
+/// validation and served-session creation alike: `LHS`/`LAL` run on text
+/// only; `+density`/`+mmr`/`+kcenter` need a text task and cannot ride on
+/// `LHS`/`LAL`; `model` must score the base ([`ModelKind::scores`]).
+pub fn resolve_cell(
+    kind: TaskKind,
+    model: ModelKind,
+    token: &str,
+) -> Result<ResolvedStrategy, Error> {
+    let resolved = parse_strategy(token)?;
+    let learned = resolved.lhs.is_some();
+    let diversity = resolved.strategy.needs_representations();
+    let base = resolved.strategy.base;
+    let refusal: String = if learned && kind != TaskKind::Text {
+        "LHS selectors are only supported on text datasets".into()
+    } else if diversity && learned {
+        "a learned selector ranks its own candidates — `+density`/`+mmr`/`+kcenter` cannot \
+         ride on `LHS`/`LAL`"
+            .into()
+    } else if diversity && kind != TaskKind::Text {
+        "`+density`/`+mmr`/`+kcenter` need the pool geometry only text datasets build — \
+         without it the suffix would do nothing"
+            .into()
+    } else if !model.scores(base) {
+        let scored: Vec<&str> = BASE_NAMES
+            .iter()
+            .copied()
+            .filter(|b| parse_base(b).is_ok_and(|b| model.scores(b)))
+            .collect();
+        let (model, base, scored) = (model.name(), base.name(), scored.join(", "));
+        format!("model `{model}` cannot score {base} — it scores {scored}")
+    } else {
+        return Ok(resolved);
+    };
+    Err(Error::spec(format!(
+        "strategy `{}`: {refusal}",
+        token.trim()
+    )))
 }
 
 // ---------------------------------------------------------------------

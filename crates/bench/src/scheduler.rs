@@ -46,7 +46,6 @@ use histal_core::analysis::average_curves;
 use histal_core::driver::{CurvePoint, PoolConfig, RunResult};
 use histal_core::error::Error;
 use histal_core::learned::LearnedSelector;
-use histal_core::session::RunJournal;
 use histal_core::stopping::StopReason;
 use histal_core::strategy::Strategy;
 use histal_obs::trace::Level;
@@ -54,38 +53,14 @@ use histal_obs::{event, span};
 
 use crate::executor::{cell_hash, seed_for};
 use crate::journal::JournalCtx;
+use crate::registry::ModelKind;
 use crate::spec::ExperimentSpec;
-use crate::tasks::{with_extras, NerTask, Scale, StreamRun, TextModel, TextTask};
+use crate::tasks::{build_session, AnySession, Scale, Task};
 
 /// One resolved dataset of a grid: the built task plus its pool config.
-pub(crate) enum TaskInstance {
-    Text {
-        task: TextTask,
-        config: PoolConfig,
-        /// Multiclass dataset — LHS entries are skipped (the ranker is
-        /// trained on binary Subj; §5.4 applies it to binary tasks).
-        trec_like: bool,
-    },
-    Ner {
-        task: NerTask,
-        config: PoolConfig,
-    },
-}
-
-impl TaskInstance {
-    pub(crate) fn name(&self) -> &str {
-        match self {
-            Self::Text { task, .. } => &task.name,
-            Self::Ner { task, .. } => &task.name,
-        }
-    }
-
-    pub(crate) fn config(&self) -> &PoolConfig {
-        match self {
-            Self::Text { config, .. } => config,
-            Self::Ner { config, .. } => config,
-        }
-    }
+pub(crate) struct TaskInstance {
+    pub(crate) task: Task,
+    pub(crate) config: PoolConfig,
 }
 
 /// One flattened grid cell awaiting execution.
@@ -124,44 +99,12 @@ pub(crate) struct GridCtx<'a> {
     pub(crate) spec: &'a ExperimentSpec,
     pub(crate) scale: Scale,
     pub(crate) journal: Option<&'a JournalCtx>,
-    pub(crate) model: TextModel,
+    pub(crate) model: ModelKind,
     pub(crate) instances: Vec<TaskInstance>,
     /// Trained selectors by plan index; a plan no pending slot needs
     /// stays untrained.
     pub(crate) selectors: Vec<Option<Arc<LearnedSelector>>>,
     pub(crate) cells: Vec<Cell>,
-}
-
-/// Build the session for one repeat of one cell.
-fn stream_repeat(ctx: &GridCtx<'_>, c: usize, seed: u64, journal: Option<RunJournal>) -> StreamRun {
-    let cell = &ctx.cells[c];
-    let strategy = cell.strategy.clone();
-    match &ctx.instances[cell.task] {
-        TaskInstance::Text { task, config, .. } => {
-            // `task.builder` attaches the task's shared geometry to
-            // diversity cells; a learned-selector token carries no
-            // diversity suffix (spec validation), so its cells get none.
-            let lhs = cell.lhs.map(|i| {
-                ctx.selectors[i]
-                    .clone()
-                    .expect("a pending slot's selector was trained")
-            });
-            match ctx.model {
-                TextModel::NaiveBayes => {
-                    let builder = task.builder(task.naive_bayes(), strategy, config, seed);
-                    StreamRun::Nb(with_extras(builder, lhs, journal).build_session())
-                }
-                TextModel::LogReg => {
-                    let builder = task.builder(task.model(0), strategy, config, seed);
-                    StreamRun::Text(with_extras(builder, lhs, journal).build_session())
-                }
-            }
-        }
-        TaskInstance::Ner { task, config } => {
-            let builder = task.builder(task.model(), strategy, config, seed);
-            StreamRun::Ner(with_extras(builder, None, journal).build_session())
-        }
-    }
 }
 
 /// What pruning did to the grid, for reports and BENCH.
@@ -190,7 +133,7 @@ enum SlotState {
     /// Not advanced yet: no session built.
     Pending,
     /// A live round-streamed session.
-    Live(StreamRun),
+    Live(AnySession),
     /// Finished (run out, pruned, or replayed from the journal); the
     /// journal holds its record and the session is gone.
     Done(RunResult),
@@ -226,10 +169,26 @@ impl Slot {
     /// its session.
     fn advance(&mut self, ctx: &GridCtx<'_>, horizon: usize) -> Result<(), Error> {
         if let SlotState::Pending = self.state {
+            let cell = &ctx.cells[self.cell];
+            let inst = &ctx.instances[cell.task];
+            let selector = cell.lhs.map(|i| {
+                ctx.selectors[i]
+                    .clone()
+                    .expect("a pending slot's selector was trained")
+            });
             let journal = ctx
                 .journal
                 .map(|j| j.run_journal(&self.key, self.hash, self.seed));
-            self.state = SlotState::Live(stream_repeat(ctx, self.cell, self.seed, journal));
+            self.state = SlotState::Live(build_session(
+                &inst.task,
+                ctx.model,
+                cell.strategy.clone(),
+                &inst.config,
+                self.seed,
+                selector,
+                journal,
+                None,
+            ));
         }
         let SlotState::Live(run) = &mut self.state else {
             return Ok(());
@@ -283,22 +242,22 @@ pub(crate) fn plan_slots(ctx: &GridCtx<'_>) -> Vec<Slot> {
     let mut slots: Vec<Slot> = Vec::with_capacity(ctx.cells.len() * repeats);
     for (c, cell) in ctx.cells.iter().enumerate() {
         let inst = &ctx.instances[cell.task];
-        let beam = match inst {
-            TaskInstance::Ner { task, .. } => task.score_beam,
-            TaskInstance::Text { .. } => None,
+        let beam = match &inst.task {
+            Task::Ner(task) => task.score_beam,
+            Task::Text(_) => None,
         };
         // A token's `?noise=`/`?priors=` modifiers change the corpus but
         // not its generated name, so they join the hashed dataset — only
         // when set, so unmodified datasets keep their journal hashes.
         let dataset = match ctx.spec.datasets[cell.task].dataset.split_once('?') {
-            Some((_, modifiers)) => format!("{}?{}", inst.name(), modifiers.trim()),
-            None => inst.name().to_string(),
+            Some((_, modifiers)) => format!("{}?{}", inst.task.name(), modifiers.trim()),
+            None => inst.task.name().to_string(),
         };
         let hash = cell_hash(
             &cell.experiment,
             &dataset,
             &cell.strategy,
-            inst.config(),
+            &inst.config,
             &ctx.scale,
             cell.lhs.is_some(),
             cell.lhs_variant.as_deref(),
@@ -308,7 +267,7 @@ pub(crate) fn plan_slots(ctx: &GridCtx<'_>) -> Vec<Slot> {
         );
         let strategy = cell.strategy.name();
         for r in 0..repeats {
-            let key = format!("{}/{}/{strategy}/r{r}", cell.experiment, inst.name());
+            let key = format!("{}/{}/{strategy}/r{r}", cell.experiment, inst.task.name());
             let state = match ctx.journal.and_then(|j| j.cached(&key, hash)) {
                 Some(cached) => {
                     event!(Level::Info, "journal.replay", cell = key.clone());
@@ -318,7 +277,7 @@ pub(crate) fn plan_slots(ctx: &GridCtx<'_>) -> Vec<Slot> {
             };
             slots.push(Slot {
                 cell: c,
-                seed: seed_for(&cell.experiment, inst.name(), &strategy, r),
+                seed: seed_for(&cell.experiment, inst.task.name(), &strategy, r),
                 key,
                 hash,
                 state,
@@ -345,7 +304,7 @@ pub(crate) fn execute(
     let totals: Vec<usize> = ctx
         .cells
         .iter()
-        .map(|cell| ctx.instances[cell.task].config().rounds + 1)
+        .map(|cell| ctx.instances[cell.task].config.rounds + 1)
         .collect();
 
     // Each slot sits behind its own lock so a cell's repeat fan-out can

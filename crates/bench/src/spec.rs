@@ -584,17 +584,14 @@ impl ExperimentSpec {
             }
         }
         let kind = kind.expect("datasets checked non-empty");
+        let model = registry::parse_model(self.model.as_deref(), kind)?;
         let mut diversity = false;
         let alc_matrix = self.report == ReportKind::AlcMatrix;
+        // Every dataset shares `kind`, so resolving each entry once vets
+        // every dataset × entry cell.
         for g in &self.groups {
             for e in &g.strategies {
-                let resolved = registry::parse_strategy(&e.strategy)?;
-                if resolved.lhs.is_some() && kind == registry::TaskKind::Ner {
-                    return Err(Error::spec(format!(
-                        "strategy `{}`: LHS selectors are only supported on text datasets",
-                        e.strategy
-                    )));
-                }
+                let resolved = registry::resolve_cell(kind, model, &e.strategy)?;
                 if let Some(dataset) = multiclass.filter(|_| alc_matrix && resolved.lhs.is_some()) {
                     return Err(Error::spec(format!(
                         "strategy `{}` on multiclass dataset `{dataset}`: the grid skips \
@@ -602,22 +599,7 @@ impl ExperimentSpec {
                         e.strategy
                     )));
                 }
-                let needs_geometry = resolved.strategy.needs_representations();
-                if needs_geometry && resolved.lhs.is_some() {
-                    return Err(Error::spec(format!(
-                        "strategy `{}`: a learned selector ranks its own candidates — \
-                         `+density`/`+mmr`/`+kcenter` cannot ride on `LHS`/`LAL`",
-                        e.strategy
-                    )));
-                }
-                if needs_geometry && kind != registry::TaskKind::Text {
-                    return Err(Error::spec(format!(
-                        "strategy `{}`: `+density`/`+mmr`/`+kcenter` need the pool geometry \
-                         only text datasets build — without it the suffix would do nothing",
-                        e.strategy
-                    )));
-                }
-                diversity |= needs_geometry;
+                diversity |= resolved.strategy.needs_representations();
             }
         }
         if let Some(r) = self.scale.as_ref().and_then(|s| s.repeats) {
@@ -628,18 +610,6 @@ impl ExperimentSpec {
         }
         for m in &self.metrics {
             registry::parse_metric(m)?;
-        }
-        match (self.model.as_deref(), kind) {
-            (None, _)
-            | (Some("logreg"), registry::TaskKind::Text)
-            | (Some("nb"), registry::TaskKind::Text) => {}
-            (Some("crf"), registry::TaskKind::Ner) => {}
-            (Some(other), registry::TaskKind::Text) => {
-                return Err(Error::unknown_name("text model", other, ["logreg", "nb"]))
-            }
-            (Some(other), registry::TaskKind::Ner) => {
-                return Err(Error::unknown_name("NER model", other, ["crf"]))
-            }
         }
         if self.report == ReportKind::Metrics && self.metrics.is_empty() {
             return Err(Error::spec("a `metrics` report needs at least one metric"));

@@ -5,18 +5,23 @@ use std::sync::{Arc, OnceLock};
 use histal_core::driver::{CurvePoint, PoolConfig, RunResult};
 use histal_core::error::Error;
 use histal_core::learned::LearnedSelector;
-use histal_core::live::{Session, SessionStep};
+use histal_core::live::{Session, SessionStatus, SessionStep, SubmitOutcome};
 use histal_core::model::Model;
+use histal_core::pipeline::{LabelRequest, LabelResponse, Ticket};
+use histal_core::pool::SampleId;
 use histal_core::session::{Ready, RunJournal, SessionBuilder};
 use histal_core::stopping::StopReason;
-use histal_core::strategy::Strategy;
+use histal_core::strategy::{BaseStrategy, Strategy};
 use histal_core::ActiveLearner;
 use histal_data::{train_test_split, NerDataset, NerSpec, TextDataset, TextSpec};
 use histal_models::{
     CrfConfig, CrfTagger, Document, NaiveBayes, NaiveBayesConfig, Sentence, TextClassifier,
     TextClassifierConfig,
 };
+use histal_obs::MetricsRegistry;
 use histal_text::{FeatureHasher, PoolGeometry};
+
+use crate::registry::{DatasetDef, ModelKind};
 
 /// Global experiment scale. `1.0` reproduces the paper's dataset sizes
 /// and budgets; smaller factors shrink pools, batches and budgets
@@ -51,18 +56,6 @@ impl Scale {
     pub fn scaled(&self, n: usize, min: usize) -> usize {
         ((n as f64 * self.factor).round() as usize).max(min)
     }
-}
-
-/// Which classifier a text experiment cell trains (the spec engine's
-/// `model` field; the paper's TextCNN is proxied by the discriminative
-/// logistic model, naive bayes is the model-agnosticism extension).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TextModel {
-    /// Discriminative logistic classifier (TextCNN proxy).
-    #[default]
-    LogReg,
-    /// Multinomial Naive Bayes (generative, one-pass).
-    NaiveBayes,
 }
 
 /// Feature-space width used by all text-classification experiments.
@@ -122,6 +115,17 @@ impl TextTask {
         })
     }
 
+    /// The logistic classifier that scores `base`: a
+    /// [`QBC_COMMITTEE`]-member committee for QBC, none otherwise.
+    pub(crate) fn classifier_for(&self, base: BaseStrategy) -> TextClassifier {
+        let committee = if base == BaseStrategy::QbcKl {
+            QBC_COMMITTEE
+        } else {
+            0
+        };
+        self.model(committee)
+    }
+
     /// A fresh naive-bayes classifier configured for this task.
     pub(crate) fn naive_bayes(&self) -> NaiveBayes {
         NaiveBayes::new(NaiveBayesConfig {
@@ -170,52 +174,117 @@ impl TextTask {
     }
 }
 
-/// Attach an optional learned selector and an optional run journal to a
-/// builder chain.
-pub(crate) fn with_extras<M: Model>(
-    mut builder: SessionBuilder<M, Ready>,
-    lhs: Option<Arc<LearnedSelector>>,
-    journal: Option<RunJournal>,
-) -> SessionBuilder<M, Ready> {
-    if let Some(lhs) = lhs {
-        builder = builder.lhs(lhs);
-    }
-    if let Some(journal) = journal {
-        builder = builder.journal(journal);
-    }
-    builder
+/// Committee size the logistic model trains for QBC (Eq. 6).
+pub const QBC_COMMITTEE: usize = 4;
+
+/// A built dataset, shared by every cell and served session on it.
+pub enum Task {
+    Text(TextTask),
+    Ner(NerTask),
 }
 
-/// One grid cell repeat as a round-streamed [`Session`], advanced one
-/// curve point at a time by the grid's slot loop
-/// ([`crate::scheduler`]). The enum erases the model type so text
-/// (logistic / naive bayes) and NER (CRF) cells sit in one pool of
-/// slots.
-pub enum StreamRun {
-    /// Logistic text classifier session.
-    Text(Session<TextClassifier>),
-    /// Naive-bayes text classifier session.
+impl Task {
+    /// Build the task `def` describes. `split_seed` carves a text test
+    /// split and, plus one, seeds a `?noise=` label corruption; NER
+    /// corpora carry their own splits.
+    pub fn build(def: &DatasetDef, scale: &Scale, split_seed: u64) -> Task {
+        match def {
+            DatasetDef::Text { spec, noise } => {
+                let mut task = TextTask::build(spec, scale, split_seed);
+                if let Some(rate) = noise {
+                    let labels = &mut task.pool_labels;
+                    histal_data::corrupt_labels(labels, task.n_classes, *rate, split_seed + 1);
+                }
+                Task::Text(task)
+            }
+            DatasetDef::Ner { spec } => Task::Ner(NerTask::build(spec, scale)),
+        }
+    }
+
+    /// The generated corpus name.
+    pub fn name(&self) -> &str {
+        match self {
+            Task::Text(TextTask { name, .. }) | Task::Ner(NerTask { name, .. }) => name,
+        }
+    }
+}
+
+/// The one cell constructor, behind grid slots, served sessions and
+/// `selector-apply`: `task` under `strategy`, `config` and `seed`, a fresh
+/// `model` (QBC on the logistic model trains [`QBC_COMMITTEE`] members),
+/// and the `selector`, `journal` and `metrics` shard when given. It checks
+/// nothing — [`crate::registry::resolve_cell`] decides which cells run —
+/// and panics on a model/task pair `parse_model` never resolves.
+#[allow(clippy::too_many_arguments)]
+pub fn build_session(
+    task: &Task,
+    model: ModelKind,
+    strategy: Strategy,
+    config: &PoolConfig,
+    seed: u64,
+    selector: Option<Arc<LearnedSelector>>,
+    journal: Option<RunJournal>,
+    metrics: Option<Arc<MetricsRegistry>>,
+) -> AnySession {
+    macro_rules! session {
+        ($variant:ident, $builder:expr) => {{
+            let mut builder = $builder;
+            if let Some(selector) = selector {
+                builder = builder.lhs(selector);
+            }
+            if let Some(journal) = journal {
+                builder = builder.journal(journal);
+            }
+            if let Some(metrics) = metrics {
+                builder = builder.metrics(metrics);
+            }
+            AnySession::$variant(builder.build_session())
+        }};
+    }
+    match (task, model) {
+        (Task::Text(t), ModelKind::LogReg) => {
+            let classifier = t.classifier_for(strategy.base);
+            session!(LogReg, t.builder(classifier, strategy, config, seed))
+        }
+        (Task::Text(t), ModelKind::NaiveBayes) => {
+            session!(Nb, t.builder(t.naive_bayes(), strategy, config, seed))
+        }
+        (Task::Ner(t), ModelKind::Crf) => {
+            session!(Crf, t.builder(t.model(), strategy, config, seed))
+        }
+        (task, model) => panic!("model `{}` cannot train on {}", model.name(), task.name()),
+    }
+}
+
+/// A cell's session with the model type erased: the grid advances it
+/// against hidden labels, serving steps it and takes labels over the wire.
+pub enum AnySession {
+    LogReg(Session<TextClassifier>),
     Nb(Session<NaiveBayes>),
-    /// CRF tagger session.
-    Ner(Session<CrfTagger>),
+    Crf(Session<CrfTagger>),
 }
 
 /// Evaluate `$body` with `$s` bound to whichever session `$run` holds.
 macro_rules! with_session {
     ($run:expr, $s:ident => $body:expr) => {
         match $run {
-            StreamRun::Text($s) => $body,
-            StreamRun::Nb($s) => $body,
-            StreamRun::Ner($s) => $body,
+            AnySession::LogReg($s) => $body,
+            AnySession::Nb($s) => $body,
+            AnySession::Crf($s) => $body,
         }
     };
 }
 
-impl StreamRun {
+impl AnySession {
     /// Record one more curve point (one fit/eval/score/select cycle)
     /// against the hidden labels; returns `true` once the run is done.
     pub fn advance_round(&mut self) -> Result<bool, Error> {
         Ok(with_session!(self, s => s.run_round_hidden())? == SessionStep::Done)
+    }
+
+    /// Run to the end against the hidden labels.
+    pub fn run_hidden(&mut self) -> Result<RunResult, Error> {
+        with_session!(self, s => s.run_hidden())
     }
 
     /// The learning curve recorded so far.
@@ -232,7 +301,66 @@ impl StreamRun {
             s.result().expect("finished session has a result").clone()
         })
     }
+
+    /// Advance as far as labels allow; see [`Session::step`].
+    pub fn step(&mut self) -> Result<SessionStep, Error> {
+        with_session!(self, s => s.step())
+    }
+
+    /// The outstanding label request, `None` once done.
+    pub fn pending(&self) -> Option<&LabelRequest> {
+        with_session!(self, s => s.pending())
+    }
+
+    /// Cheap serializable status.
+    pub fn status(&self) -> SessionStatus {
+        with_session!(self, s => s.status())
+    }
+
+    /// The durable state as JSON, the crash/resume byte-identity witness.
+    pub fn snapshot_json(&self) -> String {
+        with_session!(self, s => serde_json::to_string(&s.snapshot()).expect("snapshot serializes"))
+    }
+
+    /// Submit labels in a wire encoding `L` that converts to class indices
+    /// and tag sequences; a wrong shape is a spec error, before any change.
+    pub fn submit<L: Clone>(
+        &mut self,
+        ticket: Ticket,
+        labels: &[(SampleId, L)],
+    ) -> Result<SubmitOutcome, Error>
+    where
+        usize: TryFrom<L, Error = &'static str>,
+        Vec<u16>: TryFrom<L, Error = &'static str>,
+    {
+        with_session!(self, s => {
+            let labels = labels
+                .iter()
+                .map(|(id, label)| match label.clone().try_into() {
+                    Ok(label) => Ok((*id, label)),
+                    Err(e) => Err(Error::spec(format!("sample {id}: {e}"))),
+                })
+                .collect::<Result<Vec<_>, Error>>()?;
+            s.submit(&LabelResponse { ticket, labels })
+        })
+    }
+
+    /// Answer the pending ticket from the session's hidden gold labels,
+    /// in the wire encoding [`Self::submit`] takes.
+    pub fn answer_from_hidden<L: From<usize> + From<Vec<u16>>>(
+        &self,
+    ) -> Option<(Ticket, Vec<(SampleId, L)>)> {
+        with_session!(self, s => s.answer_from_hidden().map(|r| {
+            (r.ticket, r.labels.into_iter().map(|(id, label)| (id, L::from(label))).collect())
+        }))
+    }
 }
+
+// Serving shares sessions across threads: a stage losing Send fails here.
+const _: fn() = || {
+    fn assert_send<T: Send>() {}
+    assert_send::<AnySession>();
+};
 
 /// A featurized NER task (pool = train split, test = test split).
 #[derive(Clone)]

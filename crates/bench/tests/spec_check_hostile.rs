@@ -43,6 +43,28 @@ fn hostile_specs_exit_1_with_one_err_line_each() {
         r#"{"kind": "transfer", "name": "t", "train": ["subj"], "apply": ["mr"], "strategies": ["LHS(entropy)"]}"#
             .to_string(),
     ));
+    // Cells whose model cannot score the base strategy: (file name,
+    // dataset token, model, strategy token).
+    let unscorable = [
+        ("mnlp-mr", "mr", "logreg", "mnlp"),
+        ("egl-conll", "conll2003-en", "crf", "egl"),
+        ("bald-nb", "mr", "nb", "bald"),
+        ("qbc-conll", "conll2003-en", "crf", "qbc"),
+    ];
+    for (name, dataset, model, strategy) in unscorable {
+        // Only a non-default model is spelled out.
+        let model_field = if model == "nb" {
+            r#""model": "nb", "#
+        } else {
+            ""
+        };
+        files.push((
+            name,
+            format!(
+                r#"{{"name": "{name}", {model_field}"datasets": ["{dataset}"], "groups": [{{"strategies": ["{strategy}"]}}]}}"#
+            ),
+        ));
+    }
     for (name, body) in &files {
         std::fs::write(dir.join(format!("{name}.json")), body).expect("write spec");
     }
@@ -65,6 +87,14 @@ fn hostile_specs_exit_1_with_one_err_line_each() {
         assert!(
             errs.iter().any(|l| l.contains(&file)),
             "no ERR line for {name}: {stdout}"
+        );
+    }
+    for (name, _, model, strategy) in unscorable {
+        let file = format!("{name}.json:");
+        let line = errs.iter().find(|l| l.contains(&file)).unwrap();
+        assert!(
+            line.contains(&format!("`{strategy}`")) && line.contains(&format!("`{model}`")),
+            "{name}: the ERR line must name the token and the model: {line}"
         );
     }
     std::fs::remove_dir_all(&dir).ok();

@@ -1,27 +1,25 @@
 //! Session configuration: the create-session request body.
 //!
-//! [`SessionConfig`] is deliberately shaped like one cell of a bench
-//! [`ExperimentSpec`](histal_bench::spec): the same dataset and
-//! strategy tokens, the same scale knob — resolved through the same
-//! `histal_bench::registry` grammar, so anything a grid can run a
-//! client can serve (with two deliberate exceptions: `LHS(...)` tokens
-//! need an offline selector-training phase, and `?noise=` corrupts
-//! gold labels, which only makes sense for simulated oracles — both
-//! are rejected with a 400 rather than silently approximated).
+//! [`SessionConfig`] is one cell of a bench
+//! [`ExperimentSpec`](histal_bench::spec): the same dataset and strategy
+//! tokens and scale knob, refused by the same cell rules
+//! ([`resolve_cell`](histal_bench::registry::resolve_cell))
+//! and built by the grid's one constructor ([`build_session`]). So anything
+//! a grid runs on the default model a client can serve, by construction,
+//! bar two 400s: `LHS(...)` needs offline selector training, and `?noise=`
+//! corrupts gold labels, which only simulated oracles could mean.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 
-use histal_bench::registry::{parse_dataset, parse_strategy, DatasetDef};
-use histal_bench::tasks::{NerTask, Scale, TextTask};
+use histal_bench::registry::{parse_dataset, parse_model, parse_strategy, DatasetDef, ModelKind};
+use histal_bench::tasks::{build_session, AnySession, Scale, Task};
 use histal_core::error::Error;
-use histal_core::strategy::BaseStrategy;
+use histal_core::strategy::Strategy;
 use histal_core::PoolConfig;
 use histal_obs::MetricsRegistry;
-
-use crate::session::AnySession;
 
 /// Default per-round batch size when the request leaves it zero.
 pub const DEFAULT_BATCH: usize = 25;
@@ -38,7 +36,7 @@ pub const ORACLE_SIMULATED: &str = "simulated";
 
 /// The create-session request body. Every field has a serving default,
 /// but `dataset` and `strategy` must be non-empty.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SessionConfig {
     /// Tenant name the session's metrics are accounted under.
     #[serde(default)]
@@ -69,22 +67,6 @@ pub struct SessionConfig {
     /// `"external"` (default) or `"simulated"`; see [`ORACLE_EXTERNAL`].
     #[serde(default)]
     pub oracle: String,
-}
-
-impl Default for SessionConfig {
-    fn default() -> Self {
-        SessionConfig {
-            tenant: String::new(),
-            dataset: String::new(),
-            strategy: String::new(),
-            seed: 0,
-            scale: 0.0,
-            batch_size: 0,
-            rounds: 0,
-            init_labeled: 0,
-            oracle: String::new(),
-        }
-    }
 }
 
 impl SessionConfig {
@@ -129,8 +111,9 @@ impl SessionConfig {
         }
     }
 
-    /// Validate fields that don't need the registry.
-    fn validate(&self) -> Result<(), Error> {
+    /// Check the request's fields and parse its tokens, applying the two
+    /// serving refusals.
+    pub(crate) fn resolve(&self) -> Result<(DatasetDef, ModelKind, Strategy), Error> {
         if self.dataset.is_empty() {
             return Err(Error::spec("session config needs a dataset token"));
         }
@@ -143,22 +126,12 @@ impl SessionConfig {
                 self.scale
             )));
         }
-        match self.oracle.as_str() {
-            ORACLE_EXTERNAL | ORACLE_SIMULATED => Ok(()),
-            other => Err(Error::spec(format!(
-                "oracle must be {ORACLE_EXTERNAL:?} or {ORACLE_SIMULATED:?}, got {other:?}"
-            ))),
+        if !matches!(self.oracle.as_str(), ORACLE_EXTERNAL | ORACLE_SIMULATED) {
+            return Err(Error::spec(format!(
+                "oracle must be {ORACLE_EXTERNAL:?} or {ORACLE_SIMULATED:?}, got {:?}",
+                self.oracle
+            )));
         }
-    }
-
-    /// Resolve the config through the bench registry and build the
-    /// live session. `metrics` is the tenant's shard.
-    pub fn build_session(
-        &self,
-        tasks: &TaskCache,
-        metrics: Arc<MetricsRegistry>,
-    ) -> Result<AnySession, Error> {
-        self.validate()?;
         let resolved = parse_strategy(&self.strategy)?;
         if resolved.lhs.is_some() {
             return Err(Error::spec(
@@ -166,46 +139,39 @@ impl SessionConfig {
                  train with `histal-bench` and serve the base strategy instead",
             ));
         }
-        let strategy = resolved.strategy;
-        let config = self.pool_config();
-
-        match parse_dataset(&self.dataset)? {
-            DatasetDef::Text { spec, noise } => {
-                if noise.is_some() {
-                    return Err(Error::spec(
-                        "?noise= corrupts hidden gold labels and is bench-only; \
-                         submit noisy labels through the oracle API instead",
-                    ));
-                }
-                let committee = if strategy.base == BaseStrategy::QbcKl {
-                    4
-                } else {
-                    0
-                };
-                let task = tasks.text(&spec, self.scale, self.seed);
-                let builder = task
-                    .builder(task.model(committee), strategy, &config, self.seed)
-                    .metrics(metrics);
-                Ok(AnySession::Text(builder.build_session()))
-            }
-            DatasetDef::Ner { spec } => {
-                if strategy.needs_representations() {
-                    return Err(Error::spec(
-                        "density/MMR/k-center need sparse representations, \
-                         which NER tasks don't carry",
-                    ));
-                }
-                let task = tasks.ner(&spec, self.scale, self.seed);
-                let builder = task
-                    .builder(task.model(), strategy, &config, self.seed)
-                    .metrics(metrics);
-                Ok(AnySession::Ner(builder.build_session()))
-            }
+        let def = parse_dataset(&self.dataset)?;
+        if matches!(def, DatasetDef::Text { noise: Some(_), .. }) {
+            return Err(Error::spec(
+                "?noise= corrupts hidden gold labels and is bench-only; \
+                 submit noisy labels through the oracle API instead",
+            ));
         }
+        let model = parse_model(None, def.kind())?;
+        Ok((def, model, resolved.strategy))
+    }
+
+    /// Build the live session through the grid's one constructor.
+    /// `metrics` is the tenant's shard.
+    pub fn build_session(
+        &self,
+        tasks: &TaskCache,
+        metrics: Arc<MetricsRegistry>,
+    ) -> Result<AnySession, Error> {
+        let (def, model, strategy) = self.resolve()?;
+        Ok(build_session(
+            &tasks.task(&def, self.scale, self.seed),
+            model,
+            strategy,
+            &self.pool_config(),
+            self.seed,
+            None,
+            None,
+            Some(metrics),
+        ))
     }
 }
 
-/// Cache of featurized tasks keyed by `(spec, scale, seed)`: a thousand
+/// Cache of built tasks keyed by `(dataset, scale, seed)`: a thousand
 /// sessions over the same corpus share one pool build instead of
 /// re-generating and re-featurizing it a thousand times, and diversity
 /// sessions share the task's one pool geometry. (Sessions still clone
@@ -213,8 +179,7 @@ impl SessionConfig {
 /// labels arrive.)
 #[derive(Default)]
 pub struct TaskCache {
-    text: Mutex<HashMap<String, Arc<TextTask>>>,
-    ner: Mutex<HashMap<String, Arc<NerTask>>>,
+    tasks: Mutex<HashMap<String, Arc<Task>>>,
 }
 
 impl TaskCache {
@@ -223,32 +188,16 @@ impl TaskCache {
         TaskCache::default()
     }
 
-    fn scale(factor: f64) -> Scale {
-        Scale { factor, repeats: 1 }
-    }
-
-    /// The shared text task for `(spec, scale, seed)`.
-    pub fn text(&self, spec: &histal_data::TextSpec, scale: f64, seed: u64) -> Arc<TextTask> {
-        let key = format!("{spec:?}|{scale}|{seed}");
-        let mut cache = self.text.lock().unwrap();
-        Arc::clone(
-            cache
-                .entry(key)
-                .or_insert_with(|| Arc::new(TextTask::build(spec, &Self::scale(scale), seed))),
-        )
-    }
-
-    /// The shared NER task for `(spec, scale, seed)`. (NER corpora are
-    /// generated from the spec's own seed; `seed` stays in the key so
-    /// the cache contract matches [`TaskCache::text`].)
-    pub fn ner(&self, spec: &histal_data::NerSpec, scale: f64, seed: u64) -> Arc<NerTask> {
-        let key = format!("{spec:?}|{scale}|{seed}");
-        let mut cache = self.ner.lock().unwrap();
-        Arc::clone(
-            cache
-                .entry(key)
-                .or_insert_with(|| Arc::new(NerTask::build(spec, &Self::scale(scale)))),
-        )
+    /// The shared task for `(def, scale, seed)`.
+    pub fn task(&self, def: &DatasetDef, scale: f64, seed: u64) -> Arc<Task> {
+        let key = format!("{def:?}|{scale}|{seed}");
+        let scale = Scale {
+            factor: scale,
+            repeats: 1,
+        };
+        let mut cache = self.tasks.lock().unwrap();
+        let task = cache.entry(key);
+        Arc::clone(task.or_insert_with(|| Arc::new(Task::build(def, &scale, seed))))
     }
 }
 
@@ -292,7 +241,7 @@ mod tests {
         let session = text_config()
             .build_session(&tasks, Arc::new(MetricsRegistry::new()))
             .unwrap();
-        assert!(matches!(session, AnySession::Text(_)));
+        assert!(matches!(session, AnySession::LogReg(_)));
     }
 
     #[test]
@@ -324,11 +273,11 @@ mod tests {
     #[test]
     fn task_cache_shares_builds() {
         let tasks = TaskCache::new();
-        let spec = histal_data::TextSpec::by_name("mr").unwrap();
-        let a = tasks.text(&spec, 0.05, 7);
-        let b = tasks.text(&spec, 0.05, 7);
+        let def = parse_dataset("mr").unwrap();
+        let a = tasks.task(&def, 0.05, 7);
+        let b = tasks.task(&def, 0.05, 7);
         assert!(Arc::ptr_eq(&a, &b));
-        let c = tasks.text(&spec, 0.05, 8);
+        let c = tasks.task(&def, 0.05, 8);
         assert!(!Arc::ptr_eq(&a, &c));
     }
 }

@@ -1,23 +1,17 @@
-//! Type-erased served sessions and the wire-level label encoding.
+//! The wire-level label encoding of served sessions.
 //!
-//! The core [`Session`] is generic over the
-//! model, so its label type differs per task family (class index for
-//! text, tag sequence for NER). HTTP clients need one encoding for
-//! both: [`LabelValue`] is that sum type — a bare integer or a sequence
-//! of integers — and [`AnySession`] is the enum that erases the model
-//! parameter and converts at the boundary. A label of the wrong shape
-//! for the session's task is a 400 ([`ErrorKind::Spec`]), never a
-//! panic.
+//! A served [`AnySession`] labels classes (text) or tag sequences (NER);
+//! [`LabelValue`] is one wire encoding for both and converts to and from
+//! each. A label of the wrong shape is a 400 ([`ErrorKind::Spec`]), never
+//! a panic.
 //!
 //! [`ErrorKind::Spec`]: histal_core::error::ErrorKind::Spec
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
-use histal_core::error::Error;
-use histal_core::live::{Session, SessionStatus, SessionStep, SubmitOutcome};
-use histal_core::pipeline::{LabelResponse, Ticket};
+pub use histal_bench::tasks::AnySession;
+use histal_core::pipeline::Ticket;
 use histal_core::pool::SampleId;
-use histal_models::{CrfTagger, TextClassifier};
 
 /// A label as it travels over the wire: a class index (text tasks) or a
 /// per-token tag sequence (NER tasks).
@@ -91,132 +85,53 @@ impl BatchView {
             indices: Vec::new(),
         }
     }
-}
 
-/// A served session with the model parameter erased: text-classification
-/// sessions carry class labels, NER sessions tag sequences.
-pub enum AnySession {
-    /// Logistic text classifier over class labels.
-    Text(Session<TextClassifier>),
-    /// CRF tagger over tag-sequence labels.
-    Ner(Session<CrfTagger>),
-}
-
-impl AnySession {
-    /// Advance as far as labels allow; see
-    /// [`Session::step`](histal_core::live::Session::step).
-    pub fn step(&mut self) -> Result<SessionStep, Error> {
-        match self {
-            AnySession::Text(s) => s.step(),
-            AnySession::Ner(s) => s.step(),
-        }
-    }
-
-    /// The outstanding batch, shaped for the wire.
-    pub fn batch_view(&self) -> BatchView {
-        let pending = match self {
-            AnySession::Text(s) => s.pending().cloned(),
-            AnySession::Ner(s) => s.pending().cloned(),
-        };
-        match pending {
+    /// `session`'s outstanding batch, shaped for the wire.
+    pub fn of(session: &AnySession) -> BatchView {
+        match session.pending() {
             Some(request) => BatchView {
                 state: "awaiting".into(),
                 ticket: request.ticket,
-                indices: request.indices,
+                indices: request.indices.clone(),
             },
             None => BatchView::done(),
         }
     }
+}
 
-    /// Cheap serializable status.
-    pub fn status(&self) -> SessionStatus {
-        match self {
-            AnySession::Text(s) => s.status(),
-            AnySession::Ner(s) => s.status(),
-        }
-    }
+impl TryFrom<LabelValue> for usize {
+    type Error = &'static str;
 
-    /// Submit wire labels, converting to the session's label type. A
-    /// label of the wrong shape is a spec error (HTTP 400) before any
-    /// state changes.
-    pub fn submit(
-        &mut self,
-        ticket: Ticket,
-        labels: &[(SampleId, LabelValue)],
-    ) -> Result<SubmitOutcome, Error> {
-        match self {
-            AnySession::Text(s) => {
-                let labels = labels
-                    .iter()
-                    .map(|(id, label)| match label {
-                        LabelValue::Class(c) => Ok((*id, *c)),
-                        LabelValue::Tags(_) => Err(Error::spec(format!(
-                            "sample {id}: this session labels classes, got a tag sequence"
-                        ))),
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                s.submit(&LabelResponse { ticket, labels })
-            }
-            AnySession::Ner(s) => {
-                let labels = labels
-                    .iter()
-                    .map(|(id, label)| match label {
-                        LabelValue::Tags(tags) => Ok((*id, tags.clone())),
-                        LabelValue::Class(_) => Err(Error::spec(format!(
-                            "sample {id}: this session labels tag sequences, got a class"
-                        ))),
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                s.submit(&LabelResponse { ticket, labels })
-            }
-        }
-    }
-
-    /// Answer the pending ticket from the session's hidden gold labels
-    /// (simulated-oracle sessions), shaped for [`Self::submit`].
-    pub fn answer_from_hidden(&self) -> Option<(Ticket, Vec<(SampleId, LabelValue)>)> {
-        match self {
-            AnySession::Text(s) => s.answer_from_hidden().map(|r| {
-                (
-                    r.ticket,
-                    r.labels
-                        .into_iter()
-                        .map(|(id, c)| (id, LabelValue::Class(c)))
-                        .collect(),
-                )
-            }),
-            AnySession::Ner(s) => s.answer_from_hidden().map(|r| {
-                (
-                    r.ticket,
-                    r.labels
-                        .into_iter()
-                        .map(|(id, tags)| (id, LabelValue::Tags(tags)))
-                        .collect(),
-                )
-            }),
-        }
-    }
-
-    /// The session's durable state rendered to JSON — the byte-identity
-    /// witness the crash/resume tests compare.
-    pub fn snapshot_json(&self) -> String {
-        match self {
-            AnySession::Text(s) => {
-                serde_json::to_string(&s.snapshot()).expect("snapshot serializes")
-            }
-            AnySession::Ner(s) => {
-                serde_json::to_string(&s.snapshot()).expect("snapshot serializes")
-            }
+    fn try_from(label: LabelValue) -> Result<usize, Self::Error> {
+        match label {
+            LabelValue::Class(c) => Ok(c),
+            LabelValue::Tags(_) => Err("this session labels classes, got a tag sequence"),
         }
     }
 }
 
-// The store shares sessions across server threads behind a mutex; this
-// fails to compile if a pipeline stage loses its Send bound.
-const _: fn() = || {
-    fn assert_send<T: Send>() {}
-    assert_send::<AnySession>();
-};
+impl TryFrom<LabelValue> for Vec<u16> {
+    type Error = &'static str;
+
+    fn try_from(label: LabelValue) -> Result<Vec<u16>, Self::Error> {
+        match label {
+            LabelValue::Tags(tags) => Ok(tags),
+            LabelValue::Class(_) => Err("this session labels tag sequences, got a class"),
+        }
+    }
+}
+
+impl From<usize> for LabelValue {
+    fn from(class: usize) -> LabelValue {
+        LabelValue::Class(class)
+    }
+}
+
+impl From<Vec<u16>> for LabelValue {
+    fn from(tags: Vec<u16>) -> LabelValue {
+        LabelValue::Tags(tags)
+    }
+}
 
 #[cfg(test)]
 mod tests {

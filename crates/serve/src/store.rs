@@ -47,6 +47,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use serde::{Deserialize, Serialize};
 
+use histal_bench::registry::resolve_cell;
 use histal_core::error::Error;
 use histal_core::live::{SessionStatus, SessionStep, SubmitOutcome};
 use histal_core::pipeline::Ticket;
@@ -340,6 +341,10 @@ impl Store {
     pub fn create_session(&self, config: SessionConfig) -> Result<StatusView, Error> {
         let config = config.normalized();
         let shard = self.tenant_shard(&config.tenant)?;
+        // Only new requests meet the cell rules: `load` replays without
+        // them, so a journal written before a rule existed still boots.
+        let (def, model, _) = config.resolve()?;
+        resolve_cell(def.kind(), model, &config.strategy)?;
         let session = config.build_session(&self.tasks, Arc::clone(&shard))?;
 
         let id = format!("s{:06}", self.next_id.fetch_add(1, Ordering::SeqCst));
@@ -410,7 +415,7 @@ impl Store {
             return Ok(BatchView::done());
         };
         session.step()?;
-        let view = session.batch_view();
+        let view = BatchView::of(session);
         self.settle(&entry, &mut slot)?;
         Ok(view)
     }

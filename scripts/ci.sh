@@ -86,15 +86,6 @@ echo "    every spec-backed command takes --journal) resumes byte-identically"
     diff table6-first.out table6-second.out
 )
 
-echo "==> spec smoke: run --spec specs/fig5.json matches the fig5 golden"
-(
-    cd "$SMOKE_DIR"
-    "$BIN" run --spec "$REPO_DIR/specs/fig5.json" --scale 0.05 --repeats 1 \
-        > spec.out 2> /dev/null
-    diff spec.out "$REPO_DIR/crates/bench/tests/goldens/fig5_s005_r1.stdout"
-    diff results/fig5.json "$REPO_DIR/crates/bench/tests/goldens/fig5_s005_r1.json"
-)
-
 echo "==> adaptive smoke: run --spec specs/adaptive-sweep.json prunes, journals,"
 echo "    and resumes byte-identically (pruning decisions included)"
 (
