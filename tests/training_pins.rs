@@ -7,6 +7,8 @@
 //! trainer and the artifact layout are pinned the same way. The
 //! diversity pins cover density weighting (Eq. 7), MMR (Eq. 8) and
 //! k-center, which read the pool geometry instead of the plain scores.
+//! The BALD pins are the only ones that read MC-dropout posteriors, so
+//! they cover the inference-time dropout masks of both models.
 
 mod common;
 
@@ -30,24 +32,41 @@ fn fnv(h: &mut u64, bytes: &[u8]) {
     }
 }
 
-fn entropy_run_hash(n_classes: usize, n: usize, seed: u64) -> u64 {
+/// `base` over logistic regression on a tiny text task;
+/// `record_history` adds every round's scores to the hash.
+fn text_run_hash(
+    base: BaseStrategy,
+    n_classes: usize,
+    n: usize,
+    seed: u64,
+    record_history: bool,
+) -> u64 {
     let task = tiny_text_task(n_classes, n, seed);
     let config = PoolConfig {
         batch_size: 10,
         rounds: 4,
         init_labeled: 13,
         history_max_len: None,
-        record_history: false,
+        record_history,
         ann: None,
     };
-    let result = run_text(&task, Strategy::new(BaseStrategy::Entropy), config, seed);
+    let result = run_text(&task, Strategy::new(base), config, seed);
     run_hash(&result)
+}
+
+fn entropy_run_hash(n_classes: usize, n: usize, seed: u64) -> u64 {
+    text_run_hash(BaseStrategy::Entropy, n_classes, n, seed, false)
 }
 
 /// LC over a CRF on a tiny NER task; `score_beam` switches the scoring
 /// lattices between exact and pruned forward–backward. The recorded
 /// score history carries the `logZ` bits of every scoring pass.
 fn lc_ner_run_hash(score_beam: Option<f64>, n: usize, seed: u64) -> u64 {
+    ner_run_hash(BaseStrategy::LeastConfidence, score_beam, n, seed)
+}
+
+/// `base` over a CRF on a tiny NER task, with the score history hashed.
+fn ner_run_hash(base: BaseStrategy, score_beam: Option<f64>, n: usize, seed: u64) -> u64 {
     let task = tiny_ner_task(n, seed);
     let model = CrfTagger::new(CrfConfig {
         n_features: 1 << 12,
@@ -58,7 +77,7 @@ fn lc_ner_run_hash(score_beam: Option<f64>, n: usize, seed: u64) -> u64 {
     let mut learner = ActiveLearner::builder(model)
         .pool(task.pool, task.pool_tags)
         .test(task.test, task.test_tags)
-        .strategy(Strategy::new(BaseStrategy::LeastConfidence))
+        .strategy(Strategy::new(base))
         .config(PoolConfig {
             batch_size: 15,
             rounds: 3,
@@ -69,7 +88,7 @@ fn lc_ner_run_hash(score_beam: Option<f64>, n: usize, seed: u64) -> u64 {
         })
         .seed(seed)
         .build();
-    run_hash(&learner.run().expect("LC needs no extra capability"))
+    run_hash(&learner.run().expect("the CRF scores this strategy"))
 }
 
 /// The one tiny binary text task every diversity pin runs on.
@@ -173,6 +192,22 @@ fn exact_ner_lc_run_bits_are_pinned() {
 fn beamed_ner_lc_run_bits_are_pinned() {
     let h = lc_ner_run_hash(Some(8.0), 150, 41);
     assert_eq!(h, 0x94a9_837a_8b6f_1441, "pinned hash {h:#018x}");
+}
+
+/// BALD's MC-dropout posteriors on logistic regression: 16 masked
+/// passes per pool document each round.
+#[test]
+fn text_bald_run_bits_are_pinned() {
+    let h = text_run_hash(BaseStrategy::Bald, 2, 300, 33, true);
+    assert_eq!(h, 0x1db5_2fcc_f5cd_970d, "pinned hash {h:#018x}");
+}
+
+/// BALD's MC-dropout Viterbi votes on the CRF: 8 masked emission fills
+/// per pool sentence each round.
+#[test]
+fn ner_bald_run_bits_are_pinned() {
+    let h = ner_run_hash(BaseStrategy::Bald, None, 150, 42);
+    assert_eq!(h, 0x6791_37c7_933f_eb12, "pinned hash {h:#018x}");
 }
 
 const DENSITY_PIN: u64 = 0x496e_8115_3fec_98ab;
