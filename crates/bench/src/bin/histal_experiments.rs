@@ -51,7 +51,7 @@ use histal_bench::experiments;
 use histal_bench::journal::JournalCtx;
 use histal_bench::spec::ExperimentSpec;
 use histal_bench::tasks::Scale;
-use histal_core::error::Error;
+use histal_core::error::{Error, ErrorKind};
 use histal_obs::trace::{set_subscriber, Level, StderrSubscriber};
 
 fn main() {
@@ -239,7 +239,13 @@ fn main() {
                     eprintln!("usage: histal-experiments run --spec FILE [--journal FILE]");
                     std::process::exit(2);
                 };
-                let spec = load_spec(path).map_err(|e| Error::spec(format!("{path}: {e}")))?;
+                let spec = load_spec(path).map_err(|e| {
+                    let message = match e.kind {
+                        ErrorKind::Spec { message } => message,
+                        kind => kind.to_string(),
+                    };
+                    Error::spec(format!("{path}: {message}"))
+                })?;
                 run_spec(&spec, &scale, journal.as_ref()).map(|_| ())
             }
             (_, "selector-train") => {

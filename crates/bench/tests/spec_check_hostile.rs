@@ -1,14 +1,16 @@
 //! `spec-check` on hostile specs: every file that fails validation
-//! exits 1 with one `ERR` line, never a panic (exit 101).
+//! exits 1 with one `ERR` line, never a panic (exit 101). `run --spec`
+//! on a refused spec fails the same way, with one error prefix.
 
 use std::path::PathBuf;
 use std::process::Command;
 
 const BIN: &str = env!("CARGO_BIN_EXE_histal-experiments");
 
-/// Fresh scratch directory holding only the hostile specs.
-fn scratch() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("histal-hostile-{}", std::process::id()));
+/// Fresh scratch directory holding only the hostile specs; `tag` keeps
+/// the tests of this file out of each other's directories.
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("histal-hostile-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir
@@ -16,7 +18,7 @@ fn scratch() -> PathBuf {
 
 #[test]
 fn hostile_specs_exit_1_with_one_err_line_each() {
-    let dir = scratch();
+    let dir = scratch("check");
     // (file name, dataset token, strategy token, pool section)
     let hostile = [
         ("priors", "mr?priors=0.9/0.3", "entropy", "{}"),
@@ -95,6 +97,44 @@ fn hostile_specs_exit_1_with_one_err_line_each() {
         assert!(
             line.contains(&format!("`{strategy}`")) && line.contains(&format!("`{model}`")),
             "{name}: the ERR line must name the token and the model: {line}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn run_spec_on_a_refused_spec_names_the_error_once() {
+    let dir = scratch("run");
+    let refused = [
+        (
+            "mnlp-mr",
+            r#"{"name": "mnlp-mr", "datasets": ["mr"], "groups": [{"strategies": ["mnlp"]}]}"#,
+        ),
+        ("truncated", r#"{"name": "truncated", "datasets": ["#),
+    ];
+    for (name, body) in refused {
+        let path = dir.join(format!("{name}.json"));
+        std::fs::write(&path, body).expect("write spec");
+        let out = Command::new(BIN)
+            .args(["run", "--spec"])
+            .arg(&path)
+            .args(["--scale", "0.02", "--repeats", "1"])
+            .current_dir(&dir)
+            .output()
+            .expect("spawn histal-experiments");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !out.status.success() && out.status.code() != Some(101),
+            "{name}: {stderr}"
+        );
+        assert_eq!(
+            stderr.matches("invalid experiment spec").count(),
+            1,
+            "{name}: {stderr}"
+        );
+        assert!(
+            stderr.contains(&format!("{name}.json: ")),
+            "{name}: {stderr}"
         );
     }
     std::fs::remove_dir_all(&dir).ok();

@@ -183,14 +183,15 @@ struct LatticeScratch {
     probs: Vec<f64>,
     /// BALD vote counts `votes[t*l + tag]`.
     votes: Vec<u32>,
-    /// Prepared (bounds-filtered, f64-widened) features for the current
-    /// sentence: indices, values, and per-token offsets (`poff[t]..
+    /// Prepared (bounds-filtered, f64-widened) features `(idx, val)`
+    /// for the current sentence, and per-token offsets (`poff[t]..
     /// poff[t+1]` is token `t`'s window). Every lattice pass over one
     /// sentence — exact fill, the BALD dropout fills, repeat Viterbi
     /// decodes — shares this one preparation.
-    pidx: Vec<u32>,
-    pval: Vec<f64>,
+    pfeat: Vec<(u32, f64)>,
     poff: Vec<usize>,
+    /// The features a BALD dropout mask kept from one token's window.
+    kept: Vec<(u32, f64)>,
     /// Transposed transitions `trans_t[y*l + p] = trans[p*l + y]`, so
     /// forward/Viterbi row fills read contiguous rows.
     trans_t: Vec<f64>,
@@ -317,52 +318,45 @@ impl CrfTagger {
     /// flat per-token windows. All lattice passes over the sentence
     /// (exact fill + every BALD dropout fill) then share this single
     /// preparation instead of re-walking the `SparseVec`s.
-    fn prepare_feats(
-        &self,
-        s: &Sentence,
-        pidx: &mut Vec<u32>,
-        pval: &mut Vec<f64>,
-        poff: &mut Vec<usize>,
-    ) {
+    fn prepare_feats(&self, s: &Sentence, pfeat: &mut Vec<(u32, f64)>, poff: &mut Vec<usize>) {
         let nf = self.config.n_features as usize;
-        pidx.clear();
-        pval.clear();
+        pfeat.clear();
         poff.clear();
         poff.push(0);
         for x in &s.token_feats {
-            for (idx, val) in x.iter() {
-                if (idx as usize) < nf {
-                    pidx.push(idx);
-                    pval.push(val as f64);
-                }
-            }
-            poff.push(pidx.len());
+            pfeat.extend(
+                x.iter()
+                    .filter(|&(idx, _)| (idx as usize) < nf)
+                    .map(|(idx, val)| (idx, val as f64)),
+            );
+            poff.push(pfeat.len());
         }
     }
 
     /// Flat emission fill from prepared features.
-    fn fill_emissions(&self, pidx: &[u32], pval: &[f64], poff: &[usize], e: &mut Vec<f64>) {
+    fn fill_emissions(&self, pfeat: &[(u32, f64)], poff: &[usize], e: &mut Vec<f64>) {
         let l = self.n_labels;
         let t_len = poff.len() - 1;
         e.clear();
         e.resize(t_len * l, 0.0);
         for t in 0..t_len {
             let row = &mut e[t * l..(t + 1) * l];
-            for k in poff[t]..poff[t + 1] {
-                kernels::axpy(row, self.emit_row(pidx[k] as usize), pval[k]);
+            for &(idx, v) in &pfeat[poff[t]..poff[t + 1]] {
+                kernels::axpy(row, self.emit_row(idx as usize), v);
             }
         }
     }
 
     /// Flat emission fill under a random dropout mask, from prepared
-    /// features. Consumes `rng` draws in the same order as the original
-    /// implementation (one draw per in-range feature index).
+    /// features; `kept` is scratch at least as long as the longest
+    /// token window. Draws one uniform per prepared feature, in token
+    /// and feature order.
     fn fill_emissions_dropout(
         &self,
-        pidx: &[u32],
-        pval: &[f64],
+        pfeat: &[(u32, f64)],
         poff: &[usize],
         rng: &mut ChaCha8Rng,
+        kept: &mut [(u32, f64)],
         e: &mut Vec<f64>,
     ) {
         let l = self.n_labels;
@@ -373,10 +367,9 @@ impl CrfTagger {
         e.resize(t_len * l, 0.0);
         for t in 0..t_len {
             let row = &mut e[t * l..(t + 1) * l];
-            for k in poff[t]..poff[t + 1] {
-                if rng.gen::<f64>() < keep {
-                    kernels::axpy(row, self.emit_row(pidx[k] as usize), pval[k] * scale);
-                }
+            let n_kept = kernels::dropout_mask(&pfeat[poff[t]..poff[t + 1]], keep, rng, kept);
+            for &(idx, v) in &kept[..n_kept] {
+                kernels::axpy(row, self.emit_row(idx as usize), v * scale);
             }
         }
     }
@@ -963,12 +956,11 @@ impl CrfTagger {
 
 /// Per-sentence gradient payload returned by the minibatch kernel:
 /// flattened dropout-masked features (token `t`'s window is
-/// `moff[t]..moff[t+1]` of `midx`/`mval`) plus the flat gradient
-/// factors `g[t*l + y] = γ_t(y) − δ`.
+/// `masked[moff[t]..moff[t+1]]`) plus the flat gradient factors
+/// `g[t*l + y] = γ_t(y) − δ`.
 #[derive(Default)]
 struct SentGrad {
-    midx: Vec<u32>,
-    mval: Vec<f64>,
+    masked: Vec<(u32, f64)>,
     moff: Vec<usize>,
     g: Vec<f64>,
 }
@@ -995,18 +987,19 @@ impl CrfTagger {
             tags,
             row,
             votes,
-            pidx,
-            pval,
+            pfeat,
             poff,
+            kept,
             trans_t,
             ..
         } = ws;
-        self.prepare_feats(s, pidx, pval, poff);
+        self.prepare_feats(s, pfeat, poff);
         self.fill_trans_t(trans_t);
+        kept.resize(pfeat.len(), (0, 0.0));
         votes.clear();
         votes.resize(s.len() * l, 0);
         for _ in 0..passes {
-            self.fill_emissions_dropout(pidx, pval, poff, rng, e);
+            self.fill_emissions_dropout(pfeat, poff, rng, kept, e);
             self.viterbi_flat(e, trans_t, delta, back, tags, row);
             for (t, &tag) in tags.iter().enumerate() {
                 votes[t * l + tag as usize] += 1;
@@ -1043,7 +1036,9 @@ impl Model for CrfTagger {
         let train_dropout = self.config.train_dropout;
         let keep = 1.0 - train_dropout;
         // Hoisted out of the epoch loop: bounds-filter and widen every
-        // token's features once per fit instead of once per step.
+        // token's features once per fit instead of once per step, already
+        // divided by the inverted-dropout `keep` (the same `v / keep` a
+        // kept feature always got).
         let feats: Vec<Vec<Vec<(u32, f64)>>> = samples
             .iter()
             .map(|s| {
@@ -1052,7 +1047,7 @@ impl Model for CrfTagger {
                     .map(|x| {
                         x.iter()
                             .filter(|&(idx, _)| (idx as usize) < nf)
-                            .map(|(idx, val)| (idx, val as f64))
+                            .map(|(idx, val)| (idx, val as f64 / keep))
                             .collect()
                     })
                     .collect()
@@ -1087,19 +1082,22 @@ impl Model for CrfTagger {
                         ));
                         // One mask per token, reused for the forward
                         // pass and the gradient. The mask draws run in
-                        // feature order, matching the historical
-                        // per-token filter.
+                        // token and feature order.
                         let mut sg = SentGrad::default();
+                        sg.masked
+                            .resize(feats[i].iter().map(Vec::len).sum(), (0, 0.0));
                         sg.moff.push(0);
+                        let mut hi = 0;
                         for toks in &feats[i] {
-                            for &(idx, v) in toks {
-                                if train_dropout == 0.0 || srng.gen::<f64>() < keep {
-                                    sg.midx.push(idx);
-                                    sg.mval.push(v / keep);
-                                }
-                            }
-                            sg.moff.push(sg.midx.len());
+                            hi += kernels::train_dropout_mask(
+                                toks,
+                                train_dropout,
+                                &mut srng,
+                                &mut sg.masked[hi..],
+                            );
+                            sg.moff.push(hi);
                         }
+                        sg.masked.truncate(hi);
                         let t_len = s.len();
                         // Flat thread-local lattices replace the
                         // per-sentence nested allocations; the flat
@@ -1114,7 +1112,7 @@ impl Model for CrfTagger {
                                 trans_t,
                                 ..
                             } = ws;
-                            model.fill_emissions(&sg.midx, &sg.mval, &sg.moff, e);
+                            model.fill_emissions(&sg.masked, &sg.moff, e);
                             model.fill_trans_t(trans_t);
                             let log_z = model.forward_flat(e, trans_t, alpha, row);
                             model.backward_flat(e, beta, row);
@@ -1191,12 +1189,12 @@ impl Model for CrfTagger {
                     let t_len = sg.moff.len().saturating_sub(1);
                     for t in 0..t_len {
                         let grow = &sg.g[t * l..(t + 1) * l];
-                        for k in sg.moff[t]..sg.moff[t + 1] {
-                            let idx = sg.midx[k] as usize;
+                        for &(idx, v) in &sg.masked[sg.moff[t]..sg.moff[t + 1]] {
+                            let idx = idx as usize;
                             kernels::sgd_row_update(
                                 &mut self.emit[idx * l..(idx + 1) * l],
                                 grow,
-                                sg.mval[k],
+                                v,
                                 lr,
                                 l2,
                                 Self::GRAD_EPS,
@@ -1253,8 +1251,7 @@ impl Model for CrfTagger {
                     best2,
                     next2,
                     probs,
-                    pidx,
-                    pval,
+                    pfeat,
                     poff,
                     trans_t,
                     act,
@@ -1264,8 +1261,8 @@ impl Model for CrfTagger {
                 // One feature preparation + one emission fill shared by
                 // every lattice pass below (forward, backward, Viterbi,
                 // 2-best), and reused by the BALD dropout passes.
-                self.prepare_feats(sample, pidx, pval, poff);
-                self.fill_emissions(pidx, pval, poff, e);
+                self.prepare_feats(sample, pfeat, poff);
+                self.fill_emissions(pfeat, poff, e);
                 self.fill_trans_t(trans_t);
                 let beam = self.config.score_beam;
                 let log_z = match beam {

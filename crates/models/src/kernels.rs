@@ -9,6 +9,12 @@
 //! one. Order-sensitive reductions (`logsumexp`'s sum of exponentials)
 //! do not live here; the only reduction is `max`/argmax, which keeps the
 //! earliest index on ties.
+//!
+//! [`dropout_mask`] is the one place the models draw a dropout mask: the
+//! RNG stream it consumes is part of the contract the same way.
+
+use rand::Rng;
+use rand_chacha::ChaCha8Rng;
 
 /// `out[i] = a[i] + b[i]` over the common prefix of the slices.
 #[inline]
@@ -71,6 +77,50 @@ pub fn sgd_row_update(w: &mut [f64], g: &[f64], v: f64, lr: f64, l2: f64, eps: f
             continue;
         }
         *wy -= lr * (gy * v + l2 * *wy);
+    }
+}
+
+/// Inverted-dropout keep mask, branch-free: compacts the candidates a
+/// random mask keeps into the front of `out`, in candidate order, and
+/// returns how many it kept.
+///
+/// Draws exactly one uniform `f64` per candidate, in candidate order,
+/// whatever the outcome, and keeps a candidate whose draw `u` is
+/// `< keep`: the draws, the kept list and the RNG position afterwards
+/// are those of the branchy `if u < keep { push }` loop. Every
+/// candidate is stored at the cursor and the cursor advances by
+/// `(u < keep) as usize`, so a dropped candidate is overwritten by the
+/// next one. A keep/drop branch taken at random mispredicts about every
+/// second draw at `keep ≈ 0.65`; the unconditional store does not.
+///
+/// Panics if `out` is shorter than `cand`.
+#[inline]
+pub fn dropout_mask<T: Copy>(cand: &[T], keep: f64, rng: &mut ChaCha8Rng, out: &mut [T]) -> usize {
+    let out = &mut out[..cand.len()];
+    let mut kept = 0;
+    for &c in cand {
+        let u = rng.gen::<f64>();
+        out[kept] = c;
+        kept += (u < keep) as usize;
+    }
+    kept
+}
+
+/// The training mask: [`dropout_mask`] at `keep = 1 − train_dropout`,
+/// except that `train_dropout == 0.0` draws nothing and keeps every
+/// candidate.
+#[inline]
+pub fn train_dropout_mask<T: Copy>(
+    cand: &[T],
+    train_dropout: f64,
+    rng: &mut ChaCha8Rng,
+    out: &mut [T],
+) -> usize {
+    if train_dropout == 0.0 {
+        out[..cand.len()].copy_from_slice(cand);
+        cand.len()
+    } else {
+        dropout_mask(cand, 1.0 - train_dropout, rng, out)
     }
 }
 

@@ -92,6 +92,9 @@ impl Default for TextClassifierConfig {
 struct PosteriorScratch {
     pass: Vec<f64>,
     mean: Vec<f64>,
+    /// One document's dropout-mask candidates and the kept ones.
+    cand: Vec<(usize, f64)>,
+    kept: Vec<(usize, f64)>,
 }
 
 thread_local! {
@@ -145,28 +148,40 @@ impl Linear {
         p
     }
 
+    /// The candidates of every dropout mask over `x`: its in-range
+    /// features, widened, in feature order. Out-of-range hashed indices
+    /// are ignored, matching logits, and draw no mask bit.
+    fn mask_candidates(&self, x: &SparseVec, cand: &mut Vec<(usize, f64)>) {
+        let nf = self.n_features as usize;
+        cand.clear();
+        cand.extend(
+            x.iter()
+                .filter(|&(idx, _)| (idx as usize) < nf)
+                .map(|(idx, val)| (idx as usize, val as f64)),
+        );
+    }
+
     /// Posterior under one random feature-dropout mask (inverted
-    /// dropout), written into `out`. Draws exactly one uniform per
-    /// in-range feature, in feature order — callers rely on that to keep
-    /// the MC-dropout stream reproducible.
+    /// dropout) over `cand` (see [`Self::mask_candidates`]), written into
+    /// `out`; `kept` is scratch at least as long as `cand`. Draws exactly
+    /// one uniform per candidate, in order — callers rely on that to
+    /// keep the MC-dropout stream reproducible.
     fn probs_dropout_into(
         &self,
-        x: &SparseVec,
+        cand: &[(usize, f64)],
         dropout: f64,
         rng: &mut ChaCha8Rng,
+        kept: &mut [(usize, f64)],
         out: &mut Vec<f64>,
     ) {
         let keep = 1.0 - dropout;
         let scale = 1.0 / keep;
-        let (nf, k) = (self.n_features as usize, self.n_classes);
+        let k = self.n_classes;
+        let n_kept = crate::kernels::dropout_mask(cand, keep, rng, kept);
         out.clear();
         out.extend_from_slice(&self.b);
-        for (idx, val) in x.iter() {
-            // Out-of-range hashed indices are ignored, matching logits.
-            if (idx as usize) < nf && rng.gen::<f64>() < keep {
-                let row = &self.w[idx as usize * k..(idx as usize + 1) * k];
-                crate::kernels::axpy(out, row, val as f64 * scale);
-            }
+        for &(idx, v) in &kept[..n_kept] {
+            crate::kernels::axpy(out, &self.w[idx * k..(idx + 1) * k], v * scale);
         }
         softmax_inplace(out);
     }
@@ -218,28 +233,28 @@ impl Linear {
         // Each sample's bounds-filtered, widened features, already divided
         // by the inverted-dropout `keep` (the same `v / keep` a kept
         // feature always got), flattened once per fit: sample `i` owns
-        // `foff[i]..foff[i + 1]`.
+        // `feats[foff[i]..foff[i + 1]]`.
         let mut foff = Vec::with_capacity(n + 1);
         foff.push(0);
-        let mut fidx: Vec<usize> = Vec::new();
-        let mut fval: Vec<f64> = Vec::new();
+        let mut feats: Vec<(usize, f64)> = Vec::new();
         let mut max_len = 0;
         for d in samples {
-            let start = fidx.len();
-            for (idx, val) in d.features.iter() {
-                if (idx as usize) < nf {
-                    fidx.push(idx as usize);
-                    fval.push(val as f64 / keep);
-                }
-            }
-            max_len = max_len.max(fidx.len() - start);
-            foff.push(fidx.len());
+            let start = feats.len();
+            feats.extend(
+                d.features
+                    .iter()
+                    .filter(|&(idx, _)| (idx as usize) < nf)
+                    .map(|(idx, val)| (idx as usize, val as f64 / keep)),
+            );
+            max_len = max_len.max(feats.len() - start);
+            foff.push(feats.len());
         }
         // The minibatch's dropout-masked features (sample `j` of the
-        // batch owns `moff[j]..moff[j + 1]`) and its `batch × k` block
-        // of logit gradients.
-        let mut midx: Vec<usize> = Vec::with_capacity(Self::MINIBATCH * max_len);
-        let mut mval: Vec<f64> = Vec::with_capacity(Self::MINIBATCH * max_len);
+        // batch owns `masked[moff[j]..moff[j + 1]]`) and its `batch × k`
+        // block of logit gradients. The mask stores every candidate of
+        // sample `j` at or after `moff[j] <= j * max_len`, so a full
+        // batch of the longest sample fits without slack.
+        let mut masked = vec![(0, 0.0); Self::MINIBATCH * max_len];
         let mut moff: Vec<usize> = Vec::with_capacity(Self::MINIBATCH + 1);
         let mut grads = vec![0.0; Self::MINIBATCH * k];
         let mut chunk_grad = vec![0.0; k];
@@ -250,8 +265,6 @@ impl Linear {
             let epoch_seed: u64 = rng.gen();
             for (batch_no, batch) in order.chunks(Self::MINIBATCH).enumerate() {
                 let base = batch_no * Self::MINIBATCH;
-                midx.clear();
-                mval.clear();
                 moff.clear();
                 moff.push(0);
                 bias_grad.fill(0.0);
@@ -265,17 +278,18 @@ impl Linear {
                         ));
                         // One dropout mask per sample, reused for the
                         // forward pass and the gradient.
-                        for f in foff[i]..foff[i + 1] {
-                            if train_dropout == 0.0 || srng.gen::<f64>() < keep {
-                                midx.push(fidx[f]);
-                                mval.push(fval[f]);
-                            }
-                        }
-                        let (lo, hi) = (moff[j], midx.len());
+                        let lo = moff[j];
+                        let hi = lo
+                            + crate::kernels::train_dropout_mask(
+                                &feats[foff[i]..foff[i + 1]],
+                                train_dropout,
+                                &mut srng,
+                                &mut masked[lo..],
+                            );
                         moff.push(hi);
                         let g = &mut grads[j * k..(j + 1) * k];
                         g.copy_from_slice(&self.b);
-                        for (&idx, &v) in midx[lo..hi].iter().zip(&mval[lo..hi]) {
+                        for &(idx, v) in &masked[lo..hi] {
                             crate::kernels::axpy(g, &self.w[idx * k..(idx + 1) * k], v);
                         }
                         softmax_inplace(g);
@@ -298,8 +312,7 @@ impl Linear {
                 // weight cell is touched once and the feature-outer
                 // order is bit-identical to the old class-outer order.
                 for (j, g) in grads.chunks_exact(k).take(batch.len()).enumerate() {
-                    let (lo, hi) = (moff[j], moff[j + 1]);
-                    for (&idx, &v) in midx[lo..hi].iter().zip(&mval[lo..hi]) {
+                    for &(idx, v) in &masked[moff[j]..moff[j + 1]] {
                         for (wc, &gc) in self.w[idx * k..(idx + 1) * k].iter_mut().zip(g) {
                             *wc -= lr * (gc * v + l2 * *wc);
                         }
@@ -370,14 +383,21 @@ impl TextClassifier {
     pub fn bald(&self, doc: &Document, rng: &mut ChaCha8Rng) -> f64 {
         POSTERIOR.with(|cell| {
             let ws = &mut *cell.borrow_mut();
-            let PosteriorScratch { pass, mean } = ws;
+            let PosteriorScratch {
+                pass,
+                mean,
+                cand,
+                kept,
+            } = ws;
             let passes = self.config.mc_passes.max(2);
             mean.clear();
             mean.resize(self.config.n_classes, 0.0);
+            self.main.mask_candidates(&doc.features, cand);
+            kept.resize(cand.len(), (0, 0.0));
             let mut mean_entropy = 0.0;
             for _ in 0..passes {
                 self.main
-                    .probs_dropout_into(&doc.features, self.config.dropout, rng, pass);
+                    .probs_dropout_into(cand, self.config.dropout, rng, kept, pass);
                 mean_entropy += histal_core::eval::entropy_of(pass);
                 for (m, pi) in mean.iter_mut().zip(pass.iter()) {
                     *m += pi;

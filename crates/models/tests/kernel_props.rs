@@ -3,14 +3,20 @@
 //! by at most `B = −(T−1)·ln(1 − L·e^{−δ})`, least-confidence moves by
 //! at most `e^B − 1`, and a wide-open beam (`δ` huge) reproduces the
 //! exact path bit-for-bit.
+//!
+//! And for the branch-free dropout mask: it keeps exactly what the
+//! branchy reference keeps and leaves its RNG where the reference leaves
+//! its own. `scripts/ci.sh` also runs this file in release, where the
+//! mask loop is the optimised one the models run.
 
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use histal_core::eval::EvalCaps;
 use histal_core::model::Model;
 use histal_core::tags::TagScheme;
+use histal_models::kernels::{dropout_mask, train_dropout_mask};
 use histal_models::{CrfConfig, CrfTagger, Sentence};
 use histal_text::FeatureHasher;
 
@@ -136,4 +142,92 @@ proptest! {
             }
         }
     }
+}
+
+/// The branchy keep/drop loop the mask kernel replaced.
+fn reference_mask<T: Copy>(cand: &[T], keep: f64, rng: &mut ChaCha8Rng) -> Vec<T> {
+    let mut out = Vec::new();
+    for &c in cand {
+        if rng.gen::<f64>() < keep {
+            out.push(c);
+        }
+    }
+    out
+}
+
+/// Distinct candidates, so a reordering or a duplicate shows.
+fn candidates(n: usize) -> Vec<(u32, f64)> {
+    (0..n).map(|i| (i as u32, i as f64 * 0.5 - 3.0)).collect()
+}
+
+fn keep_strategy() -> impl Strategy<Value = f64> {
+    prop_oneof![Just(0.5), Just(0.65), Just(0.75), Just(1.0), 0.0f64..1.0]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Same kept list, in the same order, and the same number of draws
+    /// consumed: the next word of both streams agrees. `skip` starts the
+    /// streams at an arbitrary offset into the RNG's word buffer.
+    #[test]
+    fn dropout_mask_matches_branchy_reference(
+        n in 0usize..200,
+        keep in keep_strategy(),
+        seed in 0u64..u64::MAX,
+        skip in 0usize..70,
+    ) {
+        let cand = candidates(n);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut ref_rng = ChaCha8Rng::seed_from_u64(seed);
+        for _ in 0..skip {
+            rng.next_u32();
+            ref_rng.next_u32();
+        }
+        let mut out = vec![(0, 0.0); n];
+        let kept = dropout_mask(&cand, keep, &mut rng, &mut out);
+        prop_assert_eq!(&out[..kept], &reference_mask(&cand, keep, &mut ref_rng)[..]);
+        prop_assert_eq!(rng.next_u64(), ref_rng.next_u64());
+    }
+
+    /// A training mask at dropout `d > 0` is the mask at `keep = 1 − d`.
+    #[test]
+    fn train_mask_matches_branchy_reference(
+        n in 0usize..200,
+        train_dropout in 0.01f64..0.9,
+        seed in 0u64..u64::MAX,
+    ) {
+        let cand = candidates(n);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut ref_rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut out = vec![(0, 0.0); n];
+        let kept = train_dropout_mask(&cand, train_dropout, &mut rng, &mut out);
+        let expected = reference_mask(&cand, 1.0 - train_dropout, &mut ref_rng);
+        prop_assert_eq!(&out[..kept], &expected[..]);
+        prop_assert_eq!(rng.next_u64(), ref_rng.next_u64());
+    }
+
+    /// `train_dropout == 0.0` keeps every candidate and draws nothing.
+    #[test]
+    fn zero_train_dropout_keeps_all_and_draws_nothing(
+        n in 0usize..200,
+        seed in 0u64..u64::MAX,
+    ) {
+        let cand = candidates(n);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut out = vec![(0, 0.0); n];
+        let kept = train_dropout_mask(&cand, 0.0, &mut rng, &mut out);
+        prop_assert_eq!(&out[..kept], &cand[..]);
+        prop_assert_eq!(rng.next_u64(), ChaCha8Rng::seed_from_u64(seed).next_u64());
+    }
+}
+
+/// A mask stores past its kept prefix, so the output must hold every
+/// candidate; a short one is refused rather than written out of bounds.
+#[test]
+#[should_panic]
+fn dropout_mask_refuses_a_short_output() {
+    let cand = candidates(4);
+    let mut out = vec![(0, 0.0); 3];
+    dropout_mask(&cand, 0.5, &mut ChaCha8Rng::seed_from_u64(0), &mut out);
 }

@@ -31,6 +31,10 @@ echo "==> ChaCha8 refill tests in release (the SSE2 refill against the scalar"
 echo "    oracle under the optimised codegen that ships)"
 cargo test --release -p rand_chacha -q
 
+echo "==> dropout-mask kernel tests in release (the branch-free mask against the"
+echo "    branchy reference, as the optimised loop the models run)"
+cargo test --release -p histal-models --test kernel_props -q
+
 echo "==> benchmark package: builds, unit tests, flat fan-out matches GridExecutor"
 echo "    (the out-of-workspace benchmark/ package drives the public core API,"
 echo "     so an API change that breaks it or moves its curves fails here)"
