@@ -22,17 +22,17 @@ use histal_core::PoolConfig;
 use histal_obs::MetricsRegistry;
 
 /// Default per-round batch size when the request leaves it zero.
-pub const DEFAULT_BATCH: usize = 25;
+pub(crate) const DEFAULT_BATCH: usize = 25;
 /// Default round count when the request leaves it zero.
-pub const DEFAULT_ROUNDS: usize = 20;
+pub(crate) const DEFAULT_ROUNDS: usize = 20;
 /// Default initial labeled-set size when the request leaves it zero.
-pub const DEFAULT_INIT: usize = 25;
+pub(crate) const DEFAULT_INIT: usize = 25;
 
 /// Who answers tickets: an external client over HTTP, or the session's
 /// own hidden gold labels via `POST /sessions/{id}/run`.
-pub const ORACLE_EXTERNAL: &str = "external";
+pub(crate) const ORACLE_EXTERNAL: &str = "external";
 /// See [`ORACLE_EXTERNAL`].
-pub const ORACLE_SIMULATED: &str = "simulated";
+pub(crate) const ORACLE_SIMULATED: &str = "simulated";
 
 /// The create-session request body. Every field has a serving default,
 /// but `dataset` and `strategy` must be non-empty.
@@ -55,16 +55,16 @@ pub struct SessionConfig {
     /// Dataset scale factor in `(0, 1]`; `0` means full size.
     #[serde(default)]
     pub scale: f64,
-    /// Samples per label ticket; `0` means [`DEFAULT_BATCH`].
+    /// Samples per label ticket; `0` means 25.
     #[serde(default)]
     pub batch_size: usize,
-    /// Selection rounds; `0` means [`DEFAULT_ROUNDS`].
+    /// Selection rounds; `0` means 20.
     #[serde(default)]
     pub rounds: usize,
-    /// Initial random labeled set; `0` means [`DEFAULT_INIT`].
+    /// Initial random labeled set; `0` means 25.
     #[serde(default)]
     pub init_labeled: usize,
-    /// `"external"` (default) or `"simulated"`; see [`ORACLE_EXTERNAL`].
+    /// `"external"` (default) or `"simulated"`.
     #[serde(default)]
     pub oracle: String,
 }
@@ -97,12 +97,12 @@ impl SessionConfig {
 
     /// `true` when `POST /sessions/{id}/run` may answer this session's
     /// tickets from hidden gold labels.
-    pub fn is_simulated(&self) -> bool {
+    pub(crate) fn is_simulated(&self) -> bool {
         self.oracle == ORACLE_SIMULATED
     }
 
     /// The core loop configuration this request resolves to.
-    pub fn pool_config(&self) -> PoolConfig {
+    pub(crate) fn pool_config(&self) -> PoolConfig {
         PoolConfig {
             batch_size: self.batch_size,
             rounds: self.rounds,
@@ -189,7 +189,7 @@ impl TaskCache {
     }
 
     /// The shared task for `(def, scale, seed)`.
-    pub fn task(&self, def: &DatasetDef, scale: f64, seed: u64) -> Arc<Task> {
+    pub(crate) fn task(&self, def: &DatasetDef, scale: f64, seed: u64) -> Arc<Task> {
         let key = format!("{def:?}|{scale}|{seed}");
         let scale = Scale {
             factor: scale,

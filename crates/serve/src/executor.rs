@@ -24,14 +24,14 @@ use std::thread::JoinHandle;
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Fixed worker pool: `execute` enqueues, workers run jobs FIFO.
-pub struct ThreadPool {
+pub(crate) struct ThreadPool {
     sender: Option<Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl ThreadPool {
     /// Spawn `size` workers (at least one).
-    pub fn new(size: usize) -> ThreadPool {
+    pub(crate) fn new(size: usize) -> ThreadPool {
         let size = size.max(1);
         let (sender, receiver) = channel::<Job>();
         let receiver = Arc::new(Mutex::new(receiver));
@@ -51,7 +51,7 @@ impl ThreadPool {
     }
 
     /// Enqueue a job. Returns `false` if the pool is already shut down.
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) -> bool {
+    pub(crate) fn execute(&self, job: impl FnOnce() + Send + 'static) -> bool {
         match &self.sender {
             Some(sender) => sender.send(Box::new(job)).is_ok(),
             None => false,

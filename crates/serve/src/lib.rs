@@ -10,7 +10,7 @@
 //! Everything is built on `std` plus the workspace's vendored crates:
 //! the HTTP layer is a deliberately small HTTP/1.1 subset over
 //! `std::net::TcpListener`, and concurrency is a fixed thread pool —
-//! see [`http`] and [`executor`].
+//! see [`http`] and `executor`.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -22,16 +22,17 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
-pub mod config;
-pub mod executor;
+pub(crate) mod config;
+pub(crate) mod executor;
 pub mod http;
-pub mod server;
-pub mod session;
-pub mod store;
+pub(crate) mod server;
+pub(crate) mod session;
+pub(crate) mod store;
 
 pub use config::{SessionConfig, TaskCache};
 pub use server::{Server, SubmitRequest};
 pub use session::{AnySession, BatchView, LabelValue};
-pub use store::{SessionEntry, StatusView, Store, MAX_TENANTS};
+pub use store::{StatusView, Store};

@@ -58,7 +58,7 @@ use crate::config::{SessionConfig, TaskCache};
 use crate::session::{AnySession, BatchView, LabelValue};
 
 /// Hard cap on distinct tenants (one metrics shard each).
-pub const MAX_TENANTS: usize = 64;
+pub(crate) const MAX_TENANTS: usize = 64;
 
 /// Journal record written once at session creation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -123,7 +123,7 @@ impl Slot {
 /// point — concurrent get-next-batch calls serialize here, and every
 /// caller after the first finds the ticket already issued and returns
 /// it without re-entering the pipeline.
-pub struct SessionEntry {
+pub(crate) struct SessionEntry {
     /// Session id (also the journal file stem).
     pub id: String,
     /// Owning tenant.
@@ -197,11 +197,6 @@ impl Store {
             store.load(&path)?;
         }
         Ok(store)
-    }
-
-    /// The state directory sessions journal into.
-    pub fn state_dir(&self) -> &Path {
-        &self.state_dir
     }
 
     /// Register one session from its journal: a finished one from its
@@ -322,7 +317,7 @@ impl Store {
 
     /// The metrics shard for `tenant`, allocating one for first-seen
     /// names. A full tenant table is a 503 ([`Error::busy`]).
-    pub fn tenant_shard(&self, tenant: &str) -> Result<Arc<MetricsRegistry>, Error> {
+    pub(crate) fn tenant_shard(&self, tenant: &str) -> Result<Arc<MetricsRegistry>, Error> {
         let mut tenants = self.tenants.lock().unwrap();
         if let Some(i) = tenants.iter().position(|t| t == tenant) {
             return Ok(self.metrics.shard_handle(i));
@@ -394,7 +389,7 @@ impl Store {
     }
 
     /// Status of every session, in id order.
-    pub fn list(&self) -> Result<Vec<StatusView>, Error> {
+    pub(crate) fn list(&self) -> Result<Vec<StatusView>, Error> {
         let entries: Vec<Arc<SessionEntry>> =
             self.sessions.lock().unwrap().values().cloned().collect();
         entries.iter().map(|e| e.status_view()).collect()
@@ -510,7 +505,7 @@ impl Store {
     }
 
     /// Render every tenant's metrics shard as one text block.
-    pub fn metrics_text(&self) -> String {
+    pub(crate) fn metrics_text(&self) -> String {
         let tenants = self.tenants.lock().unwrap().clone();
         let mut out = String::new();
         for (i, tenant) in tenants.iter().enumerate() {
