@@ -12,8 +12,8 @@
 //! dominated cells short.
 //!
 //! Outcomes are grouped back into report blocks in spec order.
-//! [`render_spec`] then prints the blocks according to the spec's
-//! [`ReportKind`] and produces the JSON payload [`write_rendered`]
+//! `render_spec` then prints the blocks according to the spec's
+//! [`ReportKind`] and produces the JSON payload `write_rendered`
 //! persists.
 //!
 //! # Determinism contract (journal-key compatibility)
@@ -21,7 +21,7 @@
 //! Seeds and journal cell keys are derived **only** from
 //! `(experiment, dataset, strategy, repeat)` — [`seed_for`] via FNV-1a,
 //! cell keys as `{experiment}/{dataset}/{strategy}/r{repeat}`, and the
-//! replay guard via [`cell_hash`]. `dataset` is always the *generated*
+//! replay guard via `cell_hash`. `dataset` is always the *generated*
 //! corpus name (`task.name`, e.g. `MR`) and `strategy` the resolved
 //! strategy's canonical `Strategy::name()` — never a spec `rename`, and
 //! for `LHS(...)` tokens the *base* strategy's name. Display renames
@@ -46,7 +46,7 @@ use histal_obs::trace::Level;
 use crate::journal::JournalCtx;
 use crate::registry::{self, LhsPlan, Metric, TaskKind};
 use crate::report::{print_curves, print_table, write_json};
-pub use crate::scheduler::CellOutcome;
+pub(crate) use crate::scheduler::CellOutcome;
 use crate::scheduler::{self, AdaptiveSummary, Cell, GridCtx, Slot, TaskInstance};
 use crate::spec::{
     check_repeats, render_template, BudgetSpec, ExperimentSpec, PruneSpec, ReportKind,
@@ -82,7 +82,7 @@ pub fn ner_pool_config(scale: &Scale) -> PoolConfig {
 
 /// 19 selection rounds at full scale (init batch + 19 batches = the
 /// paper's 20 sampling rounds); scaled down for quick runs.
-pub fn rounds_for(scale: &Scale) -> usize {
+pub(crate) fn rounds_for(scale: &Scale) -> usize {
     ((19.0 * scale.factor).round() as usize).clamp(5, 19)
 }
 
@@ -110,7 +110,7 @@ pub fn seed_for(experiment: &str, dataset: &str, strategy: &str, repeat: usize) 
 /// display name — variants that share a name but differ in
 /// hyper-parameters (fig5's WSHS window sweep) must hash apart.
 #[allow(clippy::too_many_arguments)]
-pub fn cell_hash(
+pub(crate) fn cell_hash(
     experiment: &str,
     dataset: &str,
     strategy: &Strategy,
@@ -248,7 +248,7 @@ pub struct Block {
 impl Block {
     /// Total label budget of the block's cells (annotations consumed by
     /// a full run: the seed set plus every selection batch).
-    pub fn label_budget(&self) -> usize {
+    pub(crate) fn label_budget(&self) -> usize {
         self.config.init_labeled + self.config.batch_size * self.config.rounds
     }
 }
@@ -305,14 +305,9 @@ impl<'a> GridExecutor<'a> {
     /// Run cells one at a time instead of fanning them out — for BENCH,
     /// where each cell's wall clock must be unpolluted by its
     /// neighbours. Repeats still fan out inside the cell.
-    pub fn serial(mut self) -> Self {
+    pub(crate) fn serial(mut self) -> Self {
         self.serial = true;
         self
-    }
-
-    /// The effective scale (CLI overridden by the spec).
-    pub fn scale(&self) -> &Scale {
-        &self.scale
     }
 
     fn apply_pool(&self, mut config: PoolConfig) -> PoolConfig {
@@ -492,11 +487,11 @@ impl<'a> GridExecutor<'a> {
 }
 
 /// One block's curve series: `(strategy display name, curve points)`.
-pub type CurveSeries = Vec<(String, Vec<CurvePoint>)>;
+pub(crate) type CurveSeries = Vec<(String, Vec<CurvePoint>)>;
 
 /// JSON payload produced by [`render_spec`], mirroring the historical
 /// per-figure shapes so `results/*.json` files stay byte-compatible.
-pub enum Rendered {
+pub(crate) enum Rendered {
     /// Curves grouped per block under a `json_key` template
     /// (fig3-style).
     Grouped(Vec<(String, CurveSeries)>),
@@ -508,7 +503,7 @@ pub enum Rendered {
 
 /// Render an executed grid: print the spec's tables/curves and return
 /// the JSON payload to persist.
-pub fn render_spec(spec: &ExperimentSpec, outcome: &GridOutcome) -> Result<Rendered, Error> {
+pub(crate) fn render_spec(spec: &ExperimentSpec, outcome: &GridOutcome) -> Result<Rendered, Error> {
     match spec.report {
         ReportKind::Curves => Ok(render_curves(spec, outcome)),
         ReportKind::Metrics => render_metrics(spec, outcome),
@@ -521,7 +516,7 @@ pub fn render_spec(spec: &ExperimentSpec, outcome: &GridOutcome) -> Result<Rende
 }
 
 /// Persist a rendered payload as `results/{name}.json`.
-pub fn write_rendered(name: &str, rendered: &Rendered) {
+pub(crate) fn write_rendered(name: &str, rendered: &Rendered) {
     match rendered {
         Rendered::Grouped(g) => write_json(name, g),
         Rendered::Flat(f) => write_json(name, f),
@@ -627,7 +622,7 @@ fn render_metrics(spec: &ExperimentSpec, outcome: &GridOutcome) -> Result<Render
 /// `(repeat, round)` coordinate both curves recorded, in repeat order.
 /// Truncated (pruned/budgeted) curves pair only over their common
 /// prefix.
-pub fn paired_samples(cell: &CellOutcome, baseline: &CellOutcome) -> (Vec<f64>, Vec<f64>) {
+pub(crate) fn paired_samples(cell: &CellOutcome, baseline: &CellOutcome) -> (Vec<f64>, Vec<f64>) {
     let (mut a, mut b) = (Vec::new(), Vec::new());
     for (run, base) in cell.runs.iter().zip(&baseline.runs) {
         for (p, q) in run.curve.iter().zip(&base.curve) {
@@ -905,7 +900,7 @@ fn render_alc_matrix(spec: &ExperimentSpec, outcome: &GridOutcome) -> Rendered {
 /// Mean of per-run areas under the learning curve — matches the
 /// historical extension experiments, which averaged AUCs over raw
 /// repeats rather than taking the AUC of the averaged curve.
-pub fn mean_auc(cell: &CellOutcome) -> f64 {
+pub(crate) fn mean_auc(cell: &CellOutcome) -> f64 {
     let n = cell.runs.len().max(1) as f64;
     cell.runs.iter().map(area_under_curve).sum::<f64>() / n
 }
@@ -947,8 +942,8 @@ mod tests {
             repeats: 4,
         };
         let exec = GridExecutor::new(&spec, &cli);
-        assert_eq!(exec.scale().repeats, 1);
-        assert_eq!(exec.scale().factor, 0.5);
+        assert_eq!(exec.scale.repeats, 1);
+        assert_eq!(exec.scale.factor, 0.5);
     }
 
     /// Zero repeats used to pass validation and panic while averaging;

@@ -7,17 +7,16 @@
 //! `EXPERIMENTS.md` for recorded paper-vs-measured outcomes.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod commands;
 pub mod executor;
 pub mod experiments;
 pub mod journal;
-pub mod plot;
+pub(crate) mod plot;
 pub mod registry;
-pub mod report;
+pub(crate) mod report;
 mod scaling;
-pub mod scheduler;
+pub(crate) mod scheduler;
 pub mod spec;
 pub mod tasks;
-
-pub use tasks::{NerTask, Scale, TextTask};

@@ -13,7 +13,7 @@ const GLYPHS: [char; 8] = ['*', 'o', '+', 'x', '#', '@', '%', '&'];
 
 /// Render a family of curves into a `height`-row ASCII chart (plus axis
 /// labels and a legend). Returns the rendered string.
-pub fn render_curves(results: &[RunResult], width: usize, height: usize) -> String {
+pub(crate) fn render_curves(results: &[RunResult], width: usize, height: usize) -> String {
     let width = width.max(16);
     let height = height.max(4);
     let points: Vec<(&str, &[histal_core::driver::CurvePoint])> = results

@@ -14,9 +14,9 @@
 //! * [`parse_dataset`] — dataset references over the `histal-data`
 //!   builders (`mr`, `sst2`, `trec`, `conll2003-en`, …), with optional
 //!   `?noise=RATE` / `?priors=a/b` generation modifiers.
-//! * [`parse_metric`] — pluggable report metrics (`final`, `alc`,
+//! * `parse_metric` — pluggable report metrics (`final`, `alc`,
 //!   `target:T`, `speedup:REF`), evaluated over the full learning curve
-//!   in [`evaluate_metric`].
+//!   in `evaluate_metric`.
 //! * [`parse_model`] and [`resolve_cell`] — the `model` token, and every
 //!   rule on which (task, model, strategy) cells can run.
 //!
@@ -36,11 +36,10 @@ use histal_ltr::LambdaMartConfig;
 
 /// History window used throughout the harness defaults (the paper
 /// recommends 3–5; Fig. 5).
-pub const WINDOW: usize = 3;
-/// Default FHS weights (Fig. 5 finds w_f ≈ 0.5 best).
-pub const FHS_WS: f64 = 0.5;
-/// See [`FHS_WS`].
-pub const FHS_WF: f64 = 0.5;
+pub(crate) const WINDOW: usize = 3;
+/// Default FHS fluctuation weight (Fig. 5 finds w_f ≈ 0.5 best); the
+/// score weight is `1 - w_f`.
+pub(crate) const FHS_WF: f64 = 0.5;
 
 /// Canonical base-strategy names the grammar accepts.
 pub const BASE_NAMES: &[&str] = &[
@@ -49,7 +48,7 @@ pub const BASE_NAMES: &[&str] = &[
 
 /// Wrapper names the grammar accepts (shown as `WRAPPER(base)` in
 /// error listings).
-pub const WRAPPER_NAMES: &[&str] = &["HUS", "WSHS", "FHS", "HKLD", "LHS", "LAL"];
+pub(crate) const WRAPPER_NAMES: &[&str] = &["HUS", "WSHS", "FHS", "HKLD", "LHS", "LAL"];
 
 /// Everything a strategy token resolves to. `strategy` is what the
 /// driver runs (and what seeds / journal cell keys derive from — for an
@@ -69,7 +68,7 @@ pub struct ResolvedStrategy {
 
 impl ResolvedStrategy {
     /// The label this strategy carries in reports.
-    pub fn display_name(&self) -> String {
+    pub(crate) fn display_name(&self) -> String {
         self.display.clone().unwrap_or_else(|| self.strategy.name())
     }
 }
@@ -118,7 +117,7 @@ impl LhsPlan {
     /// for training-time tables and the BENCH artifact. Non-default
     /// meta-feature settings join as an explicit `{meta=...}` block so
     /// two plans never share a label while training different rankers.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         let wrapper = match self.target {
             TargetKind::Pairwise => "LHS",
             TargetKind::Pointwise => "LAL",
@@ -141,7 +140,7 @@ impl LhsPlan {
     /// configuration, `None` for a default plan. Joins the replay-guard
     /// cell hash only when set, so classic cells keep their historical
     /// hashes while `LAL` / `train=` / `meta=` cells hash apart.
-    pub fn variant(&self) -> Option<String> {
+    pub(crate) fn variant(&self) -> Option<String> {
         let mut parts = Vec::new();
         if self.target == TargetKind::Pointwise {
             parts.push("lal".to_string());
@@ -267,7 +266,7 @@ fn unknown_param(wrapper: &str, p: &Param<'_>, valid: &[&str]) -> Error {
 /// (`sst-2` → `sst2`), so every spelling of one corpus trains, caches
 /// and labels the same selector. Only binary text datasets can train
 /// one: the simulated labelling histories rank binary uncertainty.
-pub fn training_dataset(name: &str) -> Result<&'static str, Error> {
+pub(crate) fn training_dataset(name: &str) -> Result<&'static str, Error> {
     let name = name.trim();
     let spec = TextSpec::by_name(name).ok_or_else(|| {
         Error::unknown_name(
@@ -565,7 +564,7 @@ pub fn parse_strategy(token: &str) -> Result<ResolvedStrategy, Error> {
 /// `ranker=linear` → `LHS{ranker=linear}(entropy)`, and
 /// `LAL{meta=on}(LC)` + `train=mr` → `LAL{train=mr,meta=on}(LC)`. A bare
 /// base token comes back unchanged.
-pub fn add_selector_param(token: &str, param: &str) -> String {
+pub(crate) fn add_selector_param(token: &str, param: &str) -> String {
     match token.split_once('{') {
         Some((head, rest)) => format!("{head}{{{param},{rest}"),
         None => match token.split_once('(') {
@@ -727,7 +726,7 @@ impl ModelKind {
     /// Whether this model computes `base`'s score. Every model scores
     /// the posterior-only bases; the logistic model adds EGL, BALD and
     /// QBC (its session trains the committee), the CRF BALD and MNLP.
-    pub fn scores(self, base: BaseStrategy) -> bool {
+    pub(crate) fn scores(self, base: BaseStrategy) -> bool {
         use BaseStrategy::*;
         matches!(
             (self, base),
@@ -756,7 +755,7 @@ pub fn parse_model(token: Option<&str>, kind: TaskKind) -> Result<ModelKind, Err
 /// refusing a cell that could not run — every such rule, for spec
 /// validation and served-session creation alike: `LHS`/`LAL` run on text
 /// only; `+density`/`+mmr`/`+kcenter` need a text task and cannot ride on
-/// `LHS`/`LAL`; `model` must score the base ([`ModelKind::scores`]).
+/// `LHS`/`LAL`; `model` must score the base (`ModelKind::scores`).
 pub fn resolve_cell(
     kind: TaskKind,
     model: ModelKind,
@@ -799,7 +798,7 @@ pub fn resolve_cell(
 
 /// A resolved report metric: one table column evaluated per run.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Metric {
+pub(crate) enum Metric {
     /// Final-point metric of the learning curve.
     Final,
     /// Area under the learning curve.
@@ -816,7 +815,7 @@ pub enum Metric {
 
 impl Metric {
     /// Column header for this metric.
-    pub fn header(&self) -> String {
+    pub(crate) fn header(&self) -> String {
         match self {
             Self::Final => "Final accuracy".into(),
             Self::Alc => "ALC".into(),
@@ -827,7 +826,7 @@ impl Metric {
 }
 
 /// Parse a metric token: `final`, `alc`, `target:T`, `speedup:REF`.
-pub fn parse_metric(token: &str) -> Result<Metric, Error> {
+pub(crate) fn parse_metric(token: &str) -> Result<Metric, Error> {
     let token = token.trim();
     let lower = token.to_ascii_lowercase();
     match lower.as_str() {
@@ -858,7 +857,7 @@ pub fn parse_metric(token: &str) -> Result<Metric, Error> {
 /// is the cell's total label budget (for [`Metric::Target`]);
 /// `block` is the result's report block (label → averaged run), the
 /// lookup space for [`Metric::Speedup`] references.
-pub fn evaluate_metric(
+pub(crate) fn evaluate_metric(
     metric: &Metric,
     result: &RunResult,
     budget: usize,
@@ -953,7 +952,7 @@ mod tests {
             parse_strategy("FHS(entropy)").unwrap().strategy.history,
             HistoryPolicy::Fhs {
                 l: WINDOW,
-                w_score: FHS_WS,
+                w_score: 1.0 - FHS_WF,
                 w_fluct: FHS_WF
             }
         );

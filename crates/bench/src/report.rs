@@ -6,14 +6,14 @@ use histal_core::driver::RunResult;
 use serde::Serialize;
 
 /// Print a markdown-style table.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
+pub(crate) fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n### {title}\n");
     print!("{}", format_table(header, rows));
 }
 
 /// Print a family of learning curves as one table: rows are labeled-set
 /// sizes, columns are strategies.
-pub fn print_curves(title: &str, results: &[RunResult]) {
+pub(crate) fn print_curves(title: &str, results: &[RunResult]) {
     if results.is_empty() {
         return;
     }
@@ -42,7 +42,7 @@ pub fn print_curves(title: &str, results: &[RunResult]) {
 
 /// Render a markdown-style table to a string (testable core of
 /// [`print_table`]).
-pub fn format_table(header: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn format_table(header: &[&str], rows: &[Vec<String>]) -> String {
     let widths: Vec<usize> = header
         .iter()
         .enumerate()
@@ -79,7 +79,7 @@ pub fn format_table(header: &[&str], rows: &[Vec<String>]) -> String {
 /// Serialize any experiment payload to `results/<name>.json` for
 /// downstream plotting. Failures are reported but non-fatal (the printed
 /// tables are the primary artifact).
-pub fn write_json<T: Serialize>(name: &str, payload: &T) {
+pub(crate) fn write_json<T: Serialize>(name: &str, payload: &T) {
     let dir = std::path::Path::new("results");
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("warn: cannot create results dir: {e}");

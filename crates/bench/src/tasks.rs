@@ -53,15 +53,15 @@ impl Scale {
     }
 
     /// Scale a count, keeping at least `min`.
-    pub fn scaled(&self, n: usize, min: usize) -> usize {
+    pub(crate) fn scaled(&self, n: usize, min: usize) -> usize {
         ((n as f64 * self.factor).round() as usize).max(min)
     }
 }
 
 /// Feature-space width used by all text-classification experiments.
-pub const TEXT_FEATURES: u32 = 1 << 16;
+pub(crate) const TEXT_FEATURES: u32 = 1 << 16;
 /// Feature-space width used by all NER experiments.
-pub const NER_FEATURES: u32 = 1 << 16;
+pub(crate) const NER_FEATURES: u32 = 1 << 16;
 
 /// A featurized text-classification task (pool + test).
 #[derive(Clone)]
@@ -138,7 +138,7 @@ impl TextTask {
     /// The pool geometry the density / MMR / k-center combinators read:
     /// row `i` is pool document `i`'s sparse features. Built once per
     /// task, on first call; later calls share it.
-    pub fn geometry(&self) -> Arc<PoolGeometry> {
+    pub(crate) fn geometry(&self) -> Arc<PoolGeometry> {
         let geometry = self.geometry.get_or_init(|| {
             Arc::new(PoolGeometry::build(
                 self.pool_docs.iter().map(|d| &d.features),
@@ -175,7 +175,7 @@ impl TextTask {
 }
 
 /// Committee size the logistic model trains for QBC (Eq. 6).
-pub const QBC_COMMITTEE: usize = 4;
+pub(crate) const QBC_COMMITTEE: usize = 4;
 
 /// A built dataset, shared by every cell and served session on it.
 pub enum Task {
@@ -202,7 +202,7 @@ impl Task {
     }
 
     /// The generated corpus name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         match self {
             Task::Text(TextTask { name, .. }) | Task::Ner(NerTask { name, .. }) => name,
         }
@@ -211,7 +211,7 @@ impl Task {
 
 /// The one cell constructor, behind grid slots, served sessions and
 /// `selector-apply`: `task` under `strategy`, `config` and `seed`, a fresh
-/// `model` (QBC on the logistic model trains [`QBC_COMMITTEE`] members),
+/// `model` (QBC on the logistic model trains `QBC_COMMITTEE` members),
 /// and the `selector`, `journal` and `metrics` shard when given. It checks
 /// nothing — [`crate::registry::resolve_cell`] decides which cells run —
 /// and panics on a model/task pair `parse_model` never resolves.
@@ -278,7 +278,7 @@ macro_rules! with_session {
 impl AnySession {
     /// Record one more curve point (one fit/eval/score/select cycle)
     /// against the hidden labels; returns `true` once the run is done.
-    pub fn advance_round(&mut self) -> Result<bool, Error> {
+    pub(crate) fn advance_round(&mut self) -> Result<bool, Error> {
         Ok(with_session!(self, s => s.run_round_hidden())? == SessionStep::Done)
     }
 
@@ -288,14 +288,14 @@ impl AnySession {
     }
 
     /// The learning curve recorded so far.
-    pub fn curve(&self) -> &[CurvePoint] {
+    pub(crate) fn curve(&self) -> &[CurvePoint] {
         with_session!(self, s => s.curve())
     }
 
     /// Finish now (no-op when already done) and take the result — the
     /// exact prefix a full run would have produced. Pass
     /// [`StopReason::Pruned`] when the slot loop prunes the cell.
-    pub fn finish(&mut self, reason: StopReason) -> RunResult {
+    pub(crate) fn finish(&mut self, reason: StopReason) -> RunResult {
         with_session!(self, s => {
             s.finish_early(reason);
             s.result().expect("finished session has a result").clone()
@@ -417,7 +417,7 @@ impl NerTask {
 
     /// The builder chain every NER run starts from: this task's pool and
     /// test split, `strategy`, `config` and `seed`, training `model`.
-    pub fn builder<M: Model<Sample = Sentence, Label = Vec<u16>>>(
+    pub(crate) fn builder<M: Model<Sample = Sentence, Label = Vec<u16>>>(
         &self,
         model: M,
         strategy: Strategy,

@@ -18,6 +18,10 @@ use histal_bench::spec::{
 /// JSON must escape (`"`, `\`) and spaces.
 const NAME: &str = "[a-zA-Z0-9 _:(){}\"\\\\-]{0,10}";
 
+fn pretty(spec: &ExperimentSpec) -> String {
+    serde_json::to_string_pretty(spec).unwrap()
+}
+
 fn opt<V, S>(s: S) -> impl Strategy<Value = Option<V>>
 where
     V: Clone + 'static,
@@ -193,10 +197,10 @@ fn ann_round_trips() {
         }),
         ..Default::default()
     };
-    let json = spec.to_json_pretty();
+    let json = pretty(&spec);
     let reparsed = ExperimentSpec::from_json(&json).expect("ann spec reparses");
     assert_eq!(reparsed.ann, spec.ann);
-    assert_eq!(reparsed.to_json_pretty(), json);
+    assert_eq!(pretty(&reparsed), json);
     spec.validate().expect("ann spec validates");
 }
 
@@ -210,10 +214,10 @@ fn ner_beam_round_trips() {
         ner_beam: Some(8.0),
         ..Default::default()
     };
-    let json = spec.to_json_pretty();
+    let json = pretty(&spec);
     let reparsed = ExperimentSpec::from_json(&json).expect("beam spec reparses");
     assert_eq!(reparsed.ner_beam, Some(8.0));
-    assert_eq!(reparsed.to_json_pretty(), json);
+    assert_eq!(pretty(&reparsed), json);
 }
 
 proptest! {
@@ -221,7 +225,7 @@ proptest! {
     /// equals the original and its serialization is byte-stable.
     #[test]
     fn json_round_trip_is_idempotent(original in spec()) {
-        let json1 = original.to_json_pretty();
+        let json1 = pretty(&original);
         let reparsed = match ExperimentSpec::from_json(&json1) {
             Ok(s) => s,
             Err(e) => {
@@ -231,7 +235,7 @@ proptest! {
             }
         };
         prop_assert_eq!(&original, &reparsed, "reparse changed the spec");
-        prop_assert_eq!(json1, reparsed.to_json_pretty(), "serialization not byte-stable");
+        prop_assert_eq!(json1, pretty(&reparsed), "serialization not byte-stable");
     }
 }
 
@@ -251,7 +255,7 @@ fn checked_in_specs_parse_validate_and_round_trip() {
         let spec = ExperimentSpec::from_json(&body)
             .and_then(|spec| spec.validate().map(|()| spec))
             .unwrap_or_else(|e| panic!("{}: parse or validate failed: {e}", path.display()));
-        let json1 = spec.to_json_pretty();
+        let json1 = pretty(&spec);
         let spec2 = ExperimentSpec::from_json(&json1).unwrap();
         assert_eq!(
             spec,
@@ -261,7 +265,7 @@ fn checked_in_specs_parse_validate_and_round_trip() {
         );
         assert_eq!(
             json1,
-            spec2.to_json_pretty(),
+            pretty(&spec2),
             "{}: serialization not idempotent",
             path.display()
         );
