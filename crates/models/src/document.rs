@@ -51,22 +51,6 @@ impl Document {
             n_tokens: tokens.len(),
         }
     }
-
-    /// Build directly from a prepared sparse vector (already normalized or
-    /// not — used by tests and custom pipelines).
-    pub fn from_sparse(features: SparseVec) -> Self {
-        let max_word_weight = features
-            .values()
-            .iter()
-            .map(|v| (*v as f64).abs())
-            .fold(0.0, f64::max);
-        let n_tokens = features.nnz();
-        Self {
-            features,
-            max_word_weight,
-            n_tokens,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -99,13 +83,5 @@ mod tests {
         let plain = Document::from_tokens(&toks(&["a", "b", "c", "d"]), &h);
         let repeated = Document::from_tokens(&toks(&["a", "a", "a", "d"]), &h);
         assert!(repeated.max_word_weight > plain.max_word_weight);
-    }
-
-    #[test]
-    fn from_sparse_derives_max_weight() {
-        let v = SparseVec::from_pairs(vec![(0, 0.5), (3, -2.0)]);
-        let d = Document::from_sparse(v);
-        assert!((d.max_word_weight - 2.0).abs() < 1e-12);
-        assert_eq!(d.n_tokens, 2);
     }
 }

@@ -18,7 +18,7 @@ use rand_chacha::ChaCha8Rng;
 
 /// `out[i] = a[i] + b[i]` over the common prefix of the slices.
 #[inline]
-pub fn add2(out: &mut [f64], a: &[f64], b: &[f64]) {
+pub(crate) fn add2(out: &mut [f64], a: &[f64], b: &[f64]) {
     for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
         *o = x + y;
     }
@@ -26,7 +26,7 @@ pub fn add2(out: &mut [f64], a: &[f64], b: &[f64]) {
 
 /// `out[i] = (a[i] + b[i]) + c[i]` — association fixed left-to-right.
 #[inline]
-pub fn add3(out: &mut [f64], a: &[f64], b: &[f64], c: &[f64]) {
+pub(crate) fn add3(out: &mut [f64], a: &[f64], b: &[f64], c: &[f64]) {
     for (((o, &x), &y), &z) in out.iter_mut().zip(a).zip(b).zip(c) {
         *o = (x + y) + z;
     }
@@ -35,7 +35,7 @@ pub fn add3(out: &mut [f64], a: &[f64], b: &[f64], c: &[f64]) {
 /// `out[i] = (((s + a[i]) + b[i]) + c[i]) - z` — the ξ-row shape of
 /// the CRF transition gradient.
 #[inline]
-pub fn shift_add3_sub(out: &mut [f64], s: f64, a: &[f64], b: &[f64], c: &[f64], z: f64) {
+pub(crate) fn shift_add3_sub(out: &mut [f64], s: f64, a: &[f64], b: &[f64], c: &[f64], z: f64) {
     for (((o, &x), &y), &w) in out.iter_mut().zip(a).zip(b).zip(c) {
         *o = (((s + x) + y) + w) - z;
     }
@@ -45,7 +45,7 @@ pub fn shift_add3_sub(out: &mut [f64], s: f64, a: &[f64], b: &[f64], c: &[f64], 
 /// sparse-dense building block shared by CRF emission fills and logreg
 /// logits.
 #[inline]
-pub fn axpy(acc: &mut [f64], row: &[f64], v: f64) {
+pub(crate) fn axpy(acc: &mut [f64], row: &[f64], v: f64) {
     for (o, &x) in acc.iter_mut().zip(row) {
         *o += x * v;
     }
@@ -54,7 +54,7 @@ pub fn axpy(acc: &mut [f64], row: &[f64], v: f64) {
 /// Earliest maximum: `(value, index)` of the first occurrence of the
 /// largest element; `(-inf, 0)` for an empty slice.
 #[inline]
-pub fn max_index(xs: &[f64]) -> (f64, usize) {
+pub(crate) fn max_index(xs: &[f64]) -> (f64, usize) {
     let mut best = f64::NEG_INFINITY;
     let mut arg = 0usize;
     for (i, &x) in xs.iter().enumerate() {
@@ -71,7 +71,7 @@ pub fn max_index(xs: &[f64]) -> (f64, usize) {
 /// are left untouched (no L2 decay), matching the historical per-label
 /// `continue`.
 #[inline]
-pub fn sgd_row_update(w: &mut [f64], g: &[f64], v: f64, lr: f64, l2: f64, eps: f64) {
+pub(crate) fn sgd_row_update(w: &mut [f64], g: &[f64], v: f64, lr: f64, l2: f64, eps: f64) {
     for (wy, &gy) in w.iter_mut().zip(g) {
         if gy.abs() < eps {
             continue;

@@ -18,13 +18,14 @@
 //! for the substitution rationale.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod crf;
-pub mod document;
+pub(crate) mod crf;
+pub(crate) mod document;
 pub mod kernels;
-pub mod logreg;
-pub mod math;
-pub mod nb;
+pub(crate) mod logreg;
+pub(crate) mod math;
+pub(crate) mod nb;
 pub mod parallel;
 
 pub use crf::{CrfConfig, CrfTagger, Sentence};

@@ -347,24 +347,21 @@ impl TextClassifier {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &TextClassifierConfig {
-        &self.config
-    }
-
     /// Class posterior for one document.
     pub fn predict_proba(&self, doc: &Document) -> Vec<f64> {
         self.main.probs(&doc.features)
     }
 
     /// Argmax class prediction.
-    pub fn predict(&self, doc: &Document) -> usize {
+    pub(crate) fn predict(&self, doc: &Document) -> usize {
         let p = self.predict_proba(doc);
         argmax(&p)
     }
 
-    /// Closed-form expected gradient length (Eq. 5).
-    pub fn egl(&self, doc: &Document) -> f64 {
+    /// Closed-form expected gradient length (Eq. 5): the reference the
+    /// fused `eval_sample` path is checked against.
+    #[cfg(test)]
+    fn egl(&self, doc: &Document) -> f64 {
         let p = self.predict_proba(doc);
         let x_norm = (doc.features.norm().powi(2) + 1.0).sqrt(); // +1 for bias
         x_norm * expected_grad_class_factor(&p)
@@ -372,7 +369,8 @@ impl TextClassifier {
 
     /// EGL of word embedding (Eq. 12): the expected gradient norm on the
     /// most influential word's weight block.
-    pub fn egl_word(&self, doc: &Document) -> f64 {
+    #[cfg(test)]
+    fn egl_word(&self, doc: &Document) -> f64 {
         let p = self.predict_proba(doc);
         doc.max_word_weight * expected_grad_class_factor(&p)
     }
@@ -380,7 +378,7 @@ impl TextClassifier {
     /// BALD mutual information via MC dropout. All pass posteriors live
     /// in thread-local scratch, so repeated calls over a pool allocate
     /// nothing.
-    pub fn bald(&self, doc: &Document, rng: &mut ChaCha8Rng) -> f64 {
+    pub(crate) fn bald(&self, doc: &Document, rng: &mut ChaCha8Rng) -> f64 {
         POSTERIOR.with(|cell| {
             let ws = &mut *cell.borrow_mut();
             let PosteriorScratch {
@@ -413,7 +411,7 @@ impl TextClassifier {
 
     /// Mean KL of committee members from the committee mean (Eq. 6).
     /// Returns `None` if no committee was trained.
-    pub fn qbc_kl(&self, doc: &Document) -> Option<f64> {
+    pub(crate) fn qbc_kl(&self, doc: &Document) -> Option<f64> {
         if self.committee.is_empty() {
             return None;
         }

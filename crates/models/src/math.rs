@@ -5,7 +5,7 @@
 //! loop.
 
 /// Numerically stable softmax of `logits`, in place.
-pub fn softmax_inplace(logits: &mut [f64]) {
+pub(crate) fn softmax_inplace(logits: &mut [f64]) {
     if logits.is_empty() {
         return;
     }
@@ -21,7 +21,7 @@ pub fn softmax_inplace(logits: &mut [f64]) {
 }
 
 /// Numerically stable `ln Σ exp(xs)`.
-pub fn logsumexp(xs: &[f64]) -> f64 {
+pub(crate) fn logsumexp(xs: &[f64]) -> f64 {
     let (max, _) = crate::kernels::max_index(xs);
     if max == f64::NEG_INFINITY {
         return f64::NEG_INFINITY;
@@ -32,7 +32,7 @@ pub fn logsumexp(xs: &[f64]) -> f64 {
 
 /// KL divergence `D(p || q)` in nats; terms with `p_i = 0` contribute 0,
 /// and `q` is floored at `1e-12` to avoid infinities from sampling noise.
-pub fn kl_divergence(p: &[f64], q: &[f64]) -> f64 {
+pub(crate) fn kl_divergence(p: &[f64], q: &[f64]) -> f64 {
     debug_assert_eq!(p.len(), q.len());
     p.iter()
         .zip(q)

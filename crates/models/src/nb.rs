@@ -69,7 +69,7 @@ impl NaiveBayes {
     }
 
     /// Class posterior for one document.
-    pub fn predict_proba(&self, doc: &Document) -> Vec<f64> {
+    pub(crate) fn predict_proba(&self, doc: &Document) -> Vec<f64> {
         let k = self.config.n_classes;
         let nf = self.config.n_features as usize;
         let total_docs: f64 = self.class_docs.iter().sum();
@@ -96,7 +96,7 @@ impl NaiveBayes {
     }
 
     /// Argmax class prediction.
-    pub fn predict(&self, doc: &Document) -> usize {
+    pub(crate) fn predict(&self, doc: &Document) -> usize {
         let p = self.predict_proba(doc);
         p.iter()
             .enumerate()
