@@ -33,24 +33,6 @@ pub fn corrupt_labels(labels: &mut [usize], n_classes: usize, rate: f64, seed: u
     corrupted
 }
 
-/// Flip each NER token tag to `O` with probability `rate` (annotators
-/// most often *miss* entities rather than invent them). Returns the
-/// number of corrupted tokens.
-pub fn drop_entity_tags(tag_seqs: &mut [Vec<u16>], rate: f64, seed: u64) -> usize {
-    assert!((0.0..=1.0).contains(&rate), "noise rate must be in [0, 1]");
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut corrupted = 0;
-    for seq in tag_seqs.iter_mut() {
-        for tag in seq.iter_mut() {
-            if *tag != 0 && rng.gen::<f64>() < rate {
-                *tag = 0;
-                corrupted += 1;
-            }
-        }
-    }
-    corrupted
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,14 +68,6 @@ mod tests {
         corrupt_labels(&mut a, 3, 0.5, 9);
         corrupt_labels(&mut b, 3, 0.5, 9);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn entity_drop_only_touches_entities() {
-        let mut seqs = vec![vec![0u16, 3, 0, 5], vec![0, 0]];
-        let n = drop_entity_tags(&mut seqs, 1.0, 4);
-        assert_eq!(n, 2);
-        assert!(seqs.iter().flatten().all(|&t| t == 0));
     }
 
     #[test]

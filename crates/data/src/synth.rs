@@ -14,7 +14,7 @@ use histal_text::SparseVec;
 /// Row generation is independent per row (its own
 /// `mix_seed`-style stream), so a pool's rows do not depend on the
 /// order they are built in and share no RNG state.
-pub fn synth_row(seed: u64, i: usize, clusters: usize, nnz_per_row: usize) -> SparseVec {
+pub(crate) fn synth_row(seed: u64, i: usize, clusters: usize, nnz_per_row: usize) -> SparseVec {
     let mut h = seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     h ^= h >> 33;
     h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
@@ -40,7 +40,7 @@ pub fn synth_row(seed: u64, i: usize, clusters: usize, nnz_per_row: usize) -> Sp
     SparseVec::from_pairs(pairs)
 }
 
-/// Build a resident synthetic pool: `n` rows of [`synth_row`].
+/// Build a resident synthetic pool: `n` rows of `synth_row`.
 pub fn synth_pool(seed: u64, n: usize, clusters: usize, nnz_per_row: usize) -> Vec<SparseVec> {
     (0..n)
         .map(|i| synth_row(seed, i, clusters, nnz_per_row))

@@ -277,16 +277,6 @@ impl TextDataset {
         }
     }
 
-    /// Number of documents.
-    pub fn len(&self) -> usize {
-        self.docs.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.docs.is_empty()
-    }
-
     /// Compute the Table 3 statistics row of this dataset.
     pub fn stats(&self) -> TextStats {
         let mut counts: std::collections::HashMap<&str, u32> = std::collections::HashMap::new();
@@ -388,9 +378,9 @@ mod tests {
 
     #[test]
     fn presets_have_table3_sizes() {
-        assert_eq!(TextDataset::generate(&TextSpec::mr()).len(), 10_662);
-        assert_eq!(TextDataset::generate(&TextSpec::sst2()).len(), 9_613);
-        assert_eq!(TextDataset::generate(&TextSpec::subj()).len(), 10_000);
+        assert_eq!(TextDataset::generate(&TextSpec::mr()).docs.len(), 10_662);
+        assert_eq!(TextDataset::generate(&TextSpec::sst2()).docs.len(), 9_613);
+        assert_eq!(TextDataset::generate(&TextSpec::subj()).docs.len(), 10_000);
     }
 
     #[test]

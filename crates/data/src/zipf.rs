@@ -8,7 +8,7 @@ use rand::Rng;
 /// keeps the generated vocabulary statistics (|V|, tokens with frequency
 /// ≥ 2) in the same regime as Table 3.
 #[derive(Debug, Clone)]
-pub struct Zipf {
+pub(crate) struct Zipf {
     cdf: Vec<f64>,
 }
 
@@ -17,7 +17,7 @@ impl Zipf {
     ///
     /// # Panics
     /// Panics if `n == 0` or `s < 0`.
-    pub fn new(n: usize, s: f64) -> Self {
+    pub(crate) fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf needs at least one rank");
         assert!(s >= 0.0, "Zipf exponent must be non-negative");
         let mut cdf = Vec::with_capacity(n);
@@ -33,18 +33,8 @@ impl Zipf {
         Self { cdf }
     }
 
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// True if there are no ranks (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
     /// Draw a rank.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
         // partition_point returns the first rank whose cdf >= u.
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)

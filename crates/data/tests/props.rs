@@ -13,7 +13,7 @@ proptest! {
     fn text_dataset_invariants(n_classes in 2usize..6, n in 10usize..120, seed in 0u64..1000) {
         let spec = TextSpec::tiny(n_classes, n, seed);
         let d = TextDataset::generate(&spec);
-        prop_assert_eq!(d.len(), n);
+        prop_assert_eq!(d.docs.len(), n);
         prop_assert_eq!(d.docs.len(), d.labels.len());
         for (doc, &label) in d.docs.iter().zip(&d.labels) {
             prop_assert!(label < n_classes);
