@@ -269,7 +269,7 @@ fn top_k_full_sort(scores: &[f64], k: usize) -> Vec<usize> {
 }
 
 /// Mix a run seed, round and sample id into an independent stream seed.
-pub fn mix_seed(seed: u64, round: u64, id: u64) -> u64 {
+pub(crate) fn mix_seed(seed: u64, round: u64, id: u64) -> u64 {
     let mut h =
         seed ^ round.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ id.wrapping_mul(0xc2b2_ae3d_27d4_eb4f);
     h ^= h >> 33;

@@ -3,7 +3,7 @@
 //! [`Error`] pairs a machine-matchable [`ErrorKind`] with the tracing
 //! span that was current when the error was raised, so failure records
 //! in logs and the run journal can be correlated with the span tree the
-//! subscriber saw. Construct with [`Error::new`] (captures the current
+//! subscriber saw. Construct with `Error::new` (captures the current
 //! span automatically) and match on [`Error::kind`].
 
 use std::fmt;
@@ -156,7 +156,7 @@ pub struct Error {
 
 impl Error {
     /// Wrap `kind`, capturing the current tracing span as context.
-    pub fn new(kind: ErrorKind) -> Error {
+    pub(crate) fn new(kind: ErrorKind) -> Error {
         Error {
             kind,
             span: current_span_id(),
@@ -164,7 +164,7 @@ impl Error {
     }
 
     /// Shorthand for a [`ErrorKind::MissingCapability`] error.
-    pub fn missing_capability(strategy: &'static str, field: &'static str) -> Error {
+    pub(crate) fn missing_capability(strategy: &'static str, field: &'static str) -> Error {
         Error::new(ErrorKind::MissingCapability { strategy, field })
     }
 

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 /// Which optional (expensive) evaluation quantities the model must
 /// compute. Derived from the strategy via
-/// [`crate::strategy::BaseStrategy::caps`].
+/// `crate::strategy::BaseStrategy::caps`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EvalCaps {
     /// Expected gradient length over the whole parameter vector (Eq. 5).
@@ -36,22 +36,6 @@ pub struct EvalCaps {
     /// features) rather than through a base-strategy score.
     #[serde(default)]
     pub probs: bool,
-}
-
-impl EvalCaps {
-    /// Union of two capability sets.
-    pub fn union(self, other: EvalCaps) -> EvalCaps {
-        EvalCaps {
-            egl: self.egl || other.egl,
-            egl_word: self.egl_word || other.egl_word,
-            bald: self.bald || other.bald,
-            mnlp: self.mnlp || other.mnlp,
-            qbc: self.qbc || other.qbc,
-            margin: self.margin || other.margin,
-            entropy: self.entropy || other.entropy,
-            probs: self.probs || other.probs,
-        }
-    }
 }
 
 /// Model outputs for one unlabeled sample in one iteration.
@@ -175,19 +159,5 @@ mod tests {
         assert_eq!(e.entropy, 0.0);
         assert_eq!(e.least_confidence, 0.0);
         assert_eq!(e.margin, None);
-    }
-
-    #[test]
-    fn caps_union() {
-        let a = EvalCaps {
-            egl: true,
-            ..Default::default()
-        };
-        let b = EvalCaps {
-            bald: true,
-            ..Default::default()
-        };
-        let u = a.union(b);
-        assert!(u.egl && u.bald && !u.mnlp);
     }
 }

@@ -19,17 +19,8 @@ use serde::{Deserialize, Serialize};
 use histal_tseries::RollingStats;
 
 /// Per-sample historical evaluation sequences, indexed by pool position.
-///
-/// ```
-/// use histal_core::history::HistoryStore;
-/// let mut h = HistoryStore::with_max_len(2, 3);
-/// for round in 0..5 {
-///     h.append(0, round as f64 / 10.0);
-/// }
-/// // Only the last 3 scores are retained (the O(l·N) mode of Table 2).
-/// assert_eq!(h.seq(0), [0.2, 0.3, 0.4]);
-/// assert_eq!(h.current(1), None);
-/// ```
+/// With a retention cap only the last `max_len` scores are kept (the
+/// O(l·N) mode of Table 2).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HistoryStore {
     seqs: Vec<VecDeque<f64>>,
@@ -78,16 +69,6 @@ impl HistoryStore {
         self
     }
 
-    /// Number of tracked samples.
-    pub fn len(&self) -> usize {
-        self.seqs.len()
-    }
-
-    /// True when tracking no samples.
-    pub fn is_empty(&self) -> bool {
-        self.seqs.is_empty()
-    }
-
     /// Append this iteration's score for sample `id`.
     ///
     /// # Panics
@@ -119,19 +100,9 @@ impl HistoryStore {
         self.rolling.get(id)
     }
 
-    /// The most recent score, if any.
-    pub fn current(&self, id: usize) -> Option<f64> {
-        self.seqs[id].back().copied()
-    }
-
-    /// Iterations recorded for sample `id` (capped by retention).
-    pub fn recorded_len(&self, id: usize) -> usize {
-        self.seqs[id].len()
-    }
-
     /// All non-empty sequences, cloned — training corpus for the LHS
     /// next-score predictor.
-    pub fn non_empty_sequences(&self) -> Vec<Vec<f64>> {
+    pub(crate) fn non_empty_sequences(&self) -> Vec<Vec<f64>> {
         self.seqs
             .iter()
             .filter(|s| !s.is_empty())
@@ -140,7 +111,7 @@ impl HistoryStore {
     }
 
     /// Consume the store, returning every sequence indexed by sample id.
-    pub fn into_sequences(self) -> Vec<Vec<f64>> {
+    pub(crate) fn into_sequences(self) -> Vec<Vec<f64>> {
         self.seqs
             .into_iter()
             .map(|s| s.into_iter().collect())
@@ -151,8 +122,8 @@ impl HistoryStore {
 /// Borrowed view of one sample's retained sequence, oldest first.
 ///
 /// The backing ring buffer may wrap, so the view is at most two slices;
-/// iterate with [`HistorySeq::iter`] or materialize with
-/// [`HistorySeq::copy_into`] / [`HistorySeq::to_vec`].
+/// iterate with `HistorySeq::iter` or materialize with
+/// `HistorySeq::copy_into` / [`HistorySeq::to_vec`].
 #[derive(Debug, Clone, Copy)]
 pub struct HistorySeq<'a> {
     front: &'a [f64],
@@ -161,27 +132,17 @@ pub struct HistorySeq<'a> {
 
 impl<'a> HistorySeq<'a> {
     /// Number of retained scores.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.front.len() + self.back.len()
     }
 
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.front.is_empty() && self.back.is_empty()
-    }
-
-    /// The most recent score.
-    pub fn last(&self) -> Option<f64> {
-        self.back.last().or_else(|| self.front.last()).copied()
-    }
-
     /// Iterate oldest → newest.
-    pub fn iter(&self) -> impl DoubleEndedIterator<Item = f64> + 'a {
+    pub(crate) fn iter(&self) -> impl DoubleEndedIterator<Item = f64> + 'a {
         self.front.iter().chain(self.back.iter()).copied()
     }
 
     /// Replace `buf`'s contents with the sequence (reusable scratch).
-    pub fn copy_into(&self, buf: &mut Vec<f64>) {
+    pub(crate) fn copy_into(&self, buf: &mut Vec<f64>) {
         buf.clear();
         buf.extend_from_slice(self.front);
         buf.extend_from_slice(self.back);
@@ -229,9 +190,7 @@ mod tests {
         h.append(1, 0.5);
         h.append(1, 0.7);
         assert_eq!(h.seq(1), [0.5, 0.7]);
-        assert_eq!(h.current(1), Some(0.7));
-        assert!(h.seq(0).is_empty());
-        assert_eq!(h.current(0), None);
+        assert_eq!(h.seq(0).len(), 0);
     }
 
     #[test]
@@ -249,7 +208,7 @@ mod tests {
         for i in 0..100 {
             h.append(0, i as f64);
         }
-        assert_eq!(h.recorded_len(0), 100);
+        assert_eq!(h.seq(0).len(), 100);
     }
 
     #[test]
@@ -289,7 +248,6 @@ mod tests {
         }
         let seq = h.seq(0);
         assert_eq!(seq.to_vec(), vec![4.0, 5.0, 6.0]);
-        assert_eq!(seq.last(), Some(6.0));
         let rev: Vec<f64> = seq.iter().rev().collect();
         assert_eq!(rev, vec![6.0, 5.0, 4.0]);
     }

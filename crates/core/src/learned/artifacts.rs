@@ -47,7 +47,7 @@ pub enum TrainedPredictor {
 
 impl TrainedRanker {
     /// Score every row, in order (higher ranks earlier).
-    pub fn score_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
+    pub(crate) fn score_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
         match self {
             Self::LambdaMart(m) => m.score_batch(rows),
             Self::Linear(m) => m.score_batch(rows),
@@ -59,7 +59,7 @@ impl TrainedRanker {
 impl TrainedPredictor {
     /// Predict the next value of `seq` (finite for any input, including
     /// the empty sequence).
-    pub fn predict_next(&self, seq: &[f64]) -> f64 {
+    pub(crate) fn predict_next(&self, seq: &[f64]) -> f64 {
         match self {
             Self::Lstm(p) => p.predict_next(seq),
             Self::Ar(p) => p.predict_next(seq),
@@ -76,10 +76,10 @@ impl TrainedPredictor {
 }
 
 /// Magic string identifying a learned-selector artifact file.
-pub const ARTIFACT_MAGIC: &str = "HLRN1";
+pub(crate) const ARTIFACT_MAGIC: &str = "HLRN1";
 
 /// Current artifact schema version.
-pub const ARTIFACT_VERSION: u32 = 1;
+pub(crate) const ARTIFACT_VERSION: u32 = 1;
 
 /// Where an artifact came from: enough to reconstruct the deployment
 /// configuration (base strategy for seeding/naming) and to audit the

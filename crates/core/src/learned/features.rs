@@ -97,7 +97,7 @@ impl LhsFeatureConfig {
     ///
     /// `seq` is the historical evaluation sequence *including* the current
     /// iteration's score; `eval` is the current model evaluation.
-    pub fn extract(
+    pub(crate) fn extract(
         &self,
         seq: &[f64],
         eval: &SampleEval,
@@ -134,10 +134,6 @@ impl LhsFeatureConfig {
     }
 }
 
-/// Width of the pool-level meta-feature block appended by
-/// [`PoolMetaFeatures::append_to`].
-pub const META_FEATURE_WIDTH: usize = 6;
-
 /// Pool-level meta-features: the state of the AL problem at the moment a
 /// row is featurized, independent of which sample the row describes.
 /// Computed once per round from the full unlabeled pool, then appended
@@ -145,7 +141,7 @@ pub const META_FEATURE_WIDTH: usize = 6;
 /// over [`Pool::unlabeled`](crate::pool::Pool::unlabeled) order, so the
 /// values are independent of the worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PoolMetaFeatures {
+pub(crate) struct PoolMetaFeatures {
     /// `|L| / (|L| + |U|)` — how far annotation has progressed.
     pub label_ratio: f64,
     /// `ln(1 + |L| + |U|)` — pool scale, compressed so MR-sized and
@@ -167,7 +163,12 @@ impl PoolMetaFeatures {
     /// Compute the meta-features from the uncertainty scores of the
     /// unlabeled pool (one entropy per unlabeled sample, in pool order)
     /// and the round bookkeeping.
-    pub fn compute(uncertainty: &[f64], n_labeled: usize, pool_size: usize, round: usize) -> Self {
+    pub(crate) fn compute(
+        uncertainty: &[f64],
+        n_labeled: usize,
+        pool_size: usize,
+        round: usize,
+    ) -> Self {
         let n = uncertainty.len() as f64;
         let (mean, std, skew) = if uncertainty.is_empty() {
             (0.0, 0.0, 0.0)
@@ -207,7 +208,7 @@ impl PoolMetaFeatures {
     }
 
     /// Compute from per-sample evaluations (reads each sample's entropy).
-    pub fn from_evals(
+    pub(crate) fn from_evals(
         evals: &[SampleEval],
         n_labeled: usize,
         pool_size: usize,
@@ -217,9 +218,9 @@ impl PoolMetaFeatures {
         Self::compute(&uncertainty, n_labeled, pool_size, round)
     }
 
-    /// Append the meta block (exactly [`META_FEATURE_WIDTH`] values) to a
+    /// Append the meta block (exactly six values) to a
     /// per-sample feature row.
-    pub fn append_to(&self, row: &mut Vec<f64>) {
+    pub(crate) fn append_to(&self, row: &mut Vec<f64>) {
         row.push(self.label_ratio);
         row.push(self.log_pool_size);
         row.push(self.round);
@@ -231,7 +232,7 @@ impl PoolMetaFeatures {
 
 /// Build the candidate set of §4.4.1: the union of the top-`k/2` samples
 /// by entropy and by least confidence. Returns positions into `evals`.
-pub fn candidate_set(evals: &[SampleEval], pool: usize) -> Vec<usize> {
+pub(crate) fn candidate_set(evals: &[SampleEval], pool: usize) -> Vec<usize> {
     let k = pool.min(evals.len());
     if k == evals.len() {
         return (0..evals.len()).collect();
@@ -422,7 +423,7 @@ mod tests {
         assert_eq!(one, four);
         let mut row = vec![0.5];
         one.append_to(&mut row);
-        assert_eq!(row.len(), 1 + META_FEATURE_WIDTH);
+        assert_eq!(row.len(), 1 + 6);
         assert!((one.label_ratio - 40.0 / 552.0).abs() < 1e-15);
         assert_eq!(one.round, 3.0);
     }

@@ -13,28 +13,26 @@
 //! [`train_learned`] returns it, `HLRN1` files serialize it, and the
 //! pipeline's `Select::Lhs` stage runs it behind an `Arc`. The modules:
 //!
-//! * [`features`] — per-sample history features ([`LhsFeatureConfig`]:
+//! * `features` — per-sample history features ([`LhsFeatureConfig`]:
 //!   raw window, fluctuation, Mann–Kendall trend, predicted next score,
 //!   output distribution) plus pool-level meta-features
-//!   ([`PoolMetaFeatures`]) and the §4.4.1 candidate set;
-//! * [`targets`] — the two-phase Algorithm 1 training simulation,
+//!   (`PoolMetaFeatures`) and the §4.4.1 candidate set;
+//! * `targets` — the two-phase Algorithm 1 training simulation,
 //!   generalized over [`TargetKind`] (pairwise ranking groups for LHS,
 //!   pointwise expected-error-reduction targets for LAL);
-//! * [`artifacts`] — the trained ranker and predictor enums and the
+//! * `artifacts` — the trained ranker and predictor enums and the
 //!   versioned `HLRN1` file format ([`save_artifacts`] /
 //!   [`load_artifacts`]) for cross-process, cross-dataset deployment;
-//! * [`selector`] — [`LearnedSelector`] and its per-round `select`.
+//! * `selector` — [`LearnedSelector`] and its per-round `select`.
 
-pub mod artifacts;
-pub mod features;
-pub mod selector;
-pub mod targets;
+pub(crate) mod artifacts;
+pub(crate) mod features;
+pub(crate) mod selector;
+pub(crate) mod targets;
 
-pub use artifacts::{
-    load_artifacts, save_artifacts, ArtifactProvenance, TrainedPredictor, TrainedRanker,
-    ARTIFACT_MAGIC, ARTIFACT_VERSION,
-};
-pub use features::{candidate_set, LhsFeatureConfig, PoolMetaFeatures, META_FEATURE_WIDTH};
+pub use artifacts::{load_artifacts, save_artifacts, ArtifactProvenance};
+pub use features::LhsFeatureConfig;
+pub(crate) use features::PoolMetaFeatures;
 pub use selector::LearnedSelector;
 pub use targets::{
     bucket_levels, train_learned, LearnedTrainerConfig, PredictorKind, RankerKind, TargetKind,

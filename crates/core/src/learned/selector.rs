@@ -52,7 +52,7 @@ impl LearnedSelector {
     /// selector was trained with meta-features and ignored otherwise, so
     /// the classic LHS path is unchanged whether or not the caller
     /// computed the block.
-    pub fn select(
+    pub(crate) fn select(
         &self,
         unlabeled: &[usize],
         evals: &[SampleEval],
@@ -83,7 +83,6 @@ impl LearnedSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::learned::META_FEATURE_WIDTH;
 
     /// A selector built from real trained-model values, deserialized the
     /// way `HLRN1` loads them: an all-ones linear ranker (it sums the
@@ -91,7 +90,7 @@ mod tests {
     /// the last value.
     fn width_selector(use_meta: bool) -> LearnedSelector {
         let features = LhsFeatureConfig::default();
-        let width = features.width() + META_FEATURE_WIDTH;
+        let width = features.width() + 6; // + the pool meta block
         let weights = vec!["1.0"; width].join(",");
         let ranker: TrainedRanker =
             serde_json::from_str(&format!("{{\"Linear\":{{\"weights\":[{weights}]}}}}"))

@@ -81,6 +81,7 @@
 //! [`session::SessionBuilder`].
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod analysis;
 pub mod driver;
@@ -100,18 +101,8 @@ pub mod stopping;
 pub mod strategy;
 pub mod tags;
 
-pub use driver::{ActiveLearner, PoolConfig, RoundRecord, RunResult};
-pub use error::{Error, ErrorKind};
+pub use driver::{ActiveLearner, PoolConfig, RunResult};
+pub use error::Error;
 pub use eval::{EvalCaps, SampleEval};
-pub use history::HistoryStore;
-pub use live::{Session, SessionSnapshot, SessionStatus, SessionStep, SubmitOutcome, TicketLabels};
 pub use model::Model;
-pub use pipeline::{
-    FoldHistory, LabelRequest, LabelResponse, RoundCtx, Select, SelectCtx, StageTimers, Ticket,
-};
-pub use pool::{Pool, SampleId};
-pub use session::{
-    fingerprint, NeedsPool, NeedsStrategy, NeedsTest, Ready, RoundJournalRecord, RunJournal,
-    SessionBuilder,
-};
-pub use strategy::{BaseStrategy, HistoryPolicy, Strategy};
+pub use strategy::Strategy;

@@ -155,7 +155,7 @@ pub struct SessionSnapshot<L> {
 }
 
 /// Current snapshot schema version.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub(crate) const SNAPSHOT_VERSION: u32 = 1;
 
 /// The outstanding labeling work of a session.
 struct PendingBatch<L> {
@@ -335,13 +335,8 @@ impl<M: Model> Session<M> {
     }
 
     /// Fingerprint of the session configuration; stamped on snapshots.
-    pub fn config_hash(&self) -> u64 {
+    pub(crate) fn config_hash(&self) -> u64 {
         self.config_hash
-    }
-
-    /// The session RNG seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Advance the pipeline as far as it can go without labels: runs
@@ -551,11 +546,6 @@ impl<M: Model> Session<M> {
     /// The learning curve recorded so far.
     pub fn curve(&self) -> &[CurvePoint] {
         &self.curve
-    }
-
-    /// Per-round records completed so far.
-    pub fn rounds(&self) -> &[RoundRecord] {
-        &self.rounds_log
     }
 
     /// Cheap serializable summary (the `session-status` payload).

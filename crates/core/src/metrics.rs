@@ -76,76 +76,6 @@ pub fn span_f1(
     PrF1::from_counts(tp, n_pred, n_gold)
 }
 
-/// Per-type span F1 (the per-entity breakdown `conlleval` prints):
-/// returns one [`PrF1`] per entity-type id in `0..n_types`.
-pub fn span_f1_per_type(
-    pred_spans: &[Vec<(usize, usize, usize)>],
-    gold_spans: &[Vec<(usize, usize, usize)>],
-    n_types: usize,
-) -> Vec<PrF1> {
-    assert_eq!(pred_spans.len(), gold_spans.len(), "sentence counts differ");
-    let mut tp = vec![0usize; n_types];
-    let mut n_pred = vec![0usize; n_types];
-    let mut n_gold = vec![0usize; n_types];
-    for (pred, gold) in pred_spans.iter().zip(gold_spans) {
-        for &(_, _, ty) in pred {
-            if ty < n_types {
-                n_pred[ty] += 1;
-            }
-        }
-        for &(_, _, ty) in gold {
-            if ty < n_types {
-                n_gold[ty] += 1;
-            }
-        }
-        for span in pred {
-            if span.2 < n_types && gold.contains(span) {
-                tp[span.2] += 1;
-            }
-        }
-    }
-    (0..n_types)
-        .map(|t| PrF1::from_counts(tp[t], n_pred[t], n_gold[t]))
-        .collect()
-}
-
-/// Expected calibration error (ECE) with equal-width confidence bins:
-/// the weighted mean |accuracy − confidence| gap. The query strategies
-/// consume model posteriors, so calibration quality is directly relevant
-/// to strategy quality.
-///
-/// `confidences[i]` is the probability the model assigned to its
-/// prediction for sample `i`; `correct[i]` whether that prediction was
-/// right.
-pub fn expected_calibration_error(confidences: &[f64], correct: &[bool], n_bins: usize) -> f64 {
-    assert_eq!(
-        confidences.len(),
-        correct.len(),
-        "confidence/correct misaligned"
-    );
-    assert!(n_bins > 0, "need at least one bin");
-    if confidences.is_empty() {
-        return 0.0;
-    }
-    let mut bin_conf = vec![0.0f64; n_bins];
-    let mut bin_acc = vec![0.0f64; n_bins];
-    let mut bin_n = vec![0usize; n_bins];
-    for (&c, &ok) in confidences.iter().zip(correct) {
-        let b = ((c * n_bins as f64) as usize).min(n_bins - 1);
-        bin_conf[b] += c;
-        bin_acc[b] += if ok { 1.0 } else { 0.0 };
-        bin_n[b] += 1;
-    }
-    let total = confidences.len() as f64;
-    (0..n_bins)
-        .filter(|&b| bin_n[b] > 0)
-        .map(|b| {
-            let n = bin_n[b] as f64;
-            (n / total) * ((bin_acc[b] / n) - (bin_conf[b] / n)).abs()
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,56 +133,6 @@ mod tests {
         let gold = vec![vec![(0, 1, 0)]];
         let pred = vec![vec![(0, 1, 1)]];
         assert_eq!(span_f1(&pred, &gold).f1, 0.0);
-    }
-
-    #[test]
-    fn per_type_f1_separates_types() {
-        // Type 0: perfect. Type 1: all missed.
-        let gold = vec![vec![(0, 0, 0), (2, 3, 1)]];
-        let pred = vec![vec![(0, 0, 0)]];
-        let per = span_f1_per_type(&pred, &gold, 2);
-        assert_eq!(per[0].f1, 1.0);
-        assert_eq!(per[1].f1, 0.0);
-        assert_eq!(per[1].recall, 0.0);
-    }
-
-    #[test]
-    fn per_type_f1_ignores_out_of_range_types() {
-        let gold = vec![vec![(0, 0, 7)]];
-        let pred = vec![vec![(0, 0, 7)]];
-        let per = span_f1_per_type(&pred, &gold, 2);
-        assert!(per.iter().all(|m| m.f1 == 0.0));
-    }
-
-    #[test]
-    fn ece_perfectly_calibrated() {
-        // Confidence 0.8, accuracy 0.8 within the bin → ECE ≈ 0.
-        let conf = vec![0.8; 10];
-        let correct: Vec<bool> = (0..10).map(|i| i < 8).collect();
-        assert!(expected_calibration_error(&conf, &correct, 10) < 1e-9);
-    }
-
-    #[test]
-    fn ece_overconfident_model() {
-        // Confidence 0.95, accuracy 0.5 → ECE ≈ 0.45.
-        let conf = vec![0.95; 20];
-        let correct: Vec<bool> = (0..20).map(|i| i % 2 == 0).collect();
-        let e = expected_calibration_error(&conf, &correct, 10);
-        assert!((e - 0.45).abs() < 1e-9, "ece {e}");
-    }
-
-    #[test]
-    fn ece_edge_cases() {
-        assert_eq!(expected_calibration_error(&[], &[], 10), 0.0);
-        // Confidence exactly 1.0 lands in the top bin, not out of range.
-        let e = expected_calibration_error(&[1.0], &[true], 10);
-        assert!(e.abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn ece_zero_bins_panics() {
-        let _ = expected_calibration_error(&[0.5], &[true], 0);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! ```
 //!
 //! [`Session::compute_round`](crate::live::Session) is the only round
-//! body; a [`RoundCtx`] carries its reusable per-round buffers and
+//! body; a `RoundCtx` carries its reusable per-round buffers and
 //! per-stage timers.
 //!
 //! ## Ordering contract
@@ -56,7 +56,7 @@ use crate::strategy::{BaseStrategy, HistoryPolicy, MmrConfig};
 /// the matching fields of [`RoundRecord`](crate::driver::RoundRecord)
 /// (the Table 2 efficiency breakdown).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct StageTimers {
+pub(crate) struct StageTimers {
     /// Model training (`fit_measure`).
     pub fit_ms: f64,
     /// Pool evaluation (`eval_pool`).
@@ -73,7 +73,7 @@ pub struct StageTimers {
 /// `RoundCtx` lives for the whole run, so steady-state rounds reuse
 /// every buffer instead of reallocating.
 #[derive(Default)]
-pub struct RoundCtx {
+pub(crate) struct RoundCtx {
     /// Current round index (0-based).
     pub round: usize,
     /// Per-unlabeled-sample evaluations, in [`Pool::unlabeled`] order.
@@ -93,14 +93,14 @@ pub struct RoundCtx {
 
 impl RoundCtx {
     /// Fresh context with empty buffers.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Start round `round`: stamps the index and zeroes the timers. The
     /// data buffers keep their capacity and are overwritten by the
     /// stages that fill them.
-    pub fn begin(&mut self, round: usize) {
+    pub(crate) fn begin(&mut self, round: usize) {
         self.round = round;
         self.timers = StageTimers::default();
     }
@@ -177,7 +177,7 @@ pub(crate) fn score_base(
 /// Maintain the historical state and fold it into selection scores.
 /// Split into two calls because recording mutates the store the session
 /// owns, while folding only reads it.
-pub enum FoldHistory {
+pub(crate) enum FoldHistory {
     /// Scalar folding via a [`HistoryPolicy`] (current-only, HUS, WSHS,
     /// FHS) over the store's O(1) rolling statistics, which the session
     /// always enables for this variant.
@@ -200,7 +200,7 @@ pub enum FoldHistory {
 impl FoldHistory {
     /// HKLD committee over the last `k` posteriors of `n` samples,
     /// retaining at most `cap` per sample.
-    pub fn hkld(k: usize, n: usize, cap: Option<usize>) -> Self {
+    pub(crate) fn hkld(k: usize, n: usize, cap: Option<usize>) -> Self {
         Self::Hkld {
             k,
             cap,
@@ -210,7 +210,7 @@ impl FoldHistory {
 
     /// Append this round's base scores (and, for HKLD, the full
     /// posteriors) to the history.
-    pub fn record(
+    pub(crate) fn record(
         &mut self,
         unlabeled: &[SampleId],
         base_scores: &[f64],
@@ -238,7 +238,7 @@ impl FoldHistory {
 
     /// Fold each unlabeled sample's history into its selection score,
     /// filling `out` in `unlabeled` order.
-    pub fn fold(&self, unlabeled: &[SampleId], history: &HistoryStore, out: &mut Vec<f64>) {
+    pub(crate) fn fold(&self, unlabeled: &[SampleId], history: &HistoryStore, out: &mut Vec<f64>) {
         out.clear();
         match self {
             Self::Policy(policy) => out.extend(unlabeled.iter().map(|&id| {
@@ -263,7 +263,7 @@ impl FoldHistory {
 // ---------------------------------------------------------------------------
 
 /// Everything a batch selector may consult, borrowed for one round.
-pub struct SelectCtx<'a> {
+pub(crate) struct SelectCtx<'a> {
     /// Folded selection scores, parallel to `unlabeled`.
     pub scores: &'a [f64],
     /// The unlabeled ids (ascending; see [`Pool::unlabeled`]).
@@ -291,7 +291,7 @@ pub struct SelectCtx<'a> {
 }
 
 /// How a round picks its batch.
-pub enum Select {
+pub(crate) enum Select {
     /// The `k` best scores, ties toward the lower position (= lower id,
     /// given ascending `unlabeled`). See [`top_k`].
     TopK,
@@ -311,7 +311,7 @@ pub enum Select {
 impl Select {
     /// Select the round's batch: up to `ctx.batch` *positions into
     /// `ctx.unlabeled`*, best first.
-    pub fn select(&self, ctx: SelectCtx<'_>) -> Vec<usize> {
+    pub(crate) fn select(&self, ctx: SelectCtx<'_>) -> Vec<usize> {
         match self {
             Self::TopK => top_k(ctx.scores, ctx.batch),
             Self::Mmr(cfg) => mmr_select(

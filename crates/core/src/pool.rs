@@ -64,16 +64,6 @@ impl Pool {
         }
     }
 
-    /// Total number of samples (both sides).
-    pub fn len(&self) -> usize {
-        self.mask.len()
-    }
-
-    /// True for a pool of zero samples.
-    pub fn is_empty(&self) -> bool {
-        self.mask.is_empty()
-    }
-
     /// Number of labeled samples.
     pub fn n_labeled(&self) -> usize {
         self.labeled.len()
@@ -126,27 +116,6 @@ impl Pool {
     pub fn label(&mut self, id: SampleId) {
         self.label_batch(std::slice::from_ref(&id));
     }
-
-    /// Move `id` back to the unlabeled side (label revocation — not used
-    /// by the driver loop, but part of the partition contract so
-    /// streaming pools can recycle ids). The id is re-inserted at its
-    /// sorted position on the unlabeled side and removed from the
-    /// labeled sequence.
-    ///
-    /// # Panics
-    /// Panics if `id` is out of range or not currently labeled.
-    pub fn unlabel(&mut self, id: SampleId) {
-        assert!(self.mask[id], "sample {id} is not labeled");
-        self.mask[id] = false;
-        let pos = self
-            .labeled
-            .iter()
-            .position(|&l| l == id)
-            .expect("mask and labeled vec agree");
-        self.labeled.remove(pos);
-        let at = self.unlabeled.partition_point(|&u| u < id);
-        self.unlabeled.insert(at, id);
-    }
 }
 
 #[cfg(test)]
@@ -156,7 +125,6 @@ mod tests {
     #[test]
     fn starts_fully_unlabeled() {
         let pool = Pool::new(4);
-        assert_eq!(pool.len(), 4);
         assert_eq!(pool.n_labeled(), 0);
         assert_eq!(pool.unlabeled(), &[0, 1, 2, 3]);
         assert!(!pool.is_labeled(2));
@@ -173,19 +141,9 @@ mod tests {
     }
 
     #[test]
-    fn unlabel_restores_sorted_position() {
-        let mut pool = Pool::new(5);
-        pool.label_batch(&[3, 1, 4]);
-        pool.unlabel(1);
-        assert_eq!(pool.unlabeled(), &[0, 1, 2]);
-        assert_eq!(pool.labeled(), &[3, 4]);
-        assert!(!pool.is_labeled(1));
-    }
-
-    #[test]
     fn empty_pool() {
         let mut pool = Pool::new(0);
-        assert!(pool.is_empty());
+        assert_eq!(pool.n_unlabeled(), 0);
         pool.label_batch(&[]);
         assert!(pool.unlabeled().is_empty());
     }
@@ -196,12 +154,5 @@ mod tests {
         let mut pool = Pool::new(3);
         pool.label(1);
         pool.label(1);
-    }
-
-    #[test]
-    #[should_panic(expected = "not labeled")]
-    fn unlabel_unlabeled_panics() {
-        let mut pool = Pool::new(3);
-        pool.unlabel(0);
     }
 }

@@ -25,7 +25,7 @@
 //! `SessionBuilder<M, Ready>`.
 //!
 //! The builder also owns the session's observability handles
-//! ([`SessionObs`]): a [`MetricsRegistry`] accumulating phase-timing
+//! (`SessionObs`): a [`MetricsRegistry`] accumulating phase-timing
 //! histograms and a [`RunJournal`] that checkpoints every round to a
 //! crash-safe JSONL file. Spans and events go to the process-global
 //! subscriber (`histal_obs::trace::set_subscriber`), when one is
@@ -56,7 +56,7 @@ use crate::strategy::Strategy;
 /// default-off, and all deliberately outside the algorithmic state so a
 /// fully-instrumented run selects the exact same samples as a bare one.
 #[derive(Default, Clone)]
-pub struct SessionObs {
+pub(crate) struct SessionObs {
     /// Phase-timing histograms (`al.fit_us`, `al.eval_us`, `al.score_us`,
     /// `al.select_us`) and round counters land here when present.
     pub(crate) metrics: Option<Arc<MetricsRegistry>>,
@@ -108,7 +108,7 @@ impl SessionObs {
 /// needed to audit *what* was picked *when* and at what cost, keyed so a
 /// resume can verify it belongs to the same configured run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RoundJournalRecord {
+pub(crate) struct RoundJournalRecord {
     /// Record discriminator, always `"round"`.
     pub kind: String,
     /// Grid-cell key, e.g. `"fig3_text/ag_news/WSHS(entropy)/r0"`.
@@ -158,16 +158,6 @@ impl RunJournal {
             config_hash,
             seed,
         }
-    }
-
-    /// The cell key records are stamped with.
-    pub fn cell(&self) -> &str {
-        &self.cell
-    }
-
-    /// The config hash records are stamped with.
-    pub fn config_hash(&self) -> u64 {
-        self.config_hash
     }
 
     /// Append the per-round checkpoint record.
@@ -379,7 +369,7 @@ impl<M: Model> SessionBuilder<M, Ready> {
     }
 
     /// Crash-safe per-round journaling. Each completed round appends one
-    /// [`RoundJournalRecord`]; a journal write failure aborts the run
+    /// `RoundJournalRecord`; a journal write failure aborts the run
     /// with [`crate::error::ErrorKind::Journal`].
     pub fn journal(mut self, journal: RunJournal) -> Self {
         self.obs.journal = Some(Arc::new(journal));

@@ -21,7 +21,7 @@ use crate::error::Error;
 use crate::eval::{EvalCaps, SampleEval};
 use histal_tseries::{exp_weighted_sum, uniform_sum, window_variance, RollingStats};
 
-pub use combinators::{kcenter_select, DensityConfig, MmrConfig};
+pub use combinators::{DensityConfig, MmrConfig};
 
 /// The base informative score function `φ_S(·)` of §3.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -63,7 +63,7 @@ impl BaseStrategy {
     }
 
     /// The optional model outputs this strategy needs.
-    pub fn caps(&self) -> EvalCaps {
+    pub(crate) fn caps(&self) -> EvalCaps {
         let mut caps = EvalCaps::default();
         match self {
             Self::Egl => caps.egl = true,
@@ -80,7 +80,7 @@ impl BaseStrategy {
 
     /// Compute `φ_t(x)` from a sample evaluation. `random_value` supplies
     /// the driver-generated uniform draw for [`BaseStrategy::Random`].
-    pub fn base_score(&self, eval: &SampleEval, random_value: f64) -> Result<f64, Error> {
+    pub(crate) fn base_score(&self, eval: &SampleEval, random_value: f64) -> Result<f64, Error> {
         let missing = |field: &'static str| Error::missing_capability(self.name_static(), field);
         match self {
             Self::Random => Ok(random_value),
@@ -190,7 +190,7 @@ impl HistoryPolicy {
     }
 
     /// Display name for experiment reports.
-    pub fn name(&self) -> String {
+    pub(crate) fn name(&self) -> String {
         match self {
             Self::CurrentOnly => String::new(),
             Self::Hus { .. } => "HUS".to_string(),

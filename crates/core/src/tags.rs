@@ -26,7 +26,6 @@ pub enum Position {
 /// let scheme = TagScheme::conll(); // PER/ORG/LOC/MISC → 17 labels
 /// let tags = scheme.bio_to_bioes(&["O", "B-PER", "I-PER"]);
 /// assert_eq!(scheme.decode_spans(&tags), vec![(1, 2, 0)]);
-/// assert_eq!(scheme.tag_name(tags[1]), "B-PER");
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TagScheme {
@@ -58,11 +57,6 @@ impl TagScheme {
         1 + 4 * self.entity_types.len()
     }
 
-    /// Number of entity types.
-    pub fn n_types(&self) -> usize {
-        self.entity_types.len()
-    }
-
     /// The `O` (outside) tag id.
     pub fn outside(&self) -> u16 {
         0
@@ -87,7 +81,7 @@ impl TagScheme {
     }
 
     /// Decompose a tag id into its position and type; `None` for `O`.
-    pub fn parse(&self, tag: u16) -> Option<(Position, usize)> {
+    pub(crate) fn parse(&self, tag: u16) -> Option<(Position, usize)> {
         if tag == 0 || (tag as usize) >= self.n_labels() {
             return None;
         }
@@ -100,22 +94,6 @@ impl TagScheme {
             _ => Position::S,
         };
         Some((pos, ty))
-    }
-
-    /// Human-readable tag string, e.g. `"B-PER"` or `"O"`.
-    pub fn tag_name(&self, tag: u16) -> String {
-        match self.parse(tag) {
-            None => "O".to_string(),
-            Some((pos, ty)) => {
-                let p = match pos {
-                    Position::B => "B",
-                    Position::I => "I",
-                    Position::E => "E",
-                    Position::S => "S",
-                };
-                format!("{p}-{}", self.entity_types[ty])
-            }
-        }
     }
 
     /// Encode a span of `len` tokens of type `ty` as BIOES tags.
@@ -247,11 +225,6 @@ impl TagScheme {
             })
             .collect()
     }
-
-    /// The entity type names in id order.
-    pub fn entity_types(&self) -> &[String] {
-        &self.entity_types
-    }
 }
 
 #[cfg(test)]
@@ -270,7 +243,7 @@ mod tests {
     #[test]
     fn tag_roundtrip() {
         let s = scheme();
-        for ty in 0..s.n_types() {
+        for ty in 0..s.entity_types.len() {
             for pos in [Position::B, Position::I, Position::E, Position::S] {
                 let t = s.tag(pos, ty);
                 assert_eq!(s.parse(t), Some((pos, ty)));
@@ -278,14 +251,6 @@ mod tests {
         }
         assert_eq!(s.parse(0), None);
         assert_eq!(s.parse(999), None);
-    }
-
-    #[test]
-    fn tag_names() {
-        let s = scheme();
-        assert_eq!(s.tag_name(0), "O");
-        assert_eq!(s.tag_name(s.tag(Position::B, 0)), "B-PER");
-        assert_eq!(s.tag_name(s.tag(Position::S, 3)), "S-MISC");
     }
 
     #[test]
