@@ -38,18 +38,18 @@ impl QueryGroup {
     }
 
     /// Number of documents.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.relevance.len()
     }
 
     /// True when the group has no documents.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.relevance.is_empty()
     }
 
     /// True when every document has the same relevance (no learnable
     /// ordering signal).
-    pub fn is_degenerate(&self) -> bool {
+    pub(crate) fn is_degenerate(&self) -> bool {
         self.relevance
             .windows(2)
             .all(|w| (w[0] - w[1]).abs() < f64::EPSILON)
@@ -76,12 +76,12 @@ impl RankingDataset {
     }
 
     /// Total number of documents across groups.
-    pub fn n_docs(&self) -> usize {
+    pub(crate) fn n_docs(&self) -> usize {
         self.groups.iter().map(QueryGroup::len).sum()
     }
 
     /// Feature width, or 0 for an empty dataset.
-    pub fn n_features(&self) -> usize {
+    pub(crate) fn n_features(&self) -> usize {
         self.groups
             .iter()
             .find_map(|g| g.features.first().map(Vec::len))
@@ -89,7 +89,7 @@ impl RankingDataset {
     }
 
     /// Groups that actually carry an ordering signal.
-    pub fn trainable_groups(&self) -> impl Iterator<Item = &QueryGroup> {
+    pub(crate) fn trainable_groups(&self) -> impl Iterator<Item = &QueryGroup> {
         self.groups.iter().filter(|g| !g.is_degenerate())
     }
 }

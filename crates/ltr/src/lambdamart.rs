@@ -120,30 +120,6 @@ impl LambdaMart {
         }
         model
     }
-
-    /// Number of trees in the ensemble.
-    pub fn n_trees(&self) -> usize {
-        self.trees.len()
-    }
-
-    /// Split-count feature importance, normalized to sum to 1 (empty for
-    /// a treeless model). Interprets which inputs the learned ranker
-    /// actually consults — e.g. which LHS history features drive
-    /// selection.
-    pub fn feature_importance(&self) -> Vec<f64> {
-        let mut counts: Vec<usize> = Vec::new();
-        for t in &self.trees {
-            t.accumulate_split_counts(&mut counts);
-        }
-        let total: usize = counts.iter().sum();
-        if total == 0 {
-            return Vec::new();
-        }
-        counts
-            .into_iter()
-            .map(|c| c as f64 / total as f64)
-            .collect()
-    }
 }
 
 impl Ranker for LambdaMart {
@@ -252,7 +228,7 @@ mod tests {
     #[test]
     fn empty_dataset_scores_zero() {
         let model = LambdaMart::fit(&RankingDataset::new(), &LambdaMartConfig::default());
-        assert_eq!(model.n_trees(), 0);
+        assert_eq!(model.trees.len(), 0);
         assert_eq!(model.score(&[1.0, 2.0]), 0.0);
     }
 
@@ -261,7 +237,7 @@ mod tests {
         let mut ds = RankingDataset::new();
         ds.push(QueryGroup::new(vec![vec![0.0], vec![1.0]], vec![1.0, 1.0]));
         let model = LambdaMart::fit(&ds, &LambdaMartConfig::default());
-        assert_eq!(model.n_trees(), 0);
+        assert_eq!(model.trees.len(), 0);
     }
 
     #[test]
@@ -315,22 +291,6 @@ mod tests {
         assert_eq!(weights[1], 0.0);
         // Pair (0, 2) involves rank 0 and does accumulate.
         assert!(lambdas[0] > 0.0);
-    }
-
-    #[test]
-    fn feature_importance_concentrates_on_signal() {
-        let ds = monotone_dataset();
-        let model = LambdaMart::fit(&ds, &LambdaMartConfig::default());
-        let imp = model.feature_importance();
-        assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        // Feature 0 carries all the relevance signal; feature 1 is constant.
-        assert!(imp[0] > 0.9, "importance {imp:?}");
-    }
-
-    #[test]
-    fn feature_importance_empty_for_untrained() {
-        let model = LambdaMart::fit(&RankingDataset::new(), &LambdaMartConfig::default());
-        assert!(model.feature_importance().is_empty());
     }
 
     #[test]

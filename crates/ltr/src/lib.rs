@@ -7,21 +7,22 @@
 //! `Eval(M′) − Eval(M)` improvements (Algorithm 1). This crate implements
 //! that stack from scratch:
 //!
-//! * [`dataset`] — query-grouped ranking datasets,
-//! * [`tree`] — regression trees with Newton leaf values,
-//! * [`metrics`] — DCG / NDCG,
-//! * [`lambdamart`] — the boosted LambdaMART ranker,
-//! * [`linear`] — a pairwise-logistic linear ranker (ablation baseline),
-//! * [`pointwise`] — a pointwise regression ranker (the LAL substrate).
+//! * `dataset` — query-grouped ranking datasets,
+//! * `tree` — regression trees with Newton leaf values,
+//! * `metrics` — DCG / NDCG,
+//! * `lambdamart` — the boosted LambdaMART ranker,
+//! * `linear` — a pairwise-logistic linear ranker (ablation baseline),
+//! * `pointwise` — a pointwise regression ranker (the LAL substrate).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod dataset;
-pub mod lambdamart;
-pub mod linear;
-pub mod metrics;
-pub mod pointwise;
-pub mod tree;
+pub(crate) mod dataset;
+pub(crate) mod lambdamart;
+pub(crate) mod linear;
+pub(crate) mod metrics;
+pub(crate) mod pointwise;
+pub(crate) mod tree;
 
 pub use dataset::{QueryGroup, RankingDataset};
 pub use lambdamart::{LambdaMart, LambdaMartConfig};

@@ -82,11 +82,6 @@ impl LinearRanker {
         }
         Self { weights }
     }
-
-    /// The learned weight vector.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
 }
 
 impl Ranker for LinearRanker {
@@ -123,7 +118,7 @@ mod tests {
     fn learns_positive_weight_on_signal() {
         let ds = monotone_dataset();
         let model = LinearRanker::fit(&ds, &LinearRankerConfig::default(), &mut rng());
-        assert!(model.weights()[0] > 0.0);
+        assert!(model.weights[0] > 0.0);
         let g = &ds.groups[0];
         let scores = model.score_batch(&g.features);
         assert!(ndcg_of_ranking(&scores, &g.relevance, g.len()) > 0.95);
@@ -136,7 +131,7 @@ mod tests {
         let relevance: Vec<f64> = (0..6).map(|d| d as f64).collect();
         ds.push(QueryGroup::new(features, relevance));
         let model = LinearRanker::fit(&ds, &LinearRankerConfig::default(), &mut rng());
-        assert!(model.weights()[0] < 0.0);
+        assert!(model.weights[0] < 0.0);
     }
 
     #[test]
@@ -154,7 +149,7 @@ mod tests {
         let mut ds = RankingDataset::new();
         ds.push(QueryGroup::new(vec![vec![1.0], vec![2.0]], vec![1.0, 1.0]));
         let model = LinearRanker::fit(&ds, &LinearRankerConfig::default(), &mut rng());
-        assert_eq!(model.weights(), &[0.0]);
+        assert_eq!(model.weights, &[0.0]);
     }
 
     #[test]
@@ -162,6 +157,6 @@ mod tests {
         let ds = monotone_dataset();
         let a = LinearRanker::fit(&ds, &LinearRankerConfig::default(), &mut rng());
         let b = LinearRanker::fit(&ds, &LinearRankerConfig::default(), &mut rng());
-        assert_eq!(a.weights(), b.weights());
+        assert_eq!(a.weights, b.weights);
     }
 }

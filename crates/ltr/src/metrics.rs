@@ -6,13 +6,13 @@
 
 /// Gain of a graded relevance label: `2^rel − 1`.
 #[inline]
-pub fn gain(rel: f64) -> f64 {
+pub(crate) fn gain(rel: f64) -> f64 {
     (2f64).powf(rel) - 1.0
 }
 
 /// Position discount `1 / log2(rank + 2)` for 0-based `rank`.
 #[inline]
-pub fn discount(rank: usize) -> f64 {
+pub(crate) fn discount(rank: usize) -> f64 {
     1.0 / ((rank as f64) + 2.0).log2()
 }
 
@@ -27,7 +27,7 @@ pub fn dcg_at(ranked_rels: &[f64], k: usize) -> f64 {
 }
 
 /// Ideal DCG@k: DCG of the labels sorted descending.
-pub fn ideal_dcg_at(rels: &[f64], k: usize) -> f64 {
+pub(crate) fn ideal_dcg_at(rels: &[f64], k: usize) -> f64 {
     let mut sorted = rels.to_vec();
     sorted.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
     dcg_at(&sorted, k)

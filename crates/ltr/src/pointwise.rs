@@ -156,7 +156,7 @@ impl PointwiseRegressor {
     }
 
     /// Predicted target for one feature row.
-    pub fn predict(&self, row: &[f64]) -> f64 {
+    pub(crate) fn predict(&self, row: &[f64]) -> f64 {
         match &self.model {
             PointwiseModel::Constant { value } => *value,
             PointwiseModel::Trees {
@@ -177,14 +177,6 @@ impl PointwiseRegressor {
                 }
                 y
             }
-        }
-    }
-
-    /// Number of boosted trees (0 for linear/constant models).
-    pub fn n_trees(&self) -> usize {
-        match &self.model {
-            PointwiseModel::Trees { trees, .. } => trees.len(),
-            _ => 0,
         }
     }
 }
@@ -262,7 +254,7 @@ mod tests {
         let m = PointwiseRegressor::fit_trees(&rows, &targets, &cfg());
         assert!(m.predict(&[3.0]) < 0.2, "{}", m.predict(&[3.0]));
         assert!(m.predict(&[15.0]) > 0.8, "{}", m.predict(&[15.0]));
-        assert_eq!(m.n_trees(), 50);
+        assert!(matches!(&m.model, PointwiseModel::Trees { trees, .. } if trees.len() == 50));
     }
 
     #[test]

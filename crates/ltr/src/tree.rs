@@ -60,7 +60,7 @@ impl RegressionTree {
     ///
     /// # Panics
     /// Panics if the slices are misaligned or `rows` is empty.
-    pub fn fit(rows: &[Vec<f64>], grads: &[f64], hess: &[f64], config: &TreeConfig) -> Self {
+    pub(crate) fn fit(rows: &[Vec<f64>], grads: &[f64], hess: &[f64], config: &TreeConfig) -> Self {
         assert!(!rows.is_empty(), "cannot fit a tree to zero rows");
         assert_eq!(rows.len(), grads.len(), "rows/grads misaligned");
         assert_eq!(rows.len(), hess.len(), "rows/hess misaligned");
@@ -98,7 +98,8 @@ impl RegressionTree {
     }
 
     /// Number of leaves.
-    pub fn n_leaves(&self) -> usize {
+    #[cfg(test)]
+    fn n_leaves(&self) -> usize {
         fn count(n: &Node) -> usize {
             match n {
                 Node::Leaf { .. } => 1,
@@ -109,7 +110,8 @@ impl RegressionTree {
     }
 
     /// Depth of the tree (a lone leaf has depth 0).
-    pub fn depth(&self) -> usize {
+    #[cfg(test)]
+    fn depth(&self) -> usize {
         fn d(n: &Node) -> usize {
             match n {
                 Node::Leaf { .. } => 0,
@@ -117,28 +119,6 @@ impl RegressionTree {
             }
         }
         d(&self.root)
-    }
-
-    /// Accumulate per-feature split counts into `counts` (resized as
-    /// needed) — the raw material of gain-free feature importance.
-    pub fn accumulate_split_counts(&self, counts: &mut Vec<usize>) {
-        fn walk(n: &Node, counts: &mut Vec<usize>) {
-            if let Node::Split {
-                feature,
-                left,
-                right,
-                ..
-            } = n
-            {
-                if counts.len() <= *feature {
-                    counts.resize(feature + 1, 0);
-                }
-                counts[*feature] += 1;
-                walk(left, counts);
-                walk(right, counts);
-            }
-        }
-        walk(&self.root, counts);
     }
 }
 
@@ -346,5 +326,26 @@ mod tests {
     #[should_panic(expected = "zero rows")]
     fn empty_fit_panics() {
         let _ = RegressionTree::fit(&[], &[], &[], &cfg());
+    }
+
+    proptest::proptest! {
+        /// Leaf counts are bounded by 2^depth and depth by `max_depth`.
+        #[test]
+        fn tree_leaf_bounds(targets in proptest::collection::vec(-5.0f64..5.0, 4..30)) {
+            let rows: Vec<Vec<f64>> = (0..targets.len()).map(|i| vec![i as f64]).collect();
+            let mk = |depth| {
+                RegressionTree::fit_mean(
+                    &rows,
+                    &targets,
+                    &TreeConfig { max_depth: depth, min_samples_leaf: 1, lambda: 0.0, min_gain: 1e-12 },
+                )
+            };
+            let shallow = mk(2);
+            let deep = mk(5);
+            proptest::prop_assert!(shallow.n_leaves() <= 4);
+            proptest::prop_assert!(deep.n_leaves() <= 32);
+            proptest::prop_assert!(deep.depth() <= 5);
+            proptest::prop_assert!(shallow.depth() <= 2);
+        }
     }
 }

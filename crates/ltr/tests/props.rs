@@ -54,26 +54,6 @@ proptest! {
         }
     }
 
-    /// Deeper trees never have fewer leaves than shallower ones on the
-    /// same data, and leaf counts are bounded by 2^depth.
-    #[test]
-    fn tree_leaf_bounds(targets in prop::collection::vec(-5.0f64..5.0, 4..30)) {
-        let rows: Vec<Vec<f64>> = (0..targets.len()).map(|i| vec![i as f64]).collect();
-        let mk = |depth| {
-            RegressionTree::fit_mean(
-                &rows,
-                &targets,
-                &TreeConfig { max_depth: depth, min_samples_leaf: 1, lambda: 0.0, min_gain: 1e-12 },
-            )
-        };
-        let shallow = mk(2);
-        let deep = mk(5);
-        prop_assert!(shallow.n_leaves() <= 4);
-        prop_assert!(deep.n_leaves() <= 32);
-        prop_assert!(deep.depth() <= 5);
-        prop_assert!(shallow.depth() <= 2);
-    }
-
     /// LambdaMART scores are finite for arbitrary query groups.
     #[test]
     fn lambdamart_scores_finite(
