@@ -94,16 +94,6 @@ impl ArPredictor {
         }
     }
 
-    /// The fitted order `p`.
-    pub fn order(&self) -> usize {
-        self.order
-    }
-
-    /// `[c, a_1, …, a_p]`.
-    pub fn coefficients(&self) -> &[f64] {
-        &self.coeffs
-    }
-
     /// Check a deserialized model before it predicts: one intercept plus
     /// one coefficient per lag. A model from [`ArPredictor::fit`] always
     /// passes.
@@ -222,8 +212,8 @@ mod tests {
             seq2.push(0.5 * last + 0.1);
         }
         let m = ArPredictor::fit(&[seq.clone(), seq2], 1);
-        assert!((m.coefficients()[0] - 0.1).abs() < 1e-6);
-        assert!((m.coefficients()[1] - 0.5).abs() < 1e-6);
+        assert!((m.coeffs[0] - 0.1).abs() < 1e-6);
+        assert!((m.coeffs[1] - 0.5).abs() < 1e-6);
         let pred = m.predict_next(&seq);
         let expected = 0.5 * seq.last().unwrap() + 0.1;
         assert!((pred - expected).abs() < 1e-6);

@@ -13,19 +13,20 @@
 //!   (the paper uses an LSTM; AR(p) is the cheap ablation alternative).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod ar;
-pub mod lstm;
-pub mod rolling;
-pub mod stats;
-pub mod trend;
-pub mod window;
+pub(crate) mod ar;
+pub(crate) mod lstm;
+pub(crate) mod rolling;
+pub(crate) mod stats;
+pub(crate) mod trend;
+pub(crate) mod window;
 
 pub use ar::ArPredictor;
 pub use lstm::{LstmConfig, LstmPredictor};
 pub use rolling::RollingStats;
-pub use stats::{autocorrelation, mean, variance, window_variance};
-pub use trend::{mann_kendall, MannKendall, Trend};
+pub use stats::{autocorrelation, variance, window_variance};
+pub use trend::{mann_kendall, Trend};
 pub use window::{exp_weighted_sum, exp_weights, last_window, uniform_sum};
 
 /// A next-score predictor over historical evaluation sequences.

@@ -314,30 +314,6 @@ impl LstmPredictor {
         model
     }
 
-    /// Mean squared error over the window/target pairs extractable from
-    /// `sequences` — convenience for tests and tuning.
-    pub fn mse(&self, sequences: &[Vec<f64>]) -> f64 {
-        let longest = sequences.iter().map(Vec::len).max().unwrap_or(0);
-        let steps = longest.saturating_sub(1).min(self.config.window);
-        let mut ws = Workspace::predicting(self.params.hidden, steps);
-        let mut acc = 0.0;
-        let mut count = 0usize;
-        for seq in sequences {
-            for t in 1..seq.len() {
-                let start = t.saturating_sub(self.config.window);
-                let pred = self.forward(&mut ws, &seq[start..t]);
-                let d = pred - seq[t];
-                acc += d * d;
-                count += 1;
-            }
-        }
-        if count == 0 {
-            0.0
-        } else {
-            acc / count as f64
-        }
-    }
-
     /// Check a deserialized model before it predicts: the parameter
     /// blocks must match the hidden size, and the window must be
     /// positive. A model from [`LstmPredictor::fit`] always passes.
@@ -460,11 +436,6 @@ impl LstmPredictor {
             std::mem::swap(dh, dh_prev);
             std::mem::swap(dc, dc_prev);
         }
-    }
-
-    /// The configured window length.
-    pub fn window(&self) -> usize {
-        self.config.window
     }
 }
 
@@ -606,7 +577,14 @@ mod tests {
             .map(|s| (0..15).map(|t| 0.01 * s as f64 + 0.05 * t as f64).collect())
             .collect();
         let model = LstmPredictor::fit(&seqs, LstmConfig::default(), &mut rng());
-        let trained_mse = model.mse(&seqs);
+        let mut trained_mse = 0.0;
+        for s in &seqs {
+            for t in 1..s.len() {
+                let d = model.predict_next(&s[..t]) - s[t];
+                trained_mse += d * d;
+            }
+        }
+        trained_mse /= seqs.iter().map(|s| s.len() - 1).sum::<usize>() as f64;
         // Baseline: always predict the corpus mean.
         let all: Vec<f64> = seqs.iter().flatten().copied().collect();
         let mean = all.iter().sum::<f64>() / all.len() as f64;

@@ -68,16 +68,6 @@ impl RollingStats {
         self.window
     }
 
-    /// Number of values currently contributing.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True while no value has been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Push `value`; `evicted` is the value leaving the window (required
     /// exactly when the window was already full, i.e. `len() == window()`).
     pub fn push(&mut self, value: f64, evicted: Option<f64>) {
@@ -203,7 +193,6 @@ mod tests {
     #[test]
     fn empty_is_all_zero() {
         let s = RollingStats::new(3);
-        assert!(s.is_empty());
         assert_eq!(s.current(), 0.0);
         assert_eq!(s.uniform_sum(), 0.0);
         assert_eq!(s.exp_weighted_sum(), 0.0);

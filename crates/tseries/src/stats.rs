@@ -6,7 +6,7 @@
 //! and is considered more uncertain than one with a stable sequence.
 
 /// Arithmetic mean; 0 for the empty slice.
-pub fn mean(xs: &[f64]) -> f64 {
+pub(crate) fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         0.0
     } else {

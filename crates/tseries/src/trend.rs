@@ -39,7 +39,7 @@ impl MannKendall {
     }
 
     /// Classify against an arbitrary critical z value.
-    pub fn trend_at(&self, z_crit: f64) -> Trend {
+    pub(crate) fn trend_at(&self, z_crit: f64) -> Trend {
         if self.z > z_crit {
             Trend::Increasing
         } else if self.z < -z_crit {
