@@ -143,7 +143,7 @@ pub struct LshIndex {
 impl LshIndex {
     /// The signature width used for a pool of `n` rows under `cfg_bits`
     /// (`0` = auto).
-    pub fn effective_bits(n: usize, cfg_bits: usize) -> u32 {
+    pub(crate) fn effective_bits(n: usize, cfg_bits: usize) -> u32 {
         if cfg_bits > 0 {
             cfg_bits.min(20) as u32
         } else {

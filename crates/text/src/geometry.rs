@@ -95,7 +95,7 @@ impl PoolGeometry {
     }
 
     /// One past the largest stored index (0 for an all-empty pool).
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.dim
     }
 
@@ -120,41 +120,8 @@ impl PoolGeometry {
         (&self.indices[lo..hi], &self.values[lo..hi])
     }
 
-    /// Sparse dot product of rows `a` and `b` — the same single-pass merge
-    /// and `f64` accumulation as [`SparseVec::dot`].
-    pub fn dot(&self, a: usize, b: usize) -> f64 {
-        let (ai, av) = self.row(a);
-        let (bi, bv) = self.row(b);
-        let (mut x, mut y) = (0, 0);
-        let mut acc = 0.0;
-        while x < ai.len() && y < bi.len() {
-            match ai[x].cmp(&bi[y]) {
-                std::cmp::Ordering::Less => x += 1,
-                std::cmp::Ordering::Greater => y += 1,
-                std::cmp::Ordering::Equal => {
-                    acc += av[x] as f64 * bv[y] as f64;
-                    x += 1;
-                    y += 1;
-                }
-            }
-        }
-        acc
-    }
-
-    /// Cosine similarity of rows `a` and `b` via the cached norms; zero
-    /// when either row is all-zero. Bit-identical to
-    /// [`SparseVec::cosine`] on the same vectors.
-    pub fn cosine(&self, a: usize, b: usize) -> f64 {
-        let denom = self.norm(a) * self.norm(b);
-        if denom == 0.0 {
-            0.0
-        } else {
-            self.dot(a, b) / denom
-        }
-    }
-
     /// Scatter row `a`'s widened values into `dense` (grown to
-    /// [`Self::dim`] on first use) for repeated one-vs-many dots. Pair
+    /// `Self::dim` on first use) for repeated one-vs-many dots. Pair
     /// with [`Self::unscatter`] to zero the entries again in O(nnz).
     pub fn scatter(&self, a: usize, dense: &mut Vec<f64>) {
         if dense.len() < self.dim() {
@@ -176,7 +143,7 @@ impl PoolGeometry {
 
     /// Dot of row `b` against a row scattered into `dense` — a linear
     /// gather instead of the branchy two-pointer merge, and still
-    /// bit-identical to [`Self::dot`]: shared indices contribute the same
+    /// bit-identical to [`SparseVec::dot`]: shared indices contribute the same
     /// products in the same ascending order, and non-shared indices
     /// contribute `±0.0`, which cannot change the accumulator (it is
     /// never `-0.0`: it starts at `+0.0`, and round-to-nearest addition
@@ -191,7 +158,7 @@ impl PoolGeometry {
     }
 
     /// Cosine of rows `a` (already scattered into `dense`) and `b`;
-    /// bit-identical to [`Self::cosine`] of the same rows.
+    /// bit-identical to [`SparseVec::cosine`] of the same rows.
     pub fn cosine_scattered(&self, dense: &[f64], a: usize, b: usize) -> f64 {
         let denom = self.norm(a) * self.norm(b);
         if denom == 0.0 {
@@ -223,26 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn cosine_matches_sparsevec_bitwise() {
-        let reps = vec![
-            sv(&[(1, 1.0), (3, 2.0), (7, 1.0)]),
-            sv(&[(3, 4.0), (7, 0.5), (9, 1.0)]),
-            sv(&[(2, -1.5)]),
-            sv(&[]),
-        ];
-        let g = PoolGeometry::build(&reps);
-        for a in 0..reps.len() {
-            for b in 0..reps.len() {
-                assert_eq!(
-                    g.cosine(a, b).to_bits(),
-                    reps[a].cosine(&reps[b]).to_bits(),
-                    "rows {a},{b}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn empty_geometry() {
         let g = PoolGeometry::build(&[]);
         assert!(g.is_empty());
@@ -267,12 +214,12 @@ mod tests {
             for b in 0..reps.len() {
                 assert_eq!(
                     g.dot_scattered(&dense, b).to_bits(),
-                    g.dot(a, b).to_bits(),
+                    reps[a].dot(&reps[b]).to_bits(),
                     "dot rows {a},{b}"
                 );
                 assert_eq!(
                     g.cosine_scattered(&dense, a, b).to_bits(),
-                    g.cosine(a, b).to_bits(),
+                    reps[a].cosine(&reps[b]).to_bits(),
                     "cosine rows {a},{b}"
                 );
             }

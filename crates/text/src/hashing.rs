@@ -13,7 +13,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a hash of a byte string. Deterministic across runs and platforms,
 /// which keeps experiments reproducible (unlike `DefaultHasher`).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     for &b in bytes {
         h ^= b as u64;
@@ -49,17 +49,12 @@ impl FeatureHasher {
 
     /// Create a hasher whose outputs are decorrelated from hashers with a
     /// different `namespace` value.
-    pub fn with_namespace(n_buckets: u32, namespace: u64) -> Self {
+    pub(crate) fn with_namespace(n_buckets: u32, namespace: u64) -> Self {
         assert!(n_buckets > 0, "feature hasher needs at least one bucket");
         Self {
             n_buckets,
             namespace_salt: namespace.wrapping_mul(0x9e37_79b9_7f4a_7c15),
         }
-    }
-
-    /// Output dimensionality.
-    pub fn n_buckets(&self) -> u32 {
-        self.n_buckets
     }
 
     /// Bucket index and sign for one feature string.

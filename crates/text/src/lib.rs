@@ -16,12 +16,13 @@
 //!   bound those combinators' neighbour scans on large pools.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod ann;
-pub mod geometry;
-pub mod hashing;
+pub(crate) mod ann;
+pub(crate) mod geometry;
+pub(crate) mod hashing;
 pub mod ngrams;
-pub mod sparse;
+pub(crate) mod sparse;
 
 pub use ann::{AnnConfig, AnnScratch, ExactNeighbors, LshIndex, NeighborIndex};
 pub use geometry::PoolGeometry;

@@ -20,11 +20,6 @@ pub struct SparseVec {
 }
 
 impl SparseVec {
-    /// Create an empty vector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Build from unsorted, possibly duplicated `(index, value)` pairs.
     /// Duplicate indices are summed; zero results are kept (they are
     /// harmless and rare).
@@ -44,7 +39,7 @@ impl SparseVec {
     }
 
     /// Number of stored (structurally non-zero) entries.
-    pub fn nnz(&self) -> usize {
+    pub(crate) fn nnz(&self) -> usize {
         self.indices.len()
     }
 
@@ -69,18 +64,6 @@ impl SparseVec {
     /// The value slice, parallel to [`Self::indices`].
     pub fn values(&self) -> &[f32] {
         &self.values
-    }
-
-    /// Dot product with a dense weight slice; indices beyond `dense.len()`
-    /// contribute zero.
-    pub fn dot_dense(&self, dense: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for (&i, &v) in self.indices.iter().zip(&self.values) {
-            if let Some(w) = dense.get(i as usize) {
-                acc += w * v as f64;
-            }
-        }
-        acc
     }
 
     /// Sparse–sparse dot product (single-pass merge).
@@ -120,23 +103,8 @@ impl SparseVec {
         }
     }
 
-    /// `dense[i] += scale * self[i]` for every stored entry. Indices beyond
-    /// `dense.len()` are ignored.
-    pub fn axpy_into(&self, scale: f64, dense: &mut [f64]) {
-        for (&i, &v) in self.indices.iter().zip(&self.values) {
-            if let Some(w) = dense.get_mut(i as usize) {
-                *w += scale * v as f64;
-            }
-        }
-    }
-
-    /// L1 norm of the stored values.
-    pub fn l1(&self) -> f64 {
-        self.values.iter().map(|&v| (v as f64).abs()).sum()
-    }
-
     /// Scale every stored value in place.
-    pub fn scale(&mut self, s: f32) {
+    pub(crate) fn scale(&mut self, s: f32) {
         for v in &mut self.values {
             *v *= s;
         }
@@ -165,19 +133,6 @@ mod tests {
     }
 
     #[test]
-    fn dot_dense_matches_manual() {
-        let v = sv(&[(0, 1.0), (2, 3.0)]);
-        let w = [0.5, 10.0, 2.0];
-        assert!((v.dot_dense(&w) - (0.5 + 6.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dot_dense_ignores_out_of_range() {
-        let v = sv(&[(5, 1.0)]);
-        assert_eq!(v.dot_dense(&[1.0, 2.0]), 0.0);
-    }
-
-    #[test]
     fn sparse_dot_merge() {
         let a = sv(&[(1, 1.0), (3, 2.0), (7, 1.0)]);
         let b = sv(&[(3, 4.0), (7, 0.5), (9, 1.0)]);
@@ -200,21 +155,12 @@ mod tests {
     #[test]
     fn cosine_with_empty_is_zero() {
         let a = sv(&[(1, 1.0)]);
-        assert_eq!(a.cosine(&SparseVec::new()), 0.0);
+        assert_eq!(a.cosine(&SparseVec::default()), 0.0);
     }
 
     #[test]
-    fn axpy_accumulates() {
-        let v = sv(&[(0, 2.0), (2, 1.0)]);
-        let mut d = vec![1.0, 1.0, 1.0];
-        v.axpy_into(0.5, &mut d);
-        assert_eq!(d, vec![2.0, 1.0, 1.5]);
-    }
-
-    #[test]
-    fn norm_and_l1() {
+    fn norm() {
         let v = sv(&[(0, 3.0), (1, -4.0)]);
         assert!((v.norm() - 5.0).abs() < 1e-12);
-        assert!((v.l1() - 7.0).abs() < 1e-12);
     }
 }

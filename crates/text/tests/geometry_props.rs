@@ -28,40 +28,9 @@ proptest! {
         }
     }
 
-    /// The arena dot product equals `SparseVec::dot` exactly for every
-    /// row pair (same merge loop, same f64 accumulation order).
-    #[test]
-    fn dot_bitwise(pool in pool_strategy()) {
-        let g = PoolGeometry::build(&pool);
-        for a in 0..pool.len() {
-            for b in 0..pool.len() {
-                prop_assert_eq!(
-                    g.dot(a, b).to_bits(),
-                    pool[a].dot(&pool[b]).to_bits(),
-                    "rows {},{}", a, b
-                );
-            }
-        }
-    }
-
-    /// Cached-norm cosine equals `SparseVec::cosine` exactly for every
-    /// row pair, including all-zero rows (both sides define it as 0).
-    #[test]
-    fn cosine_bitwise(pool in pool_strategy()) {
-        let g = PoolGeometry::build(&pool);
-        for a in 0..pool.len() {
-            for b in 0..pool.len() {
-                prop_assert_eq!(
-                    g.cosine(a, b).to_bits(),
-                    pool[a].cosine(&pool[b]).to_bits(),
-                    "rows {},{}", a, b
-                );
-            }
-        }
-    }
-
-    /// The scatter/gather dot and cosine equal the merge-based ones
-    /// exactly, and unscatter restores an all-zero buffer.
+    /// The scatter/gather dot and cosine equal `SparseVec::dot` and
+    /// `SparseVec::cosine` exactly for every row pair (all-zero rows
+    /// included), and unscatter restores an all-zero buffer.
     #[test]
     fn scattered_paths_bitwise(pool in pool_strategy()) {
         let g = PoolGeometry::build(&pool);
@@ -71,12 +40,12 @@ proptest! {
             for b in 0..pool.len() {
                 prop_assert_eq!(
                     g.dot_scattered(&dense, b).to_bits(),
-                    g.dot(a, b).to_bits(),
+                    pool[a].dot(&pool[b]).to_bits(),
                     "dot rows {},{}", a, b
                 );
                 prop_assert_eq!(
                     g.cosine_scattered(&dense, a, b).to_bits(),
-                    g.cosine(a, b).to_bits(),
+                    pool[a].cosine(&pool[b]).to_bits(),
                     "cosine rows {},{}", a, b
                 );
             }

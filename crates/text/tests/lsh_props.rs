@@ -43,9 +43,11 @@ fn clustered_pool(seed: u64, n: usize, clusters: usize) -> Vec<SparseVec> {
 
 /// True top-k cosine neighbors of `row` (self excluded), exact scan.
 fn true_top_k(geom: &PoolGeometry, row: usize, k: usize) -> Vec<usize> {
+    let mut dense = Vec::new();
+    geom.scatter(row, &mut dense);
     let mut scored: Vec<(f64, usize)> = (0..geom.len())
         .filter(|&j| j != row)
-        .map(|j| (geom.cosine(row, j), j))
+        .map(|j| (geom.cosine_scattered(&dense, row, j), j))
         .collect();
     scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
     scored.truncate(k);

@@ -80,17 +80,4 @@ proptest! {
         let c = va.cosine(&vb);
         prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&c), "cosine {c}");
     }
-
-    /// dot(x, dense) equals axpy-accumulated dot.
-    #[test]
-    fn dot_dense_matches_axpy(pairs in pairs_strategy()) {
-        let v = SparseVec::from_pairs(pairs);
-        let dense = vec![2.0f64; 1000];
-        let direct = v.dot_dense(&dense);
-        // axpy into zeros with scale 2.0 then sum.
-        let mut acc = vec![0.0f64; 1000];
-        v.axpy_into(2.0, &mut acc);
-        let via_axpy: f64 = acc.iter().sum();
-        prop_assert!((direct - via_axpy).abs() < 1e-6);
-    }
 }
