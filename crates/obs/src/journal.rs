@@ -15,7 +15,7 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Mutex;
 
 use serde::Serialize;
@@ -24,7 +24,6 @@ use serde::Serialize;
 /// Appends are serialized by an internal lock; each record is written and
 /// flushed atomically with respect to other appenders.
 pub struct Journal {
-    path: PathBuf,
     file: Mutex<File>,
 }
 
@@ -37,7 +36,6 @@ impl Journal {
         }
         let file = File::create(&path)?;
         Ok(Journal {
-            path,
             file: Mutex::new(file),
         })
     }
@@ -50,14 +48,8 @@ impl Journal {
         truncate_to_last_complete_line(&path)?;
         let file = OpenOptions::new().append(true).open(&path)?;
         Ok(Journal {
-            path,
             file: Mutex::new(file),
         })
-    }
-
-    /// The journal's file path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Append one record as a single flushed line.
@@ -69,11 +61,6 @@ impl Journal {
         let mut file = self.file.lock().unwrap();
         file.write_all(line.as_bytes())?;
         file.flush()
-    }
-
-    /// Force file contents to stable storage (fsync).
-    pub fn sync(&self) -> std::io::Result<()> {
-        self.file.lock().unwrap().sync_data()
     }
 }
 
@@ -177,7 +164,7 @@ mod tests {
         }
     }
 
-    fn tmp(name: &str) -> PathBuf {
+    fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("histal-obs-tests");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(format!("{name}-{}.jsonl", std::process::id()))

@@ -1,11 +1,12 @@
-//! Metrics: counters, gauges, and HDR-style log-bucket histograms, with
+//! Metrics: counters and HDR-style log-bucket histograms, with
 //! deterministic cross-worker aggregation.
 //!
 //! A [`MetricsRegistry`] is a name-keyed store (sorted map, so snapshots
 //! iterate in one canonical order). For parallel sections the harness
 //! hands each `rayon::run_indexed` task its own shard of a
-//! [`ShardedMetrics`]; [`ShardedMetrics::merge`] folds the shards in
-//! *index order*, so the merged registry is byte-identical at any thread
+//! [`ShardedMetrics`]; folding the shards with
+//! [`MetricsRegistry::merge_from`] in *index order* makes the merged
+//! registry byte-identical at any thread
 //! count — the same argument the workspace's parallel kernels use
 //! (fixed partition + fixed combine order).
 //!
@@ -22,7 +23,7 @@ use serde::Serialize;
 
 /// Sub-bucket granularity constant: values below it are binned exactly,
 /// and each octave above it splits into `SUBBUCKETS/2` linear slices.
-pub const SUBBUCKETS: usize = 8;
+pub(crate) const SUBBUCKETS: usize = 8;
 const OCTAVES: usize = 64;
 const BUCKETS: usize = OCTAVES * SUBBUCKETS;
 
@@ -96,7 +97,7 @@ fn bucket_floor(bucket: usize) -> u64 {
 
 impl LogHistogram {
     /// An empty histogram.
-    pub fn new() -> LogHistogram {
+    pub(crate) fn new() -> LogHistogram {
         LogHistogram {
             buckets: BTreeMap::new(),
             count: 0,
@@ -106,7 +107,7 @@ impl LogHistogram {
     }
 
     /// Record one sample.
-    pub fn record(&mut self, value: u64) {
+    pub(crate) fn record(&mut self, value: u64) {
         *self.buckets.entry(bucket_of(value)).or_insert(0) += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
@@ -114,17 +115,12 @@ impl LogHistogram {
     }
 
     /// Total samples recorded.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
-    /// Exact sum of all recorded samples.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
     /// Exact mean of all recorded samples (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -133,14 +129,14 @@ impl LogHistogram {
     }
 
     /// Largest sample recorded.
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.max
     }
 
     /// Approximate quantile (`q` in `[0, 1]`): the floor of the bucket
     /// containing the `⌈q·count⌉`-th sample. Within 1/[`SUBBUCKETS`]
     /// relative error of the true order statistic.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -156,7 +152,7 @@ impl LogHistogram {
     }
 
     /// Fold `other` into `self` (bucket-wise sum; exact in `u64`).
-    pub fn merge(&mut self, other: &LogHistogram) {
+    pub(crate) fn merge(&mut self, other: &LogHistogram) {
         for (&bucket, &n) in &other.buckets {
             *self.buckets.entry(bucket).or_insert(0) += n;
         }
@@ -171,8 +167,6 @@ impl LogHistogram {
 pub enum MetricValue {
     /// Monotone event count.
     Counter(u64),
-    /// Last-written measurement.
-    Gauge(f64),
     /// Distribution of recorded samples.
     Histogram(LogHistogram),
 }
@@ -203,12 +197,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Set the gauge `name` to `value` (last write wins).
-    pub fn gauge_set(&self, name: &str, value: f64) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.insert(name.to_string(), MetricValue::Gauge(value));
-    }
-
     /// Record `value` into the histogram `name` (created empty).
     pub fn histogram_record(&self, name: &str, value: u64) {
         let mut inner = self.inner.lock().unwrap();
@@ -222,7 +210,8 @@ impl MetricsRegistry {
     }
 
     /// Current value of `name`, if recorded.
-    pub fn get(&self, name: &str) -> Option<MetricValue> {
+    #[cfg(test)]
+    fn get(&self, name: &str) -> Option<MetricValue> {
         self.inner.lock().unwrap().get(name).cloned()
     }
 
@@ -236,9 +225,9 @@ impl MetricsRegistry {
             .collect()
     }
 
-    /// Fold `other` into `self`: counters add, histograms merge, gauges
-    /// take `other`'s value (callers control determinism by merging in a
-    /// fixed order — see [`ShardedMetrics::merge`]).
+    /// Fold `other` into `self`: counters add, histograms merge (callers
+    /// control determinism by merging shards in a fixed order — see
+    /// [`ShardedMetrics`]).
     pub fn merge_from(&self, other: &MetricsRegistry) {
         let theirs = other.snapshot();
         let mut inner = self.inner.lock().unwrap();
@@ -246,7 +235,6 @@ impl MetricsRegistry {
             match (inner.get_mut(&name), value) {
                 (Some(MetricValue::Counter(a)), MetricValue::Counter(b)) => *a += b,
                 (Some(MetricValue::Histogram(a)), MetricValue::Histogram(ref b)) => a.merge(b),
-                (Some(MetricValue::Gauge(a)), MetricValue::Gauge(b)) => *a = b,
                 (Some(slot), value) => panic!("metric {name} kind mismatch: {slot:?} vs {value:?}"),
                 (None, value) => {
                     inner.insert(name, value);
@@ -261,7 +249,6 @@ impl MetricsRegistry {
         for (name, value) in self.snapshot() {
             match value {
                 MetricValue::Counter(c) => out.push_str(&format!("{name} = {c}\n")),
-                MetricValue::Gauge(g) => out.push_str(&format!("{name} = {g}\n")),
                 MetricValue::Histogram(h) => out.push_str(&format!(
                     "{name}: n={} mean={:.1} p50={} p99={} max={}\n",
                     h.count(),
@@ -297,16 +284,6 @@ impl ShardedMetrics {
         }
     }
 
-    /// Number of shards.
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// `true` when built over zero tasks.
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
     /// The shard for task `index`.
     pub fn shard(&self, index: usize) -> &MetricsRegistry {
         &self.shards[index]
@@ -317,20 +294,20 @@ impl ShardedMetrics {
     pub fn shard_handle(&self, index: usize) -> Arc<MetricsRegistry> {
         Arc::clone(&self.shards[index])
     }
-
-    /// Merge all shards in index order into one registry.
-    pub fn merge(&self) -> MetricsRegistry {
-        let merged = MetricsRegistry::new();
-        for shard in &self.shards {
-            merged.merge_from(shard);
-        }
-        merged
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fold the shards in index order, as the harness does.
+    fn merge(shards: &ShardedMetrics, n: usize) -> MetricsRegistry {
+        let merged = MetricsRegistry::new();
+        for i in 0..n {
+            merged.merge_from(shards.shard(i));
+        }
+        merged
+    }
 
     #[test]
     fn bucket_roundtrip_monotone() {
@@ -364,7 +341,6 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.count(), 100);
-        assert_eq!(h.sum(), 5050);
         assert_eq!(h.max(), 100);
         assert!((h.mean() - 50.5).abs() < 1e-9);
         let p50 = h.quantile(0.5);
@@ -395,15 +371,13 @@ mod tests {
         let m = MetricsRegistry::new();
         m.counter_add("c", 2);
         m.counter_add("c", 3);
-        m.gauge_set("g", 1.5);
         m.histogram_record("h", 10);
         assert_eq!(m.get("c"), Some(MetricValue::Counter(5)));
-        assert_eq!(m.get("g"), Some(MetricValue::Gauge(1.5)));
         let snap = m.snapshot();
-        assert_eq!(snap.len(), 3);
+        assert_eq!(snap.len(), 2);
         // BTreeMap ⇒ name order.
         assert_eq!(snap[0].0, "c");
-        assert_eq!(snap[2].0, "h");
+        assert_eq!(snap[1].0, "h");
         assert!(m.render().contains("c = 5"));
     }
 
@@ -412,16 +386,10 @@ mod tests {
         let shards = ShardedMetrics::new(3);
         // Simulate out-of-order worker execution: task 2 records first.
         shards.shard(2).counter_add("n", 1);
-        shards.shard(2).gauge_set("last", 2.0);
         shards.shard(0).counter_add("n", 10);
-        shards.shard(0).gauge_set("last", 0.0);
         shards.shard(1).counter_add("n", 100);
-        shards.shard(1).gauge_set("last", 1.0);
-        let merged = shards.merge();
+        let merged = merge(&shards, 3);
         assert_eq!(merged.get("n"), Some(MetricValue::Counter(111)));
-        // Gauge resolves to the highest-index shard's write, regardless
-        // of recording order.
-        assert_eq!(merged.get("last"), Some(MetricValue::Gauge(2.0)));
     }
 
     #[test]
@@ -432,7 +400,7 @@ mod tests {
                 shards.shard(i).counter_add("c", (i + 1) as u64);
                 shards.shard(i).histogram_record("h", (i as u64 + 1) * 10);
             }
-            shards.merge().render()
+            merge(&shards, 4).render()
         };
         assert_eq!(render_of(&[0, 1, 2, 3]), render_of(&[3, 1, 0, 2]));
     }

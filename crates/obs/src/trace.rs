@@ -34,7 +34,7 @@ pub enum Level {
 
 impl Level {
     /// Fixed-width display name.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Level::Error => "ERROR",
             Level::Warn => "WARN",
@@ -126,7 +126,7 @@ impl From<bool> for FieldValue {
 }
 
 /// A `(name, value)` field pair.
-pub type Field = (&'static str, FieldValue);
+pub(crate) type Field = (&'static str, FieldValue);
 
 /// Process-unique span identifier (non-zero, monotone allocation order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -177,7 +177,7 @@ pub fn dispatch_active() -> bool {
 }
 
 /// Install `sub` as the process-global subscriber, returning the previous
-/// one. Pass the result to [`restore_subscriber`] to undo.
+/// one. Pass the result to `restore_subscriber` to undo.
 pub fn set_subscriber(sub: Arc<dyn Subscriber>) -> Option<Arc<dyn Subscriber>> {
     let mut slot = global().write().unwrap();
     let prev = slot.replace(sub);
@@ -187,7 +187,7 @@ pub fn set_subscriber(sub: Arc<dyn Subscriber>) -> Option<Arc<dyn Subscriber>> {
 
 /// Restore a previous subscriber (or none) returned by
 /// [`set_subscriber`].
-pub fn restore_subscriber(prev: Option<Arc<dyn Subscriber>>) {
+pub(crate) fn restore_subscriber(prev: Option<Arc<dyn Subscriber>>) {
     let mut slot = global().write().unwrap();
     ACTIVE.store(prev.is_some(), Ordering::Relaxed);
     *slot = prev;
@@ -256,11 +256,6 @@ impl Span {
     /// A span that was filtered out (or fired with dispatch inactive).
     pub const fn disabled() -> Span {
         Span { live: None }
-    }
-
-    /// `true` if this span is actually being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.live.is_some()
     }
 
     /// The id of this span, when recorded.
@@ -407,7 +402,8 @@ impl CollectingSubscriber {
     }
 
     /// Number of records named `name`.
-    pub fn count(&self, name: &str) -> usize {
+    #[cfg(test)]
+    fn count(&self, name: &str) -> usize {
         self.records
             .lock()
             .unwrap()
@@ -457,16 +453,6 @@ impl Subscriber for CollectingSubscriber {
             fields: render_fields(fields),
         });
     }
-}
-
-/// Subscriber that accepts everything and records nothing — used to
-/// measure the enabled-dispatch overhead in isolation.
-pub struct NoopSubscriber;
-
-impl Subscriber for NoopSubscriber {
-    fn span_enter(&self, _: SpanId, _: Option<SpanId>, _: &Metadata, _: &[Field]) {}
-    fn span_exit(&self, _: SpanId, _: &Metadata, _: u64) {}
-    fn event(&self, _: Option<SpanId>, _: &Metadata, _: &[Field]) {}
 }
 
 /// Subscriber printing span closures and events to stderr, one line
@@ -529,7 +515,6 @@ mod tests {
     fn disabled_spans_are_inert() {
         let _l = TEST_LOCK.lock().unwrap();
         let s = span!(Level::Info, "t.disabled", x = 1usize);
-        assert!(!s.is_enabled());
         assert!(s.id().is_none());
         assert!(current_span_id().is_none());
     }
@@ -568,7 +553,7 @@ mod tests {
         let _guard = subscriber_scope(sub.clone());
         {
             let s = span!(Level::Debug, "t.filtered");
-            assert!(!s.is_enabled());
+            assert!(s.id().is_none());
         }
         event!(Level::Trace, "t.filtered_event");
         event!(Level::Warn, "t.kept_event");
