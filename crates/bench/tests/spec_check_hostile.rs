@@ -38,13 +38,30 @@ fn hostile_specs_exit_1_with_one_err_line_each() {
             (*name, body)
         })
         .collect();
-    // The retired second schema: a train × apply matrix is now an
-    // ordinary grid with an `alc-matrix` report.
-    files.push((
-        "transfer-kind",
-        r#"{"kind": "transfer", "name": "t", "train": ["subj"], "apply": ["mr"], "strategies": ["LHS(entropy)"]}"#
-            .to_string(),
-    ));
+    // Fields no spec struct declares: (file name, body, the field the
+    // ERR line must name). The retired second schema is one of them: a
+    // train × apply matrix is now an ordinary grid with an `alc-matrix`
+    // report, so its `kind` is refused before anything else.
+    let unknown_fields = [
+        (
+            "transfer-kind",
+            r#"{"kind": "transfer", "name": "t", "train": ["subj"], "apply": ["mr"], "strategies": ["LHS(entropy)"]}"#,
+            "kind",
+        ),
+        (
+            "misspelt-top",
+            r#"{"name": "m", "datasets": ["mr"], "groups": [{"strategies": ["entropy"]}], "reprot": "metrics"}"#,
+            "reprot",
+        ),
+        (
+            "misspelt-nested",
+            r#"{"name": "n", "datasets": ["mr"], "groups": [{"strategies": ["entropy"]}], "pool": {"batch_sise": 5}}"#,
+            "batch_sise",
+        ),
+    ];
+    for (name, body, _) in unknown_fields {
+        files.push((name, body.to_string()));
+    }
     // Cells whose model cannot score the base strategy: (file name,
     // dataset token, model, strategy token).
     let unscorable = [
@@ -89,6 +106,14 @@ fn hostile_specs_exit_1_with_one_err_line_each() {
         assert!(
             errs.iter().any(|l| l.contains(&file)),
             "no ERR line for {name}: {stdout}"
+        );
+    }
+    for (name, _, field) in unknown_fields {
+        let file = format!("{name}.json:");
+        let line = errs.iter().find(|l| l.contains(&file)).unwrap();
+        assert!(
+            line.contains(&format!("unknown field `{field}`")),
+            "{name}: the ERR line must name the unknown field: {line}"
         );
     }
     for (name, _, model, strategy) in unscorable {
