@@ -2,7 +2,7 @@
 //! heads, crash/resume byte-identity under arbitrary journal truncation,
 //! and the many-concurrent-sessions load shape the service exists for.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -76,6 +76,17 @@ fn json_indices(body: &str) -> Vec<usize> {
 
 /// Send raw request bytes, half-close, and return the response status.
 fn raw_status(addr: std::net::SocketAddr, request: &[u8]) -> u16 {
+    let response = raw_response(addr, request);
+    let status_line = response.lines().next().unwrap_or_default();
+    status_line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("bad status line {status_line:?}"))
+}
+
+/// Send raw request bytes, half-close, and return the whole response.
+fn raw_response(addr: std::net::SocketAddr, request: &[u8]) -> String {
     let mut stream = TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -84,15 +95,26 @@ fn raw_status(addr: std::net::SocketAddr, request: &[u8]) -> u16 {
     // a write or half-close that races that close is not a failure.
     let _ = stream.write_all(request);
     let _ = stream.shutdown(Shutdown::Write);
-    let mut status_line = String::new();
-    BufReader::new(stream)
-        .read_line(&mut status_line)
-        .expect("read status line");
-    status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line {status_line:?}"))
+    // A reset that races the close may cut the read short; what arrived
+    // before it is the response.
+    let mut response = Vec::new();
+    let _ = stream.read_to_end(&mut response);
+    String::from_utf8_lossy(&response).into_owned()
+}
+
+/// A chunked body is refused with a 400 that names the header, instead
+/// of being left unread and parsed as an empty body.
+#[test]
+fn transfer_encoding_is_a_400_naming_the_header() {
+    let dir = tmp_dir("chunked");
+    let (addr, handle) = spawn_server(&dir, 2);
+    let request = b"POST /sessions HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
+        2\r\n{}\r\n0\r\n\r\n";
+    let response = raw_response(addr, request);
+    assert!(response.starts_with("HTTP/1.1 400 "), "{response}");
+    assert!(response.contains("Transfer-Encoding"), "{response}");
+    shutdown(addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A header line that never ends is cut off at `MAX_LINE` and answered
