@@ -317,22 +317,41 @@ fn every_spec_command_matches_run_spec_on_its_file() {
     }
 }
 
-/// `noise` runs three corpora that share the generated name `MR`, so
-/// their journal keys collide; the noise rate joins the replay-guard
-/// hash, so a torn journal still resumes each corpus from its own cells.
+/// A journal torn mid-append resumes to the same stdout. `noise` runs
+/// three corpora that share the generated name `MR`, so their journal
+/// keys collide; the noise rate joins the replay-guard hash, so a torn
+/// journal still resumes each corpus from its own cells. `fig5` and
+/// `table6` journal through the command table like every spec-backed
+/// command.
 #[test]
 fn noise_resumes_byte_identically_from_a_torn_journal() {
-    let dir = scratch("noise-resume");
-    let journal = dir.join("noise.jsonl");
-    let journal = journal.to_str().unwrap();
-    let (first, _) = run(&dir, &["noise", "--journal", journal]);
-    let torn = std::fs::metadata(journal).unwrap().len() - 50;
-    let file = std::fs::OpenOptions::new().write(true).open(journal);
-    file.unwrap().set_len(torn).expect("tear the journal tail");
-    let (resumed, stderr) = run(&dir, &["resume", "noise", "--journal", journal]);
-    assert!(stderr.contains("# resume: 8 completed cell(s)"), "{stderr}");
-    assert_eq!(resumed, first, "resumed noise table drifted");
-    let _ = std::fs::remove_dir_all(&dir);
+    // (command, scale, cells the torn journal still holds)
+    let cases = [
+        ("noise", "0.02", Some(8)),
+        ("fig5", "0.05", None),
+        ("table6", "0.05", None),
+    ];
+    for (command, factor, kept) in cases {
+        let dir = scratch(&format!("{command}-resume"));
+        let journal = dir.join(format!("{command}.jsonl"));
+        let journal = journal.to_str().unwrap();
+        let (first, _) = run_at(&dir, &[command, "--journal", journal], factor);
+        let written = std::fs::read_to_string(journal).expect("journal written");
+        assert!(
+            written.contains(r#""kind":"cell""#),
+            "{command}: no cell record"
+        );
+        let torn = written.len() as u64 - 50;
+        let file = std::fs::OpenOptions::new().write(true).open(journal);
+        file.unwrap().set_len(torn).expect("tear the journal tail");
+        let (resumed, stderr) = run_at(&dir, &["resume", command, "--journal", journal], factor);
+        if let Some(n) = kept {
+            let line = format!("# resume: {n} completed cell(s)");
+            assert!(stderr.contains(&line), "{command}: {stderr}");
+        }
+        assert_eq!(resumed, first, "resumed {command} output drifted");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// The cross-dataset transfer matrix (`specs/transfer-matrix.json`, which

@@ -47,7 +47,7 @@ echo "    exits non-zero if its outputs differ from benchmark/workloads/digests.
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --seconds 1 > /dev/null
 
 echo "==> histal-experiments bench --check"
-echo "    (harness smoke + obs/metrics gates"
+echo "    (harness smoke + obs overhead gate"
 echo "     + grid-wide perf-regression guard vs BENCH_harness.json"
 echo "     + adaptive-sweep gate: >=30% cell-rounds saved, winners match"
 echo "     + 10k pool-scaling smoke: ANN must beat exact per combinator"
@@ -58,37 +58,12 @@ cargo run -q --release -p histal-bench --bin histal-experiments -- \
 echo "==> spec-check: every checked-in specs/*.json parses and validates"
 cargo run -q --release -p histal-bench --bin histal-experiments -- spec-check
 
-echo "==> journal smoke: fig5 --journal, kill-free resume replays byte-identically"
-# Run from a scratch cwd so the smoke never touches the tracked results/.
+# Run the smokes from a scratch cwd so they never touch the tracked results/.
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 REPO_DIR="$(pwd)"
 BIN="$(pwd)/target/release/histal-experiments"
 cargo build -q --release -p histal-bench --bin histal-experiments
-(
-    cd "$SMOKE_DIR"
-    "$BIN" fig5 --scale 0.05 --repeats 1 --journal fig5.jsonl \
-        > first.out 2> /dev/null
-    grep -q '"kind":"cell"' fig5.jsonl
-    # Tear the journal tail (simulated crash mid-append), then resume.
-    truncate -s -50 fig5.jsonl
-    "$BIN" resume fig5 --scale 0.05 --repeats 1 --journal fig5.jsonl \
-        > second.out 2> /dev/null
-    diff first.out second.out
-)
-
-echo "==> journal smoke: table6 (journals through the command table since"
-echo "    every spec-backed command takes --journal) resumes byte-identically"
-(
-    cd "$SMOKE_DIR"
-    "$BIN" table6 --scale 0.05 --repeats 1 --journal table6.jsonl \
-        > table6-first.out 2> /dev/null
-    grep -q '"kind":"cell"' table6.jsonl
-    truncate -s -50 table6.jsonl
-    "$BIN" resume table6 --scale 0.05 --repeats 1 --journal table6.jsonl \
-        > table6-second.out 2> /dev/null
-    diff table6-first.out table6-second.out
-)
 
 echo "==> adaptive smoke: run --spec specs/adaptive-sweep.json prunes, journals,"
 echo "    and resumes byte-identically (pruning decisions included)"
