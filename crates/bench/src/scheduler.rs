@@ -40,8 +40,6 @@
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
-
 use histal_core::analysis::average_curves;
 use histal_core::driver::{CurvePoint, PoolConfig, RunResult};
 use histal_core::error::Error;
@@ -108,7 +106,7 @@ pub(crate) struct GridCtx<'a> {
 }
 
 /// What pruning did to the grid, for reports and BENCH.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdaptiveSummary {
     /// Cell-rounds (recorded curve points) an exhaustive run would
     /// execute: `slots × (rounds + 1)`.

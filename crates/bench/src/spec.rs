@@ -1,18 +1,16 @@
-//! Serde-round-trippable experiment specifications.
+//! Experiment specifications, parsed from JSON.
 //!
 //! An [`ExperimentSpec`] is the declarative description of one
 //! experiment grid: which datasets, which strategy groups, which seeds,
 //! how to report. The JSON files under `specs/` at the repo root are
-//! serialized `ExperimentSpec`s; the figure/table commands of
-//! `histal-experiments` load embedded copies of those files and hand
+//! written by hand and only ever read: the figure/table commands of
+//! `histal-experiments` parse embedded copies of those files and hand
 //! them to the [`GridExecutor`](crate::executor::GridExecutor), and
 //! `run --spec FILE` does the same for arbitrary user-written grids.
-//!
-//! Round-tripping is part of the contract (property-tested):
-//! `spec → JSON → spec → JSON` is idempotent, so a spec file rewritten
-//! by tooling never drifts.
+//! Unknown fields are refused, so a misspelt field never silently falls
+//! back to its default.
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Value};
 
 use histal_core::error::Error;
 
@@ -38,7 +36,7 @@ pub(crate) fn check_repeats(what: &str, repeats: usize) -> Result<(), Error> {
 /// `model`) are resolved through the registries in
 /// [`crate::registry`]; [`Self::validate`] resolves all of them eagerly
 /// so a typo fails before any cell runs.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct ExperimentSpec {
     /// Spec name; also the `results/<name>.json` output stem.
@@ -128,8 +126,8 @@ pub struct ExperimentSpec {
     pub report: ReportKind,
 }
 
-/// One dataset reference, optionally display-renamed. Serialized as a
-/// bare string when there is no rename.
+/// One dataset reference, optionally display-renamed. Written as a bare
+/// string or as a `{"dataset", "rename"}` object.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DatasetEntry {
     /// Dataset token (see [`registry::parse_dataset`]).
@@ -150,8 +148,8 @@ impl DatasetEntry {
     }
 }
 
-/// One strategy cell within a group. Serialized as a bare string when
-/// only the token is set.
+/// One strategy cell within a group. Written as a bare string or as a
+/// `{"strategy", "rename", "experiment"}` object.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StrategyEntry {
     /// Strategy token (see [`registry::parse_strategy`]).
@@ -178,7 +176,7 @@ impl StrategyEntry {
 
 /// A named group of strategies; each (dataset × group) is one printed
 /// block / JSON group.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct GroupSpec {
     /// Group label for `{label}` template substitution.
@@ -189,7 +187,7 @@ pub struct GroupSpec {
 }
 
 /// Scale overrides; unset fields inherit the command-line scale.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct ScaleSpec {
     /// Pool/budget multiplier.
@@ -203,7 +201,7 @@ pub struct ScaleSpec {
 /// Pool-configuration overrides on top of the per-kind defaults
 /// (batch 25/100 for binary/multiclass text, 100 for NER; rounds scaled
 /// from the paper's 19).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct PoolSpec {
     /// Samples selected per round.
@@ -221,15 +219,15 @@ pub struct PoolSpec {
     pub record_history: bool,
     /// Changes no run: every `+density` / `+mmr` / `+kcenter` cell gets
     /// its task's shared pool geometry from the strategy alone. Still
-    /// parsed and written so spec files that set it keep round-tripping;
-    /// the out-of-workspace `benchmark/` package reads it.
+    /// parsed so spec files that set it keep loading; the
+    /// out-of-workspace `benchmark/` package reads it.
     #[serde(default)]
     pub representations: bool,
 }
 
 /// Approximate-neighbor overrides; unset fields inherit the
 /// [`histal_text::AnnConfig`] defaults (8 tables, auto bits, 2 probes).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct AnnSpec {
     /// Independent LSH hash tables (1..=64).
@@ -278,7 +276,7 @@ impl AnnSpec {
 /// Annotation-cost/budget model. Unset fields take the defaults noted
 /// per field; `max_cost` itself is required (validated) — a budget with
 /// no ceiling caps nothing.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct BudgetSpec {
     /// Cost of one annotated sample (default 1.0, i.e. the budget is a
@@ -312,7 +310,7 @@ impl BudgetSpec {
 }
 
 /// Successive-halving pruning policy for the adaptive grid scheduler.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct PruneSpec {
     /// Rounds between pruning decisions (default 2): interim curves are
@@ -340,7 +338,7 @@ impl PruneSpec {
 }
 
 /// Paired-significance rendering settings for metric reports.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct SignificanceSpec {
     /// Display name of the baseline strategy every other cell is
@@ -394,20 +392,6 @@ impl ReportKind {
         ("checkpoints", ReportKind::Checkpoints),
         ("alc-matrix", ReportKind::AlcMatrix),
     ];
-
-    fn as_str(self) -> &'static str {
-        Self::NAMES
-            .iter()
-            .find(|(_, k)| *k == self)
-            .map(|(n, _)| *n)
-            .expect("every ReportKind has a name")
-    }
-}
-
-impl Serialize for ReportKind {
-    fn to_value(&self) -> Value {
-        Value::Str(self.as_str().to_string())
-    }
 }
 
 impl Deserialize for ReportKind {
@@ -426,26 +410,6 @@ impl Deserialize for ReportKind {
                     names.join(", ")
                 ))
             })
-    }
-}
-
-// String-or-map entries keep the spec files compact: `"entropy"` and
-// `{"strategy": "entropy"}` are the same entry, and serialization picks
-// the bare string whenever no override is set so round-trips are
-// idempotent.
-impl Serialize for StrategyEntry {
-    fn to_value(&self) -> Value {
-        if self.rename.is_none() && self.experiment.is_none() {
-            return Value::Str(self.strategy.clone());
-        }
-        let mut map = vec![("strategy".to_string(), Value::Str(self.strategy.clone()))];
-        if let Some(r) = &self.rename {
-            map.push(("rename".to_string(), Value::Str(r.clone())));
-        }
-        if let Some(e) = &self.experiment {
-            map.push(("experiment".to_string(), Value::Str(e.clone())));
-        }
-        Value::Map(map)
     }
 }
 
@@ -485,18 +449,6 @@ impl Deserialize for StrategyEntry {
             _ => Err(DeError::custom(
                 "strategy entry must be a string or an object",
             )),
-        }
-    }
-}
-
-impl Serialize for DatasetEntry {
-    fn to_value(&self) -> Value {
-        match &self.rename {
-            None => Value::Str(self.dataset.clone()),
-            Some(r) => Value::Map(vec![
-                ("dataset".to_string(), Value::Str(self.dataset.clone())),
-                ("rename".to_string(), Value::Str(r.clone())),
-            ]),
         }
     }
 }
@@ -740,10 +692,6 @@ pub(crate) fn render_template(template: &str, dataset: &str, label: &str) -> Str
 mod tests {
     use super::*;
 
-    fn pretty(spec: &ExperimentSpec) -> String {
-        serde_json::to_string_pretty(spec).unwrap()
-    }
-
     fn sample() -> ExperimentSpec {
         ExperimentSpec {
             name: "demo".into(),
@@ -778,23 +726,6 @@ mod tests {
             prune: None,
             significance: None,
         }
-    }
-
-    #[test]
-    fn round_trip_is_idempotent() {
-        let spec = sample();
-        let json = pretty(&spec);
-        let back = ExperimentSpec::from_json(&json).unwrap();
-        assert_eq!(back, spec);
-        assert_eq!(pretty(&back), json);
-    }
-
-    #[test]
-    fn bare_string_entries_stay_bare() {
-        let json = pretty(&sample());
-        // The un-renamed entry serializes as a bare string.
-        assert!(json.contains("\"entropy\""));
-        assert!(json.contains("\"rename\": \"WSHS l=6\""));
     }
 
     #[test]
@@ -913,12 +844,28 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_fields_round_trip() {
-        let spec = adaptive_sample();
-        let json = pretty(&spec);
-        let back = ExperimentSpec::from_json(&json).unwrap();
-        assert_eq!(back, spec);
-        assert_eq!(pretty(&back), json);
+    fn adaptive_sample_parses_from_literal_json() {
+        let json = r#"{
+            "name": "demo",
+            "experiment": "demo-x",
+            "split_seed": 7,
+            "datasets": ["mr"],
+            "groups": [{"label": "entropy", "strategies": [
+                "entropy",
+                {"strategy": "WSHS{l=6}(entropy)", "rename": "WSHS l=6"}
+            ]}],
+            "title": "Demo — {dataset} / {label}",
+            "json_key": "{dataset}",
+            "scale": {"repeats": 2},
+            "budget": {"cost_per_label": 2.0, "max_cost": 500.0},
+            "prune": {"checkpoint": 2, "margin": 0.01},
+            "significance": {"baseline": "entropy", "method": "permutation",
+                             "iters": 1000, "alpha": 0.05, "seed": 7},
+            "metrics": ["final", "alc"],
+            "report": "metrics"
+        }"#;
+        let spec = ExperimentSpec::from_json(json).unwrap();
+        assert_eq!(spec, adaptive_sample());
         assert!(spec.validate().is_ok());
     }
 
@@ -1022,15 +969,5 @@ mod tests {
         // Other reports show the skipped cell as absent (fig3's TREC).
         spec.report = ReportKind::Curves;
         spec.validate().expect("curves tolerate skipped cells");
-    }
-
-    #[test]
-    fn report_kind_round_trips() {
-        for (name, kind) in ReportKind::NAMES {
-            let v = kind.to_value();
-            assert_eq!(v.as_str(), Some(*name));
-            assert_eq!(ReportKind::from_value(&v).unwrap(), *kind);
-        }
-        assert!(ReportKind::from_value(&Value::Str("plots".into())).is_err());
     }
 }

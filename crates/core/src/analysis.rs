@@ -4,8 +4,6 @@
 //! paper reports: Table 5 (samples needed to reach a target metric) and
 //! Table 6 (mean WSHS / fluctuation scores of selected samples).
 
-use serde::{Deserialize, Serialize};
-
 use crate::driver::RunResult;
 
 /// Number of annotated samples needed for the curve to first reach
@@ -28,7 +26,7 @@ pub fn format_cost(cost: Option<usize>, budget: usize) -> String {
 }
 
 /// Mean-of-rounds selection statistics (Table 6).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SelectionStats {
     /// Mean WSHS (window 3) score of selected samples across rounds.
     pub mean_wshs: f64,

@@ -21,7 +21,7 @@ use crate::session::{NeedsPool, SessionBuilder};
 use crate::stopping::{StopReason, StoppingRule};
 
 /// Static configuration of an active-learning run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PoolConfig {
     /// Samples annotated per round.
     pub batch_size: usize,
@@ -39,7 +39,6 @@ pub struct PoolConfig {
     /// byte-identical results to every pre-ANN release; `Some` builds one
     /// seeded [`LshIndex`](histal_text::LshIndex) per run and routes
     /// density/MMR/k-center neighbor queries through it.
-    #[serde(default)]
     pub ann: Option<AnnConfig>,
 }
 

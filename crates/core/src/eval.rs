@@ -6,12 +6,10 @@
 //! expensive ones (EGL, MC-dropout BALD, committee KL, MNLP) are computed
 //! only when the strategy's [`EvalCaps`] requests them.
 
-use serde::{Deserialize, Serialize};
-
 /// Which optional (expensive) evaluation quantities the model must
 /// compute. Derived from the strategy via
 /// `crate::strategy::BaseStrategy::caps`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalCaps {
     /// Expected gradient length over the whole parameter vector (Eq. 5).
     pub egl: bool,
@@ -29,17 +27,15 @@ pub struct EvalCaps {
     /// Per-token marginal entropy (backward pass for sequence models).
     /// Classification models compute entropy for free and ignore this;
     /// the CRF skips the backward lattice when it is unset.
-    #[serde(default)]
     pub entropy: bool,
     /// Full posterior vector in [`SampleEval::probs`]. Set by consumers
     /// that read posteriors directly (HKLD committee, LHS posterior
     /// features) rather than through a base-strategy score.
-    #[serde(default)]
     pub probs: bool,
 }
 
 /// Model outputs for one unlabeled sample in one iteration.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SampleEval {
     /// Predicted class distribution. Classification models fill this;
     /// sequence models may leave it empty (their entropy/LC fields are

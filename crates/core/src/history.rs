@@ -14,23 +14,19 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use histal_tseries::RollingStats;
 
 /// Per-sample historical evaluation sequences, indexed by pool position.
 /// With a retention cap only the last `max_len` scores are kept (the
 /// O(l·N) mode of Table 2).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HistoryStore {
     seqs: Vec<VecDeque<f64>>,
     /// Maximum retained sequence length; `None` keeps everything.
     max_len: Option<usize>,
     /// Effective rolling-statistics window; `None` disables the trackers.
-    #[serde(default)]
     rolling_window: Option<usize>,
     /// Per-sample rolling trackers (empty unless rolling is enabled).
-    #[serde(default)]
     rolling: Vec<RollingStats>,
 }
 
@@ -250,21 +246,6 @@ mod tests {
         assert_eq!(seq.to_vec(), vec![4.0, 5.0, 6.0]);
         let rev: Vec<f64> = seq.iter().rev().collect();
         assert_eq!(rev, vec![6.0, 5.0, 4.0]);
-    }
-
-    #[test]
-    fn serializes_as_plain_sequences() {
-        let mut h = HistoryStore::with_max_len(1, 2);
-        for i in 0..4 {
-            h.append(0, i as f64);
-        }
-        let json = serde_json::to_string(&h).expect("serializes");
-        assert!(
-            json.contains("[[2.0,3.0]]") || json.contains("[[2,3]]"),
-            "VecDeque must serialize as a plain sequence: {json}"
-        );
-        let back: HistoryStore = serde_json::from_str(&json).expect("round-trips");
-        assert_eq!(back.seq(0), [2.0, 3.0]);
     }
 
     #[test]

@@ -140,7 +140,7 @@ impl LhsFeatureConfig {
 /// to every candidate row. All reductions are serial left-to-right folds
 /// over [`Pool::unlabeled`](crate::pool::Pool::unlabeled) order, so the
 /// values are independent of the worker count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct PoolMetaFeatures {
     /// `|L| / (|L| + |U|)` — how far annotation has progressed.
     pub label_ratio: f64,

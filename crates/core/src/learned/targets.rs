@@ -26,7 +26,6 @@ use rand::prelude::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use histal_ltr::{
     LambdaMart, LambdaMartConfig, LinearRanker, LinearRankerConfig, PointwiseConfig,
@@ -48,7 +47,7 @@ use super::features::{candidate_set, LhsFeatureConfig, PoolMetaFeatures};
 use super::selector::LearnedSelector;
 
 /// Which next-score predictor to train (§4.4.2 feature 4).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum PredictorKind {
     /// The paper's choice: a small scalar LSTM.
     Lstm(LstmConfig),
@@ -66,7 +65,7 @@ impl Default for PredictorKind {
 }
 
 /// Which learning-to-rank model to train.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum RankerKind {
     /// The paper's choice (LambdaMART, Wu et al. 2010).
     LambdaMart(LambdaMartConfig),
@@ -81,7 +80,7 @@ impl Default for RankerKind {
 }
 
 /// What the training simulation emits and fits (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TargetKind {
     /// Graded ranking query groups, pairwise ranker (LHS, Algorithm 1).
     #[default]
@@ -94,7 +93,7 @@ pub enum TargetKind {
 /// Configuration for the Algorithm 1 trainer. The default is the
 /// classic LHS configuration (pairwise targets, no meta block); LAL sets
 /// `target: TargetKind::Pointwise` and `use_meta: true`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LearnedTrainerConfig {
     /// The base strategy whose scores populate the historical sequences.
     pub base: BaseStrategy,

@@ -88,7 +88,7 @@ pub enum SessionStep {
 }
 
 /// What one [`Session::submit`] call did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct SubmitOutcome {
     /// Labels newly recorded by this call.
     pub accepted: usize,
@@ -124,7 +124,7 @@ pub struct SessionStatus {
 
 /// One fulfilled ticket: the labels that answered it, in request-index
 /// order. The unit of [`SessionSnapshot`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TicketLabels<L> {
     /// The fulfilled ticket.
     pub ticket: Ticket,
@@ -138,7 +138,7 @@ pub struct TicketLabels<L> {
 /// [`SessionBuilder::restore`](crate::session::SessionBuilder::restore),
 /// which replays the log and leaves the session exactly where it was —
 /// including a partially-fulfilled pending ticket.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SessionSnapshot<L> {
     /// Snapshot schema version (currently 1).
     pub version: u32,

@@ -3,8 +3,6 @@
 //! The paper evaluates text classification by accuracy and NER by average
 //! F1 over entity spans (following the original model papers).
 
-use serde::{Deserialize, Serialize};
-
 /// Fraction of positions where `pred == gold`.
 ///
 /// # Panics
@@ -19,7 +17,7 @@ pub fn accuracy(pred: &[usize], gold: &[usize]) -> f64 {
 }
 
 /// Precision / recall / F1 triple.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PrF1 {
     pub precision: f64,
     pub recall: f64,

@@ -34,7 +34,7 @@
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use histal_obs::metrics::MetricsRegistry;
 use histal_obs::Journal;
@@ -107,7 +107,7 @@ impl SessionObs {
 /// One journal line per completed selection round: the minimal record
 /// needed to audit *what* was picked *when* and at what cost, keyed so a
 /// resume can verify it belongs to the same configured run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub(crate) struct RoundJournalRecord {
     /// Record discriminator, always `"round"`.
     pub kind: String,

@@ -8,12 +8,11 @@
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::driver::RunResult;
 
 /// Result of a two-sided paired significance test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TestResult {
     /// The test statistic (W for Wilcoxon, mean difference for bootstrap).
     pub statistic: f64,
@@ -128,7 +127,7 @@ pub fn paired_bootstrap(a: &[f64], b: &[f64], iters: usize, seed: u64) -> TestRe
 
 /// Outcome of a paired comparison at a significance level: did the
 /// first input win, lose, or tie against the second?
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// Significant and in favour of the first input.
     Win,
@@ -151,7 +150,7 @@ impl std::fmt::Display for Verdict {
 /// A paired comparison with an interval estimate: mean difference
 /// (`a − b`), a two-sided confidence interval for it, the p-value of the
 /// chosen resampling test, and the raw per-pair win/loss/tie census.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairedComparison {
     /// Mean of the paired differences (`a − b`).
     pub mean_diff: f64,

@@ -5,12 +5,10 @@
 //! compose (first to fire wins) and are consulted by
 //! [`crate::driver::ActiveLearner::run_until`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::driver::CurvePoint;
 
 /// Why a run stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
     /// The configured number of rounds completed.
     RoundsExhausted,
@@ -28,7 +26,7 @@ pub enum StopReason {
 }
 
 /// Composable stopping rule evaluated after each round's metric.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct StoppingRule {
     /// Stop once this many samples are labeled.
     pub max_labeled: Option<usize>,

@@ -33,7 +33,6 @@
 
 use rand::seq::SliceRandom;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use histal_obs::span;
 use histal_obs::trace::Level;
@@ -43,7 +42,7 @@ use histal_text::{AnnScratch, NeighborIndex, PoolGeometry};
 use crate::driver::top_k;
 
 /// Configuration for density (representativeness) weighting.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DensityConfig {
     /// Pool subsample size for the mean-similarity estimate; 0 means use
     /// the full pool (exact but quadratic).
@@ -64,7 +63,7 @@ impl Default for DensityConfig {
 }
 
 /// Configuration for MMR batch diversity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MmrConfig {
     /// Trade-off λ in `λ·φ(x) − (1−λ)·max sim` — 1.0 disables diversity.
     pub lambda: f64,

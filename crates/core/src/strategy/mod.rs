@@ -15,8 +15,6 @@
 
 pub mod combinators;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::Error;
 use crate::eval::{EvalCaps, SampleEval};
 use histal_tseries::{exp_weighted_sum, uniform_sum, window_variance, RollingStats};
@@ -24,7 +22,7 @@ use histal_tseries::{exp_weighted_sum, uniform_sum, window_variance, RollingStat
 pub use combinators::{DensityConfig, MmrConfig};
 
 /// The base informative score function `φ_S(·)` of §3.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BaseStrategy {
     /// I.i.d. baseline: a uniform random score per sample per round.
     Random,
@@ -117,7 +115,7 @@ impl BaseStrategy {
 /// let wshs = HistoryPolicy::Wshs { l: 3 }.final_score(&history);
 /// assert!((wshs - 0.75).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum HistoryPolicy {
     /// Classic behaviour: use only the current score (Eq. 2).
     CurrentOnly,
@@ -201,7 +199,7 @@ impl HistoryPolicy {
 }
 
 /// A fully configured query strategy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Strategy {
     /// The informative base score.
     pub base: BaseStrategy,

@@ -4,10 +4,8 @@
 //! Hovy 2016). Labels are dense `u16` ids: id 0 is `O`, then four ids per
 //! entity type in B, I, E, S order.
 
-use serde::{Deserialize, Serialize};
-
 /// Position of a token within an entity span.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Position {
     /// Beginning of a multi-token entity.
     B,
@@ -27,7 +25,7 @@ pub enum Position {
 /// let tags = scheme.bio_to_bioes(&["O", "B-PER", "I-PER"]);
 /// assert_eq!(scheme.decode_spans(&tags), vec![(1, 2, 0)]);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TagScheme {
     entity_types: Vec<String>,
 }

@@ -12,21 +12,20 @@
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use histal_core::tags::TagScheme;
 
 use crate::zipf::Zipf;
 
 /// One annotated sentence: tokens and their BIOES tag ids.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NerSentence {
     pub tokens: Vec<String>,
     pub tags: Vec<u16>,
 }
 
 /// Generation parameters for one synthetic NER dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NerSpec {
     /// Dataset display name.
     pub name: String,
@@ -162,7 +161,7 @@ impl NerSpec {
 }
 
 /// Statistics in the shape of Table 4.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NerSplitStats {
     pub split: String,
     pub n_sentences: usize,
@@ -171,7 +170,7 @@ pub struct NerSplitStats {
 }
 
 /// A generated NER dataset with train/dev/test splits.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NerDataset {
     /// Display name.
     pub name: String,

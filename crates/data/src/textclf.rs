@@ -16,12 +16,11 @@
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::zipf::Zipf;
 
 /// Generation parameters for one synthetic text-classification dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TextSpec {
     /// Dataset display name.
     pub name: String,
@@ -186,7 +185,7 @@ impl TextSpec {
 }
 
 /// Statistics in the shape of Table 3.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TextStats {
     pub name: String,
     pub n_classes: usize,
@@ -200,7 +199,7 @@ pub struct TextStats {
 }
 
 /// A generated text-classification dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TextDataset {
     /// Display name.
     pub name: String,

@@ -1,10 +1,8 @@
 //! Query-grouped ranking datasets.
 
-use serde::{Deserialize, Serialize};
-
 /// One query group: a set of documents (feature rows) with graded
 /// relevance labels, to be ranked against each other.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct QueryGroup {
     /// One feature vector per document; all rows must share a width.
     pub features: Vec<Vec<f64>>,
@@ -57,7 +55,7 @@ impl QueryGroup {
 }
 
 /// A collection of query groups plus the shared feature width.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RankingDataset {
     pub groups: Vec<QueryGroup>,
 }

@@ -16,7 +16,7 @@ use crate::tree::{RegressionTree, TreeConfig};
 use crate::Ranker;
 
 /// Hyper-parameters for [`LambdaMart::fit`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LambdaMartConfig {
     /// Boosting rounds (trees).
     pub n_trees: usize,

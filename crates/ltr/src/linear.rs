@@ -9,7 +9,7 @@ use crate::dataset::RankingDataset;
 use crate::Ranker;
 
 /// Hyper-parameters for [`LinearRanker::fit`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinearRankerConfig {
     /// SGD epochs over all pairs.
     pub epochs: usize,

@@ -23,7 +23,7 @@ use crate::tree::{RegressionTree, TreeConfig};
 use crate::Ranker;
 
 /// Hyper-parameters for the boosted-tree pointwise fit.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PointwiseConfig {
     /// Boosting rounds (trees).
     pub n_trees: usize,

@@ -12,7 +12,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters for tree induction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TreeConfig {
     /// Maximum depth; a depth of 0 yields a single leaf.
     pub max_depth: usize,

@@ -24,7 +24,6 @@ use std::cell::RefCell;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use histal_core::eval::{EvalCaps, SampleEval};
 use histal_core::metrics::span_f1;
@@ -38,7 +37,7 @@ use crate::kernels;
 use crate::math::logsumexp;
 
 /// A featurized sentence: one sparse emission-feature vector per token.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Sentence {
     /// Per-token emission features.
     pub token_feats: Vec<SparseVec>,
@@ -95,7 +94,7 @@ impl Sentence {
 }
 
 /// Hyper-parameters for [`CrfTagger`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CrfConfig {
     /// Hashed emission feature width.
     pub n_features: u32,
@@ -129,7 +128,6 @@ pub struct CrfConfig {
     /// `|logZ_pruned − logZ| ≤ −(T−1)·ln(1 − L·e^{−δ})` for
     /// `L·e^{−δ} < 1` (L = label count, T = sentence length). Training,
     /// decoding and the span-F1 metric never use the beam.
-    #[serde(default)]
     pub score_beam: Option<f64>,
 }
 
@@ -211,7 +209,7 @@ fn with_lattice<R>(f: impl FnOnce(&mut LatticeScratch) -> R) -> R {
 }
 
 /// The CRF model (paper Task 2 substrate).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CrfTagger {
     config: CrfConfig,
     n_labels: usize,

@@ -1,7 +1,5 @@
 //! Featurized documents for the text classifier.
 
-use serde::{Deserialize, Serialize};
-
 use histal_text::{ngrams, FeatureHasher, SparseVec};
 
 /// A featurized document: an L2-normalized bag-of-n-grams vector plus the
@@ -13,7 +11,7 @@ use histal_text::{ngrams, FeatureHasher, SparseVec};
 /// `|feature value| · ‖p − e_y‖`, so all EGL-word needs per word is the
 /// magnitude of its contribution to the document vector —
 /// [`Document::max_word_weight`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Document {
     /// L2-normalized hashed bag-of-n-grams representation.
     pub features: SparseVec,

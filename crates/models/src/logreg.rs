@@ -24,7 +24,6 @@ use rand::prelude::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use histal_core::eval::{EvalCaps, SampleEval};
 use histal_core::metrics::accuracy;
@@ -37,7 +36,7 @@ use crate::document::Document;
 use crate::math::{kl_divergence, softmax_inplace};
 
 /// Hyper-parameters for [`TextClassifier`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TextClassifierConfig {
     /// Number of classes.
     pub n_classes: usize,
@@ -102,7 +101,7 @@ thread_local! {
 }
 
 /// One linear softmax scorer (weights + biases).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Linear {
     n_classes: usize,
     n_features: u32,
@@ -324,7 +323,7 @@ impl Linear {
 }
 
 /// The text classification model (paper Task 1 substrate).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TextClassifier {
     config: TextClassifierConfig,
     main: Linear,

@@ -13,7 +13,6 @@
 //! retain the occurrence mass).
 
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use histal_core::eval::{EvalCaps, SampleEval};
 use histal_core::metrics::accuracy;
@@ -22,7 +21,7 @@ use histal_core::model::Model;
 use crate::document::Document;
 
 /// Hyper-parameters for [`NaiveBayes`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NaiveBayesConfig {
     /// Number of classes.
     pub n_classes: usize,
@@ -43,7 +42,7 @@ impl Default for NaiveBayesConfig {
 }
 
 /// Multinomial Naive Bayes over hashed bag-of-n-grams documents.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NaiveBayes {
     config: NaiveBayesConfig,
     /// Per-class feature mass, row-major `n_classes × n_features`.

@@ -19,8 +19,6 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use serde::Serialize;
-
 /// Sub-bucket granularity constant: values below it are binned exactly,
 /// and each octave above it splits into `SUBBUCKETS/2` linear slices.
 pub(crate) const SUBBUCKETS: usize = 8;
@@ -43,29 +41,6 @@ pub struct LogHistogram {
 impl Default for LogHistogram {
     fn default() -> Self {
         LogHistogram::new()
-    }
-}
-
-impl Serialize for LogHistogram {
-    /// Serialized as summary stats plus non-empty `[bucket_floor, count]`
-    /// pairs — the vendored serde has no map-with-integer-keys impl, and
-    /// the floor is more useful in reports than the raw bucket index.
-    fn to_value(&self) -> serde::Value {
-        use serde::Value;
-        let buckets: Vec<Value> = self
-            .buckets
-            .iter()
-            .map(|(&b, &n)| Value::Seq(vec![Value::U64(bucket_floor(b)), Value::U64(n)]))
-            .collect();
-        Value::Map(vec![
-            ("count".to_string(), Value::U64(self.count)),
-            ("sum".to_string(), Value::U64(self.sum)),
-            ("max".to_string(), Value::U64(self.max)),
-            ("mean".to_string(), Value::F64(self.mean())),
-            ("p50".to_string(), Value::U64(self.quantile(0.5))),
-            ("p99".to_string(), Value::U64(self.quantile(0.99))),
-            ("buckets".to_string(), Value::Seq(buckets)),
-        ])
     }
 }
 
@@ -163,7 +138,7 @@ impl LogHistogram {
 }
 
 /// One metric's current value.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum MetricValue {
     /// Monotone event count.
     Counter(u64),

@@ -32,12 +32,12 @@
 //! Build and query are sequential and seeded: the index — and therefore
 //! every selection that consults it — is identical across thread counts.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::geometry::PoolGeometry;
 
 /// Tuning knobs for [`LshIndex`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct AnnConfig {
     /// Number of independent hash tables (more tables → higher recall,
     /// linearly more build time and memory).

@@ -6,14 +6,12 @@
 //! are kept sorted and unique, which makes dot products and cosine
 //! similarity single-pass merges.
 
-use serde::{Deserialize, Serialize};
-
 /// A sparse feature vector with sorted, unique `u32` indices.
 ///
 /// Values are `f32`: feature values are counts or TF weights, and the models
 /// accumulate in `f64`, so the storage precision is ample while halving the
 /// memory traffic of pool-wide scoring.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SparseVec {
     indices: Vec<u32>,
     values: Vec<f32>,

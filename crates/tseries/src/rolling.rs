@@ -30,7 +30,7 @@
 /// with [`RollingStats::push`], handing over the value that falls out of
 /// the window (the caller owns the window storage, typically a
 /// `VecDeque`, and knows the evictee).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RollingStats {
     /// Window length `l` (values contributing to the statistics).
     window: usize,

@@ -6,10 +6,8 @@
 //! e.g. for an entropy sequence an increasing trend means the model grows
 //! *less* certain about the sample as training progresses.
 
-use serde::{Deserialize, Serialize};
-
 /// Qualitative trend classification at a given significance threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Trend {
     /// Significantly increasing (`z > z_crit`).
     Increasing,
@@ -20,7 +18,7 @@ pub enum Trend {
 }
 
 /// Result of the Mann–Kendall test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MannKendall {
     /// The raw S statistic: #concordant − #discordant pairs.
     pub s: i64,
