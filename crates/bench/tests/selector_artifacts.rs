@@ -109,3 +109,40 @@ fn training_dataset_aliases_train_the_same_selector_and_multiclass_is_refused() 
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// An artifact whose provenance carries a key this build does not know
+/// is refused on load with one error naming the key, instead of being
+/// applied with the key silently dropped.
+#[test]
+fn an_unknown_provenance_key_is_refused() {
+    let dir = scratch("strict");
+    ok(
+        &dir,
+        &[
+            "selector-train",
+            "LAL(entropy)",
+            "mr",
+            "lal.hlrn",
+            "--scale",
+            "0.02",
+        ],
+    );
+    let body = std::fs::read_to_string(dir.join("lal.hlrn")).unwrap();
+    assert!(body.contains("\"provenance\":{"), "{body}");
+    let tampered = body.replacen(
+        "\"provenance\":{",
+        "\"provenance\":{\"trained_by\":\"x\",",
+        1,
+    );
+    std::fs::write(dir.join("tampered.hlrn"), tampered).unwrap();
+    let out = run(
+        &dir,
+        &["selector-apply", "tampered.hlrn", "mr", "--scale", "0.02"],
+    );
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let errors: Vec<&str> = stderr.lines().filter(|l| l.contains("error")).collect();
+    assert_eq!(errors.len(), 1, "{stderr}");
+    assert!(errors[0].contains("unknown field `trained_by`"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -83,8 +83,10 @@ pub(crate) const ARTIFACT_VERSION: u32 = 1;
 
 /// Where an artifact came from: enough to reconstruct the deployment
 /// configuration (base strategy for seeding/naming) and to audit the
-/// transfer matrix ("trained on A, applied to B").
+/// transfer matrix ("trained on A, applied to B"). A key naming no field
+/// is refused on load, as in the envelope.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ArtifactProvenance {
     /// Dataset the selector was trained on (e.g. `"mr"`).
     pub trained_on: String,
@@ -97,8 +99,10 @@ pub struct ArtifactProvenance {
 }
 
 /// The on-disk envelope: magic + version checked on load, then the
-/// provenance and the selector itself.
+/// provenance and the selector itself. A key naming no field is refused
+/// on load: this build would ignore whatever it carried.
 #[derive(Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 struct Hlrn1Envelope {
     magic: String,
     version: u32,

@@ -35,8 +35,10 @@ pub(crate) const ORACLE_EXTERNAL: &str = "external";
 pub(crate) const ORACLE_SIMULATED: &str = "simulated";
 
 /// The create-session request body. Every field has a serving default,
-/// but `dataset` and `strategy` must be non-empty.
+/// but `dataset` and `strategy` must be non-empty. A key naming no field
+/// is refused, so a misspelt field never silently takes its default.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SessionConfig {
     /// Tenant name the session's metrics are accounted under.
     #[serde(default)]

@@ -262,6 +262,22 @@ fn degenerate_strategies_are_a_400() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A create body with a misspelt field is a 400 naming that field, and
+/// journals nothing, instead of a session that silently runs the default.
+#[test]
+fn misspelt_create_field_is_a_400_naming_it() {
+    let dir = tmp_dir("misspelt");
+    let (addr, handle) = spawn_server(&dir, 2);
+    let body = r#"{"dataset": "mr", "strategyy": "entropy", "scale": 0.05}"#;
+    let (status, reply) = http_request(addr, "POST", "/sessions", Some(body)).unwrap();
+    assert_eq!(status, 400, "{reply}");
+    assert!(reply.contains("unknown field `strategyy`"), "{reply}");
+    let journals = std::fs::read_dir(&dir).map_or(0, |d| d.count());
+    assert_eq!(journals, 0, "a refused session left a journal");
+    shutdown(addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A cell no model can score is refused where the request enters: MNLP
 /// on the logistic model is a 400 that journals nothing, while QBC, whose
 /// committee the session constructor trains, runs to done.
