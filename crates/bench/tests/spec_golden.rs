@@ -322,34 +322,51 @@ fn every_spec_command_matches_run_spec_on_its_file() {
 /// keys collide; the noise rate joins the replay-guard hash, so a torn
 /// journal still resumes each corpus from its own cells. `fig5` and
 /// `table6` journal through the command table like every spec-backed
-/// command.
+/// command. `run --spec specs/adaptive-sweep.json` prunes cells, and its
+/// pruning decisions resume with the rest (the spec pins its own scale
+/// and repeats).
 #[test]
 fn noise_resumes_byte_identically_from_a_torn_journal() {
-    // (command, scale, cells the torn journal still holds)
+    let adaptive = specs().join("adaptive-sweep.json");
+    let adaptive = adaptive.to_str().unwrap();
+    // (tag, command, scale, cells the torn journal still holds, a line
+    // the first run's stderr must contain)
     let cases = [
-        ("noise", "0.02", Some(8)),
-        ("fig5", "0.05", None),
-        ("table6", "0.05", None),
+        ("noise", &["noise"][..], "0.02", Some(8), None),
+        ("fig5", &["fig5"][..], "0.05", None, None),
+        ("table6", &["table6"][..], "0.05", None, None),
+        (
+            "adaptive",
+            &["run", "--spec", adaptive][..],
+            "0.05",
+            None,
+            Some("# adaptive: pruned"),
+        ),
     ];
-    for (command, factor, kept) in cases {
-        let dir = scratch(&format!("{command}-resume"));
-        let journal = dir.join(format!("{command}.jsonl"));
+    for (tag, command, factor, kept, marker) in cases {
+        let dir = scratch(&format!("{tag}-resume"));
+        let journal = dir.join(format!("{tag}.jsonl"));
         let journal = journal.to_str().unwrap();
-        let (first, _) = run_at(&dir, &[command, "--journal", journal], factor);
+        let flags = ["--journal", journal];
+        let (first, stderr) = run_at(&dir, &[command, &flags].concat(), factor);
+        if let Some(marker) = marker {
+            assert!(stderr.contains(marker), "{tag}: {stderr}");
+        }
         let written = std::fs::read_to_string(journal).expect("journal written");
         assert!(
             written.contains(r#""kind":"cell""#),
-            "{command}: no cell record"
+            "{tag}: no cell record"
         );
         let torn = written.len() as u64 - 50;
         let file = std::fs::OpenOptions::new().write(true).open(journal);
         file.unwrap().set_len(torn).expect("tear the journal tail");
-        let (resumed, stderr) = run_at(&dir, &["resume", command, "--journal", journal], factor);
+        let resume = [&["resume"], command, &flags].concat();
+        let (resumed, stderr) = run_at(&dir, &resume, factor);
         if let Some(n) = kept {
             let line = format!("# resume: {n} completed cell(s)");
-            assert!(stderr.contains(&line), "{command}: {stderr}");
+            assert!(stderr.contains(&line), "{tag}: {stderr}");
         }
-        assert_eq!(resumed, first, "resumed {command} output drifted");
+        assert_eq!(resumed, first, "resumed {tag} output drifted");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

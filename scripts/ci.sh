@@ -58,27 +58,9 @@ cargo run -q --release -p histal-bench --bin histal-experiments -- \
 echo "==> spec-check: every checked-in specs/*.json parses and validates"
 cargo run -q --release -p histal-bench --bin histal-experiments -- spec-check
 
-# Run the smokes from a scratch cwd so they never touch the tracked results/.
+# Run the serve smoke from a scratch cwd so it never touches the tracked tree.
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
-REPO_DIR="$(pwd)"
-BIN="$(pwd)/target/release/histal-experiments"
-cargo build -q --release -p histal-bench --bin histal-experiments
-
-echo "==> adaptive smoke: run --spec specs/adaptive-sweep.json prunes, journals,"
-echo "    and resumes byte-identically (pruning decisions included)"
-(
-    cd "$SMOKE_DIR"
-    "$BIN" run --spec "$REPO_DIR/specs/adaptive-sweep.json" \
-        --journal adaptive.jsonl > adaptive-first.out 2> adaptive-first.err
-    grep -q '# adaptive: pruned' adaptive-first.err
-    grep -q '"kind":"cell"' adaptive.jsonl
-    # Tear the journal tail, then resume: stdout must not change.
-    truncate -s -50 adaptive.jsonl
-    "$BIN" resume run --spec "$REPO_DIR/specs/adaptive-sweep.json" \
-        --journal adaptive.jsonl > adaptive-second.out 2> /dev/null
-    diff adaptive-first.out adaptive-second.out
-)
 
 echo "==> serve smoke: histal-serve end-to-end (external + simulated oracle,"
 echo "    duplicate absorption, per-tenant /metrics, clean shutdown), then a"
