@@ -62,7 +62,6 @@ pub fn text_pool_config(trec_like: bool, scale: &Scale) -> PoolConfig {
         batch_size: batch,
         rounds: rounds_for(scale),
         init_labeled: batch,
-        history_max_len: None,
         record_history: false,
         ann: None,
     }
@@ -74,7 +73,6 @@ pub fn ner_pool_config(scale: &Scale) -> PoolConfig {
         batch_size: 100,
         rounds: rounds_for(scale),
         init_labeled: 100,
-        history_max_len: None,
         record_history: false,
         ann: None,
     }

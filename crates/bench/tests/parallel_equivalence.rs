@@ -20,7 +20,6 @@ fn run_cell() -> Vec<RunResult> {
         batch_size: 10,
         rounds: 4,
         init_labeled: 10,
-        history_max_len: None,
         record_history: false,
         ann: None,
     };
@@ -54,7 +53,6 @@ fn run_diversity_cell() -> Vec<RunResult> {
         batch_size: 10,
         rounds: 4,
         init_labeled: 10,
-        history_max_len: None,
         record_history: false,
         ann: None,
     };

@@ -29,8 +29,6 @@ pub struct PoolConfig {
     pub rounds: usize,
     /// Size of the random initial labeled set `s₀`.
     pub init_labeled: usize,
-    /// Optional cap on retained history length (`O(l·N)` memory mode).
-    pub history_max_len: Option<usize>,
     /// Return the full per-sample history matrix in
     /// [`RunResult::history`] (off by default — it is `O(rounds · N)`).
     pub record_history: bool,
@@ -48,7 +46,6 @@ impl Default for PoolConfig {
             batch_size: 25,
             rounds: 20,
             init_labeled: 25,
-            history_max_len: None,
             record_history: false,
             ann: None,
         }
@@ -119,7 +116,7 @@ impl RunResult {
 }
 
 /// Diagnostic window used for the Table 6 statistics.
-const DIAG_WINDOW: usize = 3;
+pub(crate) const DIAG_WINDOW: usize = 3;
 
 /// A pool-based active learner (problem setting of §2, Figure 1): a
 /// [`Session`] answered from the pool's hidden gold labels.
@@ -390,13 +387,13 @@ mod tests {
 
     #[test]
     fn diagnostics_empty_selection() {
-        let h = HistoryStore::new(4);
+        let h = HistoryStore::new(4, DIAG_WINDOW);
         assert_eq!(selection_diagnostics(&[], &h, &mut Vec::new()), (0.0, 0.0));
     }
 
     #[test]
     fn diagnostics_average_over_selection() {
-        let mut h = HistoryStore::new(2);
+        let mut h = HistoryStore::new(2, DIAG_WINDOW);
         for v in [0.0, 1.0, 0.0] {
             h.append(0, v);
         }

@@ -2,9 +2,11 @@
 //!
 //! `H_t(x) = [φ_1(x), …, φ_t(x)]` for every pool sample `x`. The paper's
 //! efficiency analysis (Table 2) notes that strategies only ever read the
-//! last `l` scores, so the store can optionally truncate each sequence to
-//! a maximum retained length, bounding memory at `O(l · N)`. Sequences
-//! are `VecDeque`-backed, so that truncation is an O(1) `pop_front`.
+//! last `l` scores, so each sample keeps a fixed ring of `l` slots and
+//! memory is `O(l · N)`. A session derives `l` from what its stages read
+//! (the history policy's window, the Table 6 diagnostics' window and a
+//! learned selector's feature and predictor windows), or sets it to the
+//! run's round count when it returns the whole history; nobody sets it.
 //!
 //! With [`HistoryStore::with_rolling`] the store additionally maintains a
 //! [`RollingStats`] tracker per sample — window sum, exponentially
@@ -12,81 +14,92 @@
 //! WSHS/FHS/HUS folds cost constant time per sample per round instead of
 //! rescanning the window (see [`crate::strategy::HistoryPolicy`]).
 
-use std::collections::VecDeque;
-
 use histal_tseries::RollingStats;
 
-/// Per-sample historical evaluation sequences, indexed by pool position.
-/// With a retention cap only the last `max_len` scores are kept (the
-/// O(l·N) mode of Table 2).
+/// `n` rings of `len` slots in one flat array: sample `id` owns
+/// `slots[id * len..][..len]` and its next entry goes to slot
+/// `pushed[id] % len`, over the oldest once the ring is full. Slots are
+/// reused in place, so a ring of `Vec`s stops allocating once filled.
+#[derive(Debug, Clone)]
+pub(crate) struct Ring<T> {
+    len: usize,
+    slots: Vec<T>,
+    pushed: Vec<usize>,
+}
+
+impl<T: Clone + Default> Ring<T> {
+    /// `n` empty rings of `len` slots.
+    pub(crate) fn new(n: usize, len: usize) -> Self {
+        Self {
+            len,
+            slots: vec![T::default(); n * len],
+            pushed: vec![0; n],
+        }
+    }
+
+    /// The slot for sample `id`'s next entry, which becomes its newest.
+    /// Panics if `id` is out of range or the rings have no slots.
+    pub(crate) fn push(&mut self, id: usize) -> &mut T {
+        let pos = self.pushed[id] % self.len;
+        self.pushed[id] += 1;
+        &mut self.slots[id * self.len + pos]
+    }
+
+    /// Sample `id`'s retained entries, oldest first, as at most two slices.
+    pub(crate) fn get(&self, id: usize) -> (&[T], &[T]) {
+        let ring = &self.slots[id * self.len..(id + 1) * self.len];
+        let pushed = self.pushed[id];
+        if pushed <= self.len {
+            (&ring[..pushed], &[])
+        } else {
+            let (back, front) = ring.split_at(pushed % self.len);
+            (front, back)
+        }
+    }
+}
+
+/// Per-sample historical evaluation sequences, indexed by pool position:
+/// the last `l` scores of each sample (the O(l·N) mode of Table 2).
 #[derive(Debug, Clone)]
 pub struct HistoryStore {
-    seqs: Vec<VecDeque<f64>>,
-    /// Maximum retained sequence length; `None` keeps everything.
-    max_len: Option<usize>,
-    /// Effective rolling-statistics window; `None` disables the trackers.
-    rolling_window: Option<usize>,
+    seqs: Ring<f64>,
     /// Per-sample rolling trackers (empty unless rolling is enabled).
     rolling: Vec<RollingStats>,
 }
 
 impl HistoryStore {
-    /// A store for `n_samples` sequences with unbounded retention.
-    pub fn new(n_samples: usize) -> Self {
+    /// A store for `n_samples` sequences, each retaining its last `l`
+    /// scores.
+    pub fn new(n_samples: usize, l: usize) -> Self {
         Self {
-            seqs: vec![VecDeque::new(); n_samples],
-            max_len: None,
-            rolling_window: None,
-            rolling: Vec::new(),
-        }
-    }
-
-    /// A store that retains only the last `max_len` scores per sample —
-    /// the `O(l·N)` space mode of Table 2.
-    pub fn with_max_len(n_samples: usize, max_len: usize) -> Self {
-        assert!(max_len > 0, "retention window must be positive");
-        Self {
-            seqs: vec![VecDeque::new(); n_samples],
-            max_len: Some(max_len),
-            rolling_window: None,
+            seqs: Ring::new(n_samples, l),
             rolling: Vec::new(),
         }
     }
 
     /// Enable O(1) rolling statistics over the last `window` scores of
-    /// every sample. The effective window is clamped to the retention cap
-    /// (a capped store never holds more than `max_len` scores, so the
-    /// from-scratch fold never sees more either).
+    /// every sample. Once a sample has `window` scores, each append
+    /// reads the one leaving the window, so the store must retain at
+    /// least `window` scores unless fewer are ever appended.
     pub fn with_rolling(mut self, window: usize) -> Self {
-        assert!(window > 0, "rolling window must be positive");
-        let eff = self.max_len.map_or(window, |cap| window.min(cap));
-        self.rolling_window = Some(eff);
-        self.rolling = vec![RollingStats::new(eff); self.seqs.len()];
+        self.rolling = vec![RollingStats::new(window); self.seqs.pushed.len()];
         self
     }
 
-    /// Append this iteration's score for sample `id`.
-    ///
-    /// # Panics
-    /// Panics if `id` is out of range.
+    /// Append this iteration's score for sample `id`. Panics if `id` is
+    /// out of range or the store retains nothing.
     pub fn append(&mut self, id: usize, score: f64) {
-        if let Some(window) = self.rolling_window {
-            let seq = &self.seqs[id];
-            let evicted = (seq.len() >= window).then(|| seq[seq.len() - window]);
-            self.rolling[id].push(score, evicted);
+        if let Some(stats) = self.rolling.get_mut(id) {
+            let (front, back) = self.seqs.get(id);
+            let evicted = front.iter().chain(back).nth_back(stats.window() - 1);
+            stats.push(score, evicted.copied());
         }
-        let seq = &mut self.seqs[id];
-        seq.push_back(score);
-        if let Some(cap) = self.max_len {
-            if seq.len() > cap {
-                seq.pop_front();
-            }
-        }
+        *self.seqs.push(id) = score;
     }
 
     /// The retained sequence for sample `id` (oldest first).
     pub fn seq(&self, id: usize) -> HistorySeq<'_> {
-        let (front, back) = self.seqs[id].as_slices();
+        let (front, back) = self.seqs.get(id);
         HistorySeq { front, back }
     }
 
@@ -96,28 +109,17 @@ impl HistoryStore {
         self.rolling.get(id)
     }
 
-    /// All non-empty sequences, cloned — training corpus for the LHS
-    /// next-score predictor.
-    pub(crate) fn non_empty_sequences(&self) -> Vec<Vec<f64>> {
-        self.seqs
-            .iter()
-            .filter(|s| !s.is_empty())
-            .map(|s| s.iter().copied().collect())
-            .collect()
-    }
-
-    /// Consume the store, returning every sequence indexed by sample id.
-    pub(crate) fn into_sequences(self) -> Vec<Vec<f64>> {
-        self.seqs
-            .into_iter()
-            .map(|s| s.into_iter().collect())
+    /// Every retained sequence, indexed by sample id.
+    pub(crate) fn sequences(&self) -> Vec<Vec<f64>> {
+        (0..self.seqs.pushed.len())
+            .map(|id| self.seq(id).to_vec())
             .collect()
     }
 }
 
 /// Borrowed view of one sample's retained sequence, oldest first.
 ///
-/// The backing ring buffer may wrap, so the view is at most two slices;
+/// The backing ring may wrap, so the view is at most two slices;
 /// iterate with `HistorySeq::iter` or materialize with
 /// `HistorySeq::copy_into` / [`HistorySeq::to_vec`].
 #[derive(Debug, Clone, Copy)]
@@ -127,11 +129,6 @@ pub struct HistorySeq<'a> {
 }
 
 impl<'a> HistorySeq<'a> {
-    /// Number of retained scores.
-    pub(crate) fn len(&self) -> usize {
-        self.front.len() + self.back.len()
-    }
-
     /// Iterate oldest → newest.
     pub(crate) fn iter(&self) -> impl DoubleEndedIterator<Item = f64> + 'a {
         self.front.iter().chain(self.back.iter()).copied()
@@ -146,33 +143,7 @@ impl<'a> HistorySeq<'a> {
 
     /// The sequence as an owned `Vec`.
     pub fn to_vec(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.len());
-        self.copy_into(&mut out);
-        out
-    }
-}
-
-impl PartialEq<[f64]> for HistorySeq<'_> {
-    fn eq(&self, other: &[f64]) -> bool {
-        self.len() == other.len() && self.iter().eq(other.iter().copied())
-    }
-}
-
-impl<const N: usize> PartialEq<[f64; N]> for HistorySeq<'_> {
-    fn eq(&self, other: &[f64; N]) -> bool {
-        *self == other[..]
-    }
-}
-
-impl PartialEq<&[f64]> for HistorySeq<'_> {
-    fn eq(&self, other: &&[f64]) -> bool {
-        *self == **other
-    }
-}
-
-impl PartialEq<Vec<f64>> for HistorySeq<'_> {
-    fn eq(&self, other: &Vec<f64>) -> bool {
-        *self == other[..]
+        self.iter().collect()
     }
 }
 
@@ -182,44 +153,53 @@ mod tests {
 
     #[test]
     fn append_and_read_back() {
-        let mut h = HistoryStore::new(3);
+        let mut h = HistoryStore::new(3, 4);
         h.append(1, 0.5);
         h.append(1, 0.7);
-        assert_eq!(h.seq(1), [0.5, 0.7]);
-        assert_eq!(h.seq(0).len(), 0);
+        assert_eq!(h.seq(1).to_vec(), [0.5, 0.7]);
+        assert!(h.seq(0).to_vec().is_empty());
     }
 
     #[test]
-    fn retention_caps_length_keeping_latest() {
-        let mut h = HistoryStore::with_max_len(1, 3);
-        for i in 0..5 {
+    fn full_ring_keeps_the_latest_oldest_first() {
+        let mut h = HistoryStore::new(2, 3);
+        for i in 0..7 {
             h.append(0, i as f64);
+            assert_eq!(h.seq(0).to_vec().len(), (i + 1).min(3));
         }
-        assert_eq!(h.seq(0), [2.0, 3.0, 4.0]);
+        let seq = h.seq(0);
+        assert_eq!(seq.to_vec(), vec![4.0, 5.0, 6.0]);
+        let rev: Vec<f64> = seq.iter().rev().collect();
+        assert_eq!(rev, vec![6.0, 5.0, 4.0]);
+        // The neighbouring ring is untouched.
+        assert!(h.seq(1).to_vec().is_empty());
     }
 
     #[test]
-    fn unbounded_keeps_everything() {
-        let mut h = HistoryStore::new(1);
-        for i in 0..100 {
-            h.append(0, i as f64);
-        }
-        assert_eq!(h.seq(0).len(), 100);
+    fn ring_of_vecs_reuses_its_slots() {
+        let mut r: Ring<Vec<f64>> = Ring::new(1, 2);
+        r.push(0).clone_from(&vec![0.9, 0.1]);
+        let first_slot = r.get(0).0[0].as_ptr();
+        r.push(0).clone_from(&vec![0.2, 0.8]);
+        r.push(0).clone_from(&vec![0.5, 0.5]);
+        // The third entry overwrote the first in its own allocation.
+        assert_eq!(r.get(0).1[0].as_ptr(), first_slot);
+        let (front, back) = r.get(0);
+        let seq: Vec<&Vec<f64>> = front.iter().chain(back).collect();
+        assert_eq!(seq, [&vec![0.2, 0.8], &vec![0.5, 0.5]]);
     }
 
     #[test]
-    fn non_empty_sequences_skips_empty() {
-        let mut h = HistoryStore::new(3);
+    fn sequences_are_indexed_by_sample() {
+        let mut h = HistoryStore::new(3, 2);
         h.append(0, 1.0);
         h.append(2, 2.0);
-        let seqs = h.non_empty_sequences();
-        assert_eq!(seqs.len(), 2);
+        assert_eq!(h.sequences(), vec![vec![1.0], vec![], vec![2.0]]);
     }
 
     #[test]
-    fn rolling_tracks_capped_window() {
-        // Retention cap 2 < requested window 5 → effective window 2.
-        let mut h = HistoryStore::with_max_len(1, 2).with_rolling(5);
+    fn rolling_tracks_its_window_through_a_wrapped_ring() {
+        let mut h = HistoryStore::new(1, 2).with_rolling(2);
         for v in [1.0, 2.0, 3.0, 4.0] {
             h.append(0, v);
         }
@@ -231,33 +211,15 @@ mod tests {
 
     #[test]
     fn rolling_disabled_by_default() {
-        let mut h = HistoryStore::new(2);
+        let mut h = HistoryStore::new(2, 1);
         h.append(0, 1.0);
         assert!(h.rolling(0).is_none());
     }
 
     #[test]
-    fn wrapped_ring_reads_in_order() {
-        let mut h = HistoryStore::with_max_len(1, 3);
-        for i in 0..7 {
-            h.append(0, i as f64);
-        }
-        let seq = h.seq(0);
-        assert_eq!(seq.to_vec(), vec![4.0, 5.0, 6.0]);
-        let rev: Vec<f64> = seq.iter().rev().collect();
-        assert_eq!(rev, vec![6.0, 5.0, 4.0]);
-    }
-
-    #[test]
     #[should_panic]
     fn out_of_range_append_panics() {
-        let mut h = HistoryStore::new(1);
+        let mut h = HistoryStore::new(1, 1);
         h.append(5, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_retention_panics() {
-        let _ = HistoryStore::with_max_len(1, 0);
     }
 }

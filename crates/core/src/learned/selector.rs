@@ -115,7 +115,7 @@ mod tests {
             .iter()
             .map(|&p| SampleEval::from_probs(vec![p, 1.0 - p]))
             .collect();
-        let mut history = HistoryStore::new(3);
+        let mut history = HistoryStore::new(3, plain.features.window);
         for id in 0..3 {
             history.append(id, 0.5);
         }

@@ -201,6 +201,7 @@ where
         samples,
         labels,
         config.init_labeled,
+        config.rounds,
         &mut rng,
     );
     for round in 0..config.rounds {
@@ -212,7 +213,8 @@ where
         sim.label(&ids);
     }
     drop(simulate_span);
-    let sequences = sim.history.non_empty_sequences();
+    let mut sequences = sim.history.sequences();
+    sequences.retain(|s| !s.is_empty());
     let fit_span = span!(
         Level::Trace,
         "learned.predictor_fit",
@@ -233,6 +235,7 @@ where
         samples,
         labels,
         config.init_labeled,
+        config.rounds,
         &mut rng,
     );
     let eval_s: Vec<&M::Sample> = eval_samples.iter().collect();
@@ -391,6 +394,7 @@ impl<'a, M: Model> Simulation<'a, M> {
         samples: &'a [M::Sample],
         labels: &'a [M::Label],
         init: usize,
+        rounds: usize,
         rng: &mut ChaCha8Rng,
     ) -> Self {
         let n = samples.len();
@@ -403,7 +407,8 @@ impl<'a, M: Model> Simulation<'a, M> {
             samples,
             labels,
             pool,
-            history: HistoryStore::new(n),
+            // At most one score per round: nothing is evicted.
+            history: HistoryStore::new(n, rounds),
             last_evals: Vec::new(),
         }
     }

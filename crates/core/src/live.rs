@@ -60,7 +60,7 @@ use histal_obs::trace::Level;
 use histal_text::{LshIndex, NeighborIndex, PoolGeometry};
 
 use crate::driver::{
-    mix_seed, selection_diagnostics, CurvePoint, PoolConfig, RoundRecord, RunResult,
+    mix_seed, selection_diagnostics, CurvePoint, PoolConfig, RoundRecord, RunResult, DIAG_WINDOW,
 };
 use crate::error::Error;
 use crate::eval::EvalCaps;
@@ -254,10 +254,22 @@ impl<M: Model> Session<M> {
     ) -> Self {
         use rand::SeedableRng;
         let n = samples.len();
-        let mut history = match config.history_max_len {
-            Some(cap) => HistoryStore::with_max_len(n, cap),
-            None => HistoryStore::new(n),
+        // The history keeps every score when the run returns it, else the
+        // longest suffix a stage reads: the policy's rolling window, the
+        // Table 6 diagnostics and a learned selector's features and
+        // predictor (HKLD's posteriors keep their own ring). A sample
+        // gets at most one score per round, so `rounds` bounds both.
+        let read = lhs
+            .as_ref()
+            .map_or(0, |s| s.features.window.max(s.predictor.window()));
+        let l = if config.record_history {
+            config.rounds
+        } else {
+            read.max(strategy.history.window())
+                .max(DIAG_WINDOW)
+                .min(config.rounds)
         };
+        let mut history = HistoryStore::new(n, l);
         // Rolling trackers make the per-round history fold O(1) per
         // sample; they are the only scalar fold, so a zero window (e.g.
         // HUS with k = 0) panics here. HKLD replaces the scalar fold
@@ -276,7 +288,7 @@ impl<M: Model> Session<M> {
             _ => None,
         };
         let fold = match strategy.hkld {
-            Some(k) => FoldHistory::hkld(k, n, config.history_max_len),
+            Some(k) => FoldHistory::hkld(k, n, config.rounds),
             None => FoldHistory::Policy(strategy.history),
         };
         // The base strategy declares its own needs; side-channel
@@ -615,7 +627,7 @@ impl<M: Model> Session<M> {
             self.strategy.name()
         };
         let history = if self.config.record_history {
-            std::mem::replace(&mut self.history, HistoryStore::new(0)).into_sequences()
+            self.history.sequences()
         } else {
             Vec::new()
         };
@@ -870,7 +882,13 @@ pub(crate) fn session_config_hash(
     config: &PoolConfig,
     seed: u64,
 ) -> u64 {
-    let config_json = serde_json::to_string(config).unwrap_or_default();
+    // Journals and the serve digest are keyed on this hash. `PoolConfig`
+    // lost an always-null retention field; its JSON stays in the input.
+    let config_json = serde_json::to_string(config).unwrap_or_default().replacen(
+        ",\"record_history\":",
+        ",\"history_max_len\":null,\"record_history\":",
+        1,
+    );
     fingerprint(&[
         &format!("{strategy:?}"),
         &config_json,

@@ -29,7 +29,6 @@
 //! subsample drawn inside the score stage, and [`top_k`]'s
 //! lower-index-wins tie-break. See the `pool` module docs.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use rand::Rng;
@@ -41,7 +40,7 @@ use histal_text::{NeighborIndex, PoolGeometry};
 use crate::driver::{hkld_score_members, mix_seed, top_k};
 use crate::error::Error;
 use crate::eval::{EvalCaps, SampleEval};
-use crate::history::HistoryStore;
+use crate::history::{HistoryStore, Ring};
 use crate::learned::{LearnedSelector, PoolMetaFeatures};
 use crate::model::Model;
 use crate::pool::{Pool, SampleId};
@@ -185,26 +184,21 @@ pub(crate) enum FoldHistory {
     /// The HKLD baseline (Davy & Luz 2007): the committee is the
     /// posteriors of the last `k` iterations; the score is the mean KL
     /// divergence of each member from the committee mean. Owns the
-    /// per-sample posterior ring buffers (the scalar history still
-    /// receives the base scores, which the Table 6 diagnostics read).
+    /// per-sample posterior rings (the scalar history still receives the
+    /// base scores, which the Table 6 diagnostics read).
     Hkld {
-        /// Committee size.
-        k: usize,
-        /// Posteriors retained per sample (the scalar history's cap).
-        cap: Option<usize>,
-        /// Per-sample posterior history, oldest first.
-        prob_history: Vec<VecDeque<Vec<f64>>>,
+        /// Each sample's last `k` posteriors, refilled in place: a ring
+        /// of `min(k, rounds)` slots, as a run records one per round.
+        posteriors: Ring<Vec<f64>>,
     },
 }
 
 impl FoldHistory {
-    /// HKLD committee over the last `k` posteriors of `n` samples,
-    /// retaining at most `cap` per sample.
-    pub(crate) fn hkld(k: usize, n: usize, cap: Option<usize>) -> Self {
+    /// HKLD over the last `k` posteriors of `n` samples in a run of
+    /// `rounds` rounds.
+    pub(crate) fn hkld(k: usize, n: usize, rounds: usize) -> Self {
         Self::Hkld {
-            k,
-            cap,
-            prob_history: vec![VecDeque::new(); n],
+            posteriors: Ring::new(n, k.min(rounds)),
         }
     }
 
@@ -220,18 +214,9 @@ impl FoldHistory {
         for (&id, &score) in unlabeled.iter().zip(base_scores) {
             history.append(id, score);
         }
-        if let Self::Hkld {
-            cap, prob_history, ..
-        } = self
-        {
+        if let Self::Hkld { posteriors } = self {
             for (&id, eval) in unlabeled.iter().zip(evals) {
-                let seq = &mut prob_history[id];
-                seq.push_back(eval.probs.clone());
-                if let Some(cap) = *cap {
-                    if seq.len() > cap {
-                        seq.pop_front();
-                    }
-                }
+                posteriors.push(id).clone_from(&eval.probs);
             }
         }
     }
@@ -247,12 +232,9 @@ impl FoldHistory {
                     .expect("policy folds read the store's rolling statistics");
                 policy.rolling_score(stats)
             })),
-            Self::Hkld {
-                k, prob_history, ..
-            } => out.extend(unlabeled.iter().map(|&id| {
-                let seq = &prob_history[id];
-                let start = seq.len().saturating_sub(*k);
-                hkld_score_members(seq.iter().skip(start).map(|p| p.as_slice()))
+            Self::Hkld { posteriors } => out.extend(unlabeled.iter().map(|&id| {
+                let (front, back) = posteriors.get(id);
+                hkld_score_members(front.iter().chain(back).map(|p| p.as_slice()))
             })),
         }
     }
@@ -435,10 +417,10 @@ mod tests {
     #[test]
     fn policy_fold_matches_slice_oracle() {
         // The fold reads the rolling trackers; the slice fold over the
-        // retained (capped, ring-wrapped) sequence is the oracle, to the
-        // rounding the rolling updates' addition order allows.
+        // retained (ring-wrapped) sequence is the oracle, to the rounding
+        // the rolling updates' addition order allows.
         let policy = HistoryPolicy::Wshs { l: 3 };
-        let mut history = HistoryStore::with_max_len(2, 3).with_rolling(policy.window());
+        let mut history = HistoryStore::new(2, 3).with_rolling(policy.window());
         for v in [0.1, 0.9, 0.4, 0.7] {
             history.append(0, v);
             history.append(1, 1.0 - v);
@@ -453,20 +435,33 @@ mod tests {
     }
 
     #[test]
-    fn hkld_fold_caps_posterior_retention() {
-        let mut history = HistoryStore::new(1);
-        let mut fold = FoldHistory::hkld(2, 1, Some(2));
-        for p in [0.9, 0.1, 0.5] {
-            let evals = vec![SampleEval::from_probs(vec![p, 1.0 - p])];
-            fold.record(&[0], &[0.0], &evals, &mut history);
-        }
-        let FoldHistory::Hkld { prob_history, .. } = &fold else {
-            unreachable!("built as HKLD")
-        };
-        assert_eq!(prob_history[0].len(), 2);
+    fn hkld_fold_reads_the_last_k_posteriors() {
+        let mut history = HistoryStore::new(2, 4);
+        let mut fold = FoldHistory::hkld(2, 2, 4);
+        let rounds: [[Vec<f64>; 2]; 4] = [
+            [vec![0.9, 0.1], vec![0.5, 0.5]],
+            [vec![0.1, 0.9], vec![]],
+            [vec![0.5, 0.5], vec![0.2, 0.3, 0.5]],
+            [vec![0.7, 0.3], vec![0.6, 0.4]],
+        ];
+        let mut seen: [Vec<Vec<f64>>; 2] = Default::default();
         let mut out = Vec::new();
-        fold.fold(&[0], &history, &mut out);
-        let expect = crate::driver::hkld_score(&[vec![0.1, 0.9], vec![0.5, 0.5]], 2);
-        assert_eq!(out, vec![expect]);
+        for probs in rounds {
+            let evals: Vec<SampleEval> =
+                probs.iter().cloned().map(SampleEval::from_probs).collect();
+            fold.record(&[0, 1], &[0.0, 0.0], &evals, &mut history);
+            fold.fold(&[0, 1], &history, &mut out);
+            for (id, p) in probs.into_iter().enumerate() {
+                seen[id].push(p);
+                // The slice entry point over everything recorded is the
+                // oracle; sample 1's empty and wider posteriors exercise
+                // the skip and width-mismatch paths.
+                assert_eq!(
+                    out[id].to_bits(),
+                    crate::driver::hkld_score(&seen[id], 2).to_bits()
+                );
+            }
+        }
+        assert!(out[0] > 0.0);
     }
 }

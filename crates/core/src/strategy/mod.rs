@@ -171,9 +171,7 @@ impl HistoryPolicy {
     }
 
     /// Fold via O(1) rolling statistics instead of rescanning the
-    /// sequence. `stats` must track this policy's [`Self::window`]
-    /// (possibly clamped by the store's retention cap, which leaves the
-    /// result unchanged — a capped sequence is never longer than the cap).
+    /// sequence. `stats` must track this policy's [`Self::window`].
     /// Agrees with [`Self::final_score`] on the retained sequence to
     /// rounding error; the slice fold stays the test oracle.
     pub fn rolling_score(&self, stats: &RollingStats) -> f64 {

@@ -69,7 +69,6 @@ fn run(
             batch_size: batch,
             rounds,
             init_labeled: batch,
-            history_max_len: None,
             record_history: true,
             ann: None,
         })

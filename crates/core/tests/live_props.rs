@@ -88,7 +88,6 @@ fn builder_for<M: Model<Sample = f64, Label = usize>>(
             batch_size: batch,
             rounds,
             init_labeled: batch,
-            history_max_len: None,
             record_history: true,
             ann: None,
         })
@@ -495,5 +494,81 @@ trait IndicesContains {
 impl IndicesContains for LabelResponse<usize> {
     fn indices_contains(&self, id: usize) -> bool {
         self.labels.iter().any(|&(i, _)| i == id)
+    }
+}
+
+/// Posteriors that drift with the labeled-set size, so every sample's
+/// history changes round to round and the history folds and HKLD's
+/// committee see real sequences.
+#[derive(Clone)]
+struct DriftModel {
+    fitted: usize,
+}
+
+impl Model for DriftModel {
+    type Sample = f64;
+    type Label = usize;
+
+    fn fit(&mut self, samples: &[&f64], _: &[&usize], _: &mut ChaCha8Rng) {
+        self.fitted = samples.len();
+    }
+
+    fn eval_sample(&self, sample: &f64, _: &EvalCaps, _: u64) -> SampleEval {
+        let p = ((sample * 17.0 + self.fitted as f64 * 0.7).sin() + 1.0) / 2.0;
+        SampleEval::from_probs(vec![p, 1.0 - p])
+    }
+
+    fn metric(&self, _: &[&f64], _: &[&usize]) -> f64 {
+        self.fitted as f64
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The history a session keeps is sized from its readers; a run that
+    /// returns its history keeps every score. The two must compute the
+    /// same run: same curve, same selections, same Table 6 diagnostics.
+    #[test]
+    fn derived_history_retention_matches_keeping_everything(
+        n in 10usize..40,
+        batch in 1usize..4,
+        rounds in 1usize..12,
+        window in 1usize..6,
+        policy_ix in 0usize..5,
+        hkld_k in 2usize..6,
+        seed in 0u64..1000,
+    ) {
+        let policy = match policy_ix {
+            0 | 4 => HistoryPolicy::CurrentOnly,
+            1 => HistoryPolicy::Hus { k: window },
+            2 => HistoryPolicy::Wshs { l: window },
+            _ => HistoryPolicy::Fhs { l: window, w_score: 0.6, w_fluct: 0.4 },
+        };
+        let mut strategy = AlStrategy::new(BaseStrategy::Entropy).with_history(policy);
+        if policy_ix == 4 {
+            strategy = strategy.with_hkld(hkld_k);
+        }
+        let (samples, labels) = pool_data(n);
+        let run = |record_history: bool| {
+            let mut result = ActiveLearner::builder(DriftModel { fitted: 0 })
+                .pool(samples.clone(), labels.clone())
+                .test(vec![0.1, 0.9], vec![0, 1])
+                .strategy(strategy.clone())
+                .config(PoolConfig {
+                    batch_size: batch,
+                    rounds,
+                    init_labeled: batch,
+                    record_history,
+                    ann: None,
+                })
+                .seed(seed)
+                .build()
+                .run()
+                .expect("run completes");
+            result.history.clear();
+            canonical(result)
+        };
+        prop_assert_eq!(run(false), run(true));
     }
 }

@@ -128,7 +128,6 @@ proptest! {
                 batch_size: batch,
                 rounds,
                 init_labeled: batch,
-                history_max_len: None,
                 record_history: false,
                 ann: None,
             })

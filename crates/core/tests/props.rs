@@ -43,44 +43,37 @@ proptest! {
         prop_assert!((eval.least_confidence - (1.0 - max)).abs() < 1e-12);
     }
 
-    /// History retention: with a cap, the stored suffix equals the tail
-    /// of the uncapped sequence.
+    /// The ring keeps the last `l` scores, oldest first: its view equals
+    /// the tail of everything appended, at every step.
     #[test]
-    fn history_cap_keeps_suffix(scores in prop::collection::vec(-5.0f64..5.0, 0..30), cap in 1usize..6) {
-        let mut capped = HistoryStore::with_max_len(1, cap);
-        let mut full = HistoryStore::new(1);
-        for &s in &scores {
-            capped.append(0, s);
-            full.append(0, s);
+    fn history_ring_keeps_suffix(scores in prop::collection::vec(-5.0f64..5.0, 0..30), l in 1usize..6) {
+        let mut store = HistoryStore::new(2, l);
+        for (t, &s) in scores.iter().enumerate() {
+            store.append(1, s);
+            let tail_start = (t + 1).saturating_sub(l);
+            prop_assert_eq!(store.seq(1).to_vec(), scores[tail_start..=t].to_vec());
         }
-        let tail_start = scores.len().saturating_sub(cap);
-        let full_seq = full.seq(0).to_vec();
-        prop_assert_eq!(capped.seq(0).to_vec(), full_seq[tail_start..].to_vec());
+        prop_assert_eq!(store.seq(0).to_vec(), Vec::<f64>::new());
     }
 
     /// Rolling-statistics scoring through the store agrees with the
     /// from-scratch policy fold on the retained sequence, for arbitrary
-    /// append sequences, retention caps and window lengths.
+    /// append sequences, window lengths and any ring at least as long
+    /// as the window.
     #[test]
     fn rolling_store_matches_policy_fold(
         scores in prop::collection::vec(-5.0f64..5.0, 0..40),
-        cap_raw in 0usize..8,
+        extra in 0usize..8,
         window in 1usize..8,
         policy_ix in 0usize..4,
     ) {
-        // cap_raw == 0 means unbounded retention.
-        let cap = (cap_raw > 0).then_some(cap_raw);
         let policy = match policy_ix {
             0 => HistoryPolicy::CurrentOnly,
             1 => HistoryPolicy::Hus { k: window },
             2 => HistoryPolicy::Wshs { l: window },
             _ => HistoryPolicy::Fhs { l: window, w_score: 0.6, w_fluct: 0.4 },
         };
-        let mut store = match cap {
-            Some(c) => HistoryStore::with_max_len(1, c),
-            None => HistoryStore::new(1),
-        }
-        .with_rolling(policy.window());
+        let mut store = HistoryStore::new(1, policy.window() + extra).with_rolling(policy.window());
         for &s in &scores {
             store.append(0, s);
             let rolling = policy.rolling_score(store.rolling(0).expect("rolling enabled"));

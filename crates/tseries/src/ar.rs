@@ -94,6 +94,11 @@ impl ArPredictor {
         }
     }
 
+    /// The number of lags: how many trailing scores a prediction reads.
+    pub fn order(&self) -> usize {
+        self.order
+    }
+
     /// Check a deserialized model before it predicts: one intercept plus
     /// one coefficient per lag. A model from [`ArPredictor::fit`] always
     /// passes.

@@ -314,6 +314,12 @@ impl LstmPredictor {
         model
     }
 
+    /// The input window length: how many trailing scores a prediction
+    /// reads.
+    pub fn window(&self) -> usize {
+        self.config.window
+    }
+
     /// Check a deserialized model before it predicts: the parameter
     /// blocks must match the hidden size, and the window must be
     /// positive. A model from [`LstmPredictor::fit`] always passes.

@@ -28,8 +28,8 @@
 ///
 /// The window length is fixed at construction. Push values oldest-first
 /// with [`RollingStats::push`], handing over the value that falls out of
-/// the window (the caller owns the window storage, typically a
-/// `VecDeque`, and knows the evictee).
+/// the window (the caller owns the window storage, typically a ring
+/// buffer, and knows the evictee).
 #[derive(Debug, Clone)]
 pub struct RollingStats {
     /// Window length `l` (values contributing to the statistics).

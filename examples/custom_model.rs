@@ -128,7 +128,6 @@ fn main() {
         batch_size: 10,
         rounds: 12,
         init_labeled: 10,
-        history_max_len: None,
         record_history: false,
         ann: None,
     };

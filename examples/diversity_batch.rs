@@ -35,7 +35,6 @@ fn main() {
         batch_size: 25,
         rounds: 8,
         init_labeled: 25,
-        history_max_len: None,
         record_history: false,
         ann: None,
     };

@@ -41,7 +41,6 @@ fn main() {
         batch_size: 50,
         rounds: 8,
         init_labeled: 50,
-        history_max_len: None,
         record_history: false,
         ann: None,
     };

@@ -96,7 +96,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             batch_size: 25,
             rounds: 30,
             init_labeled: 25,
-            history_max_len: Some(5),
             record_history: false,
             ann: None,
         })
@@ -120,7 +119,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             batch_size: 25,
             rounds: campaign.curve.len().saturating_sub(1),
             init_labeled: 25,
-            history_max_len: Some(5),
             record_history: false,
             ann: None,
         })

@@ -31,7 +31,6 @@ fn main() {
         batch_size: 25,
         rounds: 10,
         init_labeled: 25,
-        history_max_len: None,
         record_history: false,
         ann: None,
     };

@@ -11,7 +11,6 @@ fn quick_config() -> PoolConfig {
         batch_size: 20,
         rounds: 8,
         init_labeled: 20,
-        history_max_len: None,
         record_history: false,
         ann: None,
     }
@@ -111,7 +110,6 @@ fn all_basic_strategies_run_to_completion() {
         batch_size: 15,
         rounds: 4,
         init_labeled: 15,
-        history_max_len: None,
         record_history: false,
         ann: None,
     };
@@ -153,7 +151,6 @@ fn qbc_requires_committee_model() {
             batch_size: 10,
             rounds: 2,
             init_labeled: 10,
-            history_max_len: None,
             record_history: false,
             ann: None,
         })
@@ -182,7 +179,6 @@ fn qbc_with_committee_succeeds() {
             batch_size: 10,
             rounds: 3,
             init_labeled: 10,
-            history_max_len: None,
             record_history: false,
             ann: None,
         })
@@ -234,7 +230,6 @@ fn wshs_l1_selects_like_base() {
         batch_size: 10,
         rounds: 4,
         init_labeled: 10,
-        history_max_len: None,
         record_history: false,
         ann: None,
     };
@@ -256,24 +251,20 @@ fn wshs_l1_selects_like_base() {
 #[test]
 fn history_cap_bounds_memory_without_changing_small_windows() {
     let task = tiny_text_task(2, 300, 19);
+    let strategy = Strategy::new(BaseStrategy::Entropy).with_history(HistoryPolicy::Wshs { l: 3 });
+    // Without `record_history` the session keeps only the 3 scores its
+    // readers fold; with it, every score. A window-3 strategy reads only
+    // the last 3, so the two runs must agree on every selection.
+    let capped = run_text(&task, strategy.clone(), quick_config(), 4);
     let mut cfg = quick_config();
-    cfg.history_max_len = Some(3);
-    let capped = run_text(
-        &task,
-        Strategy::new(BaseStrategy::Entropy).with_history(HistoryPolicy::Wshs { l: 3 }),
-        cfg,
-        4,
-    );
-    let full = run_text(
-        &task,
-        Strategy::new(BaseStrategy::Entropy).with_history(HistoryPolicy::Wshs { l: 3 }),
-        quick_config(),
-        4,
-    );
-    // A window-3 strategy reads only the last 3 scores, so capping
-    // retention at 3 must not change any selection.
+    cfg.record_history = true;
+    let full = run_text(&task, strategy, cfg, 4);
+    assert!(full.history.iter().any(|seq| seq.len() > 3));
+    assert_eq!(capped.curve.len(), full.curve.len());
     for (a, b) in capped.rounds.iter().zip(&full.rounds) {
         assert_eq!(a.selected, b.selected);
+        assert_eq!(a.mean_wshs_of_selected, b.mean_wshs_of_selected);
+        assert_eq!(a.mean_fluct_of_selected, b.mean_fluct_of_selected);
     }
 }
 
@@ -284,7 +275,6 @@ fn record_history_exposes_score_matrix() {
         batch_size: 10,
         rounds: 5,
         init_labeled: 10,
-        history_max_len: None,
         record_history: true,
         ann: None,
     };
@@ -356,7 +346,6 @@ fn pool_exhaustion_stops_cleanly() {
         batch_size: 25,
         rounds: 10,
         init_labeled: 10,
-        history_max_len: None,
         record_history: false,
         ann: None,
     };

@@ -50,7 +50,6 @@ fn run_fixed(n: usize, strategy: Strategy, batch: usize, rounds: usize) -> hista
             batch_size: batch,
             rounds,
             init_labeled: batch,
-            history_max_len: None,
             record_history: false,
             ann: None,
         })
@@ -100,7 +99,6 @@ fn density_changes_selection_with_representations() {
         batch_size: 15,
         rounds: 4,
         init_labeled: 15,
-        history_max_len: None,
         record_history: false,
         ann: None,
     };
@@ -149,7 +147,6 @@ fn mmr_diversifies_batches() {
         batch_size: 20,
         rounds: 3,
         init_labeled: 20,
-        history_max_len: None,
         record_history: false,
         ann: None,
     };
@@ -205,7 +202,6 @@ fn kcenter_batches_are_more_diverse_than_topk() {
         batch_size: 20,
         rounds: 3,
         init_labeled: 20,
-        history_max_len: None,
         record_history: false,
         ann: None,
     };
@@ -265,7 +261,6 @@ fn run_until_stops_on_budget_and_target() {
                 batch_size: 10,
                 rounds: 15,
                 init_labeled: 10,
-                history_max_len: None,
                 record_history: false,
                 ann: None,
             })
@@ -307,7 +302,6 @@ fn run_until_plateau_fires_on_flat_metric() {
             batch_size: 10,
             rounds: 15,
             init_labeled: 10,
-            history_max_len: None,
             record_history: false,
             ann: None,
         })

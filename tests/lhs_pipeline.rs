@@ -67,7 +67,6 @@ fn train_lhs_and_select_on_fresh_dataset() {
             batch_size: 15,
             rounds: 6,
             init_labeled: 15,
-            history_max_len: None,
             record_history: false,
             ann: None,
         })
@@ -135,7 +134,6 @@ fn lhs_training_is_deterministic() {
                 batch_size: 10,
                 rounds: 3,
                 init_labeled: 10,
-                history_max_len: None,
                 record_history: false,
                 ann: None,
             })
@@ -180,7 +178,6 @@ fn artifacts_round_trip_through_json() {
                 batch_size: 10,
                 rounds: 3,
                 init_labeled: 10,
-                history_max_len: None,
                 record_history: false,
                 ann: None,
             })

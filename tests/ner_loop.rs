@@ -24,7 +24,6 @@ fn run_ner(task: &NerTask, strategy: Strategy, rounds: usize, seed: u64) -> hist
             batch_size: 20,
             rounds,
             init_labeled: 20,
-            history_max_len: None,
             record_history: false,
             ann: None,
         })
@@ -71,7 +70,6 @@ fn egl_fails_cleanly_on_crf() {
             batch_size: 10,
             rounds: 2,
             init_labeled: 10,
-            history_max_len: None,
             record_history: false,
             ann: None,
         })
@@ -125,7 +123,6 @@ fn qbc_committee_runs_on_ner() {
             batch_size: 15,
             rounds: 3,
             init_labeled: 15,
-            history_max_len: None,
             record_history: false,
             ann: None,
         })

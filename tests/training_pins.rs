@@ -46,7 +46,6 @@ fn text_run_hash(
         batch_size: 10,
         rounds: 4,
         init_labeled: 13,
-        history_max_len: None,
         record_history,
         ann: None,
     };
@@ -82,7 +81,6 @@ fn ner_run_hash(base: BaseStrategy, score_beam: Option<f64>, n: usize, seed: u64
             batch_size: 15,
             rounds: 3,
             init_labeled: 15,
-            history_max_len: None,
             record_history: true,
             ann: None,
         })
@@ -122,7 +120,6 @@ fn diversity_run_hash(
             batch_size: 12,
             rounds: 4,
             init_labeled: 12,
-            history_max_len: None,
             record_history: true,
             ann,
         })
