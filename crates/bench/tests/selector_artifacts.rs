@@ -112,7 +112,9 @@ fn training_dataset_aliases_train_the_same_selector_and_multiclass_is_refused() 
 
 /// An artifact whose provenance carries a key this build does not know
 /// is refused on load with one error naming the key, instead of being
-/// applied with the key silently dropped.
+/// applied with the key silently dropped. A truncated artifact is
+/// refused the same way. Neither is reported as a spec error: no spec
+/// is involved.
 #[test]
 fn an_unknown_provenance_key_is_refused() {
     let dir = scratch("strict");
@@ -135,14 +137,19 @@ fn an_unknown_provenance_key_is_refused() {
         1,
     );
     std::fs::write(dir.join("tampered.hlrn"), tampered).unwrap();
-    let out = run(
-        &dir,
-        &["selector-apply", "tampered.hlrn", "mr", "--scale", "0.02"],
-    );
-    assert_eq!(out.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    let errors: Vec<&str> = stderr.lines().filter(|l| l.contains("error")).collect();
-    assert_eq!(errors.len(), 1, "{stderr}");
-    assert!(errors[0].contains("unknown field `trained_by`"), "{stderr}");
+    std::fs::write(dir.join("truncated.hlrn"), &body[..body.len() / 2]).unwrap();
+    for (file, expect) in [
+        ("tampered.hlrn", "unknown field `trained_by`"),
+        ("truncated.hlrn", "parsing truncated.hlrn"),
+    ] {
+        let out = run(&dir, &["selector-apply", file, "mr", "--scale", "0.02"]);
+        assert_eq!(out.status.code(), Some(1));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let errors: Vec<&str> = stderr.lines().filter(|l| l.contains("error")).collect();
+        assert_eq!(errors.len(), 1, "{stderr}");
+        assert!(errors[0].contains(expect), "{stderr}");
+        assert!(errors[0].contains("selector artifact"), "{stderr}");
+        assert!(!stderr.contains("invalid experiment spec"), "{stderr}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -49,6 +49,12 @@ pub enum ErrorKind {
         /// Human-readable description of the problem.
         message: String,
     },
+    /// A learned-selector artifact (`HLRN1`) could not be read, written
+    /// or used: I/O, JSON, magic, version or selector-shape failures.
+    Artifact {
+        /// Human-readable description naming the file.
+        message: String,
+    },
     /// A harness invariant did not hold (e.g. a merged metrics registry
     /// missing a counter every run increments). Distinct from [`Self::Spec`]:
     /// the input was fine, the runtime state was not.
@@ -102,9 +108,10 @@ impl ErrorKind {
             Self::NotFound { .. } | Self::UnknownName { .. } => 404,
             Self::Conflict { .. } => 409,
             Self::Busy { .. } => 503,
-            Self::MissingCapability { .. } | Self::NotEnoughClasses { .. } | Self::Spec { .. } => {
-                400
-            }
+            Self::MissingCapability { .. }
+            | Self::NotEnoughClasses { .. }
+            | Self::Spec { .. }
+            | Self::Artifact { .. } => 400,
             Self::Journal { .. } | Self::Invariant { .. } => 500,
             Self::Cell { source, .. } => source.http_status(),
         }
@@ -134,6 +141,7 @@ impl fmt::Display for ErrorKind {
                 )
             }
             Self::Spec { message } => write!(f, "invalid experiment spec: {message}"),
+            Self::Artifact { message } => write!(f, "selector artifact: {message}"),
             Self::Invariant { message } => write!(f, "harness invariant violated: {message}"),
             Self::Cell { cell, source } => write!(f, "cell {cell}: {source}"),
             Self::NotFound { what, key } => write!(f, "{what} `{key}` not found"),
@@ -191,6 +199,13 @@ impl Error {
     /// Shorthand for an [`ErrorKind::Spec`] error.
     pub fn spec(message: impl fmt::Display) -> Error {
         Error::new(ErrorKind::Spec {
+            message: message.to_string(),
+        })
+    }
+
+    /// Shorthand for an [`ErrorKind::Artifact`] error.
+    pub(crate) fn artifact(message: impl fmt::Display) -> Error {
+        Error::new(ErrorKind::Artifact {
             message: message.to_string(),
         })
     }
