@@ -58,45 +58,6 @@ cargo run -q --release -p histal-bench --bin histal-experiments -- \
 echo "==> spec-check: every checked-in specs/*.json parses and validates"
 cargo run -q --release -p histal-bench --bin histal-experiments -- spec-check
 
-# Run the serve smoke from a scratch cwd so it never touches the tracked tree.
-SMOKE_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR"' EXIT
-
-echo "==> serve smoke: histal-serve end-to-end (external + simulated oracle,"
-echo "    duplicate absorption, per-tenant /metrics, clean shutdown), then a"
-echo "    restart on the same state dir must list the same sessions"
-cargo build -q --release -p histal-serve --bin histal-serve
-SERVE_BIN="$(pwd)/target/release/histal-serve"
-SERVE_ADDR="127.0.0.1:18437"
-(
-    cd "$SMOKE_DIR"
-    "$SERVE_BIN" serve --addr "$SERVE_ADDR" --state-dir serve-state --threads 4 \
-        > serve.log 2>&1 &
-    SERVE_PID=$!
-    for _ in $(seq 1 50); do
-        if curl -fsS "http://$SERVE_ADDR/healthz" > /dev/null 2>&1; then break; fi
-        sleep 0.1
-    done
-    "$SERVE_BIN" smoke --addr "$SERVE_ADDR"
-    curl -fsS "http://$SERVE_ADDR/sessions" > sessions-before.json
-    curl -fsS -X POST "http://$SERVE_ADDR/shutdown" > /dev/null
-    wait "$SERVE_PID"
-
-    # Restart on the same state dir: the finished session boots from its
-    # result record, the unfinished one by replay, and both list as before.
-    "$SERVE_BIN" serve --addr "$SERVE_ADDR" --state-dir serve-state --threads 4 \
-        > serve-restart.log 2>&1 &
-    SERVE_PID=$!
-    for _ in $(seq 1 50); do
-        if curl -fsS "http://$SERVE_ADDR/healthz" > /dev/null 2>&1; then break; fi
-        sleep 0.1
-    done
-    curl -fsS "http://$SERVE_ADDR/sessions" > sessions-after.json
-    curl -fsS -X POST "http://$SERVE_ADDR/shutdown" > /dev/null
-    wait "$SERVE_PID"
-    diff sessions-before.json sessions-after.json
-)
-
 echo "==> serve load: 1000 concurrent simulated sessions (acceptance bar)"
 HISTAL_SERVE_SESSIONS=1000 cargo test -q --release -p histal-serve \
     --test serve_http concurrent_simulated_sessions_complete_with_tenant_metrics
