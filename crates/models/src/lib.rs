@@ -17,7 +17,7 @@
 //! [`histal_core::ActiveLearner`]. See `DESIGN.md` at the workspace root
 //! for the substitution rationale.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(unreachable_pub)]
 
 pub(crate) mod crf;
@@ -27,6 +27,8 @@ pub(crate) mod logreg;
 pub(crate) mod math;
 pub(crate) mod nb;
 pub mod parallel;
+#[allow(unsafe_code)]
+pub mod vexp;
 
 pub use crf::{CrfConfig, CrfTagger, Sentence};
 pub use document::Document;

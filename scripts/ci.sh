@@ -35,6 +35,10 @@ echo "==> dropout-mask kernel tests in release (the branch-free mask against the
 echo "    branchy reference, as the optimised loop the models run)"
 cargo test --release -p histal-models --test kernel_props -q
 
+echo "==> exp port exactness in release (the 4-lane exp against f64::exp, bit for"
+echo "    bit, on 10.2M inputs, as the optimised kernel the CRF lattices run)"
+cargo test --release -p histal-models --test exp_exact -q
+
 echo "==> benchmark package: builds, unit tests, flat fan-out matches GridExecutor"
 echo "    (the out-of-workspace benchmark/ package drives the public core API,"
 echo "     so an API change that breaks it or moves its curves fails here)"
