@@ -10,6 +10,13 @@
 //! do not live here; the only reduction is `max`/argmax, which keeps the
 //! earliest index on ties.
 //!
+//! The CRF lattices run on top of these loops in `l × l` blocks, one per
+//! timestep: `shift_add` and `add_shift2` fill the forward and
+//! backward blocks row by row, `shift_add3_sub` the ξ block, and each
+//! whole block then goes through one call of the 4-lane
+//! [`crate::vexp::exp_in_place`], which returns the bits `f64::exp`
+//! would. That port is the layer's one use of intrinsics and of FMA.
+//!
 //! [`dropout_mask`] is the one place the models draw a dropout mask: the
 //! RNG stream it consumes is part of the contract the same way.
 
@@ -24,11 +31,19 @@ pub(crate) fn add2(out: &mut [f64], a: &[f64], b: &[f64]) {
     }
 }
 
-/// `out[i] = (a[i] + b[i]) + c[i]` — association fixed left-to-right.
+/// `out[i] = s + a[i]` — one row of the forward lattice block.
 #[inline]
-pub(crate) fn add3(out: &mut [f64], a: &[f64], b: &[f64], c: &[f64]) {
-    for (((o, &x), &y), &z) in out.iter_mut().zip(a).zip(b).zip(c) {
-        *o = (x + y) + z;
+pub(crate) fn shift_add(out: &mut [f64], s: f64, a: &[f64]) {
+    for (o, &x) in out.iter_mut().zip(a) {
+        *o = s + x;
+    }
+}
+
+/// `out[i] = (a[i] + s) + u` — one row of the backward lattice block.
+#[inline]
+pub(crate) fn add_shift2(out: &mut [f64], a: &[f64], s: f64, u: f64) {
+    for (o, &x) in out.iter_mut().zip(a) {
+        *o = (x + s) + u;
     }
 }
 

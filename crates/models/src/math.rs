@@ -2,7 +2,9 @@
 //!
 //! The max pass of both reductions is [`crate::kernels::max_index`]. The
 //! sum of exps is *not* reassociable and stays a strict left-to-right
-//! loop.
+//! loop. [`logsumexp_cols`] is the column-blocked form the CRF lattices
+//! use: the same operations per column, with the exponentials of a whole
+//! block issued through [`crate::vexp::exp_in_place`].
 
 /// Numerically stable softmax of `logits`, in place.
 pub(crate) fn softmax_inplace(logits: &mut [f64]) {
@@ -28,6 +30,44 @@ pub(crate) fn logsumexp(xs: &[f64]) -> f64 {
     }
     let sum: f64 = xs.iter().map(|&x| (x - max).exp()).sum();
     max + sum.ln()
+}
+
+/// [`logsumexp`] of every column of the row-major block `blk` (at least
+/// one row of `out.len()` cells): `out[y]` gets the bits `logsumexp`
+/// returns for `blk[y], blk[l + y], blk[2l + y], …`. Per column the
+/// running max keeps the earliest maximum in row order (NaN never
+/// wins), every cell is shifted by it, the sum runs in row order from
+/// row 0, and an all-`−∞` column gives `−∞`. `blk` is left holding the
+/// exponentials; `mx` is scratch as long as `out`.
+pub(crate) fn logsumexp_cols(blk: &mut [f64], mx: &mut [f64], out: &mut [f64]) {
+    let l = out.len();
+    debug_assert!(mx.len() == l && blk.len() >= l && blk.len() % l == 0);
+    mx.fill(f64::NEG_INFINITY);
+    for r in blk.chunks_exact(l) {
+        for (m, &v) in mx.iter_mut().zip(r) {
+            *m = if v > *m { v } else { *m };
+        }
+    }
+    for r in blk.chunks_exact_mut(l) {
+        for (v, &m) in r.iter_mut().zip(mx.iter()) {
+            *v -= m;
+        }
+    }
+    crate::vexp::exp_in_place(blk);
+    let (first, rest) = blk.split_at(l);
+    out.copy_from_slice(first);
+    for r in rest.chunks_exact(l) {
+        for (s, &v) in out.iter_mut().zip(r) {
+            *s += v;
+        }
+    }
+    for (s, &m) in out.iter_mut().zip(mx.iter()) {
+        *s = if m == f64::NEG_INFINITY {
+            f64::NEG_INFINITY
+        } else {
+            m + s.ln()
+        };
+    }
 }
 
 /// KL divergence `D(p || q)` in nats; terms with `p_i = 0` contribute 0,
@@ -85,6 +125,26 @@ mod tests {
     #[test]
     fn logsumexp_empty_is_neg_inf() {
         assert_eq!(logsumexp(&[]), f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn column_logsumexp_is_per_column_logsumexp() {
+        let ninf = f64::NEG_INFINITY;
+        // Columns: ordinary, all −∞, −∞ mixed in, a NaN, tied maxima
+        // of both zero signs, and huge magnitudes.
+        let rows = [
+            [0.5, ninf, ninf, 1.0, 0.0, 1e300, -3.0],
+            [-0.2, ninf, 2.0, f64::NAN, -0.0, -1e300, -3.0],
+            [1.3, ninf, ninf, 0.25, 0.0, 1e300, 700.0],
+        ];
+        let l = rows[0].len();
+        let mut blk: Vec<f64> = rows.iter().flatten().copied().collect();
+        let (mut mx, mut out) = (vec![0.0; l], vec![0.0; l]);
+        logsumexp_cols(&mut blk, &mut mx, &mut out);
+        for y in 0..l {
+            let col: Vec<f64> = rows.iter().map(|r| r[y]).collect();
+            assert_eq!(out[y].to_bits(), logsumexp(&col).to_bits(), "column {y}");
+        }
     }
 
     #[test]
