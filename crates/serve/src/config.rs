@@ -10,7 +10,7 @@
 //! corrupts gold labels, which only simulated oracles could mean.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use serde::{Deserialize, Serialize};
 
@@ -191,13 +191,17 @@ impl TaskCache {
     }
 
     /// The shared task for `(def, scale, seed)`.
+    ///
+    /// A build that panicked poisons the lock but leaves the map as it
+    /// was, since `or_insert_with` inserts only after the build returns;
+    /// so the guard is recovered and later sessions still get tasks.
     pub(crate) fn task(&self, def: &DatasetDef, scale: f64, seed: u64) -> Arc<Task> {
         let key = format!("{def:?}|{scale}|{seed}");
         let scale = Scale {
             factor: scale,
             repeats: 1,
         };
-        let mut cache = self.tasks.lock().unwrap();
+        let mut cache = self.tasks.lock().unwrap_or_else(PoisonError::into_inner);
         let task = cache.entry(key);
         Arc::clone(task.or_insert_with(|| Arc::new(Task::build(def, &scale, seed))))
     }
@@ -281,5 +285,25 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         let c = tasks.task(&def, 0.05, 8);
         assert!(!Arc::ptr_eq(&a, &c));
+    }
+
+    #[test]
+    fn a_poisoned_task_cache_still_builds_and_shares() {
+        let tasks = TaskCache::new();
+        let def = parse_dataset("mr").unwrap();
+        let a = tasks.task(&def, 0.05, 7);
+        // A panic while the lock is held, as a panicking build leaves it.
+        let poisoned = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = tasks.tasks.lock().unwrap();
+                panic!("task build failed");
+            })
+            .join()
+            .is_err()
+        });
+        assert!(poisoned && tasks.tasks.is_poisoned());
+        assert!(Arc::ptr_eq(&a, &tasks.task(&def, 0.05, 7)));
+        let c = tasks.task(&def, 0.05, 8);
+        assert!(Arc::ptr_eq(&c, &tasks.task(&def, 0.05, 8)));
     }
 }
